@@ -21,8 +21,12 @@
 //!   fragment of the pushable side — the classic shared-nothing broadcast
 //!   join. The choice comes from the optimizer's cardinality estimates
 //!   ([`prisma_optimizer::PhysicalConfig`]);
-//! * a decomposable **aggregate** (COUNT/SUM/MIN/MAX) computes partials on
-//!   each fragment and merges them at the coordinator;
+//! * a decomposable **aggregate** (COUNT/SUM/MIN/MAX) runs below the
+//!   exchange and only its partials are merged at the coordinator: one
+//!   partial per fragment over a pushable subtree; over a Select/Project
+//!   chain on an inner join, one per phase-2 site of a grace join (the
+//!   aggregate rides in the site's plan) or per fragment a broadcast
+//!   join probes;
 //! * everything else executes at the coordinator through the local batch
 //!   executor over materialized children;
 //! * subtrees reported by the optimizer's common-subexpression detection
@@ -426,102 +430,54 @@ impl ParallelExecutor {
             return self.run_on_fragments(plan, &relation, q);
         }
         match plan {
-            // 2. Joins between distributed inputs.
+            // 2. Joins between distributed inputs: the join runs below the
+            //    exchange, its result streams to the coordinator.
             LogicalPlan::Join {
-                left,
-                right,
                 kind: JoinKind::Inner,
-                on,
-                residual,
+                ..
             } => {
-                // Both sides pushable and both estimated large: grace join.
-                // One lowering decides the strategy AND yields the
-                // shippable side plans (projections already fused).
-                if !on.is_empty() {
-                    if let (Some(lrel), Some(rrel)) =
-                        (pushable_relation(left), pushable_relation(right))
-                    {
-                        if let PhysicalPlan::HashJoin {
-                            left: phys_left,
-                            right: phys_right,
-                            on: phys_on,
-                            residual: phys_residual,
-                            strategy: JoinStrategy::Partitioned,
-                            placement,
-                            ..
-                        } = self.lower(plan)?
-                        {
-                            return self.partitioned_join(
-                                *phys_left,
-                                &lrel,
-                                *phys_right,
-                                &rrel,
-                                &phys_on,
-                                phys_residual,
-                                placement,
-                                q,
-                            );
-                        }
-                    }
+                let mut out = Vec::new();
+                let distributed =
+                    self.join_below_exchange(plan, &|join| join, cse, memo, q, &mut |batch| {
+                        out.extend(batch.into_tuples());
+                        Ok(())
+                    })?;
+                if distributed {
+                    Ok(Arc::new(Relation::new(plan.output_schema()?, out)))
+                } else {
+                    // Neither side pushable: coordinator-local join.
+                    self.local_exec(plan, cse, memo, q)
                 }
-                // Broadcast the materialized small side into the fragments
-                // of a pushable side. The build side itself assembles from
-                // streamed chunks when it is fragment-resident.
-                if let Some(rel) = pushable_relation(left) {
-                    q.metrics.broadcast_joins += 1;
-                    let build = self.exec_node(right, cse, memo, q)?;
-                    let build_schema = build.schema().clone();
-                    let frag_plan = LogicalPlan::Join {
-                        left: left.clone(),
-                        right: Box::new(LogicalPlan::scan("__build", build_schema)),
-                        kind: JoinKind::Inner,
-                        on: on.clone(),
-                        residual: residual.clone(),
-                    };
-                    let mut extra = HashMap::new();
-                    extra.insert("__build".to_owned(), build);
-                    return self.run_on_fragments_with(&frag_plan, &rel, extra, q);
-                }
-                if let Some(rel) = pushable_relation(right) {
-                    q.metrics.broadcast_joins += 1;
-                    let build = self.exec_node(left, cse, memo, q)?;
-                    let build_schema = build.schema().clone();
-                    let frag_plan = LogicalPlan::Join {
-                        left: Box::new(LogicalPlan::scan("__build", build_schema)),
-                        right: right.clone(),
-                        kind: JoinKind::Inner,
-                        on: on.clone(),
-                        residual: residual.clone(),
-                    };
-                    let mut extra = HashMap::new();
-                    extra.insert("__build".to_owned(), build);
-                    return self.run_on_fragments_with(&frag_plan, &rel, extra, q);
-                }
-                // Neither side pushable: coordinator-local join.
-                self.local_exec(plan, cse, memo, q)
             }
-            // 3. Decomposable aggregates: partial per fragment, merged
-            //    incrementally as partial batches arrive.
+            // 3. Decomposable aggregates: a partial per fragment — or, over
+            //    a join, per phase-2 site (partitioned) / per fragment of
+            //    the probed relation (broadcast) — merged incrementally as
+            //    the partial batches arrive.
             LogicalPlan::Aggregate {
                 input,
                 group_by,
                 aggs,
-            } if pushable_relation(input).is_some() && decomposable(aggs) => {
-                let relation = pushable_relation(input).expect("guard");
-                let partial_plan = LogicalPlan::Aggregate {
-                    input: input.clone(),
-                    group_by: group_by.clone(),
-                    aggs: aggs.clone(),
-                };
+            } if decomposable(aggs) => {
                 let mut merger = PartialMerger::new(group_by.len(), aggs);
-                self.stream_fragments(
-                    &partial_plan,
-                    &relation,
-                    HashMap::new(),
-                    q,
-                    &mut |batch| merger.consume(&batch),
-                )?;
-                Ok(Arc::new(merger.finish(plan, aggs)?))
+                let mut sink = |batch: Batch| merger.consume(&batch);
+                let distributed = if let Some(relation) = pushable_relation(input) {
+                    self.stream_fragments(plan, &relation, HashMap::new(), q, &mut sink)?;
+                    true
+                } else if let Some(join) = join_under_chain(input) {
+                    let above = |join| LogicalPlan::Aggregate {
+                        input: Box::new(chain_over(input, join)),
+                        group_by: group_by.clone(),
+                        aggs: aggs.clone(),
+                    };
+                    self.join_below_exchange(join, &above, cse, memo, q, &mut sink)?
+                } else {
+                    false
+                };
+                if distributed {
+                    Ok(Arc::new(merger.finish(plan, aggs)?))
+                } else {
+                    self.exec_via_children(plan, cse, memo, q)
+                }
             }
             // 4. Recursive operators need their fixpoint bindings intact:
             //    materialize base relations and execute in one piece.
@@ -536,14 +492,96 @@ impl ParallelExecutor {
         }
     }
 
+    /// Run an inner join **below the exchange** and stream the batches of
+    /// `above(join)` into `sink`, where `above` wraps a join in whatever
+    /// the caller wants evaluated with it at the data (nothing for a bare
+    /// join; the Select/Project chain and partial aggregate of a
+    /// decomposable `GROUP BY`). One lowering of the join decides the
+    /// strategy and yields the shippable side plans:
+    ///
+    /// * both sides pushable and both estimated large — **grace join**:
+    ///   `above(⋈)` is the phase-2 plan each shuffle site runs over its
+    ///   own buckets;
+    /// * otherwise, one side pushable — **broadcast**: the other side is
+    ///   materialized (assembling from streamed chunks when it is
+    ///   fragment-resident) and `above(⋈)` ships with it to every
+    ///   fragment of the pushable side.
+    ///
+    /// Returns `false`, with nothing shipped and `sink` untouched, when
+    /// neither side is pushable.
+    fn join_below_exchange(
+        &self,
+        join: &LogicalPlan,
+        above: &dyn Fn(LogicalPlan) -> LogicalPlan,
+        cse: &HashSet<String>,
+        memo: &mut HashMap<String, Arc<Relation>>,
+        q: &mut QueryCtx,
+        sink: &mut dyn FnMut(Batch) -> Result<()>,
+    ) -> Result<bool> {
+        let LogicalPlan::Join {
+            left,
+            right,
+            kind: JoinKind::Inner,
+            on,
+            residual,
+        } = join
+        else {
+            return Ok(false);
+        };
+        let joined = |left: LogicalPlan, right: LogicalPlan| {
+            above(LogicalPlan::Join {
+                left: Box::new(left),
+                right: Box::new(right),
+                kind: JoinKind::Inner,
+                on: on.clone(),
+                residual: residual.clone(),
+            })
+        };
+        if !on.is_empty() {
+            if let (Some(lrel), Some(rrel)) = (pushable_relation(left), pushable_relation(right)) {
+                if let PhysicalPlan::HashJoin {
+                    left: phys_left,
+                    right: phys_right,
+                    strategy: JoinStrategy::Partitioned,
+                    placement,
+                    ..
+                } = self.lower(join)?
+                {
+                    self.partitioned_join(
+                        *phys_left, &lrel, *phys_right, &rrel, on, placement, &joined, q, sink,
+                    )?;
+                    return Ok(true);
+                }
+            }
+        }
+        for (probe, build, build_is_right) in [(left, right, true), (right, left, false)] {
+            let Some(rel) = pushable_relation(probe) else {
+                continue;
+            };
+            q.metrics.broadcast_joins += 1;
+            let built = self.exec_node(build, cse, memo, q)?;
+            let build_scan = LogicalPlan::scan("__build", built.schema().clone());
+            let frag_plan = if build_is_right {
+                joined((**probe).clone(), build_scan)
+            } else {
+                joined(build_scan, (**probe).clone())
+            };
+            let extra = HashMap::from([("__build".to_owned(), built)]);
+            self.stream_fragments(&frag_plan, &rel, extra, q, sink)?;
+            return Ok(true);
+        }
+        Ok(false)
+    }
+
     /// Hash-partitioned (grace) join. With streaming on (the default),
     /// buckets shuffle **directly fragment→fragment**: the coordinator
-    /// installs one phase-2 join task per site named in the shuffle
-    /// placement map, both sides' fragments address their bucket streams
-    /// straight at those sites, and the coordinator merges only the
-    /// sites' join-result streams. The `stream: false` baseline keeps
-    /// the historical coordinator relay (buckets in, buckets re-shipped)
-    /// for the E7 comparison.
+    /// installs one phase-2 task per site named in the shuffle placement
+    /// map — `site_join` applied to the two shuffle inputs: the join,
+    /// under whatever the caller evaluates with it — both sides' fragments
+    /// address their bucket streams straight at those sites, and the
+    /// coordinator feeds only the sites' result streams to `sink`. The
+    /// `stream: false` baseline keeps the historical coordinator relay
+    /// (buckets in, buckets re-shipped) for the E7 comparison.
     #[allow(clippy::too_many_arguments)]
     fn partitioned_join(
         &self,
@@ -552,10 +590,11 @@ impl ParallelExecutor {
         right: PhysicalPlan,
         right_rel: &str,
         on: &[(usize, usize)],
-        residual: Option<prisma_storage::expr::ScalarExpr>,
         placement: Option<ShufflePlacement>,
+        site_join: &dyn Fn(LogicalPlan, LogicalPlan) -> LogicalPlan,
         q: &mut QueryCtx,
-    ) -> Result<Arc<Relation>> {
+        sink: &mut dyn FnMut(Batch) -> Result<()>,
+    ) -> Result<()> {
         q.metrics.partitioned_joins += 1;
         let linfo = self.dictionary.relation(left_rel)?;
         let rinfo = self.dictionary.relation(right_rel)?;
@@ -573,31 +612,17 @@ impl ParallelExecutor {
         let rkeys: Vec<usize> = on.iter().map(|&(_, r)| r).collect();
         let lschema = left.output_schema()?;
         let rschema = right.output_schema()?;
-        let join_schema = lschema.join(&rschema);
-        let site_plan = |lname: &str, rname: &str| PhysicalPlan::HashJoin {
-            left: Box::new(PhysicalPlan::SeqScan {
-                relation: lname.into(),
-                schema: lschema.clone(),
-                projection: None,
-                prune: None,
-            }),
-            right: Box::new(PhysicalPlan::SeqScan {
-                relation: rname.into(),
-                schema: rschema.clone(),
-                projection: None,
-                prune: None,
-            }),
-            kind: JoinKind::Inner,
-            on: on.to_vec(),
-            residual: residual.clone(),
-            strategy: JoinStrategy::Partitioned,
-            placement: None,
+        let site_plan = |lname: &str, rname: &str| {
+            self.lower(&site_join(
+                LogicalPlan::scan(lname, lschema.clone()),
+                LogicalPlan::scan(rname, rschema.clone()),
+            ))
         };
 
         if !self.streaming {
             return self.relayed_grace_join(
                 &left, &linfo, &right, &rinfo, &lkeys, &rkeys, &placement, &lschema,
-                &rschema, join_schema, &site_plan("__part_l", "__part_r"), q,
+                &rschema, &site_plan("__part_l", "__part_r")?, q, sink,
             );
         }
 
@@ -647,7 +672,7 @@ impl ParallelExecutor {
         // channels then guarantee the spec reaches each site before any
         // peer chunk sent on its behalf.
         let mailbox = self.runtime.external_mailbox();
-        let plan = site_plan(SHUFFLE_LEFT, SHUFFLE_RIGHT);
+        let plan = site_plan(SHUFFLE_LEFT, SHUFFLE_RIGHT)?;
         let mut streams: StreamSet = Vec::new();
         for (sidx, (handle, buckets)) in sites.iter().enumerate() {
             self.runtime.send(
@@ -786,20 +811,16 @@ impl ParallelExecutor {
             reissue: &mut reissue,
             rounds: 2,
         };
-        let mut out = Vec::new();
         self.merge_batch_streams(
             &mailbox,
             streams,
             in_flight_shuffles,
             q,
             Some(failover),
-            &mut |batch| {
-                out.extend(batch.into_tuples());
-                Ok(())
-            },
+            sink,
         )?;
         q.metrics.failovers += source_failovers.get();
-        Ok(Arc::new(Relation::new(join_schema, out)))
+        Ok(())
     }
 
     /// The historical coordinator-relay grace join (the `stream: false`
@@ -819,10 +840,10 @@ impl ParallelExecutor {
         placement: &ShufflePlacement,
         lschema: &Schema,
         rschema: &Schema,
-        join_schema: Schema,
         site_plan: &PhysicalPlan,
         q: &mut QueryCtx,
-    ) -> Result<Arc<Relation>> {
+        sink: &mut dyn FnMut(Batch) -> Result<()>,
+    ) -> Result<()> {
         let parts = placement.parts;
         // Phase 1: fan out both sides' repartition subplans before
         // collecting either, so the two sides genuinely run in parallel.
@@ -867,12 +888,7 @@ impl ParallelExecutor {
             q.metrics.fragment_tasks += 1;
             streams.push((j as u64, site.id));
         }
-        let mut out = Vec::new();
-        self.merge_batch_streams(&mailbox, streams, 0, q, None, &mut |batch| {
-            out.extend(batch.into_tuples());
-            Ok(())
-        })?;
-        Ok(Arc::new(Relation::new(join_schema, out)))
+        self.merge_batch_streams(&mailbox, streams, 0, q, None, sink)
     }
 
     /// Ship one side's repartition subplan to every fragment of its
@@ -1479,13 +1495,45 @@ fn pushable_relation(plan: &LogicalPlan) -> Option<String> {
     }
 }
 
+/// The inner join at the bottom of `plan`'s Select/Project chain, if that
+/// is what the chain sits on — the join counterpart of
+/// [`pushable_relation`]: such a chain runs wherever the join does.
+fn join_under_chain(plan: &LogicalPlan) -> Option<&LogicalPlan> {
+    match plan {
+        LogicalPlan::Join {
+            kind: JoinKind::Inner,
+            ..
+        } => Some(plan),
+        LogicalPlan::Select { input, .. } | LogicalPlan::Project { input, .. } => {
+            join_under_chain(input)
+        }
+        _ => None,
+    }
+}
+
+/// `chain`'s Select/Project operators rebuilt over `join` in place of the
+/// join [`join_under_chain`] found at its bottom.
+fn chain_over(chain: &LogicalPlan, join: LogicalPlan) -> LogicalPlan {
+    match chain {
+        LogicalPlan::Select { input, predicate } => LogicalPlan::Select {
+            input: Box::new(chain_over(input, join)),
+            predicate: predicate.clone(),
+        },
+        LogicalPlan::Project {
+            input,
+            exprs,
+            schema,
+        } => LogicalPlan::Project {
+            input: Box::new(chain_over(input, join)),
+            exprs: exprs.clone(),
+            schema: schema.clone(),
+        },
+        _ => join,
+    }
+}
+
 fn decomposable(aggs: &[AggExpr]) -> bool {
-    aggs.iter().all(|a| {
-        matches!(
-            a.func,
-            AggFunc::CountStar | AggFunc::Count | AggFunc::Sum | AggFunc::Min | AggFunc::Max
-        )
-    })
+    aggs.iter().all(|a| a.func.decomposable())
 }
 
 /// Incremental merge of per-fragment partial aggregates: COUNT→SUM,
@@ -1528,15 +1576,27 @@ impl PartialMerger {
             groups,
             order,
         } = self;
-        for row in 0..batch.len() {
-            let key = batch.key_at(row, group_cols);
-            let accs = groups.entry(key.clone()).or_insert_with(|| {
-                order.push(key);
-                merge_funcs.iter().map(|&f| Accumulator::new(f)).collect()
-            });
+        let fold = |accs: &mut [Accumulator], row: usize| -> Result<()> {
             for (i, acc) in accs.iter_mut().enumerate() {
                 acc.update(&batch.value_at(row, group_cols.len() + i))?;
             }
+            Ok(())
+        };
+        let mut key: Vec<Value> = Vec::with_capacity(group_cols.len());
+        for row in 0..batch.len() {
+            key.clear();
+            key.extend(group_cols.iter().map(|&c| batch.value_at(row, c)));
+            // Most partial rows hit a group an earlier partial opened:
+            // look up by slice, clone the key only for a new group.
+            if let Some(accs) = groups.get_mut(key.as_slice()) {
+                fold(accs, row)?;
+                continue;
+            }
+            order.push(key.clone());
+            let accs = groups
+                .entry(key.clone())
+                .or_insert_with(|| merge_funcs.iter().map(|&f| Accumulator::new(f)).collect());
+            fold(accs, row)?;
         }
         Ok(())
     }

@@ -531,18 +531,20 @@ fn grace() -> prisma_optimizer::PhysicalConfig {
     }
 }
 
-#[test]
-fn pe_killed_mid_grace_join_fails_over_to_backup_replica() {
+/// Run `sql` on a fault-free machine and on one whose PE 2 — host of an
+/// `emp` primary, hence of a phase-2 shuffle site — is killed three
+/// messages into the query; the two results must be identical and the
+/// recovery must show in the metrics.
+fn assert_pe_kill_mid_query_is_invisible(sql: &str) {
     use prisma_faultx::{FaultInjector, FaultSpec};
     use prisma_types::PeId;
-
-    let sql = "SELECT e.id, d.name FROM emp e, dept d WHERE e.dept = d.id ORDER BY e.id";
 
     // Oracle: the same machine shape and data, no faults.
     let mut oracle_gdh = failover_machine();
     oracle_gdh.set_physical_config(grace());
     setup_emp(&oracle_gdh);
     let (oracle, oracle_metrics) = oracle_gdh.query_sql_with_metrics(sql).unwrap();
+    assert_eq!(oracle_metrics.partitioned_joins, 1, "{oracle_metrics:?}");
     assert_eq!(oracle_metrics.failovers, 0);
     assert_eq!(oracle_metrics.streams_rerequested, 0);
     oracle_gdh.shutdown();
@@ -555,6 +557,11 @@ fn pe_killed_mid_grace_join_fails_over_to_backup_replica() {
     gdh.set_fault_injector(faults.clone());
     gdh.set_physical_config(grace());
     setup_emp(&gdh);
+    let emp = gdh.dictionary().relation("emp").unwrap();
+    assert!(
+        emp.fragments.iter().any(|f| f.pe == PeId(2)),
+        "PE 2 must host a phase-2 site (an emp fragment)"
+    );
 
     // Kill PE 2 three messages into the join: mid-shuffle, after it has
     // accepted (at most) its phase-2 task and one subplan, its actors —
@@ -583,6 +590,23 @@ fn pe_killed_mid_grace_join_fails_over_to_backup_replica() {
         faults.events()
     );
     gdh.shutdown();
+}
+
+#[test]
+fn pe_killed_mid_grace_join_fails_over_to_backup_replica() {
+    assert_pe_kill_mid_query_is_invisible(
+        "SELECT e.id, d.name FROM emp e, dept d WHERE e.dept = d.id ORDER BY e.id",
+    );
+}
+
+/// The lost site's partial aggregate is recomputed at the backup and
+/// counted once: staged partials of the dead attempt are discarded.
+#[test]
+fn pe_killed_mid_aggregate_over_grace_join_counts_no_partial_twice() {
+    assert_pe_kill_mid_query_is_invisible(
+        "SELECT d.name, COUNT(*) AS n, SUM(e.sal) AS s, MIN(e.id) AS lo FROM emp e, dept d \
+         WHERE e.dept = d.id GROUP BY d.name ORDER BY d.name",
+    );
 }
 
 #[test]

@@ -132,7 +132,7 @@ pub fn lower_physical(
         // in plan size — which is fine for a debug surface, not for the
         // hot path).
         note_vectorized(&physical, trace);
-        note_exchanges(&physical, trace);
+        note_exchanges(&physical, stats, ScanDest::Coordinator, trace);
         note_stats_sources(plan, stats, trace);
         note_cardinalities(plan, stats, trace);
     }
@@ -545,19 +545,32 @@ fn map_children(
     }
 }
 
-/// Record in the EXPLAIN trace how each exchange (fragment→coordinator
-/// data movement) ships its data. Base-relation scans and grace-join
-/// repartitioning **stream** — one `BatchChunk`/`PartitionChunk` message
-/// per produced batch, merged while fragments still scan — while a
-/// broadcast join's build side is the one remaining **materialized**
-/// exchange (it must be complete before it is copied to every fragment).
-fn note_exchanges(plan: &PhysicalPlan, trace: &mut Trace) {
+/// Where a base-relation scan's output goes first.
+#[derive(Clone, Copy)]
+enum ScanDest {
+    /// Batches stream to the coordinator (plain scans, both sides of a
+    /// broadcast join).
+    Coordinator,
+    /// Buckets stream to the phase-2 sites of the enclosing grace join.
+    Site,
+}
+
+/// Record in the EXPLAIN trace how each exchange ships its data.
+/// Base-relation scans and grace-join repartitioning **stream** — one
+/// `BatchChunk`/`ShuffleChunk` message per produced batch, merged while
+/// fragments still scan — while a broadcast join's build side is the one
+/// remaining **materialized** exchange (it must be complete before it is
+/// copied to every fragment). `dest` is where the enclosing operator
+/// sends a scan's output; a decomposable aggregate the executor runs
+/// below the exchange is noted with the place its partials are computed.
+fn note_exchanges(plan: &PhysicalPlan, stats: &dyn StatsSource, dest: ScanDest, trace: &mut Trace) {
     match plan {
         PhysicalPlan::SeqScan { relation, .. } if !relation.starts_with("__") => {
-            trace.note(
-                "physical-exchange",
-                format!("scan {relation}: streams batches fragment→coordinator"),
-            );
+            let ships = match dest {
+                ScanDest::Coordinator => "streams batches fragment→coordinator",
+                ScanDest::Site => "streams buckets fragment→site",
+            };
+            trace.note("physical-exchange", format!("scan {relation}: {ships}"));
         }
         PhysicalPlan::HashJoin {
             left,
@@ -577,27 +590,88 @@ fn note_exchanges(plan: &PhysicalPlan, trace: &mut Trace) {
                     "broadcast join: build side materialized, probe side streams".to_owned(),
                 ),
             }
-            note_exchanges(left, trace);
-            note_exchanges(right, trace);
+            let dest = if shuffles(plan) {
+                ScanDest::Site
+            } else {
+                ScanDest::Coordinator
+            };
+            note_exchanges(left, stats, dest, trace);
+            note_exchanges(right, stats, dest, trace);
         }
-        PhysicalPlan::NestedLoopJoin { left, right, .. }
-        | PhysicalPlan::Union { left, right, .. }
-        | PhysicalPlan::Difference { left, right } => {
-            note_exchanges(left, trace);
-            note_exchanges(right, trace);
+        PhysicalPlan::Filter { input, .. } | PhysicalPlan::Project { input, .. } => {
+            note_exchanges(input, stats, dest, trace)
         }
-        PhysicalPlan::Filter { input, .. }
-        | PhysicalPlan::Project { input, .. }
-        | PhysicalPlan::Distinct { input }
-        | PhysicalPlan::HashAggregate { input, .. }
-        | PhysicalPlan::Sort { input, .. }
-        | PhysicalPlan::Limit { input, .. }
-        | PhysicalPlan::Closure { input } => note_exchanges(input, trace),
-        PhysicalPlan::Fixpoint { base, step, .. } => {
-            note_exchanges(base, trace);
-            note_exchanges(step, trace);
+        PhysicalPlan::HashAggregate { input, aggs, .. } => {
+            if aggs.iter().all(|a| a.func.decomposable()) {
+                if let Some(place) = partial_aggregate_place(input, stats) {
+                    trace.note(
+                        "physical-exchange",
+                        format!("partial aggregate at {place}, merged at the coordinator"),
+                    );
+                }
+            }
+            note_exchanges(input, stats, ScanDest::Coordinator, trace);
         }
-        PhysicalPlan::SeqScan { .. } | PhysicalPlan::Values { .. } => {}
+        _ => {
+            for child in plan.children() {
+                note_exchanges(child, stats, ScanDest::Coordinator, trace);
+            }
+        }
+    }
+}
+
+/// Whether the executor runs this join as a direct-shuffle grace join: an
+/// inner partitioned hash join whose sides are both single-relation
+/// chains (anything else broadcasts or joins at the coordinator).
+fn shuffles(join: &PhysicalPlan) -> bool {
+    matches!(
+        join,
+        PhysicalPlan::HashJoin {
+            left,
+            right,
+            kind: prisma_relalg::JoinKind::Inner,
+            strategy: JoinStrategy::Partitioned,
+            ..
+        } if scanned_base_relation(left).is_some() && scanned_base_relation(right).is_some()
+    )
+}
+
+/// Where the executor computes the partials of a decomposable aggregate
+/// over `input`, when it runs them below the exchange: at every fragment
+/// of a single-relation chain; over a Filter/Project chain on an inner
+/// join, at the grace join's phase-2 sites or at the fragments a
+/// broadcast join probes.
+fn partial_aggregate_place(input: &PhysicalPlan, stats: &dyn StatsSource) -> Option<String> {
+    let fragments_of = |rel: &str| match stats.fragmentation(rel) {
+        Some(frags) => format!("{} fragment(s) of {rel}", frags.len()),
+        None => format!("the fragments of {rel}"),
+    };
+    if let Some(rel) = scanned_base_relation(input) {
+        return Some(fragments_of(rel));
+    }
+    match input {
+        PhysicalPlan::Filter { input, .. } | PhysicalPlan::Project { input, .. } => {
+            partial_aggregate_place(input, stats)
+        }
+        PhysicalPlan::HashJoin { placement, .. } if shuffles(input) => Some(match placement {
+            Some(p) => format!("{} site(s)", p.by_site().len()),
+            None => "the shuffle sites".to_owned(),
+        }),
+        PhysicalPlan::HashJoin {
+            left,
+            right,
+            kind: prisma_relalg::JoinKind::Inner,
+            ..
+        }
+        | PhysicalPlan::NestedLoopJoin {
+            left,
+            right,
+            kind: prisma_relalg::JoinKind::Inner,
+            ..
+        } => scanned_base_relation(left)
+            .or_else(|| scanned_base_relation(right))
+            .map(fragments_of),
+        _ => None,
     }
 }
 
@@ -903,15 +977,82 @@ mod tests {
             .iter()
             .any(|f| f.contains("scan big: streams batches")));
 
-        // Partitioned join: buckets stream per-batch.
+        // Partitioned join: buckets stream per-batch, and the scans feed
+        // the phase-2 sites, not the coordinator.
         let big_join = LogicalPlan::scan("big", schema2())
             .join(LogicalPlan::scan("huge", schema2()), vec![(0, 0)]);
         let mut trace = Trace::default();
         lower_physical(&big_join, &s, PhysicalConfig::default(), &mut trace).unwrap();
+        assert_eq!(trace.count_of("physical-exchange"), 3, "{:?}", trace.fired);
         assert!(trace
             .fired
             .iter()
             .any(|f| f.contains("partitioned join: both sides stream buckets per-batch")));
+        for rel in ["big", "huge"] {
+            assert!(
+                trace
+                    .fired
+                    .iter()
+                    .any(|f| f.contains(&format!("scan {rel}: streams buckets fragment→site"))),
+                "{:?}",
+                trace.fired
+            );
+        }
+        assert!(!trace
+            .fired
+            .iter()
+            .any(|f| f.contains("fragment→coordinator")));
+    }
+
+    #[test]
+    fn explain_notes_where_partial_aggregates_run() {
+        use prisma_relalg::{AggExpr, AggFunc};
+        use prisma_types::FragmentId;
+        let frags: HashMap<String, Vec<FragmentId>> = [
+            ("big".to_owned(), (0..4).map(FragmentId).collect()),
+            ("huge".to_owned(), (4..7).map(FragmentId).collect()),
+            ("small".to_owned(), vec![FragmentId(7)]),
+        ]
+        .into_iter()
+        .collect();
+        let s = Fragged(stats(), frags);
+        let count_by = |input: LogicalPlan, func: AggFunc| LogicalPlan::Aggregate {
+            input: Box::new(input),
+            group_by: vec![1],
+            aggs: vec![AggExpr::new(func, 0, "x")],
+        };
+        let note_of = |plan: &LogicalPlan| {
+            let mut trace = Trace::default();
+            lower_physical(plan, &s, PhysicalConfig::default(), &mut trace).unwrap();
+            trace
+                .fired
+                .into_iter()
+                .find(|f| f.contains("partial aggregate"))
+        };
+        let grace = LogicalPlan::scan("big", schema2())
+            .join(LogicalPlan::scan("huge", schema2()), vec![(0, 0)]);
+        let broadcast = LogicalPlan::scan("big", schema2())
+            .join(LogicalPlan::scan("small", schema2()), vec![(1, 0)]);
+
+        // Single relation: one partial per fragment.
+        let note = note_of(&count_by(LogicalPlan::scan("big", schema2()), AggFunc::Sum));
+        assert!(note
+            .unwrap()
+            .contains("at 4 fragment(s) of big, merged at the coordinator"));
+        // Grace join under a projection: one partial per phase-2 site
+        // (4 buckets over big's 4 fragments).
+        let note = note_of(&count_by(
+            grace.clone().project_cols(&[0, 3]).unwrap(),
+            AggFunc::Count,
+        ));
+        assert!(note
+            .unwrap()
+            .contains("at 4 site(s), merged at the coordinator"));
+        // Broadcast join: one partial per fragment of the probed relation.
+        let note = note_of(&count_by(broadcast, AggFunc::Max));
+        assert!(note.unwrap().contains("at 4 fragment(s) of big"));
+        // AVG is not decomposable: the rows go to the coordinator.
+        assert_eq!(note_of(&count_by(grace, AggFunc::Avg)), None);
     }
 
     /// Stats source that also knows fragmentation (what the GDH data

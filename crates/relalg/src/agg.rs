@@ -21,6 +21,20 @@ pub enum AggFunc {
     Avg,
 }
 
+impl AggFunc {
+    /// Whether partial results computed over disjoint parts of the input
+    /// merge exactly into the global result (COUNT → SUM of counts,
+    /// SUM → SUM, MIN → MIN, MAX → MAX). The distributed executor runs
+    /// such aggregates below the exchange; AVG is not decomposable as one
+    /// column.
+    pub fn decomposable(self) -> bool {
+        matches!(
+            self,
+            AggFunc::CountStar | AggFunc::Count | AggFunc::Sum | AggFunc::Min | AggFunc::Max
+        )
+    }
+}
+
 impl fmt::Display for AggFunc {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         let s = match self {

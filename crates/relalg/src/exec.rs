@@ -828,8 +828,10 @@ pub fn partition_batches(batches: Vec<Batch>, key_cols: &[usize], parts: usize) 
 /// the columnar and row shuffle wires route every row to the same site.
 pub fn partition_positions(batch: &Batch, key_cols: &[usize], parts: usize) -> Vec<Vec<u32>> {
     let mut buckets: Vec<Vec<u32>> = (0..parts).map(|_| Vec::new()).collect();
+    let mut key: Vec<Value> = Vec::with_capacity(key_cols.len());
     for row in 0..batch.len() {
-        let key = batch.key_at(row, key_cols);
+        key.clear();
+        key.extend(key_cols.iter().map(|&c| batch.value_at(row, c)));
         if key.iter().any(Value::is_null) {
             continue;
         }

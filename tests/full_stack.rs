@@ -142,12 +142,62 @@ fn partitioned_and_broadcast_joins_agree_with_reference() {
     assert!(m.broadcast_joins >= 1, "expected broadcast: {m:?}");
     assert_eq!(m.partitioned_joins, 0, "{m:?}");
 
-    // Decomposable aggregate over the grace join output.
+    // Decomposable aggregate over the grace join: each of the 4 phase-2
+    // sites folds its own buckets and ships at most one row per group
+    // (40) — the 1300 joined rows never cross to the coordinator.
     let m = check(
         "SELECT l.grp, COUNT(*) AS n, SUM(r.v) AS s FROM big_l l, big_r r \
          WHERE l.k = r.k GROUP BY l.grp",
     );
     assert!(m.partitioned_joins >= 1, "{m:?}");
+    assert!(m.tuples_shipped <= 40 * 4, "partials only: {m:?}");
+
+    // A predicate over both sides sits between the aggregate and the join.
+    let m = check(
+        "SELECT l.grp, MIN(r.v) AS lo, MAX(l.v) AS hi FROM big_l l, big_r r \
+         WHERE l.k = r.k AND l.v + r.v > 1000 GROUP BY l.grp",
+    );
+    assert!(m.partitioned_joins >= 1, "{m:?}");
+    assert!(m.tuples_shipped <= 40 * 4, "partials only: {m:?}");
+
+    // A global aggregate over a join that matches nothing: one row, COUNT 0.
+    let m = check(
+        "SELECT COUNT(*) AS n, SUM(r.v) AS s FROM big_l l, big_r r \
+         WHERE l.k = r.k AND l.v + r.v < 0",
+    );
+    assert!(m.tuples_shipped <= 4, "one partial per site: {m:?}");
+
+    // The same below a broadcast join: one partial per big_l fragment,
+    // plus tiny's 30 build rows assembling at the coordinator.
+    let m = check(
+        "SELECT t.label, COUNT(*) AS n, SUM(l.v) AS s FROM big_l l, tiny t \
+         WHERE l.grp = t.k GROUP BY t.label",
+    );
+    assert!(m.broadcast_joins >= 1, "{m:?}");
+    assert!(m.tuples_shipped <= 30 * 4 + 30, "partials only: {m:?}");
+
+    // AVG is not decomposable: it takes the generic route and still agrees.
+    let m =
+        check("SELECT l.grp, AVG(r.v) AS a FROM big_l l, big_r r WHERE l.k = r.k GROUP BY l.grp");
+    assert!(m.tuples_shipped >= 1300, "the joined rows ship: {m:?}");
+
+    // EXPLAIN shows the placement the executor used.
+    let plan = db
+        .explain(
+            "SELECT l.grp, COUNT(*) AS n, SUM(r.v) AS s FROM big_l l, big_r r \
+             WHERE l.k = r.k GROUP BY l.grp",
+        )
+        .unwrap();
+    for expected in [
+        "SeqScan big_l cols=[0, 1]",
+        "SeqScan big_r cols=[0, 2]",
+        "prune-columns: join inputs narrowed 3→2 and 3→2 columns",
+        "physical-exchange: partial aggregate at 4 site(s), merged at the coordinator",
+        "scan big_l: streams buckets fragment→site",
+    ] {
+        assert!(plan.contains(expected), "missing {expected:?} in:\n{plan}");
+    }
+    assert!(!plan.contains("fragment→coordinator"), "{plan}");
     db.shutdown();
 }
 
