@@ -1,5 +1,5 @@
 //! # prisma-bench
 //!
-//! Criterion benchmarks regenerating every experiment of EXPERIMENTS.md
-//! (E1–E9). Run with `cargo bench --workspace`; each bench prints the
-//! paper-shape series it measures in addition to criterion's timings.
+//! The experiments listed in README.md, one `benches/eN_*.rs` each. Run
+//! with `cargo bench -p prisma-bench`; each bench prints the paper-shape
+//! series it measures in addition to its timings.

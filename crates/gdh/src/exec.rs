@@ -45,10 +45,10 @@
 //! into the merge accumulators; and grace-join buckets ship per produced
 //! batch **fragment→fragment** ([`GdhMsg::ShuffleChunk`]) while the
 //! coordinator only sees the sites' join-result streams
-//! ([`ExecMetrics::shuffled_direct_bits`] meters the direct hop;
-//! [`ExecMetrics::relayed_bits`] stays 0). The old coordinator-relay
-//! form ([`GdhMsg::PartitionChunk`] in, re-shipped buckets out) survives
-//! behind `set_streaming(false)` as the E7 baseline. Chunk order within
+//! ([`ExecMetrics::shuffled_direct_bits`] meters the direct hop). That
+//! is the only grace-join route: `set_streaming(false)` changes when
+//! sites and fragments ship (each drains its subplan before its first
+//! reply chunk), never where the buckets travel. Chunk order within
 //! one stream is restored by
 //! [`prisma_multicomputer::StreamReassembly`], which also powers the
 //! in-flight-stream gauge; a lost or slow fragment surfaces as a timeout
@@ -66,11 +66,10 @@
 //! block size. The receiver decodes straight back into columnar
 //! batches; a frame mangled in flight fails checksum/structure
 //! validation and surfaces as a stream error, never a mis-decode.
-//! [`ParallelExecutor::set_columnar_wire`]`(false)` (or
-//! `PRISMA_ROW_WIRE=1`) selects the historical row wire — the E11
-//! baseline. The coordinator-relay `PartitionChunk` path and replica
-//! log shipping stay row-oriented regardless: they are the `stream:
-//! false` baseline and the recovery path, kept bit-compatible.
+//! [`ParallelExecutor::set_columnar_wire`]`(false)` selects the
+//! historical row wire — the E11 baseline. Replica log shipping stays
+//! row-oriented regardless: it is the recovery path, kept
+//! bit-compatible.
 
 use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicU32, Ordering};
@@ -96,25 +95,7 @@ use crate::message::{ChunkData, GdhMsg, ShuffleSide};
 /// the fragment owing it (named in timeout/error messages).
 type StreamSet = Vec<(u64, FragmentId)>;
 
-/// A decoded reply-stream message: the two chunk kinds share one receive
-/// loop ([`ParallelExecutor::receive_streams`]), differing only in the
-/// chunk payload.
-enum StreamMsg<T> {
-    Chunk {
-        query_id: QueryId,
-        tag: u64,
-        seq: u64,
-        payload: T,
-    },
-    End {
-        query_id: QueryId,
-        tag: u64,
-        seq_count: u64,
-        result: Result<crate::message::StreamStats>,
-    },
-}
-
-/// Per-query execution metrics (drives E2/E6/E8 measurements).
+/// Per-query execution metrics.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct ExecMetrics {
     /// Subplans shipped to fragment actors.
@@ -151,19 +132,6 @@ pub struct ExecMetrics {
     /// skew-aware placement exists to push it back down (E8 measures
     /// exactly this).
     pub max_site_shuffled_bits: u64,
-    /// Bits the coordinator no longer moves thanks to the direct
-    /// shuffle: every directly-shuffled bit used to cross
-    /// fragment→coordinator once, and the bits of **two-sided** buckets
-    /// crossed back out in the re-ship (the relay skips one-sided
-    /// buckets) — computed per site, so it equals what the relay
-    /// baseline's [`ExecMetrics::relayed_bits`] would meter for the
-    /// same data, skew included.
-    pub relay_bits_saved: u64,
-    /// Bits of grace-join bucket payload the coordinator relayed
-    /// (received as `PartitionChunk`s plus re-shipped to the phase-2
-    /// sites) — nonzero only on the `stream: false` baseline; the direct
-    /// shuffle keeps it at 0 (orchestration messages only).
-    pub relayed_bits: u64,
     /// Compute workers per PE (1 = the serial baseline, no pools). A
     /// configuration echo, not a measurement — see
     /// [`prisma_types::MachineConfig::effective_ofm_workers`].
@@ -197,14 +165,15 @@ pub struct ExecMetrics {
     pub streams_rerequested: u64,
 }
 
-/// A fan-out's recovery policy, armed on the paths that can survive a
-/// mid-query PE loss (subplan fan-outs and the direct-shuffle grace
-/// join). When the reply deadline fires, [`ParallelExecutor::receive_streams`]
-/// retires each still-open stream, promotes its fragment's backup
-/// replica if the primary's PE is dead (the dictionary flips the handle
-/// and bumps its epoch), and calls `reissue` to ship the lost work at
-/// the surviving handle under a fresh correlation tag — completed
-/// streams are kept, so only the lost fragment's share is recomputed.
+/// A fan-out's recovery policy; every fan-out (subplan fan-outs and the
+/// grace join's phase-2 sites) arms one, so a mid-query PE loss is
+/// survivable on every path. When the reply deadline fires,
+/// [`ParallelExecutor::receive_streams`] retires each still-open stream,
+/// promotes its fragment's backup replica if the primary's PE is dead
+/// (the dictionary flips the handle and bumps its epoch), and calls
+/// `reissue` to ship the lost work at the surviving handle under a fresh
+/// correlation tag — completed streams are kept, so only the lost
+/// fragment's share is recomputed.
 struct Failover<'a> {
     /// Re-issue one lost stream's work: `(handle, old_tag, new_tag)` —
     /// the handle to address (promoted to the backup when the primary
@@ -242,14 +211,13 @@ pub struct ParallelExecutor {
     physical_config: PhysicalConfig,
     reply_timeout: Duration,
     /// Ship batches as they are produced (default). Off = the
-    /// materialized baseline: OFMs drain their subplan before the first
-    /// ship (same messages, no overlap) — kept for the E6 experiment.
+    /// materialized baseline: fragments and shuffle sites drain their
+    /// subplan before the first reply chunk (same messages, same route,
+    /// no overlap) — kept for the E6 experiment.
     streaming: bool,
     /// Ship batches as typed column blocks (default). Off = the row
     /// wire: chunks carry `Vec<Tuple>`-backed batches and `wire_bits`
     /// meters per-tuple row encoding — kept as the E11 baseline.
-    /// Defaults from [`prisma_types::wire::columnar_wire_default`]
-    /// (`PRISMA_ROW_WIRE=1` flips it machine-wide).
     columnar_wire: bool,
     next_query: AtomicU32,
     /// The machine's per-PE worker pools, when morsel parallelism is on.
@@ -276,7 +244,7 @@ impl ParallelExecutor {
             physical_config: PhysicalConfig::default(),
             reply_timeout,
             streaming: true,
-            columnar_wire: prisma_types::wire::columnar_wire_default(),
+            columnar_wire: true,
             next_query: AtomicU32::new(0),
             pools: None,
             faults: prisma_faultx::global().clone(),
@@ -309,8 +277,10 @@ impl ParallelExecutor {
     }
 
     /// Toggle streamed batch shipping. `false` selects the materialized
-    /// baseline (OFMs run their subplan to completion before shipping) —
-    /// only the E6 experiment and tests should ever want that.
+    /// baseline (fragments and shuffle sites run their subplan to
+    /// completion before the first reply chunk; the messages and their
+    /// routes are unchanged) — only the E6 experiment and tests should
+    /// ever want that.
     pub fn set_streaming(&mut self, streaming: bool) {
         self.streaming = streaming;
     }
@@ -573,15 +543,13 @@ impl ParallelExecutor {
         Ok(false)
     }
 
-    /// Hash-partitioned (grace) join. With streaming on (the default),
-    /// buckets shuffle **directly fragment→fragment**: the coordinator
-    /// installs one phase-2 task per site named in the shuffle placement
-    /// map — `site_join` applied to the two shuffle inputs: the join,
-    /// under whatever the caller evaluates with it — both sides' fragments
-    /// address their bucket streams straight at those sites, and the
-    /// coordinator feeds only the sites' result streams to `sink`. The
-    /// `stream: false` baseline keeps the historical coordinator relay
-    /// (buckets in, buckets re-shipped) for the E7 comparison.
+    /// Hash-partitioned (grace) join. Buckets shuffle **directly
+    /// fragment→fragment**: the coordinator installs one phase-2 task per
+    /// site named in the shuffle placement map — `site_join` applied to
+    /// the two shuffle inputs: the join, under whatever the caller
+    /// evaluates with it — both sides' fragments address their bucket
+    /// streams straight at those sites, and the coordinator feeds only
+    /// the sites' result streams to `sink`.
     #[allow(clippy::too_many_arguments)]
     fn partitioned_join(
         &self,
@@ -612,21 +580,11 @@ impl ParallelExecutor {
         let rkeys: Vec<usize> = on.iter().map(|&(_, r)| r).collect();
         let lschema = left.output_schema()?;
         let rschema = right.output_schema()?;
-        let site_plan = |lname: &str, rname: &str| {
-            self.lower(&site_join(
-                LogicalPlan::scan(lname, lschema.clone()),
-                LogicalPlan::scan(rname, rschema.clone()),
-            ))
-        };
+        let plan = self.lower(&site_join(
+            LogicalPlan::scan(SHUFFLE_LEFT, lschema.clone()),
+            LogicalPlan::scan(SHUFFLE_RIGHT, rschema.clone()),
+        ))?;
 
-        if !self.streaming {
-            return self.relayed_grace_join(
-                &left, &linfo, &right, &rinfo, &lkeys, &rkeys, &placement, &lschema,
-                &rschema, &site_plan("__part_l", "__part_r")?, q, sink,
-            );
-        }
-
-        // ---- direct fragment→fragment shuffle ----
         let exchange = q.fresh_exchange();
         // Resolve each bucket's site fragment to one this relation
         // actually has; a placement naming a stale fragment (plan cached
@@ -672,7 +630,6 @@ impl ParallelExecutor {
         // channels then guarantee the spec reaches each site before any
         // peer chunk sent on its behalf.
         let mailbox = self.runtime.external_mailbox();
-        let plan = site_plan(SHUFFLE_LEFT, SHUFFLE_RIGHT)?;
         let mut streams: StreamSet = Vec::new();
         for (sidx, (handle, buckets)) in sites.iter().enumerate() {
             self.runtime.send(
@@ -688,7 +645,7 @@ impl ParallelExecutor {
                     right_streams: right_streams.clone(),
                     reply_to: mailbox.id,
                     tag: sidx as u64,
-                    stream: true,
+                    stream: self.streaming,
                     columnar: self.columnar_wire,
                 },
             )?;
@@ -761,7 +718,7 @@ impl ParallelExecutor {
                     right_streams: right_streams.clone(),
                     reply_to,
                     tag: new_tag,
-                    stream: true,
+                    stream: self.streaming,
                     columnar: self.columnar_wire,
                 },
             )?;
@@ -811,243 +768,42 @@ impl ParallelExecutor {
             reissue: &mut reissue,
             rounds: 2,
         };
-        self.merge_batch_streams(
-            &mailbox,
-            streams,
-            in_flight_shuffles,
-            q,
-            Some(failover),
-            sink,
-        )?;
+        self.receive_streams(&mailbox, streams, in_flight_shuffles, q, failover, sink)?;
         q.metrics.failovers += source_failovers.get();
         Ok(())
     }
 
-    /// The historical coordinator-relay grace join (the `stream: false`
-    /// baseline E7 measures against): every fragment streams its buckets
-    /// to the coordinator, which merges them and re-ships bucket pairs
-    /// to the phase-2 sites. [`ExecMetrics::relayed_bits`] meters the
-    /// payload crossing the coordinator both ways.
-    #[allow(clippy::too_many_arguments)]
-    fn relayed_grace_join(
-        &self,
-        left: &PhysicalPlan,
-        linfo: &crate::dictionary::RelationInfo,
-        right: &PhysicalPlan,
-        rinfo: &crate::dictionary::RelationInfo,
-        lkeys: &[usize],
-        rkeys: &[usize],
-        placement: &ShufflePlacement,
-        lschema: &Schema,
-        rschema: &Schema,
-        site_plan: &PhysicalPlan,
-        q: &mut QueryCtx,
-        sink: &mut dyn FnMut(Batch) -> Result<()>,
-    ) -> Result<()> {
-        let parts = placement.parts;
-        // Phase 1: fan out both sides' repartition subplans before
-        // collecting either, so the two sides genuinely run in parallel.
-        let (lmailbox, lstreams) = self.send_repartition(left, linfo, lkeys, parts, q)?;
-        let (rmailbox, rstreams) = self.send_repartition(right, rinfo, rkeys, parts, q)?;
-        // While the left side's buckets are merged, the right side's
-        // streams are still in flight — count them in the gauge.
-        let lbuckets =
-            self.collect_partitions(&lmailbox, &lstreams, parts, rstreams.len() as u64, q)?;
-        let rbuckets = self.collect_partitions(&rmailbox, &rstreams, parts, 0, q)?;
-
-        // Phase 2: re-ship bucket pairs to the placement's site actors.
-        let mailbox = self.runtime.external_mailbox();
-        let mut streams: StreamSet = Vec::new();
-        for (j, (lb, rb)) in lbuckets.into_iter().zip(rbuckets).enumerate() {
-            if lb.is_empty() || rb.is_empty() {
-                continue; // an empty side joins to nothing
-            }
-            let lrel = Relation::new(lschema.clone(), lb);
-            let rrel = Relation::new(rschema.clone(), rb);
-            q.metrics.relayed_bits += lrel.wire_bits() + rrel.wire_bits();
-            let mut extra = HashMap::new();
-            extra.insert("__part_l".to_owned(), Arc::new(lrel));
-            extra.insert("__part_r".to_owned(), Arc::new(rrel));
-            let site = linfo
-                .fragments
-                .iter()
-                .find(|f| f.id == placement.sites[j])
-                .unwrap_or(&linfo.fragments[j % linfo.fragments.len()]);
-            self.runtime.send(
-                site.actor,
-                GdhMsg::RunSubplan {
-                    query_id: q.query_id,
-                    plan: Box::new(site_plan.clone()),
-                    extra,
-                    reply_to: mailbox.id,
-                    tag: j as u64,
-                    stream: self.streaming,
-                    columnar: self.columnar_wire,
-                },
-            )?;
-            q.metrics.fragment_tasks += 1;
-            streams.push((j as u64, site.id));
-        }
-        self.merge_batch_streams(&mailbox, streams, 0, q, None, sink)
-    }
-
-    /// Ship one side's repartition subplan to every fragment of its
-    /// relation; bucket chunks arrive on the returned mailbox, one
-    /// stream per `(tag, fragment)` pair.
-    fn send_repartition(
-        &self,
-        physical: &PhysicalPlan,
-        info: &crate::dictionary::RelationInfo,
-        key_cols: &[usize],
-        parts: usize,
-        q: &mut QueryCtx,
-    ) -> Result<(ExternalMailbox<GdhMsg>, StreamSet)> {
-        let mailbox = self.runtime.external_mailbox();
-        let mut streams = Vec::with_capacity(info.fragments.len());
-        for (i, frag) in info.fragments.iter().enumerate() {
-            self.runtime.send(
-                frag.actor,
-                GdhMsg::Repartition {
-                    query_id: q.query_id,
-                    plan: Box::new(physical.clone()),
-                    key_cols: key_cols.to_vec(),
-                    parts,
-                    reply_to: mailbox.id,
-                    tag: i as u64,
-                    stream: self.streaming,
-                },
-            )?;
-            q.metrics.repartition_tasks += 1;
-            streams.push((i as u64, frag.id));
-        }
-        Ok((mailbox, streams))
-    }
-
-    /// Merge the repartition bucket streams, bucket-wise, as chunks
-    /// arrive (each chunk is one produced batch's buckets).
-    fn collect_partitions(
-        &self,
-        mailbox: &ExternalMailbox<GdhMsg>,
-        streams: &[(u64, FragmentId)],
-        parts: usize,
-        extra_in_flight: u64,
-        q: &mut QueryCtx,
-    ) -> Result<Vec<Vec<Tuple>>> {
-        let mut merged: Vec<Vec<Tuple>> = (0..parts).map(|_| Vec::new()).collect();
-        self.receive_streams(
-            mailbox,
-            streams.to_vec(),
-            extra_in_flight,
-            q,
-            None,
-            |msg| match msg {
-                GdhMsg::PartitionChunk {
-                    query_id,
-                    tag,
-                    seq,
-                    buckets,
-                } => Ok(StreamMsg::Chunk {
-                    query_id,
-                    tag,
-                    seq,
-                    payload: buckets,
-                }),
-                other => Err(Box::new(other)),
-            },
-            &mut |metrics, chunk: Vec<Vec<Tuple>>| {
-                let mut rows_in_chunk = 0;
-                for (bucket, rows) in merged.iter_mut().zip(chunk) {
-                    rows_in_chunk += rows.len() as u64;
-                    metrics.relayed_bits +=
-                        rows.iter().map(Tuple::wire_bits).sum::<u64>();
-                    bucket.extend(rows);
-                }
-                metrics.tuples_shipped += rows_in_chunk;
-                Ok(rows_in_chunk)
-            },
-        )?;
-        Ok(merged)
-    }
-
-    /// Receive one fan-out's batch streams, feeding every batch to `sink`
-    /// the moment its in-stream predecessors have arrived.
-    fn merge_batch_streams(
-        &self,
-        mailbox: &ExternalMailbox<GdhMsg>,
-        streams: StreamSet,
-        extra_in_flight: u64,
-        q: &mut QueryCtx,
-        failover: Option<Failover<'_>>,
-        sink: &mut dyn FnMut(Batch) -> Result<()>,
-    ) -> Result<()> {
-        self.receive_streams(
-            mailbox,
-            streams,
-            extra_in_flight,
-            q,
-            failover,
-            |msg| match msg {
-                GdhMsg::BatchChunk {
-                    query_id,
-                    tag,
-                    seq,
-                    data,
-                } => Ok(StreamMsg::Chunk {
-                    query_id,
-                    tag,
-                    seq,
-                    payload: data,
-                }),
-                other => Err(Box::new(other)),
-            },
-            &mut |metrics, data: ChunkData| {
-                // Decode at the merge: a column block that fails its
-                // checksum or structure validation fails the query as a
-                // protocol error instead of feeding the sink garbage.
-                let batch = data.into_batch()?;
-                let rows = batch.len() as u64;
-                metrics.batches_shipped += 1;
-                metrics.tuples_shipped += rows;
-                sink(batch)?;
-                Ok(rows)
-            },
-        )
-    }
-
-    /// The shared receive loop under both chunk kinds: decode each
-    /// mailbox message (`StreamEnd` is common to both protocols and is
-    /// decoded here; `decode` maps only the chunk variant), restore
-    /// per-stream order through [`StreamReassembly`], and hand released
-    /// chunks to `on_chunk` (which returns the row count it consumed).
-    /// Stamps the query's first-batch latency on the first arriving chunk
-    /// of either kind; returns once every stream has delivered its
-    /// `StreamEnd`, after cross-checking each stream's advertised row
-    /// count against the rows actually released. A timeout names the
-    /// query, the fragments still owing chunks, and the time waited; a
-    /// fragment-local error fails the query naming the query and fragment.
+    /// Receive one fan-out's reply streams, feeding every batch to `sink`:
+    /// restore per-stream order through [`StreamReassembly`], decode each
+    /// released chunk at the merge, and count it. Stamps the query's
+    /// first-batch latency on the first arriving chunk; returns once every
+    /// stream has delivered its `StreamEnd`, after cross-checking each
+    /// stream's advertised row count against the rows actually released.
+    /// A fragment-local error fails the query naming the query and
+    /// fragment.
     ///
-    /// With a [`Failover`] armed, a timeout is survivable instead: each
-    /// still-open stream is retired (late chunks from the old attempt
-    /// are silently dropped by the reassembly), its fragment's backup
-    /// replica is promoted when the primary's PE is dead, and the
+    /// A reply timeout is survivable while `failover` has rounds left:
+    /// each still-open stream is retired (late chunks from the old
+    /// attempt are silently dropped by the reassembly), its fragment's
+    /// backup replica is promoted when the primary's PE is dead, and the
     /// stream is re-requested under a fresh tag — then the deadline
     /// resets and the merge resumes. Because a re-issued stream replays
     /// from scratch, released chunks are **staged per stream** and only
-    /// fed to `on_chunk` once their stream completes, so a replaced
-    /// stream's partial delivery never double-counts; the merged result
-    /// is bit-identical to a fault-free run.
-    #[allow(clippy::too_many_arguments)]
-    fn receive_streams<T>(
+    /// fed to `sink` once their stream completes, so a replaced stream's
+    /// partial delivery never double-counts; the merged result is
+    /// bit-identical to a fault-free run. Out of rounds, the timeout
+    /// names the query, the fragments still owing chunks, and the time
+    /// waited.
+    fn receive_streams(
         &self,
         mailbox: &ExternalMailbox<GdhMsg>,
         mut streams: StreamSet,
         extra_in_flight: u64,
         q: &mut QueryCtx,
-        mut failover: Option<Failover<'_>>,
-        decode: impl Fn(GdhMsg) -> std::result::Result<StreamMsg<T>, Box<GdhMsg>>,
-        on_chunk: &mut dyn FnMut(&mut ExecMetrics, T) -> Result<u64>,
+        mut failover: Failover<'_>,
+        sink: &mut dyn FnMut(Batch) -> Result<()>,
     ) -> Result<()> {
-        let mut reassembly: StreamReassembly<T> =
+        let mut reassembly: StreamReassembly<ChunkData> =
             StreamReassembly::expecting(streams.iter().map(|&(t, _)| t));
         q.metrics.max_in_flight_streams = q
             .metrics
@@ -1064,9 +820,8 @@ impl ParallelExecutor {
         // `(t & 0xffff_ffff) | (r << 32)` — unique against every earlier
         // attempt, and the low half keeps the original fan-out index.
         let mut round: u64 = 0;
-        let staging = failover.is_some();
-        let mut staged: HashMap<u64, Vec<T>> = HashMap::new();
-        let mut released: Vec<T> = Vec::new();
+        let mut staged: HashMap<u64, Vec<ChunkData>> = HashMap::new();
+        let mut released: Vec<ChunkData> = Vec::new();
         let mut rows_released: HashMap<u64, u64> = HashMap::new();
         let mut rows_advertised: HashMap<u64, u64> = HashMap::new();
         // Per-stream traffic stats, folded into the query metrics only
@@ -1081,10 +836,10 @@ impl ParallelExecutor {
             let msg = match mailbox.recv_timeout(remaining) {
                 Ok(m) => m,
                 Err(_) => {
-                    let Some(f) = failover.as_mut().filter(|f| f.rounds > 0) else {
+                    if failover.rounds == 0 {
                         return Err(self.stream_timeout(q, waited, &reassembly, &streams));
-                    };
-                    f.rounds -= 1;
+                    }
+                    failover.rounds -= 1;
                     round += 1;
                     for tag in reassembly.open_streams() {
                         let pos = streams
@@ -1119,58 +874,31 @@ impl ParallelExecutor {
                         rows_advertised.remove(&tag);
                         stream_stats.remove(&tag);
                         streams[pos].0 = new_tag;
-                        (f.reissue)(&handle, tag, new_tag)?;
+                        (failover.reissue)(&handle, tag, new_tag)?;
                         q.metrics.streams_rerequested += 1;
                     }
                     deadline = Instant::now() + self.reply_timeout;
                     continue;
                 }
             };
-            let decoded = match msg {
-                GdhMsg::StreamEnd {
-                    query_id,
-                    tag,
-                    seq_count,
-                    result,
-                } => StreamMsg::End {
-                    query_id,
-                    tag,
-                    seq_count,
-                    result,
-                },
-                other => match decode(other) {
-                    Ok(chunk) => chunk,
-                    Err(unexpected) => {
-                        return Err(PrismaError::Execution(format!(
-                            "{}: unexpected reply {unexpected:?}",
-                            q.query_id
-                        )))
-                    }
-                },
-            };
-            match decoded {
-                StreamMsg::Chunk {
+            match msg {
+                GdhMsg::BatchChunk {
                     query_id,
                     tag,
                     seq,
-                    payload,
+                    data,
                 } if query_id == q.query_id => {
                     if q.metrics.first_batch_micros == 0 {
                         q.metrics.first_batch_micros =
                             q.started.elapsed().as_micros().max(1) as u64;
                     }
                     released.clear();
-                    reassembly.accept(tag, seq, payload, &mut released)?;
+                    reassembly.accept(tag, seq, data, &mut released)?;
                     for chunk in released.drain(..) {
-                        if staging {
-                            staged.entry(tag).or_default().push(chunk);
-                        } else {
-                            *rows_released.entry(tag).or_default() +=
-                                on_chunk(&mut q.metrics, chunk)?;
-                        }
+                        staged.entry(tag).or_default().push(chunk);
                     }
                 }
-                StreamMsg::End {
+                GdhMsg::StreamEnd {
                     query_id,
                     tag,
                     seq_count,
@@ -1191,19 +919,34 @@ impl ParallelExecutor {
                             // it is genuinely complete — a lost chunk
                             // leaves it open (the end marker advertises
                             // more seqs than arrived) for failover.
-                            if staging && !reassembly.open_streams().contains(&tag) {
+                            if !reassembly.open_streams().contains(&tag) {
                                 for chunk in staged.remove(&tag).unwrap_or_default() {
-                                    *rows_released.entry(tag).or_default() +=
-                                        on_chunk(&mut q.metrics, chunk)?;
+                                    // Decode at the merge: a column block
+                                    // that fails its checksum or structure
+                                    // validation fails the query as a
+                                    // protocol error instead of feeding
+                                    // the sink garbage.
+                                    let batch = chunk.into_batch()?;
+                                    let rows = batch.len() as u64;
+                                    q.metrics.batches_shipped += 1;
+                                    q.metrics.tuples_shipped += rows;
+                                    sink(batch)?;
+                                    *rows_released.entry(tag).or_default() += rows;
                                 }
                             }
                         }
                         Err(e) => return Err(fragment_failure(q.query_id, &streams, tag, &e)),
                     }
                 }
-                StreamMsg::Chunk { query_id, .. } | StreamMsg::End { query_id, .. } => {
+                GdhMsg::BatchChunk { query_id, .. } | GdhMsg::StreamEnd { query_id, .. } => {
                     return Err(PrismaError::Execution(format!(
                         "{}: reply for foreign {query_id} on this query's mailbox",
+                        q.query_id
+                    )))
+                }
+                unexpected => {
+                    return Err(PrismaError::Execution(format!(
+                        "{}: unexpected reply {unexpected:?}",
                         q.query_id
                     )))
                 }
@@ -1215,7 +958,6 @@ impl ParallelExecutor {
             q.metrics.shuffled_direct_bits += stats.shuffled_bits;
             q.metrics.max_site_shuffled_bits =
                 q.metrics.max_site_shuffled_bits.max(stats.shuffled_bits);
-            q.metrics.relay_bits_saved += stats.relay_saved_bits;
         }
         // And the rows each fragment said it shipped must be the rows
         // that came out of reassembly.
@@ -1235,11 +977,11 @@ impl ParallelExecutor {
     /// The timeout error for a fan-out with incomplete streams: names the
     /// query, how long the coordinator waited, and which fragments still
     /// owe chunks or their end-of-stream marker.
-    fn stream_timeout<T>(
+    fn stream_timeout(
         &self,
         q: &QueryCtx,
         waited: Instant,
-        reassembly: &StreamReassembly<T>,
+        reassembly: &StreamReassembly<ChunkData>,
         streams: &[(u64, FragmentId)],
     ) -> PrismaError {
         let open = reassembly.open_streams();
@@ -1453,7 +1195,7 @@ impl ParallelExecutor {
             reissue: &mut reissue,
             rounds: 2,
         };
-        self.merge_batch_streams(&mailbox, streams, 0, q, Some(failover), sink)
+        self.receive_streams(&mailbox, streams, 0, q, failover, sink)
     }
 }
 
@@ -1840,17 +1582,13 @@ mod tests {
     }
 
     #[test]
-    fn direct_shuffle_agrees_with_coordinator_relay_and_meters_the_hop() {
+    fn direct_shuffle_matches_the_oracle_streamed_or_not_and_meters_the_hop() {
         let (runtime, dict) = rig(30);
         // 2 left fragments host the phase-2 sites; 2 right fragments.
         register_fragmented(&runtime, &dict, "l", 0, &[0..1500, 1500..3000]);
         register_fragmented(&runtime, &dict, "r", 10, &[0..1100, 1100..2200]);
         let mut exec = ParallelExecutor::new(runtime.clone(), dict.clone());
         exec.set_physical_config(grace_config(None));
-        // Pin the row wire: the relay baseline meters row payloads, so
-        // the direct hop must ship rows too for the bit-for-bit
-        // relayed_bits == relay_bits_saved comparison below.
-        exec.set_columnar_wire(false);
 
         let (direct, md) = exec.execute(&join_plan()).unwrap();
         assert_eq!(md.partitioned_joins, 1, "{md:?}");
@@ -1859,69 +1597,34 @@ mod tests {
             md.shuffled_direct_bits > 0,
             "no fragment→fragment bits metered: {md:?}"
         );
-        assert_eq!(
-            md.relay_bits_saved,
-            2 * md.shuffled_direct_bits,
-            "every direct bit used to cross the coordinator twice: {md:?}"
-        );
-        assert_eq!(
-            md.relayed_bits, 0,
-            "direct shuffle must not relay buckets through the coordinator: {md:?}"
-        );
-
-        exec.set_streaming(false);
-        let (relayed, mr) = exec.execute(&join_plan()).unwrap();
         // 2200 joined rows exist (keys 0..2200 intersect), so the result
         // is non-trivial.
         assert_eq!(direct.len(), 2200);
+        let direct = direct.canonicalized();
+        let rows = |r: std::ops::Range<i64>| {
+            Relation::new(test_schema(), r.map(|i| tuple![i, i % 5]).collect())
+        };
+        let db = HashMap::from([
+            ("l".to_owned(), rows(0..3000)),
+            ("r".to_owned(), rows(0..2200)),
+        ]);
+        let oracle = prisma_relalg::eval(&join_plan(), &db).unwrap();
         assert_eq!(
-            direct.canonicalized().tuples(),
-            relayed.canonicalized().tuples(),
-            "direct and relayed grace joins must agree"
-        );
-        assert_eq!(mr.shuffled_direct_bits, 0, "{mr:?}");
-        assert!(mr.relayed_bits > 0, "the baseline relays buckets: {mr:?}");
-        // The relay moves the same payload through the coordinator that
-        // the direct path moves fragment→fragment (both count the bucket
-        // rows entering + leaving the coordinator vs one direct hop).
-        assert_eq!(mr.relayed_bits, md.relay_bits_saved, "{mr:?} vs {md:?}");
-        runtime.shutdown();
-    }
-
-    #[test]
-    fn relay_savings_stay_exact_under_one_sided_buckets() {
-        // Disjoint key sets: every bucket holds rows from (at most) one
-        // side, which the relay baseline receives but never re-ships
-        // (`lb.is_empty() || rb.is_empty()` skips the pair). The
-        // per-site accounting must agree with the baseline's relayed
-        // bits exactly — not the naive 2× of everything shuffled.
-        let (runtime, dict) = rig(30);
-        register_fragmented(&runtime, &dict, "l", 0, &[0..3, 3..6]);
-        register_fragmented(&runtime, &dict, "r", 10, &[100..103, 103..106]);
-        let mut exec = ParallelExecutor::new(runtime.clone(), dict.clone());
-        exec.set_physical_config(grace_config(Some(8)));
-        // Row wire, for the same reason as the test above: the savings
-        // figure is compared bit-for-bit against the row-based relay.
-        exec.set_columnar_wire(false);
-
-        let (direct, md) = exec.execute(&join_plan()).unwrap();
-        assert!(direct.is_empty(), "disjoint keys join to nothing");
-        assert!(md.shuffled_direct_bits > 0, "{md:?}");
-        assert!(
-            md.relay_bits_saved < 2 * md.shuffled_direct_bits,
-            "one-sided buckets must not be double-counted: {md:?}"
-        );
-        assert!(
-            md.relay_bits_saved >= md.shuffled_direct_bits,
-            "everything shuffled crossed the coordinator at least once: {md:?}"
+            direct.tuples(),
+            oracle.canonicalized().tuples(),
+            "grace join must agree with the reference evaluator"
         );
 
+        // Materialized replies: same route, same buckets, same result.
         exec.set_streaming(false);
-        let (_, mr) = exec.execute(&join_plan()).unwrap();
+        let (materialized, mm) = exec.execute(&join_plan()).unwrap();
         assert_eq!(
-            mr.relayed_bits, md.relay_bits_saved,
-            "savings must equal what the baseline actually relays: {mr:?} vs {md:?}"
+            direct.tuples(),
+            materialized.canonicalized().tuples(),
+            "streamed and materialized grace joins must agree"
         );
+        assert_eq!(mm.repartition_tasks, 4, "{mm:?}");
+        assert_eq!(mm.shuffled_direct_bits, md.shuffled_direct_bits, "{mm:?} vs {md:?}");
         runtime.shutdown();
     }
 
@@ -1940,7 +1643,6 @@ mod tests {
             exec.set_physical_config(grace_config(parts));
             let (rows, m) = exec.execute(&join_plan()).unwrap();
             assert_eq!(m.partitioned_joins, 1, "parts={parts:?}: {m:?}");
-            assert_eq!(m.relayed_bits, 0, "parts={parts:?}: {m:?}");
             assert_eq!(rows.len(), 1300, "parts={parts:?}");
             results.push(rows.canonicalized());
         }

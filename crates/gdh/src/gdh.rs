@@ -201,9 +201,10 @@ impl GlobalDataHandler {
     }
 
     /// Toggle streamed batch shipping on the parallel executor. `false`
-    /// selects the materialized baseline — OFMs run their subplan to
-    /// completion before the first ship — kept only so the E6 experiment
-    /// can measure what the overlap buys.
+    /// selects the materialized baseline — fragments and shuffle sites
+    /// run their subplan to completion before the first reply chunk, on
+    /// the same routes — kept only so the E6 experiment can measure what
+    /// the overlap buys.
     pub fn set_streaming(&mut self, streaming: bool) {
         self.executor.set_streaming(streaming);
     }
@@ -215,8 +216,7 @@ impl GlobalDataHandler {
 
     /// Toggle the columnar wire format on the parallel executor.
     /// `false` selects the historical row wire (chunks carry row
-    /// batches) — the E11 baseline and the compatibility escape hatch;
-    /// `PRISMA_ROW_WIRE=1` sets the same default machine-wide.
+    /// batches) — the E11 baseline and the compatibility escape hatch.
     pub fn set_columnar_wire(&mut self, columnar: bool) {
         self.executor.set_columnar_wire(columnar);
     }

@@ -14,17 +14,14 @@
 //! [`GdhMsg::StreamEnd`] carrying the chunk count and per-stream stats —
 //! so the coordinator merges early batches while the fragment is still
 //! scanning (pipelined parallelism across PEs, the paper's intra-query
-//! parallelism applied to the exchange itself). Grace-join repartitioning
-//! streams the same way: each produced batch is hash-partitioned on the
-//! spot and shipped as a [`GdhMsg::PartitionChunk`]. The coordinator
+//! parallelism applied to the exchange itself). The coordinator
 //! reassembles per-stream order with
 //! [`prisma_multicomputer::StreamReassembly`]; errors and timeouts are
 //! reported per stream with the owning query and fragment named.
 //!
 //! ## Direct fragment→fragment shuffle (grace joins)
 //!
-//! With streaming on, grace-join buckets never touch the coordinator:
-//! the coordinator installs one [`GdhMsg::ShuffleJoin`] task per phase-2
+//! Grace-join buckets never touch the coordinator: it installs one [`GdhMsg::ShuffleJoin`] task per phase-2
 //! site (a fragment actor of the probe relation, chosen by the
 //! optimizer's shuffle placement map) and sends both sides'
 //! [`GdhMsg::ShuffleSubplan`]s. Each source fragment hash-partitions
@@ -38,8 +35,8 @@
 //! streams the join result to the coordinator as an ordinary
 //! `BatchChunk`/`StreamEnd` reply whose stats carry the
 //! fragment→fragment bits received ([`StreamStats::shuffled_bits`]).
-//! The coordinator-relay path survives behind `stream: false` as the
-//! measured baseline (E7).
+//! `stream: false` on the site task only makes the site drain its join
+//! before the first reply chunk; the buckets travel the same way.
 
 use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
@@ -63,14 +60,6 @@ pub struct StreamStats {
     /// direct shuffle (0 for ordinary subplan streams) — what the
     /// coordinator folds into `ExecMetrics::shuffled_direct_bits`.
     pub shuffled_bits: u64,
-    /// Coordinator bits the direct shuffle avoided for this site's
-    /// buckets: every received bit would have crossed to the
-    /// coordinator once, and the bits of **two-sided** buckets would
-    /// have been re-shipped back out (the relay skips one-sided
-    /// buckets, which join to nothing) — so this is `shuffled_bits +
-    /// Σ(two-sided bucket bits)`, matching the relay baseline's
-    /// `relayed_bits` exactly.
-    pub relay_saved_bits: u64,
 }
 
 /// Which side of a partitioned join a shuffle stream feeds.
@@ -89,8 +78,8 @@ pub enum ShuffleSide {
 /// with null bitmaps and cheap compression, decoded on the receive side
 /// straight into `ColumnVec`s (no pivot on either end). The legacy row
 /// wire ([`ChunkData::Rows`]) survives behind the executor's
-/// `set_columnar_wire(false)` / `PRISMA_ROW_WIRE=1` flag as the measured
-/// baseline (E11), shipping the batch pivoted to tagged-`Value` rows.
+/// `set_columnar_wire(false)` flag as the measured baseline (E11),
+/// shipping the batch pivoted to tagged-`Value` rows.
 #[derive(Debug, Clone)]
 pub enum ChunkData {
     /// Row wire: the batch in row-oriented form.
@@ -222,37 +211,7 @@ pub enum GdhMsg {
         /// The batch payload in its wire form (column blocks or rows).
         data: ChunkData,
     },
-    /// Grace-join phase 1: run the subplan and hash-partition its output
-    /// on `key_cols` into `parts` buckets, streaming each produced
-    /// batch's buckets as a `PartitionChunk`.
-    Repartition {
-        /// The query this stream belongs to.
-        query_id: QueryId,
-        /// The physical subplan producing this side of the join.
-        plan: Box<PhysicalPlan>,
-        /// Join-key ordinals in the subplan's output.
-        key_cols: Vec<usize>,
-        /// Bucket count.
-        parts: usize,
-        /// Where to send the bucket stream.
-        reply_to: ProcessId,
-        /// Correlation tag (one stream per tag).
-        tag: u64,
-        /// Per-batch bucket shipping (true) or materialize-then-ship.
-        stream: bool,
-    },
-    /// One batch's worth of buckets from a `Repartition` reply stream.
-    PartitionChunk {
-        /// The owning query.
-        query_id: QueryId,
-        /// Correlation tag of the stream.
-        tag: u64,
-        /// Position in the stream (0-based).
-        seq: u64,
-        /// One (possibly empty) tuple bucket per partition.
-        buckets: Vec<Vec<Tuple>>,
-    },
-    /// Terminal message of a `RunSubplan`/`Repartition` reply stream:
+    /// Terminal message of a `RunSubplan`/`ShuffleJoin` reply stream:
     /// how many chunks the stream comprised (so a coordinator can detect
     /// chunks still in flight even when this marker overtakes them) and
     /// the fragment's stats — or the fragment-local error.
@@ -534,14 +493,6 @@ impl WireMessage for GdhMsg {
                     .map(|r| (r.wire_bits() / 8) as usize)
                     .sum::<usize>()
             }
-            GdhMsg::Repartition { .. } => 64,
-            GdhMsg::PartitionChunk { buckets, .. } => {
-                32 + buckets
-                    .iter()
-                    .flatten()
-                    .map(|t| (t.wire_bits() / 8) as usize)
-                    .sum::<usize>()
-            }
             GdhMsg::ShuffleSubplan { .. } | GdhMsg::ShuffleJoin { .. } => 64,
             GdhMsg::ShuffleChunk { buckets, .. } => {
                 32 + buckets
@@ -620,10 +571,6 @@ struct ShuffleTask {
     /// Bits received fragment→fragment, reported to the coordinator in
     /// the reply's [`StreamStats::shuffled_bits`].
     shuffled_bits: u64,
-    /// Received bits per `(bucket, side)` — at completion, buckets with
-    /// both sides non-empty are the ones the relay baseline would have
-    /// re-shipped ([`StreamStats::relay_saved_bits`]).
-    bucket_bits: HashMap<usize, [u64; 2]>,
 }
 
 impl ShuffleTask {
@@ -753,12 +700,11 @@ impl OfmActor {
 impl OfmActor {
     /// Run `plan` and ship its output as a chunk stream: one message per
     /// produced batch (mapped through `to_chunk`, which also reports how
-    /// many rows the chunk carries — repartition chunks drop NULL-key
-    /// rows, so the shipped count can differ from the produced count),
-    /// then the terminal `StreamEnd` advertising the chunk count and the
-    /// total rows shipped (the coordinator cross-checks both). With
-    /// `stream = false` the subplan is drained fully before the first
-    /// ship — the materialized baseline.
+    /// many rows the chunk carries), then the terminal `StreamEnd`
+    /// advertising the chunk count and the total rows shipped (the
+    /// coordinator cross-checks both). With `stream = false` the subplan
+    /// is drained fully before the first ship — the materialized
+    /// baseline.
     ///
     /// Each `next_batch()`/`send` alternation is the pipelining seam:
     /// the send crosses the interconnect while this actor keeps scanning,
@@ -859,17 +805,6 @@ impl OfmActor {
                 tag: *tag,
                 seq: *seq,
                 data: data.clone(),
-            }),
-            GdhMsg::PartitionChunk {
-                query_id,
-                tag,
-                seq,
-                buckets,
-            } => Some(GdhMsg::PartitionChunk {
-                query_id: *query_id,
-                tag: *tag,
-                seq: *seq,
-                buckets: buckets.clone(),
             }),
             GdhMsg::ShuffleChunk {
                 query_id,
@@ -1178,7 +1113,6 @@ impl OfmActor {
             left: ShuffleSideState::expecting(left_streams),
             right: ShuffleSideState::expecting(right_streams),
             shuffled_bits: 0,
-            bucket_bits: HashMap::new(),
         });
         self.shuffles.insert(key, ShuffleState::Active(task));
         for msg in pending {
@@ -1260,11 +1194,8 @@ impl OfmActor {
                         )));
                     }
                 }
-                let side_idx = (side == ShuffleSide::Right) as usize;
-                for (bucket, data) in &buckets {
-                    let bits = data.wire_bits();
-                    task.shuffled_bits += bits;
-                    task.bucket_bits.entry(*bucket).or_default()[side_idx] += bits;
+                for (_, data) in &buckets {
+                    task.shuffled_bits += data.wire_bits();
                 }
                 let state = task.side_mut(side);
                 let mut released: Vec<ShufflePayload> = Vec::new();
@@ -1338,20 +1269,9 @@ impl OfmActor {
                 }
             }
         }
-        // What the relay baseline would have moved through the
-        // coordinator for these buckets: everything crosses in once;
-        // only two-sided buckets are re-shipped out (one-sided buckets
-        // join to nothing and the relay skips them).
-        let reshipped: u64 = task
-            .bucket_bits
-            .values()
-            .filter(|b| b[0] > 0 && b[1] > 0)
-            .map(|b| b[0] + b[1])
-            .sum();
         let stats = StreamStats {
             rows: 0, // filled by ship_stream
             shuffled_bits: task.shuffled_bits,
-            relay_saved_bits: task.shuffled_bits + reshipped,
         };
         let extra = shuffle_extras(
             Relation::new(task.lschema.clone(), task.left.rows),
@@ -1476,47 +1396,6 @@ impl Process<GdhMsg> for OfmActor {
             }
             msg @ (GdhMsg::ShuffleChunk { .. } | GdhMsg::ShuffleEnd { .. }) => {
                 self.on_shuffle_traffic(msg, ctx);
-            }
-            GdhMsg::Repartition {
-                query_id,
-                plan,
-                key_cols,
-                parts,
-                reply_to,
-                tag,
-                stream,
-            } => {
-                // Buckets ship per produced batch: partition each batch
-                // on the spot instead of materializing the whole side.
-                self.ofm.seal_for_scan();
-                self.ship_stream(
-                    &plan,
-                    &HashMap::new(),
-                    reply_to,
-                    query_id,
-                    tag,
-                    stream,
-                    StreamStats::default(),
-                    ctx,
-                    |seq, batch| {
-                        let buckets = prisma_relalg::exec::partition_batches(
-                            vec![batch],
-                            &key_cols,
-                            parts,
-                        );
-                        // NULL-key rows were dropped: advertise what ships.
-                        let rows = buckets.iter().map(|b| b.len() as u64).sum();
-                        (
-                            rows,
-                            GdhMsg::PartitionChunk {
-                                query_id,
-                                tag,
-                                seq,
-                                buckets,
-                            },
-                        )
-                    },
-                );
             }
             GdhMsg::Insert {
                 txn,
@@ -1659,7 +1538,6 @@ impl Process<GdhMsg> for OfmActor {
             }
             // Replies arriving at an OFM are protocol errors; ignore.
             GdhMsg::BatchChunk { .. }
-            | GdhMsg::PartitionChunk { .. }
             | GdhMsg::StreamEnd { .. }
             | GdhMsg::DmlDone { .. }
             | GdhMsg::Vote { .. }

@@ -6,9 +6,9 @@
 //! zone-pruned chunked scan — serial or pooled — must return exactly what
 //! the row-oriented `relalg::eval` oracle returns, and the same property
 //! must hold end-to-end through SQL on both wire formats. CI re-runs this
-//! file under `OFM_WORKERS=4`, `PRISMA_ROW_WIRE=1`, `SEAL_EVERY=8` and the
-//! `FAULT_SEED` chunk-delay matrix, so the single invariant is exercised
-//! across the whole configuration grid.
+//! file under `OFM_WORKERS=4`, `SEAL_EVERY=8` and the `FAULT_SEED`
+//! chunk-delay matrix, so the single invariant is exercised across the
+//! whole configuration grid.
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -469,9 +469,7 @@ fn aggregate_over_join_matches_oracle_and_ships_only_partials() {
                     "partitioned" => assert_eq!((partitioned, broadcast), (1, 0), "{case}: {m:?}"),
                     _ => assert_eq!((partitioned, broadcast), (0, 1), "{case}: {m:?}"),
                 }
-                // The relay baseline moves the buckets through the
-                // coordinator by design; the bound is the direct path's.
-                let Some(groups) = groups.filter(|_| streaming) else {
+                let Some(groups) = groups else {
                     continue;
                 };
                 let bound = match strategy {

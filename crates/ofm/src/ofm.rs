@@ -473,7 +473,7 @@ impl Ofm {
     /// wire (the default) callers shipping across PEs encode them as
     /// typed column blocks via `Batch::encode_columnar`, so the batch
     /// never pivots to rows on its way to the coordinator; only the
-    /// legacy row wire (`PRISMA_ROW_WIRE=1`) still pivots with
+    /// legacy row wire (`set_columnar_wire(false)`) still pivots with
     /// [`Batch::into_rows`] at the wire boundary.
     pub fn open_physical(
         &self,

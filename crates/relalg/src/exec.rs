@@ -803,29 +803,13 @@ pub fn key_hash(key: &[Value]) -> u64 {
     h.finish()
 }
 
-/// Split batches into `parts` buckets by join-key hash. Rows with a NULL
-/// key component are dropped — SQL equi-joins never match NULL keys, so
-/// they cannot contribute to any bucket's join result.
-pub fn partition_batches(batches: Vec<Batch>, key_cols: &[usize], parts: usize) -> Vec<Vec<Tuple>> {
-    let mut buckets: Vec<Vec<Tuple>> = (0..parts).map(|_| Vec::new()).collect();
-    for batch in batches {
-        for t in batch.into_tuples() {
-            let key = t.key(key_cols);
-            if key.iter().any(Value::is_null) {
-                continue;
-            }
-            let idx = (key_hash(&key) % parts as u64) as usize;
-            buckets[idx].push(t);
-        }
-    }
-    buckets
-}
-
 /// Split one batch's live rows into `parts` buckets of row *positions*
-/// (indices into `0..batch.len()`) by join-key hash, reading keys straight
-/// from the columnar form. Bucket placement is bit-identical to
-/// [`partition_batches`] — same [`key_hash`], same NULL-key drop rule — so
-/// the columnar and row shuffle wires route every row to the same site.
+/// (indices into `0..batch.len()`) by join-key hash ([`key_hash`]), reading
+/// keys straight from the columnar form. Rows with a NULL key component
+/// are dropped — SQL equi-joins never match NULL keys, so they cannot
+/// contribute to any bucket's join result. Placement depends only on the
+/// key values, so the columnar and row shuffle wires route every row to
+/// the same site.
 pub fn partition_positions(batch: &Batch, key_cols: &[usize], parts: usize) -> Vec<Vec<u32>> {
     let mut buckets: Vec<Vec<u32>> = (0..parts).map(|_| Vec::new()).collect();
     let mut key: Vec<Value> = Vec::with_capacity(key_cols.len());
@@ -1649,8 +1633,11 @@ mod tests {
             Schema::new(vec![Column::nullable("k", DataType::Int)]),
             vec![tuple![1], tuple![2], Tuple::new(vec![Value::Null]), tuple![1]],
         ));
-        let batches = vec![Batch::shared(rel, 0, 4)];
-        let parts = partition_batches(batches, &[0], 3);
+        let batch = Batch::shared(rel, 0, 4);
+        let parts: Vec<Vec<Tuple>> = partition_positions(&batch, &[0], 3)
+            .iter()
+            .map(|pos| batch.gather_rows(pos))
+            .collect();
         let total: usize = parts.iter().map(Vec::len).sum();
         assert_eq!(total, 3, "NULL key dropped");
         // Equal keys land in the same bucket.

@@ -93,13 +93,6 @@ const VTAG_DOUBLE: u8 = 2;
 const VTAG_BOOL: u8 = 3;
 const VTAG_STR: u8 = 4;
 
-/// True unless the `PRISMA_ROW_WIRE=1` environment flag asks for the legacy
-/// row wire — the bench-baseline escape hatch, mirroring how
-/// `set_streaming(false)` preserves the materialized reply path.
-pub fn columnar_wire_default() -> bool {
-    std::env::var("PRISMA_ROW_WIRE").map_or(true, |v| v != "1")
-}
-
 /// Build a wire protocol error. Every decode failure funnels through here so
 /// the message is greppable (`wire:`) and the variant is uniform.
 fn werr(msg: impl std::fmt::Display) -> PrismaError {

@@ -63,7 +63,7 @@ fn distributed_execution_matches_reference_evaluator() {
 /// evaluator; a small build side must stay on the broadcast path.
 #[test]
 fn partitioned_and_broadcast_joins_agree_with_reference() {
-    let db = PrismaMachine::builder().pes(8).build().unwrap();
+    let mut db = PrismaMachine::builder().pes(8).build().unwrap();
     db.sql("CREATE TABLE big_l (k INT, grp INT, v INT) FRAGMENTED BY HASH(k) INTO 4")
         .unwrap();
     db.sql("CREATE TABLE big_r (k INT, grp INT, v INT) FRAGMENTED BY HASH(grp) INTO 3")
@@ -110,76 +110,82 @@ fn partitioned_and_broadcast_joins_agree_with_reference() {
     .into_iter()
     .collect();
 
-    let check = |sql: &str| -> prisma::gdh::exec::ExecMetrics {
-        let (rows, metrics) = db.query_with_metrics(sql).unwrap();
-        let stmt = sqlfe::parse_statement(sql).unwrap();
-        let PlannedStatement::Query(plan) = sqlfe::plan(&stmt, &catalog).unwrap() else {
-            panic!("{sql} is not a query")
+    // Streamed and materialized replies take the same routes: every
+    // check below — oracle agreement, strategy, shipped-rows bounds —
+    // holds under both.
+    for streaming in [true, false] {
+        db.gdh_mut().set_streaming(streaming);
+        let check = |sql: &str| -> prisma::gdh::exec::ExecMetrics {
+            let (rows, metrics) = db.query_with_metrics(sql).unwrap();
+            let stmt = sqlfe::parse_statement(sql).unwrap();
+            let PlannedStatement::Query(plan) = sqlfe::plan(&stmt, &catalog).unwrap() else {
+                panic!("{sql} is not a query")
+            };
+            let via_reference = eval(&plan, &reference).unwrap().canonicalized();
+            assert_eq!(
+                rows.canonicalized().tuples(),
+                via_reference.tuples(),
+                "machine and reference disagree on: {sql}"
+            );
+            metrics
         };
-        let via_reference = eval(&plan, &reference).unwrap().canonicalized();
-        assert_eq!(
-            rows.canonicalized().tuples(),
-            via_reference.tuples(),
-            "machine and reference disagree on: {sql}"
+
+        // Both sides large: grace join.
+        let m = check("SELECT l.v, r.v FROM big_l l, big_r r WHERE l.k = r.k");
+        assert!(m.partitioned_joins >= 1, "expected a grace join: {m:?}");
+        assert_eq!(m.repartition_tasks, 7, "4 left + 3 right fragments: {m:?}");
+        assert!(m.batches_shipped > 0, "{m:?}");
+
+        // Residual predicates survive the partitioned path.
+        let m = check(
+            "SELECT l.k FROM big_l l, big_r r WHERE l.k = r.k AND l.v < r.v",
         );
-        metrics
-    };
+        assert!(m.partitioned_joins >= 1, "{m:?}");
 
-    // Both sides large: grace join.
-    let m = check("SELECT l.v, r.v FROM big_l l, big_r r WHERE l.k = r.k");
-    assert!(m.partitioned_joins >= 1, "expected a grace join: {m:?}");
-    assert_eq!(m.repartition_tasks, 7, "4 left + 3 right fragments: {m:?}");
-    assert!(m.batches_shipped > 0, "{m:?}");
+        // Small build side: broadcast.
+        let m = check("SELECT l.v, t.label FROM big_l l, tiny t WHERE l.grp = t.k");
+        assert!(m.broadcast_joins >= 1, "expected broadcast: {m:?}");
+        assert_eq!(m.partitioned_joins, 0, "{m:?}");
 
-    // Residual predicates survive the partitioned path.
-    let m = check(
-        "SELECT l.k FROM big_l l, big_r r WHERE l.k = r.k AND l.v < r.v",
-    );
-    assert!(m.partitioned_joins >= 1, "{m:?}");
+        // Decomposable aggregate over the grace join: each of the 4 phase-2
+        // sites folds its own buckets and ships at most one row per group
+        // (40) — the 1300 joined rows never cross to the coordinator.
+        let m = check(
+            "SELECT l.grp, COUNT(*) AS n, SUM(r.v) AS s FROM big_l l, big_r r \
+             WHERE l.k = r.k GROUP BY l.grp",
+        );
+        assert!(m.partitioned_joins >= 1, "{m:?}");
+        assert!(m.tuples_shipped <= 40 * 4, "partials only: {m:?}");
 
-    // Small build side: broadcast.
-    let m = check("SELECT l.v, t.label FROM big_l l, tiny t WHERE l.grp = t.k");
-    assert!(m.broadcast_joins >= 1, "expected broadcast: {m:?}");
-    assert_eq!(m.partitioned_joins, 0, "{m:?}");
+        // A predicate over both sides sits between the aggregate and the join.
+        let m = check(
+            "SELECT l.grp, MIN(r.v) AS lo, MAX(l.v) AS hi FROM big_l l, big_r r \
+             WHERE l.k = r.k AND l.v + r.v > 1000 GROUP BY l.grp",
+        );
+        assert!(m.partitioned_joins >= 1, "{m:?}");
+        assert!(m.tuples_shipped <= 40 * 4, "partials only: {m:?}");
 
-    // Decomposable aggregate over the grace join: each of the 4 phase-2
-    // sites folds its own buckets and ships at most one row per group
-    // (40) — the 1300 joined rows never cross to the coordinator.
-    let m = check(
-        "SELECT l.grp, COUNT(*) AS n, SUM(r.v) AS s FROM big_l l, big_r r \
-         WHERE l.k = r.k GROUP BY l.grp",
-    );
-    assert!(m.partitioned_joins >= 1, "{m:?}");
-    assert!(m.tuples_shipped <= 40 * 4, "partials only: {m:?}");
+        // A global aggregate over a join that matches nothing: one row, COUNT 0.
+        let m = check(
+            "SELECT COUNT(*) AS n, SUM(r.v) AS s FROM big_l l, big_r r \
+             WHERE l.k = r.k AND l.v + r.v < 0",
+        );
+        assert!(m.tuples_shipped <= 4, "one partial per site: {m:?}");
 
-    // A predicate over both sides sits between the aggregate and the join.
-    let m = check(
-        "SELECT l.grp, MIN(r.v) AS lo, MAX(l.v) AS hi FROM big_l l, big_r r \
-         WHERE l.k = r.k AND l.v + r.v > 1000 GROUP BY l.grp",
-    );
-    assert!(m.partitioned_joins >= 1, "{m:?}");
-    assert!(m.tuples_shipped <= 40 * 4, "partials only: {m:?}");
+        // The same below a broadcast join: one partial per big_l fragment,
+        // plus tiny's 30 build rows assembling at the coordinator.
+        let m = check(
+            "SELECT t.label, COUNT(*) AS n, SUM(l.v) AS s FROM big_l l, tiny t \
+             WHERE l.grp = t.k GROUP BY t.label",
+        );
+        assert!(m.broadcast_joins >= 1, "{m:?}");
+        assert!(m.tuples_shipped <= 30 * 4 + 30, "partials only: {m:?}");
 
-    // A global aggregate over a join that matches nothing: one row, COUNT 0.
-    let m = check(
-        "SELECT COUNT(*) AS n, SUM(r.v) AS s FROM big_l l, big_r r \
-         WHERE l.k = r.k AND l.v + r.v < 0",
-    );
-    assert!(m.tuples_shipped <= 4, "one partial per site: {m:?}");
-
-    // The same below a broadcast join: one partial per big_l fragment,
-    // plus tiny's 30 build rows assembling at the coordinator.
-    let m = check(
-        "SELECT t.label, COUNT(*) AS n, SUM(l.v) AS s FROM big_l l, tiny t \
-         WHERE l.grp = t.k GROUP BY t.label",
-    );
-    assert!(m.broadcast_joins >= 1, "{m:?}");
-    assert!(m.tuples_shipped <= 30 * 4 + 30, "partials only: {m:?}");
-
-    // AVG is not decomposable: it takes the generic route and still agrees.
-    let m =
-        check("SELECT l.grp, AVG(r.v) AS a FROM big_l l, big_r r WHERE l.k = r.k GROUP BY l.grp");
-    assert!(m.tuples_shipped >= 1300, "the joined rows ship: {m:?}");
+        // AVG is not decomposable: it takes the generic route and still agrees.
+        let m =
+            check("SELECT l.grp, AVG(r.v) AS a FROM big_l l, big_r r WHERE l.k = r.k GROUP BY l.grp");
+        assert!(m.tuples_shipped >= 1300, "the joined rows ship: {m:?}");
+    }
 
     // EXPLAIN shows the placement the executor used.
     let plan = db

@@ -679,7 +679,7 @@ proptest! {
     // unfragmented relations — across mismatched fragment counts (3
     // left, 2 right), bucket counts below/at/above the fragment count,
     // and whatever chunk arrival order the multi-threaded runtime
-    // produces. The coordinator must relay zero bucket bits.
+    // produces. The coordinator receives result rows only.
     #[test]
     fn direct_shuffle_grace_join_matches_eval_oracle(
         lrows in prop::collection::vec((-25i64..25, -25i64..25, -25i64..25), 0..120),
@@ -712,7 +712,7 @@ proptest! {
             }
         }
         // Broadcast cap 0 forces the partitioned (grace) path for every
-        // equi-join; streaming stays on, so buckets shuffle directly.
+        // equi-join.
         db.gdh_mut().set_physical_config(PhysicalConfig {
             broadcast_max_rows: 0.0,
             shuffle_parts: parts,
@@ -721,40 +721,37 @@ proptest! {
 
         let plan = LogicalPlan::scan("l", schema.clone())
             .join(LogicalPlan::scan("r", schema.clone()), vec![(key, key)]);
-        let (rows, metrics) = db.gdh().query(&plan).unwrap();
-        prop_assert_eq!(metrics.partitioned_joins, 1, "not a grace join: {:?}", metrics);
-        prop_assert_eq!(
-            metrics.relayed_bits, 0,
-            "direct shuffle relayed buckets through the coordinator: {:?}",
-            metrics
-        );
-
         let mut reference: HashMap<String, Relation> = HashMap::new();
         reference.insert("l".into(), to_rel(&lrows));
         reference.insert("r".into(), to_rel(&rrows));
         let oracle = eval(&plan, &reference).unwrap().canonicalized();
-        let got = rows.canonicalized();
-        prop_assert_eq!(
-            got.tuples(),
-            oracle.tuples(),
-            "direct shuffle disagrees with the oracle (parts={:?}, key={})",
-            parts,
-            key
-        );
 
-        // Differential: the same shuffled join over the legacy row wire
-        // on the same machine must produce the same rows.
-        db.gdh_mut().set_columnar_wire(false);
-        let (row_rows, row_metrics) = db.gdh().query(&plan).unwrap();
-        prop_assert_eq!(row_metrics.partitioned_joins, 1, "{:?}", row_metrics);
-        let row_rows = row_rows.canonicalized();
-        prop_assert_eq!(
-            row_rows.tuples(),
-            oracle.tuples(),
-            "row wire disagrees with the oracle (parts={:?}, key={})",
-            parts,
-            key
-        );
+        // Differential: streamed or materialized replies, columnar or
+        // legacy row wire — one route, one result.
+        for (streaming, columnar) in [(true, true), (true, false), (false, true), (false, false)] {
+            db.gdh_mut().set_streaming(streaming);
+            db.gdh_mut().set_columnar_wire(columnar);
+            let (rows, metrics) = db.gdh().query(&plan).unwrap();
+            prop_assert_eq!(metrics.partitioned_joins, 1, "not a grace join: {:?}", metrics);
+            prop_assert_eq!(
+                metrics.tuples_shipped,
+                rows.len() as u64,
+                "the coordinator must receive result rows only (streaming={}, columnar={}): {:?}",
+                streaming,
+                columnar,
+                metrics
+            );
+            let got = rows.canonicalized();
+            prop_assert_eq!(
+                got.tuples(),
+                oracle.tuples(),
+                "grace join disagrees with the oracle (parts={:?}, key={}, streaming={}, columnar={})",
+                parts,
+                key,
+                streaming,
+                columnar
+            );
+        }
         db.shutdown();
     }
 }
@@ -777,7 +774,7 @@ proptest! {
         keys in prop::collection::vec(any::<u64>(), 64),
     ) {
         use prisma::multicomputer::StreamReassembly;
-        use prisma::relalg::exec::partition_batches;
+        use prisma::relalg::exec::partition_positions;
         use prisma::relalg::Batch;
 
         let schema = Schema::new(vec![
@@ -817,15 +814,11 @@ proptest! {
             for (tag, rows) in sources.iter().enumerate() {
                 let mut seqs = vec![0u64; n_sites];
                 for batch_rows in rows.chunks(chunk_rows.max(1)) {
-                    let buckets = partition_batches(
-                        vec![Batch::owned(batch_rows.to_vec())],
-                        &[0],
-                        parts,
-                    );
+                    let batch = Batch::owned(batch_rows.to_vec());
                     let mut per_site: Vec<Payload> = vec![Vec::new(); n_sites];
-                    for (j, bucket_rows) in buckets.into_iter().enumerate() {
-                        if !bucket_rows.is_empty() {
-                            per_site[site_of(j)].push((j, bucket_rows));
+                    for (j, pos) in partition_positions(&batch, &[0], parts).iter().enumerate() {
+                        if !pos.is_empty() {
+                            per_site[site_of(j)].push((j, batch.gather_rows(pos)));
                         }
                     }
                     for (site, payload) in per_site.into_iter().enumerate() {
@@ -934,10 +927,9 @@ proptest! {
         ops in arb_plan_ops(5),
     ) {
         let db = shared_machine();
-        prop_assert_eq!(
+        prop_assert!(
             db.gdh().executor_columnar_wire(),
-            prisma::types::wire::columnar_wire_default(),
-            "executor wire should follow the configured default"
+            "the columnar wire is the executor default"
         );
         let plan = build_plan(&ops, &int3_schema(), &int3_schema());
         let (rows, _metrics) = db.gdh().query(&plan).unwrap();
