@@ -20,6 +20,7 @@ use std::sync::Arc;
 use parking_lot::RwLock;
 use prisma_optimizer::{StatsSource, TableStats};
 use prisma_stable::{CheckpointStore, DiskProfile, SimulatedDisk, StableDevice, WriteAheadLog};
+use prisma_storage::expr::{CmpOp, ScalarExpr};
 use prisma_types::{
     FragmentId, FragmentStatistics, MachineConfig, PeId, PrismaError, ProcessId, Result,
     Schema, StatsFreshness, Value,
@@ -93,10 +94,7 @@ impl RelationInfo {
             ));
         }
         Ok(match self.frag_column {
-            Some(col) => {
-                use std::hash::BuildHasher;
-                (prisma_storage::FnvBuild.hash_one(&values[col]) as usize) % self.fragments.len()
-            }
+            Some(col) => self.fragment_of_key(&values[col]),
             // Round-robin by whole-row hash keeps routing deterministic
             // without dictionary mutation on every insert.
             None => {
@@ -108,6 +106,47 @@ impl RelationInfo {
                 (h.finish() as usize) % self.fragments.len()
             }
         })
+    }
+
+    /// The fragment holding every row whose fragmentation key is `key`
+    /// (callers guarantee at least one fragment).
+    fn fragment_of_key(&self, key: &Value) -> usize {
+        use std::hash::BuildHasher;
+        (prisma_storage::FnvBuild.hash_one(key) as usize) % self.fragments.len()
+    }
+
+    /// Fragment elimination by fragmentation key: the positions (into
+    /// [`RelationInfo::fragments`]) of the fragments that can hold a row
+    /// satisfying `predicate`. A conjunct `frag_column = literal` (either
+    /// orientation) pins the statement to the one fragment [`route`] sends
+    /// that key to — but only for a literal of exactly the column's
+    /// declared type: a NULL, a literal of another type, a relation without
+    /// a fragmentation column or a predicate without such a conjunct keep
+    /// every fragment.
+    ///
+    /// Sound only while every row sits where [`route`] puts it, which is
+    /// why the GDH refuses to update a fragmentation column in place.
+    ///
+    /// [`route`]: RelationInfo::route
+    pub fn fragments_for(&self, predicate: Option<&ScalarExpr>) -> Vec<usize> {
+        let pinned = || {
+            let col = self.frag_column?;
+            let declared = self.schema.column(col)?.dtype;
+            predicate?
+                .clone()
+                .split_conjunction()
+                .iter()
+                .find_map(|factor| match factor.as_col_cmp_lit() {
+                    Some((c, CmpOp::Eq, v)) if c == col && v.data_type() == Some(declared) => {
+                        Some(self.fragment_of_key(v))
+                    }
+                    _ => None,
+                })
+        };
+        if self.fragments.is_empty() {
+            return Vec::new();
+        }
+        pinned().map_or_else(|| (0..self.fragments.len()).collect(), |f| vec![f])
     }
 
     /// PEs hosting this relation's fragments.
@@ -624,6 +663,45 @@ mod tests {
             seen[f] += 1;
         }
         assert!(seen.iter().all(|&c| c > 10), "skewed routing: {seen:?}");
+    }
+
+    #[test]
+    fn a_key_equality_of_the_declared_type_pins_one_fragment() {
+        let t = info(4, Some(0));
+        let all = vec![0, 1, 2, 3];
+        let key_is = |v: Value| ScalarExpr::eq(ScalarExpr::col(0), ScalarExpr::lit(v));
+        for k in 0..50 {
+            let home = t.route(tuple![k, "x"].values()).unwrap();
+            let b_is_x = ScalarExpr::eq(ScalarExpr::col(1), ScalarExpr::lit("x"));
+            let flipped = ScalarExpr::eq(ScalarExpr::lit(k), ScalarExpr::col(0));
+            for pinned in [
+                key_is(Value::Int(k)),
+                flipped,
+                ScalarExpr::and(b_is_x.clone(), key_is(Value::Int(k))),
+            ] {
+                assert_eq!(t.fragments_for(Some(&pinned)), vec![home], "{pinned:?}");
+            }
+            // Not an equality conjunct on the key, or not the key's type.
+            for broadcast in [
+                key_is(Value::Double(k as f64)),
+                ScalarExpr::or(key_is(Value::Int(k)), b_is_x.clone()),
+                ScalarExpr::cmp(CmpOp::Le, ScalarExpr::col(0), ScalarExpr::lit(k)),
+                b_is_x,
+            ] {
+                assert_eq!(t.fragments_for(Some(&broadcast)), all, "{broadcast:?}");
+            }
+        }
+        assert_eq!(t.fragments_for(Some(&key_is(Value::Null))), all);
+        assert_eq!(t.fragments_for(Some(&key_is(Value::from("7")))), all);
+        assert_eq!(t.fragments_for(None), all);
+        // No fragmentation column: a row's home depends on the whole row.
+        assert_eq!(
+            info(4, None).fragments_for(Some(&key_is(Value::Int(7)))),
+            all
+        );
+        assert!(info(0, Some(0))
+            .fragments_for(Some(&key_is(Value::Int(7))))
+            .is_empty());
     }
 
     #[test]

@@ -502,6 +502,43 @@ impl GlobalDataHandler {
         }
     }
 
+    /// Send one DML message to each of `targets` (positions into
+    /// `info.fragments`), registering each as a 2PC participant of `txn`,
+    /// and await exactly those replies: the affected-row count of every
+    /// contacted fragment.
+    fn dml_fan_out(
+        &self,
+        txn: TxnId,
+        info: &RelationInfo,
+        targets: &[usize],
+        mut msg_for: impl FnMut(usize, prisma_types::ProcessId) -> GdhMsg,
+    ) -> Result<Vec<(prisma_types::FragmentId, usize)>> {
+        let mailbox = self.runtime.external_mailbox();
+        for &i in targets {
+            let frag = &info.fragments[i];
+            self.txns.register_participant(txn, frag.actor)?;
+            self.runtime.send(frag.actor, msg_for(i, mailbox.id))?;
+        }
+        let mut affected = Vec::with_capacity(targets.len());
+        let deadline = Instant::now() + self.config.reply_timeout();
+        for _ in targets {
+            match recv_by(&mailbox, deadline)? {
+                GdhMsg::DmlDone { tag, result } => {
+                    let frag = info.fragments.get(tag as usize).ok_or_else(|| {
+                        PrismaError::Execution(format!("DML reply with unknown tag {tag}"))
+                    })?;
+                    affected.push((frag.id, result?));
+                }
+                other => {
+                    return Err(PrismaError::Execution(format!(
+                        "unexpected reply {other:?}"
+                    )))
+                }
+            }
+        }
+        Ok(affected)
+    }
+
     /// Insert rows under `txn` (routes each row to its fragment).
     pub fn insert(&self, txn: TxnId, table: &str, rows: Vec<Tuple>) -> Result<usize> {
         let info = self.dictionary.relation(table)?;
@@ -515,93 +552,43 @@ impl GlobalDataHandler {
                 .or_default()
                 .push(row);
         }
-        let mailbox = self.runtime.external_mailbox();
-        let mut outstanding = 0;
-        for (frag_idx, rows) in per_frag {
-            let frag = &info.fragments[frag_idx];
-            self.txns.register_participant(txn, frag.actor)?;
-            self.runtime.send(
-                frag.actor,
-                GdhMsg::Insert {
-                    txn,
-                    rows,
-                    reply_to: mailbox.id,
-                    tag: frag_idx as u64,
-                },
-            )?;
-            outstanding += 1;
-        }
-        let mut n = 0;
-        let mut deltas: Vec<(prisma_types::FragmentId, i64)> = Vec::new();
-        let deadline = Instant::now() + self.config.reply_timeout();
-        for _ in 0..outstanding {
-            match recv_by(&mailbox, deadline)? {
-                GdhMsg::DmlDone { tag, result } => {
-                    let k = result?;
-                    n += k;
-                    let frag = info.fragments.get(tag as usize).ok_or_else(|| {
-                        PrismaError::Execution(format!("DML reply with unknown tag {tag}"))
-                    })?;
-                    deltas.push((frag.id, k as i64));
-                }
-                other => {
-                    return Err(PrismaError::Execution(format!(
-                        "unexpected reply {other:?}"
-                    )))
-                }
-            }
-        }
+        let targets: Vec<usize> = per_frag.keys().copied().collect();
+        let inserted = self.dml_fan_out(txn, &info, &targets, |i, reply_to| GdhMsg::Insert {
+            txn,
+            rows: per_frag.remove(&i).unwrap_or_default(),
+            reply_to,
+            tag: i as u64,
+        })?;
+        let deltas = inserted.iter().map(|&(id, k)| (id, k as i64)).collect();
         self.stage_dml(txn, table, StagedDml::PerFragment(deltas));
-        Ok(n)
+        Ok(inserted.iter().map(|(_, k)| k).sum())
     }
 
-    /// Delete matching rows under `txn` (broadcast to all fragments).
-    pub fn delete(
-        &self,
-        txn: TxnId,
-        table: &str,
-        predicate: Option<ScalarExpr>,
-    ) -> Result<usize> {
+    /// Delete matching rows under `txn`. Only the fragments
+    /// [`RelationInfo::fragments_for`] keeps are contacted and become
+    /// 2PC participants: `WHERE <fragmentation key> = literal` is a
+    /// one-fragment statement.
+    pub fn delete(&self, txn: TxnId, table: &str, predicate: Option<ScalarExpr>) -> Result<usize> {
         self.locks.acquire(txn, table, LockMode::Exclusive)?;
         let info = self.dictionary.relation(table)?;
-        let mailbox = self.runtime.external_mailbox();
-        for (i, frag) in info.fragments.iter().enumerate() {
-            self.txns.register_participant(txn, frag.actor)?;
-            self.runtime.send(
-                frag.actor,
-                GdhMsg::DeleteWhere {
-                    txn,
-                    predicate: predicate.clone(),
-                    reply_to: mailbox.id,
-                    tag: i as u64,
-                },
-            )?;
-        }
-        let mut n = 0;
-        let mut deltas: Vec<(prisma_types::FragmentId, i64)> = Vec::new();
-        let deadline = Instant::now() + self.config.reply_timeout();
-        for _ in 0..info.fragments.len() {
-            match recv_by(&mailbox, deadline)? {
-                GdhMsg::DmlDone { tag, result } => {
-                    let k = result?;
-                    n += k;
-                    let frag = info.fragments.get(tag as usize).ok_or_else(|| {
-                        PrismaError::Execution(format!("DML reply with unknown tag {tag}"))
-                    })?;
-                    deltas.push((frag.id, -(k as i64)));
-                }
-                other => {
-                    return Err(PrismaError::Execution(format!(
-                        "unexpected reply {other:?}"
-                    )))
-                }
-            }
-        }
+        let targets = info.fragments_for(predicate.as_ref());
+        let deleted =
+            self.dml_fan_out(txn, &info, &targets, |i, reply_to| GdhMsg::DeleteWhere {
+                txn,
+                predicate: predicate.clone(),
+                reply_to,
+                tag: i as u64,
+            })?;
+        let deltas = deleted.iter().map(|&(id, k)| (id, -(k as i64))).collect();
         self.stage_dml(txn, table, StagedDml::PerFragment(deltas));
-        Ok(n)
+        Ok(deleted.iter().map(|(_, k)| k).sum())
     }
 
-    /// Update matching rows under `txn`.
+    /// Update matching rows under `txn`, contacting only the fragments
+    /// [`RelationInfo::fragments_for`] keeps. Fragment elimination relies
+    /// on every row sitting where its key routes, so an assignment to the
+    /// fragmentation column is refused rather than leaving the row
+    /// misplaced (rows do not move between fragments).
     pub fn update(
         &self,
         txn: TxnId,
@@ -611,32 +598,24 @@ impl GlobalDataHandler {
     ) -> Result<usize> {
         self.locks.acquire(txn, table, LockMode::Exclusive)?;
         let info = self.dictionary.relation(table)?;
-        let mailbox = self.runtime.external_mailbox();
-        for (i, frag) in info.fragments.iter().enumerate() {
-            self.txns.register_participant(txn, frag.actor)?;
-            self.runtime.send(
-                frag.actor,
-                GdhMsg::UpdateWhere {
-                    txn,
-                    assignments: assignments.clone(),
-                    predicate: predicate.clone(),
-                    reply_to: mailbox.id,
-                    tag: i as u64,
-                },
-            )?;
-        }
-        let mut n = 0;
-        let deadline = Instant::now() + self.config.reply_timeout();
-        for _ in 0..info.fragments.len() {
-            match recv_by(&mailbox, deadline)? {
-                GdhMsg::DmlDone { result, .. } => n += result?,
-                other => {
-                    return Err(PrismaError::Execution(format!(
-                        "unexpected reply {other:?}"
-                    )))
-                }
+        if let Some(key) = info.frag_column {
+            if assignments.iter().any(|(col, _)| *col == key) {
+                return Err(PrismaError::FragmentKeyUpdate {
+                    table: table.to_owned(),
+                    column: info.schema.columns()[key].name.clone(),
+                });
             }
         }
+        let targets = info.fragments_for(predicate.as_ref());
+        let updated =
+            self.dml_fan_out(txn, &info, &targets, |i, reply_to| GdhMsg::UpdateWhere {
+                txn,
+                assignments: assignments.clone(),
+                predicate: predicate.clone(),
+                reply_to,
+                tag: i as u64,
+            })?;
+        let n = updated.iter().map(|(_, k)| k).sum();
         if n > 0 {
             // Values changed (row count didn't): stats go stale at
             // commit, but an UPDATE matching nothing leaves every
@@ -1030,4 +1009,204 @@ fn analyze_node(
         actual.len(),
     );
     Ok(actual)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use prisma_stable::LogPayload;
+    use prisma_storage::expr::ArithOp;
+    use prisma_types::{tuple, Value};
+
+    fn boot() -> GlobalDataHandler {
+        let cfg = MachineConfig {
+            num_pes: 4,
+            topology: prisma_types::TopologyKind::Mesh,
+            seal_rows: 8,
+            ..MachineConfig::default()
+        };
+        let gdh =
+            GlobalDataHandler::boot(cfg, AllocationPolicy::LoadBalanced, DiskProfile::instant())
+                .unwrap();
+        gdh.execute_sql(
+            "CREATE TABLE t (id INT, v INT NULL, d DOUBLE) FRAGMENTED BY HASH(id) INTO 4",
+        )
+        .unwrap();
+        gdh
+    }
+
+    fn key_is(v: impl Into<Value>) -> ScalarExpr {
+        ScalarExpr::eq(ScalarExpr::col(0), ScalarExpr::lit(v))
+    }
+
+    /// The oracle's answer to "which rows does `pred` select".
+    fn victims(rows: &[Tuple], schema: &Schema, pred: &ScalarExpr) -> Vec<Tuple> {
+        let db = HashMap::from([("t".to_owned(), Relation::new(schema.clone(), rows.to_vec()))]);
+        let plan = LogicalPlan::scan("t", schema.clone()).select(pred.clone());
+        prisma_relalg::eval(&plan, &db).unwrap().tuples().to_vec()
+    }
+
+    #[test]
+    fn key_pinned_dml_contacts_one_fragment_and_matches_the_oracle() {
+        let gdh = boot();
+        let schema = gdh.dictionary.relation("t").unwrap().schema;
+        // Two rows per id, so a pinned statement moves duplicates together.
+        let mut model: Vec<Tuple> = (0..60i64)
+            .map(|i| {
+                let v = if i % 7 == 0 {
+                    Value::Null
+                } else {
+                    Value::Int(i % 4)
+                };
+                Tuple::new(vec![Value::Int(i / 2), v, Value::Double(i as f64)])
+            })
+            .collect();
+        let txn = gdh.begin();
+        gdh.insert(txn, "t", model.clone()).unwrap();
+        gdh.commit(txn).unwrap();
+
+        let v_is_1 = ScalarExpr::eq(ScalarExpr::col(1), ScalarExpr::lit(1));
+        let cases: Vec<(Option<ScalarExpr>, usize)> = vec![
+            (Some(key_is(7)), 1),
+            (
+                Some(ScalarExpr::eq(ScalarExpr::lit(11), ScalarExpr::col(0))),
+                1,
+            ),
+            (Some(ScalarExpr::and(v_is_1.clone(), key_is(3))), 1),
+            (Some(key_is(9999)), 1),
+            // Not the key's declared type, not a conjunct, not the key.
+            (Some(key_is(5.0)), 4),
+            (Some(ScalarExpr::or(key_is(20), key_is(21))), 4),
+            (Some(v_is_1), 4),
+            (None, 4),
+        ];
+        let bump = ScalarExpr::arith(ArithOp::Add, ScalarExpr::col(2), ScalarExpr::lit(0.5));
+        for delete in [false, true] {
+            for (pred, contacted) in &cases {
+                let what = format!("delete={delete} {pred:?}");
+                let always = ScalarExpr::lit(true);
+                let hit = victims(&model, &schema, pred.as_ref().unwrap_or(&always));
+                let txn = gdh.begin();
+                let n = if delete {
+                    gdh.delete(txn, "t", pred.clone()).unwrap()
+                } else {
+                    let set = vec![(1, ScalarExpr::lit(9)), (2, bump.clone())];
+                    gdh.update(txn, "t", set, pred.clone()).unwrap()
+                };
+                assert_eq!(gdh.txns.participants_of(txn).len(), *contacted, "{what}");
+                assert_eq!(n, hit.len(), "{what}");
+                gdh.commit(txn).unwrap();
+                for old in hit {
+                    let at = model
+                        .iter()
+                        .position(|t| *t == old)
+                        .expect("victim is live");
+                    model.swap_remove(at);
+                    if !delete {
+                        let d = bump.compile()(&old);
+                        model.push(Tuple::new(vec![old.get(0).clone(), Value::Int(9), d]));
+                    }
+                }
+                let want = Relation::new(schema.clone(), model.clone()).canonicalized();
+                assert_eq!(gdh.snapshot("t").unwrap().canonicalized(), want, "{what}");
+            }
+        }
+        // `id = NULL` is no key: every fragment is asked (and each refuses
+        // the comparison's typing, as it did before routing existed).
+        let txn = gdh.begin();
+        let _ = gdh.delete(txn, "t", Some(key_is(Value::Null)));
+        assert_eq!(gdh.txns.participants_of(txn).len(), 4);
+        gdh.abort(txn).unwrap();
+        gdh.shutdown();
+    }
+
+    #[test]
+    fn an_update_of_the_fragmentation_column_is_refused_and_changes_nothing() {
+        let gdh = boot();
+        gdh.execute_sql("INSERT INTO t VALUES (1, 1, 1.0), (2, 2, 2.0), (3, NULL, 3.0)")
+            .unwrap();
+        let before = gdh.snapshot("t").unwrap().canonicalized();
+        for sql in [
+            "UPDATE t SET id = id + 1",
+            "UPDATE t SET v = 0, id = 7 WHERE id = 2",
+        ] {
+            let err = gdh.execute_sql(sql).unwrap_err();
+            assert_eq!(
+                err,
+                PrismaError::FragmentKeyUpdate {
+                    table: "t".into(),
+                    column: "id".into()
+                },
+                "{sql}"
+            );
+        }
+        assert_eq!(gdh.snapshot("t").unwrap().canonicalized(), before);
+        // The table lock of the refused statement is gone with its txn.
+        assert_eq!(
+            gdh.execute_sql("UPDATE t SET v = 5 WHERE id = 2")
+                .unwrap()
+                .affected(),
+            Ok(1)
+        );
+        // Without a fragmentation column no placement depends on any value.
+        gdh.execute_sql("CREATE TABLE rr (id INT, v INT) FRAGMENTED INTO 3")
+            .unwrap();
+        gdh.execute_sql("INSERT INTO rr VALUES (1, 1), (2, 2)")
+            .unwrap();
+        assert_eq!(
+            gdh.execute_sql("UPDATE rr SET id = id + 10")
+                .unwrap()
+                .affected(),
+            Ok(2)
+        );
+        gdh.shutdown();
+    }
+
+    #[test]
+    fn the_replica_ack_carries_a_backups_missing_delete_image() {
+        let gdh = boot();
+        gdh.execute_sql("INSERT INTO t VALUES (1, 1, 1.0), (2, 2, 2.0), (3, 3, 3.0), (4, 4, 4.0)")
+            .unwrap();
+        let info = gdh.dictionary.relation("t").unwrap();
+        let frag = &info.fragments[0];
+        let (_, backup) = frag.backup.expect("4 PEs replicate every fragment");
+        let txn = TxnId(4242);
+        let mailbox = gdh.runtime.external_mailbox();
+        gdh.runtime
+            .send(
+                backup,
+                GdhMsg::ReplicaAppend {
+                    fragment: frag.id,
+                    records: vec![
+                        LogPayload::Delete {
+                            txn,
+                            fragment: frag.id,
+                            tuple: tuple![77, 7, 7.0],
+                        },
+                        LogPayload::Commit { txn },
+                    ],
+                    ack: true,
+                    reply_to: mailbox.id,
+                    tag: 9,
+                },
+            )
+            .unwrap();
+        let deadline = Instant::now() + gdh.config.reply_timeout();
+        match recv_by(&mailbox, deadline).unwrap() {
+            GdhMsg::ReplicaAck {
+                tag: 9,
+                result: Err(PrismaError::Execution(msg)),
+            } => {
+                for part in [
+                    frag.id.to_string(),
+                    txn.to_string(),
+                    "(77, 7, 7)".to_owned(),
+                ] {
+                    assert!(msg.contains(&part), "{part} missing from: {msg}");
+                }
+            }
+            other => panic!("expected a failed ReplicaAck, got {other:?}"),
+        }
+        gdh.shutdown();
+    }
 }

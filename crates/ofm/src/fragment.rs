@@ -19,14 +19,24 @@
 //! was before chunks existed. Sealing is invisible to the GDH's
 //! mutation-epoch staleness model: it changes the physical layout, never
 //! the logical contents, and bumps no epoch.
+//!
+//! The sealed tier also serves DML: [`Fragment::zone_scan`] finds the
+//! candidate victims of an `UPDATE`/`DELETE` predicate through zone maps
+//! and the vectorized kernels, so only the chunks that hold a victim are
+//! ever dissolved — and only they are read.
 
-use prisma_storage::{BTreeIndex, Cursor, HashIndex, Marking, Rid, TupleHeap};
+use prisma_storage::expr::ScalarExpr;
+use prisma_storage::{
+    BTreeIndex, Cursor, FastMap, FnvBuild, HashIndex, Marking, Rid, TupleHeap, ZoneRefuter,
+};
 use prisma_types::stats::{HISTOGRAM_BUCKETS, MOST_COMMON_VALUES};
 use prisma_types::{
-    chunk::seal_every, ColumnStats, FragmentId, FragmentStatistics, Histogram, PrismaError,
-    Result, Schema, SealedChunk, Tuple, Value,
+    chunk::seal_every, ColumnStats, FragmentId, FragmentStatistics, Histogram, LazyColumns,
+    PrismaError, Result, Schema, SealedChunk, SelVec, Tuple, Value,
 };
+use std::collections::hash_map::Entry;
 use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::hash::BuildHasher;
 use std::sync::Arc;
 
 /// One sealed run: the heap Rids it covers (in seal order) plus the shared
@@ -35,6 +45,86 @@ use std::sync::Arc;
 struct SealedSpan {
     rids: Vec<Rid>,
     chunk: Arc<SealedChunk>,
+}
+
+/// What [`Fragment::zone_scan`] found: the candidate victims of a
+/// predicate plus how much of the sealed tier it had to read for them.
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
+pub struct ZoneScan {
+    /// Every live Rid that may satisfy the predicate, ascending (the
+    /// order a heap walk produces). Sealed hits passed the vectorized
+    /// kernel, delta hits the compiled row predicate.
+    pub rids: Vec<Rid>,
+    /// Sealed chunks the kernel ran over.
+    pub chunks_scanned: usize,
+    /// Sealed chunks skipped whole by zone-map refutation.
+    pub chunks_pruned: usize,
+}
+
+/// Tuple-hash → Rid lookup behind [`Fragment::delete_by_value`]: one
+/// `hash → rid` entry per distinct tuple hash, and an overflow list only
+/// for hashes several live rows share (duplicate tuples, or a true
+/// collision). A hit is a hint — the caller verifies it against the heap,
+/// which is why 32 hash bits do: 8 bytes a row, where a postings list
+/// per row cost e0's `scan_after_dml` +6.5 MB of resident memory.
+#[derive(Debug, Default)]
+struct ImageIndex {
+    first: FastMap<u32, Rid>,
+    overflow: FastMap<u32, Vec<Rid>>,
+}
+
+impl ImageIndex {
+    fn hash(tuple: &Tuple) -> u32 {
+        let h = FnvBuild.hash_one(tuple);
+        (h ^ (h >> 32)) as u32
+    }
+
+    fn build(heap: &TupleHeap) -> ImageIndex {
+        let mut idx = ImageIndex {
+            first: FastMap::with_capacity_and_hasher(heap.len(), FnvBuild),
+            overflow: FastMap::default(),
+        };
+        for (rid, t) in heap.iter() {
+            idx.insert(t, rid);
+        }
+        idx
+    }
+
+    fn insert(&mut self, tuple: &Tuple, rid: Rid) {
+        let h = Self::hash(tuple);
+        match self.first.entry(h) {
+            Entry::Vacant(slot) => {
+                slot.insert(rid);
+            }
+            Entry::Occupied(_) => self.overflow.entry(h).or_default().push(rid),
+        }
+    }
+
+    fn remove(&mut self, tuple: &Tuple, rid: Rid) {
+        let h = Self::hash(tuple);
+        let spare = self.overflow.get_mut(&h);
+        if self.first.get(&h) == Some(&rid) {
+            // Promote an overflow rid into the vacated slot, if any.
+            match spare.and_then(Vec::pop) {
+                Some(next) => self.first.insert(h, next),
+                None => self.first.remove(&h),
+            };
+        } else if let Some(list) = spare {
+            if let Some(pos) = list.iter().position(|&r| r == rid) {
+                list.swap_remove(pos);
+            }
+        }
+        if self.overflow.get(&h).is_some_and(Vec::is_empty) {
+            self.overflow.remove(&h);
+        }
+    }
+
+    /// Every rid whose tuple hashes like `tuple`.
+    fn candidates(&self, tuple: &Tuple) -> impl Iterator<Item = Rid> + '_ {
+        let h = Self::hash(tuple);
+        let spare = self.overflow.get(&h).map_or(&[][..], Vec::as_slice);
+        self.first.get(&h).into_iter().chain(spare).copied()
+    }
 }
 
 /// Summary statistics the Global Data Handler's optimizer pulls from each
@@ -65,12 +155,16 @@ pub struct Fragment {
     sketches: Vec<BTreeMap<Value, u64>>,
     /// NULL rows per column (NULLs never enter the sketches).
     null_counts: Vec<u64>,
-    /// Sealed columnar runs, oldest first. Scan order is sealed runs in
-    /// this order followed by the delta in heap-slot order.
-    sealed: Vec<SealedSpan>,
-    /// Rid → position in `sealed` for every covered row (the dissolution
+    /// Sealed columnar runs keyed by seal id — monotonically increasing,
+    /// so the map iterates oldest first and dissolving one span moves no
+    /// other. Scan order is sealed runs in this order followed by the
+    /// delta in heap-slot order.
+    sealed: BTreeMap<u64, SealedSpan>,
+    /// Seal id the next sealed span gets.
+    next_seal_id: u64,
+    /// Rid → seal id of its span for every covered row (the dissolution
     /// lookup). Rows absent here form the delta.
-    covered: HashMap<Rid, usize>,
+    covered: HashMap<Rid, u64>,
     /// Uncovered live rids in slot order (`Rid` orders by slot, so the
     /// set iterates exactly like a covered-filtered heap walk). Kept
     /// incrementally on every mutation/seal/dissolve so per-scan delta
@@ -80,6 +174,10 @@ pub struct Fragment {
     /// Initialized from [`seal_every`]; tests and benches override it per
     /// fragment via [`Fragment::set_seal_rows`].
     seal_rows: usize,
+    /// Built by the first [`Fragment::delete_by_value`] and maintained by
+    /// every mutation from then on: only fragments that replay delete
+    /// images (backups, recovery) ever pay for it.
+    images: Option<ImageIndex>,
 }
 
 impl Fragment {
@@ -170,7 +268,7 @@ impl Fragment {
     /// Sealed chunks in scan order (oldest seal first). A scan serves
     /// these as ready-made column batches and appends the delta after.
     pub fn sealed_chunks(&self) -> Vec<Arc<SealedChunk>> {
-        self.sealed.iter().map(|s| Arc::clone(&s.chunk)).collect()
+        self.sealed.values().map(|s| Arc::clone(&s.chunk)).collect()
     }
 
     /// Number of sealed chunks.
@@ -218,15 +316,19 @@ impl Fragment {
                 .iter()
                 .map(|&r| self.heap.get(r).expect("pending rid is live").clone())
                 .collect();
-            let pos = self.sealed.len();
+            let id = self.next_seal_id;
+            self.next_seal_id += 1;
             for &r in run {
-                self.covered.insert(r, pos);
+                self.covered.insert(r, id);
                 self.delta.remove(&r);
             }
-            self.sealed.push(SealedSpan {
-                rids: run.to_vec(),
-                chunk: Arc::new(SealedChunk::seal(rows)),
-            });
+            self.sealed.insert(
+                id,
+                SealedSpan {
+                    rids: run.to_vec(),
+                    chunk: Arc::new(SealedChunk::seal(rows)),
+                },
+            );
         }
     }
 
@@ -234,19 +336,49 @@ impl Fragment {
     /// into the delta (dropping its zone maps and cached wire block) so
     /// the row can be mutated through the ordinary heap path.
     fn dissolve(&mut self, rid: Rid) {
-        let Some(&pos) = self.covered.get(&rid) else {
+        let Some(id) = self.covered.get(&rid) else {
             return;
         };
-        let span = self.sealed.remove(pos);
+        let span = self
+            .sealed
+            .remove(id)
+            .expect("covered rid names a live span");
         for r in &span.rids {
             self.covered.remove(r);
             self.delta.insert(*r);
         }
-        for p in self.covered.values_mut() {
-            if *p > pos {
-                *p -= 1;
+    }
+
+    /// Candidate victims of `predicate` (which must have passed
+    /// [`ScalarExpr::check`] against the schema), found the way a scan
+    /// finds its rows: a sealed chunk is skipped when its zone maps refute
+    /// the predicate and otherwise filtered by the vectorized kernel over
+    /// its typed columns; delta rows go through the compiled row
+    /// predicate. No heap tuple of a sealed row is touched.
+    pub fn zone_scan(&self, predicate: &ScalarExpr) -> ZoneScan {
+        let refuter = ZoneRefuter::compile(predicate);
+        let mut kernel = predicate.compile_vec_predicate();
+        let mut out = ZoneScan::default();
+        let mut hits = Vec::new();
+        for span in self.sealed.values() {
+            if refuter.refutes(span.chunk.zones()) {
+                out.chunks_pruned += 1;
+                continue;
             }
+            out.chunks_scanned += 1;
+            let cols = LazyColumns::from_cols(span.chunk.cols().to_vec());
+            kernel.select(&cols, &SelVec::all(span.rids.len()), &mut hits);
+            out.rids.extend(hits.iter().map(|&p| span.rids[p as usize]));
         }
+        let row_pred = predicate.compile_predicate();
+        out.rids.extend(
+            self.delta
+                .iter()
+                .copied()
+                .filter(|&rid| row_pred(self.heap.get(rid).expect("delta rid is live"))),
+        );
+        out.rids.sort_unstable();
+        out
     }
 
     /// Full statistics snapshot: row/byte counts plus per-column
@@ -293,7 +425,7 @@ impl Fragment {
         // Fold zone-map bounds from the sealed tier into the sketch-derived
         // min/max (widening only — both sources describe live rows, so the
         // extremes are the union's extremes).
-        for span in &self.sealed {
+        for span in self.sealed.values() {
             for (i, zone) in span.chunk.zones().iter().enumerate() {
                 let Some(cs) = columns.get_mut(i) else {
                     continue;
@@ -390,6 +522,9 @@ impl Fragment {
         for idx in &mut self.btree_indexes {
             idx.insert(&t, rid);
         }
+        if let Some(images) = &mut self.images {
+            images.insert(&t, rid);
+        }
         self.sketch_add(&t);
         // Inserts only ever grow the delta (a fresh or reused slot is
         // never covered); seal when it crosses a chunk's worth of rows.
@@ -412,6 +547,9 @@ impl Fragment {
         for m in self.markings.values_mut() {
             m.unmark(rid);
         }
+        if let Some(images) = &mut self.images {
+            images.remove(&t, rid);
+        }
         self.sketch_remove(&t);
         Some(t)
     }
@@ -431,20 +569,36 @@ impl Fragment {
             idx.remove(&old, rid);
             idx.insert(&tuple, rid);
         }
+        if let Some(images) = &mut self.images {
+            images.remove(&old, rid);
+            images.insert(&tuple, rid);
+        }
         self.sketch_remove(&old);
         self.sketch_add(&tuple);
         Ok(Some(old))
     }
 
-    /// Delete one live tuple equal to `value` (recovery's redo-delete).
+    /// Delete one live tuple equal to `value` — the lowest Rid among
+    /// equals, `None` when no live tuple equals it. This is how a backup
+    /// replica and recovery's redo re-find a shipped delete image; the
+    /// first call builds a tuple-hash → Rid index so every later image
+    /// costs one lookup instead of a heap walk.
     pub fn delete_by_value(&mut self, value: &Tuple) -> Option<Rid> {
+        let heap = &self.heap;
         let rid = self
-            .heap
-            .iter()
-            .find(|(_, t)| *t == value)
-            .map(|(r, _)| r)?;
+            .images
+            .get_or_insert_with(|| ImageIndex::build(heap))
+            .candidates(value)
+            .filter(|&rid| heap.get(rid) == Some(value))
+            .min()?;
         self.delete(rid);
         Some(rid)
+    }
+
+    /// Drop the delete-image index (recovery calls this when replay
+    /// ends: a primary never looks a tuple up by value again).
+    pub(crate) fn drop_image_index(&mut self) {
+        self.images = None;
     }
 
     // ---- markings & cursors ----

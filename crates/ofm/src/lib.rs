@@ -13,10 +13,14 @@
 //! > operator for dealing with recursive queries."
 //!
 //! * [`fragment::Fragment`] — heap + secondary indexes + markings, with
-//!   index/marking maintenance on every mutation;
+//!   index/marking maintenance on every mutation, and the sealed columnar
+//!   tier that serves scans and DML victim search alike;
 //! * [`ofm::Ofm`] — the manager: local transactions with undo, WAL-backed
 //!   durability and 2PC participant duties for the *persistent* OFM type,
-//!   a local query optimizer choosing index vs. scan access paths, local
+//!   a local query optimizer choosing an access path for every selection,
+//!   `UPDATE` and `DELETE` (1. hash index, 2. B-tree range, 3. otherwise →
+//!   zone-pruned chunk scan + delta), by-value replay of a primary's
+//!   shipped log for the backup role, local
 //!   physical-subplan execution through the batch pipeline (including the
 //!   transitive-closure operator) — opened as a resumable batch stream
 //!   ([`ofm::Ofm::open_physical`]) so the actor ships each produced batch
@@ -27,5 +31,5 @@
 pub mod fragment;
 pub mod ofm;
 
-pub use fragment::{Fragment, FragmentStats};
+pub use fragment::{Fragment, FragmentStats, ZoneScan};
 pub use ofm::{shuffle_extras, AccessPath, Ofm, OfmKind, SHUFFLE_LEFT, SHUFFLE_RIGHT};

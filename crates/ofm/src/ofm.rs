@@ -60,12 +60,19 @@ impl std::fmt::Debug for OfmKind {
 /// so tests and EXPLAIN output can verify index use.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum AccessPath {
-    /// Full heap scan with a compiled predicate.
-    FullScan,
     /// Hash-index point lookup on the given index slot.
     HashLookup(usize),
     /// B-tree range scan on the given index slot.
     BTreeRange(usize),
+    /// No index applies: sealed chunks are zone-pruned and the survivors
+    /// filtered by the vectorized kernel; the delta goes through the row
+    /// predicate ([`crate::Fragment::zone_scan`]).
+    ZoneScan {
+        /// Sealed chunks the kernel ran over.
+        chunks_scanned: usize,
+        /// Sealed chunks skipped whole by their zone maps.
+        chunks_pruned: usize,
+    },
 }
 
 #[derive(Debug)]
@@ -190,8 +197,14 @@ impl Ofm {
     /// transaction's `Commit` record arrives — mirroring the redo rule of
     /// [`Ofm::recover`] — so an aborted primary transaction never surfaces
     /// on the backup. Returns the number of transactions made durable.
+    ///
+    /// A delete image no live tuple equals means this backup no longer
+    /// mirrors its primary. The rest of the batch is still applied (a
+    /// partly applied commit would only diverge further), and the first
+    /// such image comes back as the error the commit ack carries home.
     pub fn replica_apply(&mut self, records: Vec<LogPayload>) -> Result<usize> {
         let mut committed = 0;
+        let mut missing = None;
         for rec in records {
             match rec {
                 LogPayload::Insert { txn, .. } | LogPayload::Delete { txn, .. } => {
@@ -204,7 +217,9 @@ impl Ofm {
                                 self.fragment.insert(tuple)?;
                             }
                             LogPayload::Delete { tuple, .. } => {
-                                self.fragment.delete_by_value(&tuple);
+                                if self.fragment.delete_by_value(&tuple).is_none() {
+                                    missing.get_or_insert_with(|| self.missing_image(txn, &tuple));
+                                }
                             }
                             _ => unreachable!("only mutations are buffered"),
                         }
@@ -217,7 +232,16 @@ impl Ofm {
                 _ => {}
             }
         }
-        Ok(committed)
+        missing.map_or(Ok(committed), Err)
+    }
+
+    /// The error for a replayed delete whose image no live tuple equals.
+    fn missing_image(&self, txn: TxnId, image: &Tuple) -> PrismaError {
+        PrismaError::Execution(format!(
+            "{} of {}: {txn} deletes {image}, which no live tuple equals",
+            self.fragment.id(),
+            self.name
+        ))
     }
 
     // ---- transactional mutations ----
@@ -384,44 +408,38 @@ impl Ofm {
 
     /// The local query optimizer: inspect `predicate`'s indexable conjuncts
     /// and choose an access path. Returns the chosen path and the candidate
-    /// Rids (for `FullScan`, all live Rids).
+    /// Rids — a superset of the matching rows, so callers still apply the
+    /// predicate in full.
     ///
     /// Rules (in priority order, mirroring the knowledge-based flavor of
     /// §2.4 at fragment scope):
     /// 1. `col = literal` with a hash index on `col` → hash lookup;
     /// 2. `col <cmp> literal` with a B-tree on `col` → range scan;
-    /// 3. otherwise → full scan.
+    /// 3. otherwise → zone-pruned chunk scan + delta, candidates in
+    ///    ascending Rid order.
     pub fn plan_selection(&self, predicate: &ScalarExpr) -> (AccessPath, Vec<Rid>) {
         let conjuncts = predicate.clone().split_conjunction();
         // Rule 1: hash-index equality.
         for c in &conjuncts {
-            if let Some((col, v)) = as_col_lit(c, CmpOp::Eq) {
+            if let Some((col, CmpOp::Eq, v)) = c.as_col_cmp_lit() {
                 for (slot, idx) in self.fragment.hash_indexes().iter().enumerate() {
                     if idx.key_cols() == [col] {
-                        return (
-                            AccessPath::HashLookup(slot),
-                            idx.lookup_one(&v).to_vec(),
-                        );
+                        return (AccessPath::HashLookup(slot), idx.lookup_one(v).to_vec());
                     }
                 }
             }
         }
         // Rule 2: B-tree range.
         for c in &conjuncts {
-            if let ScalarExpr::Cmp(op, l, r) = c {
-                let (col, v, op) = match (l.as_ref(), r.as_ref()) {
-                    (ScalarExpr::Col(i), ScalarExpr::Lit(v)) => (*i, v.clone(), *op),
-                    (ScalarExpr::Lit(v), ScalarExpr::Col(i)) => (*i, v.clone(), op.flip()),
-                    _ => continue,
-                };
+            if let Some((col, op, v)) = c.as_col_cmp_lit() {
                 for (slot, idx) in self.fragment.btree_indexes().iter().enumerate() {
                     if idx.key_cols() == [col] {
                         let rids = match op {
-                            CmpOp::Eq => idx.lookup(std::slice::from_ref(&v)).to_vec(),
-                            CmpOp::Lt => idx.range_one(None, Some((&v, false))),
-                            CmpOp::Le => idx.range_one(None, Some((&v, true))),
-                            CmpOp::Gt => idx.range_one(Some((&v, false)), None),
-                            CmpOp::Ge => idx.range_one(Some((&v, true)), None),
+                            CmpOp::Eq => idx.lookup(std::slice::from_ref(v)).to_vec(),
+                            CmpOp::Lt => idx.range_one(None, Some((v, false))),
+                            CmpOp::Le => idx.range_one(None, Some((v, true))),
+                            CmpOp::Gt => idx.range_one(Some((v, false)), None),
+                            CmpOp::Ge => idx.range_one(Some((v, true)), None),
                             CmpOp::Ne => continue,
                         };
                         return (AccessPath::BTreeRange(slot), rids);
@@ -429,7 +447,14 @@ impl Ofm {
                 }
             }
         }
-        (AccessPath::FullScan, self.fragment.heap().rids())
+        let scan = self.fragment.zone_scan(predicate);
+        (
+            AccessPath::ZoneScan {
+                chunks_scanned: scan.chunks_scanned,
+                chunks_pruned: scan.chunks_pruned,
+            },
+            scan.rids,
+        )
     }
 
     /// Select tuples satisfying `predicate` (or all, for `None`), using
@@ -637,28 +662,16 @@ impl Ofm {
                 LogPayload::Delete { txn, fragment, tuple }
                     if fragment == id && committed.contains(&txn) =>
                 {
-                    ofm.fragment.delete_by_value(&tuple);
+                    ofm.fragment
+                        .delete_by_value(&tuple)
+                        .ok_or_else(|| ofm.missing_image(txn, &tuple))?;
                 }
                 _ => {}
             }
         }
+        ofm.fragment.drop_image_index();
         Ok(ofm)
     }
-}
-
-fn as_col_lit(e: &ScalarExpr, want: CmpOp) -> Option<(usize, Value)> {
-    if let ScalarExpr::Cmp(op, l, r) = e {
-        match (l.as_ref(), r.as_ref()) {
-            (ScalarExpr::Col(i), ScalarExpr::Lit(v)) if *op == want => {
-                return Some((*i, v.clone()))
-            }
-            (ScalarExpr::Lit(v), ScalarExpr::Col(i)) if op.flip() == want => {
-                return Some((*i, v.clone()))
-            }
-            _ => {}
-        }
-    }
-    None
 }
 
 #[cfg(test)]
@@ -738,12 +751,25 @@ mod tests {
         ));
         assert_eq!(path, AccessPath::BTreeRange(0));
         assert_eq!(rids.len(), 5);
-        let (path, _) = ofm.plan_selection(&ScalarExpr::cmp(
+        let (path, rids) = ofm.plan_selection(&ScalarExpr::cmp(
             CmpOp::Ne,
             ScalarExpr::col(0),
             ScalarExpr::lit(7),
         ));
-        assert_eq!(path, AccessPath::FullScan);
+        // No index serves `<>`; how many chunks there are depends on the
+        // lane (`SEAL_EVERY`), that each is scanned or pruned does not.
+        let AccessPath::ZoneScan {
+            chunks_scanned,
+            chunks_pruned,
+        } = path
+        else {
+            panic!("no index serves <>, got {path:?}");
+        };
+        assert_eq!(
+            chunks_scanned + chunks_pruned,
+            ofm.fragment().sealed_count()
+        );
+        assert_eq!(rids.len(), 99);
         // Reversed operand order still uses the index.
         let (path, _) = ofm.plan_selection(&ScalarExpr::cmp(
             CmpOp::Eq,
@@ -751,6 +777,72 @@ mod tests {
             ScalarExpr::col(0),
         ));
         assert_eq!(path, AccessPath::HashLookup(0));
+    }
+
+    #[test]
+    fn zone_scan_prunes_refuted_chunks_and_indexes_still_win() {
+        let mut ofm = transient();
+        ofm.fragment_mut().set_seal_rows(10);
+        let txn = TxnId(1);
+        for i in 0..95 {
+            ofm.insert(txn, tuple![i, i % 10]).unwrap();
+        }
+        ofm.commit(txn).unwrap();
+        assert_eq!(ofm.fragment().sealed_count(), 9);
+        let between = |lo: i64, hi: i64| {
+            ScalarExpr::and(
+                ScalarExpr::cmp(CmpOp::Ge, ScalarExpr::col(0), ScalarExpr::lit(lo)),
+                ScalarExpr::cmp(CmpOp::Le, ScalarExpr::col(0), ScalarExpr::lit(hi)),
+            )
+        };
+        // A range inside one chunk: the other eight are refuted unread.
+        let (path, rids) = ofm.plan_selection(&between(42, 47));
+        assert_eq!(
+            path,
+            AccessPath::ZoneScan {
+                chunks_scanned: 1,
+                chunks_pruned: 8
+            }
+        );
+        assert_eq!(rids.len(), 6);
+        assert!(rids.windows(2).all(|w| w[0] < w[1]), "ascending Rid order");
+        // A range only the delta holds (and one nothing holds) reads no chunk.
+        for (pred, hits) in [(between(90, 200), 5), (between(500, 600), 0)] {
+            let (path, rids) = ofm.plan_selection(&pred);
+            assert_eq!(
+                path,
+                AccessPath::ZoneScan {
+                    chunks_scanned: 0,
+                    chunks_pruned: 9
+                }
+            );
+            assert_eq!(rids.len(), hits);
+        }
+        // A scattered predicate reaches every chunk.
+        let (path, rids) =
+            ofm.plan_selection(&ScalarExpr::eq(ScalarExpr::col(1), ScalarExpr::lit(3)));
+        assert_eq!(
+            path,
+            AccessPath::ZoneScan {
+                chunks_scanned: 9,
+                chunks_pruned: 0
+            }
+        );
+        assert_eq!(rids.len(), 10);
+        // Index rules keep their priority over the zone scan.
+        ofm.fragment_mut().add_hash_index(vec![0]).unwrap();
+        ofm.fragment_mut().add_btree_index(vec![1]).unwrap();
+        let (path, _) =
+            ofm.plan_selection(&ScalarExpr::eq(ScalarExpr::col(0), ScalarExpr::lit(42)));
+        assert_eq!(path, AccessPath::HashLookup(0));
+        let (path, _) = ofm.plan_selection(&ScalarExpr::cmp(
+            CmpOp::Lt,
+            ScalarExpr::col(1),
+            ScalarExpr::lit(2),
+        ));
+        assert_eq!(path, AccessPath::BTreeRange(0));
+        let (path, _) = ofm.plan_selection(&between(42, 47));
+        assert!(matches!(path, AccessPath::ZoneScan { .. }));
     }
 
     #[test]
@@ -901,6 +993,52 @@ mod tests {
             .unwrap();
         assert_eq!(backup.stats().tuples, 1);
         assert_eq!(backup.snapshot().tuples(), &[tuple![2, 200]]);
+    }
+
+    #[test]
+    fn a_backup_that_cannot_find_a_delete_image_says_so() {
+        let mut backup = transient();
+        backup.fragment_mut().insert(tuple![1, 100]).unwrap();
+        let delete = |txn: u32, id: i64| LogPayload::Delete {
+            txn: TxnId(txn),
+            fragment: FragmentId(0),
+            tuple: tuple![id, 100],
+        };
+        // (7, 100) was never here; (1, 100) of the same commit still goes.
+        let err = backup
+            .replica_apply(vec![
+                delete(4, 7),
+                delete(4, 1),
+                LogPayload::Commit { txn: TxnId(4) },
+            ])
+            .unwrap_err();
+        let msg = err.to_string();
+        assert!(matches!(err, PrismaError::Execution(_)), "{msg}");
+        for part in ["frag0", "acct", "txn4", "(7, 100)"] {
+            assert!(msg.contains(part), "{part} missing from: {msg}");
+        }
+        assert_eq!(backup.stats().tuples, 0);
+        // A missing image of an aborted transaction is never looked up.
+        backup
+            .replica_apply(vec![delete(5, 7), LogPayload::Abort { txn: TxnId(5) }])
+            .unwrap();
+    }
+
+    #[test]
+    fn recovery_reports_a_redo_delete_without_an_image() {
+        let (mut ofm, wal, ck) = persistent();
+        ofm.insert(TxnId(1), tuple![1, 100]).unwrap();
+        ofm.commit(TxnId(1)).unwrap();
+        wal.append(&LogPayload::Delete {
+            txn: TxnId(2),
+            fragment: FragmentId(0),
+            tuple: tuple![9, 900],
+        });
+        wal.append_durable(&LogPayload::Commit { txn: TxnId(2) });
+        let err = Ofm::recover(FragmentId(0), "acct", schema(), wal, ck)
+            .err()
+            .expect("the log deletes a tuple the fragment never held");
+        assert!(err.to_string().contains("(9, 900)"), "{err}");
     }
 
     #[test]

@@ -104,8 +104,8 @@ impl TrafficLedger {
     }
 
     /// Remote payload bytes one PE sent and received — `(sent, recv)`.
-    /// `pe_bytes(COORDINATOR_PE)` is the E7 experiment's measure of how
-    /// much data transits the coordinator.
+    /// `pe_bytes(COORDINATOR_PE)` is how much data transits the
+    /// coordinator (e0's `multicomputer.coord_recv_kb`).
     pub fn pe_bytes(&self, pe: PeId) -> (u64, u64) {
         let inner = self.inner.lock();
         (

@@ -188,6 +188,20 @@ impl ScalarExpr {
         }
     }
 
+    /// `col <op> literal` in either orientation, normalized to the column
+    /// on the left (`5 > a` reads as `a < 5`) — the one factor shape index
+    /// rules, zone maps and fragment elimination can all act on.
+    pub fn as_col_cmp_lit(&self) -> Option<(usize, CmpOp, &Value)> {
+        let ScalarExpr::Cmp(op, l, r) = self else {
+            return None;
+        };
+        match (&**l, &**r) {
+            (ScalarExpr::Col(i), ScalarExpr::Lit(v)) => Some((*i, *op, v)),
+            (ScalarExpr::Lit(v), ScalarExpr::Col(i)) => Some((*i, op.flip(), v)),
+            _ => None,
+        }
+    }
+
     // ---------- analysis ----------
 
     /// All column ordinals referenced.
@@ -645,16 +659,11 @@ impl ZoneRefuter {
                 ScalarExpr::Lit(v) if v != Value::Bool(true) => {
                     rules.push(ZoneRule::Never);
                 }
-                ScalarExpr::Cmp(op, l, r) => match (&*l, &*r) {
-                    (ScalarExpr::Col(i), ScalarExpr::Lit(v)) => {
-                        rules.push(ZoneRule::cmp(*i, op, v));
+                factor => {
+                    if let Some((col, op, lit)) = factor.as_col_cmp_lit() {
+                        rules.push(ZoneRule::cmp(col, op, lit));
                     }
-                    (ScalarExpr::Lit(v), ScalarExpr::Col(i)) => {
-                        rules.push(ZoneRule::cmp(*i, op.flip(), v));
-                    }
-                    _ => {}
-                },
-                _ => {}
+                }
             }
         }
         ZoneRefuter { rules }

@@ -52,6 +52,10 @@ pub enum PrismaError {
         requested: usize,
         available: usize,
     },
+    /// `UPDATE` assigns to the column a relation is hash-fragmented on:
+    /// the row would have to move to another fragment, which this machine
+    /// does not do — delete it and insert the new version instead.
+    FragmentKeyUpdate { table: String, column: String },
     /// Generic executor failure.
     Execution(String),
 
@@ -105,6 +109,10 @@ impl fmt::Display for PrismaError {
             } => write!(
                 f,
                 "out of memory on {pe}: requested {requested} bytes, {available} available"
+            ),
+            FragmentKeyUpdate { table, column } => write!(
+                f,
+                "cannot update {table}.{column}: {table} is fragmented by it and rows do not move between fragments"
             ),
             Execution(m) => write!(f, "execution error: {m}"),
             TxnAborted { txn, reason } => write!(f, "{txn} aborted: {reason}"),

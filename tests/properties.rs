@@ -1550,3 +1550,122 @@ proptest! {
         db.shutdown();
     }
 }
+
+// ---------------- placement of hash-fragmented rows ----------------
+
+/// Splitmix64 step for the DML script below.
+fn splitmix(seed: &mut u64) -> u64 {
+    *seed = seed.wrapping_add(0x9e37_79b9_7f4a_7c15);
+    let mut z = *seed;
+    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+    z ^ (z >> 31)
+}
+
+/// One random DML statement over `p (k INT, v INT NULL, d DOUBLE)`
+/// (hash-fragmented on `k`) or `q (d DOUBLE, n INT)` (on `d`): inserts
+/// with colliding keys, key-pinned and broadcast deletes and updates.
+fn placement_stmt(seed: &mut u64) -> String {
+    let mut pick = |n: u64| splitmix(seed) % n;
+    let key = |k: u64| k as i64 - 3;
+    match pick(9) {
+        0 | 1 => {
+            let rows: Vec<String> = (0..1 + pick(12))
+                .map(|_| {
+                    let v = match pick(4) {
+                        0 => "NULL".to_owned(),
+                        v => v.to_string(),
+                    };
+                    format!("({}, {v}, {}.5)", key(pick(24)), pick(9))
+                })
+                .collect();
+            format!("INSERT INTO p VALUES {}", rows.join(", "))
+        }
+        2 => {
+            let rows: Vec<String> = (0..1 + pick(6))
+                .map(|_| format!("({}.5, {})", pick(12), pick(5)))
+                .collect();
+            format!("INSERT INTO q VALUES {}", rows.join(", "))
+        }
+        3 => format!("DELETE FROM p WHERE k = {}", key(pick(24))),
+        4 => format!("DELETE FROM p WHERE v = {} AND d < {}.0", pick(4), pick(9)),
+        5 => format!(
+            "UPDATE p SET v = {}, d = d + 1.0 WHERE k = {}",
+            pick(4),
+            key(pick(24))
+        ),
+        6 => format!("UPDATE p SET d = d - 1.0 WHERE v = {}", pick(4)),
+        7 => format!("UPDATE q SET n = n + 1 WHERE d = {}.5", pick(12)),
+        _ => format!("DELETE FROM q WHERE d = {}.5 AND n > {}", pick(12), pick(4)),
+    }
+}
+
+/// Every live row of `table` is held by the fragment its key routes to: a
+/// `DELETE … WHERE key = k` reaches that one fragment only, so it must
+/// find as many rows as a full scan shows for `k`. The probe rolls back.
+fn assert_rows_sit_where_their_key_routes(db: &PrismaMachine, table: &str, key: &str) {
+    let mut per_key: HashMap<String, usize> = HashMap::new();
+    for t in db
+        .query(&format!("SELECT {key} FROM {table}"))
+        .unwrap()
+        .tuples()
+    {
+        let literal = match t.get(0) {
+            Value::Double(d) => format!("{d:?}"),
+            other => other.to_string(),
+        };
+        *per_key.entry(literal).or_default() += 1;
+    }
+    for (literal, rows) in per_key {
+        let txn = db.begin();
+        let pinned = format!("DELETE FROM {table} WHERE {key} = {literal}");
+        let found = db.sql_in(txn, &pinned).unwrap().affected().unwrap();
+        db.abort(txn).unwrap();
+        assert_eq!(
+            found, rows,
+            "{pinned}: its home fragment holds {found} of {rows} row(s)"
+        );
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(6))]
+
+    /// Fragment elimination makes placement load-bearing. Whatever DML
+    /// ran — committed, rolled back (undo re-inserts deleted rows), or
+    /// refused because it would rewrite a fragmentation key in place —
+    /// every row stays where `route(row)` says.
+    #[test]
+    fn hash_fragmented_rows_sit_where_their_key_routes(
+        seed in 0u64..u64::MAX,
+        n_txns in 4usize..14,
+    ) {
+        let mut s = seed;
+        let db = PrismaMachine::builder().pes(4).seal_rows(8).build().unwrap();
+        db.sql("CREATE TABLE p (k INT, v INT NULL, d DOUBLE) FRAGMENTED BY HASH(k) INTO 4").unwrap();
+        db.sql("CREATE TABLE q (d DOUBLE, n INT) FRAGMENTED BY HASH(d) INTO 3").unwrap();
+        for round in 0..n_txns {
+            let txn = db.begin();
+            for _ in 0..1 + splitmix(&mut s) % 4 {
+                db.sql_in(txn, &placement_stmt(&mut s)).unwrap();
+            }
+            let moves_a_key = ["UPDATE p SET k = k + 1 WHERE v = 1", "UPDATE q SET d = 0.5"]
+                [(splitmix(&mut s) % 2) as usize];
+            let refused = db.sql_in(txn, moves_a_key).unwrap_err();
+            prop_assert!(
+                matches!(refused, prisma::types::PrismaError::FragmentKeyUpdate { .. }),
+                "{}: {}", moves_a_key, refused
+            );
+            if splitmix(&mut s).is_multiple_of(3) {
+                db.abort(txn).unwrap();
+            } else {
+                db.commit(txn).unwrap();
+            }
+            if round % 3 == 2 || round + 1 == n_txns {
+                assert_rows_sit_where_their_key_routes(&db, "p", "k");
+                assert_rows_sit_where_their_key_routes(&db, "q", "d");
+            }
+        }
+        db.shutdown();
+    }
+}
