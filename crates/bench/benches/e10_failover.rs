@@ -35,6 +35,7 @@
 //!   2.5 reply deadlines of the baseline and fewer than all streams
 //!   were re-requested per recovery round
 
+use prisma_bench::{enforce, env_knob, median, sorted_samples, write_json};
 use prisma_core::faultx::{FaultInjector, FaultSpec};
 use prisma_core::gdh::exec::ExecMetrics;
 use prisma_core::optimizer::PhysicalConfig;
@@ -44,13 +45,6 @@ use prisma_core::{AllocationPolicy, GlobalDataHandler, Relation};
 
 const TIMEOUT_SECS: u64 = 1;
 const VICTIM_PE: u32 = 2;
-
-fn env_u64(key: &str, default: u64) -> u64 {
-    std::env::var(key)
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
-}
 
 fn boot() -> GlobalDataHandler {
     let cfg = MachineConfig {
@@ -113,25 +107,23 @@ fn run(gdh: &GlobalDataHandler) -> Sample {
 }
 
 fn main() {
-    let rows = env_u64("E10_ROWS", 2000);
-    let iters = env_u64("E10_ITERS", 3).max(1);
-    let seed = env_u64("E10_SEED", 20_260_807);
-    let enforce = std::env::var("E10_ENFORCE").is_ok_and(|v| v == "1");
+    let rows: u64 = env_knob("E10_ROWS", 2000);
+    let iters: usize = env_knob("E10_ITERS", 3).max(1);
+    let seed: u64 = env_knob("E10_SEED", 20_260_807);
 
     // Baseline: the fault-free join (median of `iters` on one machine).
     let gdh = boot();
     load(&gdh, rows);
     let oracle = run(&gdh);
-    let mut base_walls: Vec<u64> = (0..iters).map(|_| run(&gdh).wall_us).collect();
-    base_walls.sort_unstable();
-    let base_us = base_walls[base_walls.len() / 2];
+    let base_us = *median(&sorted_samples(iters, || run(&gdh).wall_us, |&us| us));
     gdh.shutdown();
 
     // Failover: each sample needs a fresh machine (the killed PE stays
     // dead), scripted to kill one PE three messages into the join.
-    let mut fail_samples = Vec::new();
-    for i in 0..iters {
-        let faults = FaultInjector::scripted(seed + i, vec![]);
+    let mut sample_seed = seed;
+    let failover_run = || {
+        let faults = FaultInjector::scripted(sample_seed, vec![]);
+        sample_seed += 1;
         let mut gdh = boot();
         gdh.set_fault_injector(faults.clone());
         load(&gdh, rows);
@@ -156,10 +148,10 @@ fn main() {
             faults.events()
         );
         gdh.shutdown();
-        fail_samples.push(s);
-    }
-    fail_samples.sort_unstable_by_key(|s| s.wall_us);
-    let med = &fail_samples[fail_samples.len() / 2];
+        s
+    };
+    let fail_samples = sorted_samples(iters, failover_run, |s| s.wall_us);
+    let med = median(&fail_samples);
     let recovery_ms = med.wall_us.saturating_sub(base_us) / 1_000;
     // The initial fan-out's reply streams (phase-2 site installs).
     let streams_total = med.metrics.fragment_tasks;
@@ -183,14 +175,9 @@ fn main() {
         med.wall_us,
         med.metrics.failovers,
     );
-    let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../BENCH_e10.json");
-    if let Err(e) = std::fs::write(&root, json) {
-        eprintln!("[E10-failover] could not write {}: {e}", root.display());
-    } else {
-        eprintln!("[E10-failover] wrote {}", root.display());
-    }
+    write_json("E10-failover", "BENCH_e10.json", &json);
 
-    if enforce {
+    if enforce("E10") {
         let budget_us = base_us + TIMEOUT_SECS * 2_500_000;
         assert!(
             med.wall_us <= budget_us,

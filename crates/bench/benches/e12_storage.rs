@@ -11,12 +11,12 @@
 //!    touched; the prune ratio (`chunks_pruned / chunks considered`) is
 //!    reported alongside the speedup over the unpruned row-heap scan.
 //! 2. **Full scans** — sealed chunks are served as ready-made column
-//!    batches with zero row pivot and shipped as cached wire blocks; at
-//!    par with the row heap's refcount-bump ship (its best case: the
-//!    legacy row wire).
-//! 3. **Cached-block re-ship** — the first columnar scan seals and pays
-//!    the block encode; re-scans of the unmutated fragments re-ship the
-//!    cached frames (the E11 gap, closed).
+//!    batches with zero row pivot and shipped as cached wire blocks; the
+//!    row heap pivots and encodes every batch on every scan, so the
+//!    chunked scan must be at least at par with it.
+//! 3. **Cached-block re-ship** — the first scan seals and pays the block
+//!    encode; re-scans of the unmutated fragments re-ship the cached
+//!    frames.
 //!
 //! Records the trajectory in `BENCH_e12.json` at the repo root.
 //!
@@ -32,15 +32,9 @@
 //!   cached re-scan is strictly faster than the cold scan that built the
 //!   caches
 
+use prisma_bench::{enforce, env_knob, query_samples, write_json};
 use prisma_core::types::tuple;
 use prisma_core::PrismaMachine;
-
-fn env_usize(key: &str, default: usize) -> usize {
-    std::env::var(key)
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
-}
 
 /// Build a machine, create the table and load `rows` rows in clustered
 /// key order (ids arrive ascending, so sealed chunks are id-clustered
@@ -68,46 +62,29 @@ fn load(seal_rows: usize, rows: usize, frags: usize) -> PrismaMachine {
     db
 }
 
-/// Floor latency (µs) over samples, plus the metrics of the last run.
-fn floor_us(
-    db: &PrismaMachine,
-    sql: &str,
-    expect_rows: usize,
-    iters: usize,
-) -> (u64, prisma_core::gdh::ExecMetrics) {
-    let run = || {
-        let (rows, m) = db.query_with_metrics(sql).unwrap();
-        assert_eq!(rows.len(), expect_rows, "scan lost rows");
-        (m.full_result_micros, m)
-    };
-    let (_, mut metrics) = run();
-    let mut best = u64::MAX;
-    for _ in 0..iters.max(5) {
-        let (us, m) = run();
-        best = best.min(us);
-        metrics = m;
-    }
-    (best, metrics)
-}
-
 fn main() {
-    let rows = env_usize("E12_ROWS", 60_000);
-    let frags = env_usize("E12_FRAGS", 4);
-    let iters = env_usize("E12_ITERS", 7);
-    let enforce = std::env::var("E12_ENFORCE").is_ok_and(|v| v == "1");
+    let rows: usize = env_knob("E12_ROWS", 60_000);
+    let frags: usize = env_knob("E12_FRAGS", 4);
+    let iters: usize = env_knob("E12_ITERS", 7);
+    // Floor latency (µs) over the samples, plus the floor run's metrics
+    // (the chunk counters are the same on every run).
+    let floor_us = |db: &PrismaMachine, sql: &str, expect_rows: usize| {
+        let samples = query_samples(db, sql, iters.max(5), |s| {
+            assert_eq!(s.rows, expect_rows, "scan lost rows")
+        });
+        (samples[0].metrics.full_result_micros, samples[0].metrics)
+    };
 
     // Two-tier machine (1024-row sealed chunks) vs the row-heap baseline
     // (threshold above the table size: nothing ever seals).
-    let mut chunked = load(1024, rows, frags);
-    let mut rowheap = load(usize::MAX, rows, frags);
+    let chunked = load(1024, rows, frags);
+    let rowheap = load(usize::MAX, rows, frags);
 
     // 1. Selective scan on the clustered key, ~2% selectivity.
     let cutoff = rows / 50;
     let sel_sql = format!("SELECT id, grp, val FROM t WHERE id < {cutoff}");
-    chunked.gdh_mut().set_columnar_wire(true);
-    rowheap.gdh_mut().set_columnar_wire(true);
-    let (sel_pruned_us, m) = floor_us(&chunked, &sel_sql, cutoff, iters);
-    let (sel_heap_us, _) = floor_us(&rowheap, &sel_sql, cutoff, iters);
+    let (sel_pruned_us, m) = floor_us(&chunked, &sel_sql, cutoff);
+    let (sel_heap_us, _) = floor_us(&rowheap, &sel_sql, cutoff);
     let considered = m.chunks_scanned + m.chunks_pruned;
     let prune_ratio = m.chunks_pruned as f64 / considered.max(1) as f64;
     let sel_speedup = sel_heap_us as f64 / sel_pruned_us.max(1) as f64;
@@ -116,14 +93,11 @@ fn main() {
         m.chunks_pruned
     );
 
-    // 2. Zero-pivot full scan vs the row heap on its best wire.
+    // 2. Zero-pivot full scan vs the row heap.
     let full_sql = "SELECT id, grp, val FROM t";
-    rowheap.gdh_mut().set_columnar_wire(false);
-    let (full_chunked_us, _) = floor_us(&chunked, full_sql, rows, iters);
-    let (full_heap_us, _) = floor_us(&rowheap, full_sql, rows, iters);
-    eprintln!(
-        "[E12-storage:full] chunked {full_chunked_us} µs vs row heap (row wire) {full_heap_us} µs"
-    );
+    let (full_chunked_us, _) = floor_us(&chunked, full_sql, rows);
+    let (full_heap_us, _) = floor_us(&rowheap, full_sql, rows);
+    eprintln!("[E12-storage:full] chunked {full_chunked_us} µs vs row heap {full_heap_us} µs");
 
     // 3. Cached-block re-ship: cold seal+encode vs warm cache, on a
     // machine that has never scanned.
@@ -134,22 +108,17 @@ fn main() {
         assert!(m.chunks_scanned > 0, "first scan did not seal");
         m.full_result_micros
     };
-    let (rescan_us, _) = floor_us(&fresh, full_sql, rows, iters);
+    let (rescan_us, _) = floor_us(&fresh, full_sql, rows);
     eprintln!("[E12-storage:reship] first (seal+encode) {first_us} µs, cached re-scan {rescan_us} µs");
     fresh.shutdown();
 
     let json = format!(
-        "{{\n  \"experiment\": \"e12_storage\",\n  \"rows\": {rows},\n  \"fragments\": {frags},\n  \"iters\": {iters},\n  \"seal_rows\": 1024,\n  \"benches\": {{\n    \"selective_scan_latency_us\": {{\"pruned\": {sel_pruned_us}, \"row_heap\": {sel_heap_us}, \"speedup\": {sel_speedup:.2}}},\n    \"selective_scan_pruning\": {{\"chunks_scanned\": {}, \"chunks_pruned\": {}, \"prune_ratio\": {prune_ratio:.2}}},\n    \"full_scan_latency_us\": {{\"chunked\": {full_chunked_us}, \"row_heap_row_wire\": {full_heap_us}}},\n    \"reship_latency_us\": {{\"first\": {first_us}, \"cached\": {rescan_us}}}\n  }},\n  \"notes\": \"selective scan is ~2% selectivity on the clustered key (ids inserted ascending, so zone maps refute most chunks); the row-heap baseline is an identical machine whose seal threshold exceeds the table size; full-scan baseline uses the row wire (the heap's best case — refcount-bump ships); latencies are floors over the sample set\"\n}}\n",
+        "{{\n  \"experiment\": \"e12_storage\",\n  \"rows\": {rows},\n  \"fragments\": {frags},\n  \"iters\": {iters},\n  \"seal_rows\": 1024,\n  \"benches\": {{\n    \"selective_scan_latency_us\": {{\"pruned\": {sel_pruned_us}, \"row_heap\": {sel_heap_us}, \"speedup\": {sel_speedup:.2}}},\n    \"selective_scan_pruning\": {{\"chunks_scanned\": {}, \"chunks_pruned\": {}, \"prune_ratio\": {prune_ratio:.2}}},\n    \"full_scan_latency_us\": {{\"chunked\": {full_chunked_us}, \"row_heap\": {full_heap_us}}},\n    \"reship_latency_us\": {{\"first\": {first_us}, \"cached\": {rescan_us}}}\n  }},\n  \"notes\": \"selective scan is ~2% selectivity on the clustered key (ids inserted ascending, so zone maps refute most chunks); the row-heap baseline is an identical machine whose seal threshold exceeds the table size, so every scan pivots and encodes its batches afresh; latencies are floors over the sample set\"\n}}\n",
         m.chunks_scanned, m.chunks_pruned
     );
-    let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../BENCH_e12.json");
-    if let Err(e) = std::fs::write(&root, json) {
-        eprintln!("[E12-storage] could not write {}: {e}", root.display());
-    } else {
-        eprintln!("[E12-storage] wrote {}", root.display());
-    }
+    write_json("E12-storage", "BENCH_e12.json", &json);
 
-    if enforce {
+    if enforce("E12") {
         assert!(
             sel_speedup >= 2.0,
             "zone pruning bought only {sel_speedup:.2}x on the selective scan (need >= 2x)"

@@ -20,6 +20,7 @@
 use std::time::Instant;
 
 use criterion::{black_box, Criterion};
+use prisma_bench::{enforce, env_flag, env_knob, median, sorted_samples, write_json};
 use prisma_core::storage::expr::{ArithOp, CmpOp, ScalarExpr};
 use prisma_core::types::{ColumnVec, LazyColumns, SelVec, Tuple};
 use prisma_core::workload::wisconsin_rows;
@@ -79,25 +80,15 @@ fn to_chunks(rows: &[Tuple]) -> Vec<LazyColumns> {
         .collect()
 }
 
-fn env_usize(key: &str, default: usize) -> usize {
-    std::env::var(key)
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
-}
-
 /// Median wall-clock ns of `iters` runs of `f` (one warm-up first).
 fn time_ns(iters: usize, mut f: impl FnMut() -> usize) -> (u64, usize) {
     let check = black_box(f());
-    let mut samples: Vec<u64> = (0..iters.max(1))
-        .map(|_| {
-            let start = Instant::now();
-            black_box(f());
-            start.elapsed().as_nanos() as u64
-        })
-        .collect();
-    samples.sort_unstable();
-    (samples[samples.len() / 2], check)
+    let timed = || {
+        let start = Instant::now();
+        black_box(f());
+        start.elapsed().as_nanos() as u64
+    };
+    (*median(&sorted_samples(iters, timed, |&ns| ns)), check)
 }
 
 struct Comparison {
@@ -180,7 +171,7 @@ fn compare_scalar_vs_vectorized(
     out
 }
 
-fn write_json(path: &std::path::Path, rows: usize, iters: usize, comps: &[Comparison]) {
+fn to_json(rows: usize, iters: usize, comps: &[Comparison]) -> String {
     let benches: Vec<String> = comps
         .iter()
         .map(|c| {
@@ -193,15 +184,10 @@ fn write_json(path: &std::path::Path, rows: usize, iters: usize, comps: &[Compar
             )
         })
         .collect();
-    let json = format!(
+    format!(
         "{{\n  \"experiment\": \"e5_compiled_expr\",\n  \"rows\": {rows},\n  \"iters\": {iters},\n  \"benches\": {{\n{}\n  }}\n}}\n",
         benches.join(",\n")
-    );
-    if let Err(e) = std::fs::write(path, json) {
-        eprintln!("[E5] could not write {}: {e}", path.display());
-    } else {
-        eprintln!("[E5] wrote {}", path.display());
-    }
+    )
 }
 
 /// The original criterion groups: interpreter vs compiler vs vectorized
@@ -265,10 +251,8 @@ fn criterion_groups(c: &mut Criterion, rows: &[Tuple], chunks: &[LazyColumns]) {
 }
 
 fn main() {
-    let n = env_usize("E5_ROWS", 100_000);
-    let iters = env_usize("E5_ITERS", 30);
-    let smoke = std::env::var("E5_SMOKE").is_ok_and(|v| v == "1");
-    let enforce = std::env::var("E5_ENFORCE").is_ok_and(|v| v == "1");
+    let n: usize = env_knob("E5_ROWS", 100_000);
+    let iters: usize = env_knob("E5_ITERS", 30);
 
     let rows: Vec<Tuple> = wisconsin_rows(n, 3);
     let chunks = to_chunks(&rows);
@@ -283,10 +267,9 @@ fn main() {
             c.speedup()
         );
     }
-    let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../BENCH_e5.json");
-    write_json(&root, n, iters, &comps);
+    write_json("E5", "BENCH_e5.json", &to_json(n, iters, &comps));
 
-    if enforce {
+    if enforce("E5") {
         let filter = comps
             .iter()
             .find(|c| c.name == "int_filter")
@@ -298,7 +281,7 @@ fn main() {
             filter.scalar_ns
         );
     }
-    if smoke {
+    if env_flag("E5_SMOKE") {
         return;
     }
     criterion_groups(&mut Criterion::default(), &rows, &chunks);

@@ -25,17 +25,11 @@
 //! * `E8_ENFORCE=1`  — exit non-zero unless the skew-aware placement
 //!   moves fewer max-site shuffle bits than the round-robin baseline
 
+use prisma_bench::{enforce, env_knob, median, query_samples, write_json};
 use prisma_core::optimizer::PhysicalConfig;
 use prisma_core::types::tuple;
 use prisma_core::types::Tuple;
 use prisma_core::PrismaMachine;
-
-fn env_usize(key: &str, default: usize) -> usize {
-    std::env::var(key)
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
-}
 
 /// A Zipf(1.0)-distributed key multiset: rank `r` (1-based) appears
 /// `⌈C/r⌉` times, `C` chosen so the total lands near `target_rows`.
@@ -64,63 +58,27 @@ struct Measured {
 }
 
 fn measure(db: &PrismaMachine, sql: &str, iters: usize) -> Measured {
-    let run = || {
-        let (rows, m) = db.query_with_metrics(sql).unwrap();
-        assert!(m.partitioned_joins >= 1, "join did not take the grace path");
-        Measured {
-            max_site_bits: m.max_site_shuffled_bits,
-            total_shuffle_bits: m.shuffled_direct_bits,
-            latency_us: m.full_result_micros,
-            rows: rows.len() as u64,
-        }
-    };
-    let _warmup = run();
-    let mut samples: Vec<Measured> = (0..iters.max(1)).map(|_| run()).collect();
-    samples.sort_unstable_by_key(|s| s.latency_us);
-    let median = samples[samples.len() / 2];
-    // Byte counters are deterministic per plan; latency is the median.
+    let samples = query_samples(db, sql, iters, |s| {
+        assert!(s.metrics.partitioned_joins >= 1, "join did not take the grace path")
+    });
+    // Byte counters and the output cardinality are deterministic per
+    // plan; latency is the median.
+    let m = median(&samples);
     Measured {
-        latency_us: median.latency_us,
-        ..samples[0]
-    }
-}
-
-#[allow(clippy::too_many_arguments)]
-fn write_json(
-    path: &std::path::Path,
-    probe_rows: usize,
-    build_rows: usize,
-    ranks: usize,
-    parts: usize,
-    iters: usize,
-    skew_aware: &Measured,
-    round_robin: &Measured,
-) {
-    let improvement = round_robin.max_site_bits as f64 / skew_aware.max_site_bits.max(1) as f64;
-    let json = format!(
-        "{{\n  \"experiment\": \"e8_skew\",\n  \"probe_rows\": {probe_rows},\n  \"build_rows\": {build_rows},\n  \"zipf_ranks\": {ranks},\n  \"zipf_s\": 1.0,\n  \"shuffle_parts\": {parts},\n  \"iters\": {iters},\n  \"benches\": {{\n    \"max_site_shuffle_bits\": {{\"skew_aware\": {}, \"round_robin\": {}, \"improvement\": {improvement:.2}}},\n    \"total_shuffle_bits\": {{\"skew_aware\": {}, \"round_robin\": {}}},\n    \"join_latency_us\": {{\"skew_aware\": {}, \"round_robin\": {}}}\n  }}\n}}\n",
-        skew_aware.max_site_bits,
-        round_robin.max_site_bits,
-        skew_aware.total_shuffle_bits,
-        round_robin.total_shuffle_bits,
-        skew_aware.latency_us,
-        round_robin.latency_us,
-    );
-    if let Err(e) = std::fs::write(path, json) {
-        eprintln!("[E8-skew] could not write {}: {e}", path.display());
-    } else {
-        eprintln!("[E8-skew] wrote {}", path.display());
+        max_site_bits: m.metrics.max_site_shuffled_bits,
+        total_shuffle_bits: m.metrics.shuffled_direct_bits,
+        latency_us: m.metrics.full_result_micros,
+        rows: m.rows as u64,
     }
 }
 
 fn main() {
-    let probe_rows = env_usize("E8_PROBE_ROWS", 40_000);
-    let build_rows = env_usize("E8_BUILD_ROWS", 30_000);
-    let ranks = env_usize("E8_RANKS", 400);
-    let frags = env_usize("E8_FRAGS", 4);
-    let parts = env_usize("E8_PARTS", 16);
-    let iters = env_usize("E8_ITERS", 7);
-    let enforce = std::env::var("E8_ENFORCE").is_ok_and(|v| v == "1");
+    let probe_rows: usize = env_knob("E8_PROBE_ROWS", 40_000);
+    let build_rows: usize = env_knob("E8_BUILD_ROWS", 30_000);
+    let ranks: usize = env_knob("E8_RANKS", 400);
+    let frags: usize = env_knob("E8_FRAGS", 4);
+    let parts: usize = env_knob("E8_PARTS", 16);
+    let iters: usize = env_knob("E8_ITERS", 7);
 
     let mut db = PrismaMachine::builder().pes(8).build().unwrap();
     db.sql(&format!(
@@ -189,24 +147,25 @@ fn main() {
         "[E8-skew:round-robin] max-site {} bits of {} total shuffled, join in {} µs",
         round_robin.max_site_bits, round_robin.total_shuffle_bits, round_robin.latency_us
     );
-    eprintln!(
-        "[E8-skew] busiest site receives {:.2}x less with skew-aware placement",
-        round_robin.max_site_bits as f64 / skew_aware.max_site_bits.max(1) as f64
-    );
+    let improvement = round_robin.max_site_bits as f64 / skew_aware.max_site_bits.max(1) as f64;
+    eprintln!("[E8-skew] busiest site receives {improvement:.2}x less with skew-aware placement");
 
-    let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../BENCH_e8.json");
-    write_json(
-        &root,
-        probe_rows,
-        build_rows,
-        ranks,
-        parts,
-        iters,
-        &skew_aware,
-        &round_robin,
+    let us_per_output_row = skew_aware.latency_us as f64 / skew_aware.rows.max(1) as f64;
+    let json = format!(
+        "{{\n  \"experiment\": \"e8_skew\",\n  \"probe_rows\": {probe_rows},\n  \"build_rows\": {build_rows},\n  \"zipf_ranks\": {ranks},\n  \"zipf_s\": 1.0,\n  \"shuffle_parts\": {parts},\n  \"iters\": {iters},\n  \"output_rows\": {},\n  \"benches\": {{\n    \"max_site_shuffle_bits\": {{\"skew_aware\": {}, \"round_robin\": {}, \"improvement\": {improvement:.2}}},\n    \"total_shuffle_bits\": {{\"skew_aware\": {}, \"round_robin\": {}}},\n    \"join_latency_us\": {{\"skew_aware\": {}, \"round_robin\": {}}}\n  }},\n  \"notes\": \"output cardinality explains the join latency: every build row matches probe_rows/zipf_ranks probe rows, so {} input rows produce output_rows result rows, all shipped to and merged at the coordinator ({us_per_output_row:.2} us per output row); the shuffle this experiment compares moves {} bits\"\n}}\n",
+        skew_aware.rows,
+        skew_aware.max_site_bits,
+        round_robin.max_site_bits,
+        skew_aware.total_shuffle_bits,
+        round_robin.total_shuffle_bits,
+        skew_aware.latency_us,
+        round_robin.latency_us,
+        probe_rows + build_rows,
+        skew_aware.total_shuffle_bits,
     );
+    write_json("E8-skew", "BENCH_e8.json", &json);
 
-    if enforce {
+    if enforce("E8") {
         assert!(
             skew_aware.max_site_bits < round_robin.max_site_bits,
             "skew-aware placement did not reduce max-site shuffle bits: {} vs {}",

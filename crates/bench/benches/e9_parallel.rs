@@ -49,19 +49,13 @@
 use std::collections::HashMap;
 use std::sync::Arc;
 
+use prisma_bench::{enforce, env_knob, median, sorted_samples, write_json};
 use prisma_core::poolx::WorkerPool;
 use prisma_core::relalg::{
     lower, open_batches_pooled, Batch, LogicalPlan, Relation,
 };
 use prisma_core::storage::expr::{CmpOp, ScalarExpr};
 use prisma_core::types::{tuple, Column, DataType, Schema, Tuple};
-
-fn env_usize(key: &str, default: usize) -> usize {
-    std::env::var(key)
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
-}
 
 /// One measured execution at a fixed worker count.
 #[derive(Clone, Copy, Default)]
@@ -106,8 +100,7 @@ fn measure(
 ) -> Measured {
     let pool = WorkerPool::new(workers);
     let _warmup = run_once(plan, db, Some(&pool));
-    let mut samples = Vec::with_capacity(iters.max(1));
-    for _ in 0..iters.max(1) {
+    let sample = || {
         let before = pool.stats();
         let t0 = std::time::Instant::now();
         let rows = run_once(plan, db, Some(&pool));
@@ -120,16 +113,15 @@ fn measure(
             .zip(&before.busy_nanos)
             .map(|(a, b)| a - b)
             .collect();
-        samples.push(Measured {
+        Measured {
             wall_us,
             busy_total_us: busy.iter().sum::<u64>() / 1_000,
             busy_max_us: busy.iter().copied().max().unwrap_or(0) / 1_000,
             morsels: after.morsels - before.morsels,
             steals: after.steals - before.steals,
-        });
-    }
-    samples.sort_unstable_by_key(|s| s.wall_us);
-    samples[samples.len() / 2]
+        }
+    };
+    *median(&sorted_samples(iters, sample, |s| s.wall_us))
 }
 
 fn fmt_workload(name: &str, runs: &[(usize, Measured)], speedup: impl Fn(usize) -> f64) -> String {
@@ -146,10 +138,9 @@ fn fmt_workload(name: &str, runs: &[(usize, Measured)], speedup: impl Fn(usize) 
 }
 
 fn main() {
-    let rows = env_usize("E9_ROWS", 100_000);
-    let build_rows = env_usize("E9_BUILD_ROWS", 10_000);
-    let iters = env_usize("E9_ITERS", 5);
-    let enforce = std::env::var("E9_ENFORCE").is_ok_and(|v| v == "1");
+    let rows: usize = env_knob("E9_ROWS", 100_000);
+    let build_rows: usize = env_knob("E9_BUILD_ROWS", 10_000);
+    let iters: usize = env_knob("E9_ITERS", 5);
     let worker_counts = [1usize, 2, 4];
 
     // One 100k-row fragment: (k, g, x) with a join key cycling over the
@@ -229,14 +220,9 @@ fn main() {
         "{{\n  \"experiment\": \"e9_parallel\",\n  \"rows\": {rows},\n  \"build_rows\": {build_rows},\n  \"iters\": {iters},\n  \"host_cores\": {cores},\n  \"methodology\": \"modeled_speedup = busy_total(1 worker) / busy_max(N workers); equals wall-clock speedup when cores >= workers, measures work inflation and steal balance regardless of core count\",\n  \"benches\": {{\n{}\n  }}\n}}\n",
         json_sections.join(",\n"),
     );
-    let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../BENCH_e9.json");
-    if let Err(e) = std::fs::write(&root, json) {
-        eprintln!("[E9-parallel] could not write {}: {e}", root.display());
-    } else {
-        eprintln!("[E9-parallel] wrote {}", root.display());
-    }
+    write_json("E9-parallel", "BENCH_e9.json", &json);
 
-    if enforce {
+    if enforce("E9") {
         for (name, s) in floors_2w {
             assert!(
                 s >= 1.3,

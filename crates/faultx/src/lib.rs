@@ -57,9 +57,9 @@ pub enum FaultSpec {
     /// (a reorder, which the stream protocol must mask).
     DelayChunk { pe: PeId, nth: u64 },
     /// The `nth` chunk PE ships has its encoded payload mangled in flight
-    /// (bit damage on the interconnect). Only meaningful for columnar-wire
-    /// chunks, whose frames carry a checksum; the receiver must reject the
-    /// frame with a protocol error, never mis-decode it.
+    /// (bit damage on the interconnect). Every data chunk is a checksummed
+    /// frame; the receiver must reject it with a protocol error, never
+    /// mis-decode it.
     CorruptChunk { pe: PeId, nth: u64 },
     /// PE crashes while handling the given 2PC phase message.
     CrashDuring2pc { pe: PeId, phase: TwoPcPhase },

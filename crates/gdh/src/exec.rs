@@ -46,10 +46,8 @@
 //! batch **fragment→fragment** ([`GdhMsg::ShuffleChunk`]) while the
 //! coordinator only sees the sites' join-result streams
 //! ([`ExecMetrics::shuffled_direct_bits`] meters the direct hop). That
-//! is the only grace-join route: `set_streaming(false)` changes when
-//! sites and fragments ship (each drains its subplan before its first
-//! reply chunk), never where the buckets travel. Chunk order within
-//! one stream is restored by
+//! is the only grace-join route and streaming is the only reply mode.
+//! Chunk order within one stream is restored by
 //! [`prisma_multicomputer::StreamReassembly`], which also powers the
 //! in-flight-stream gauge; a lost or slow fragment surfaces as a timeout
 //! naming the query, the missing fragments, and the time waited. Reply
@@ -58,18 +56,16 @@
 //! stream cannot stall N×timeout before erroring.
 //!
 //! Inside a fragment, Filter/Project run vectorized over columnar
-//! batches ([`prisma_relalg::exec`]'s row/column duality) — and by
-//! default the wire between PEs is columnar too: OFMs encode each
-//! shipped batch as a typed column block ([`prisma_types::wire`]), so
+//! batches ([`prisma_relalg::exec`]'s row/column duality) — and the
+//! wire between PEs is columnar too: OFMs encode each shipped batch as
+//! a typed column block ([`prisma_types::wire`]), so
 //! `BatchChunk`/`ShuffleChunk` payloads, the ledger's `wire_bits`
 //! metering, and the shuffle-placement weights all see the encoded
 //! block size. The receiver decodes straight back into columnar
 //! batches; a frame mangled in flight fails checksum/structure
 //! validation and surfaces as a stream error, never a mis-decode.
-//! [`ParallelExecutor::set_columnar_wire`]`(false)` selects the
-//! historical row wire — the E11 baseline. Replica log shipping stays
-//! row-oriented regardless: it is the recovery path, kept
-//! bit-compatible.
+//! Replica log shipping is row-oriented: it is the recovery path, kept
+//! bit-compatible with the WAL.
 
 use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicU32, Ordering};
@@ -114,8 +110,8 @@ pub struct ExecMetrics {
     pub repartition_tasks: u64,
     /// Microseconds from query start until the first streamed batch
     /// reached the coordinator (0 when no fragment batch was shipped).
-    /// With streaming on this is far below [`ExecMetrics::full_result_micros`]
-    /// on scans big enough to span several batches — the pipelining win.
+    /// Far below [`ExecMetrics::full_result_micros`] on scans big enough
+    /// to span several batches — the pipelining win.
     pub first_batch_micros: u64,
     /// Microseconds from query start until the full result was merged.
     pub full_result_micros: u64,
@@ -210,15 +206,6 @@ pub struct ParallelExecutor {
     dictionary: Arc<DataDictionary>,
     physical_config: PhysicalConfig,
     reply_timeout: Duration,
-    /// Ship batches as they are produced (default). Off = the
-    /// materialized baseline: fragments and shuffle sites drain their
-    /// subplan before the first reply chunk (same messages, same route,
-    /// no overlap) — kept for the E6 experiment.
-    streaming: bool,
-    /// Ship batches as typed column blocks (default). Off = the row
-    /// wire: chunks carry `Vec<Tuple>`-backed batches and `wire_bits`
-    /// meters per-tuple row encoding — kept as the E11 baseline.
-    columnar_wire: bool,
     next_query: AtomicU32,
     /// The machine's per-PE worker pools, when morsel parallelism is on.
     /// Coordinator-side handle used only to snapshot counters around a
@@ -243,8 +230,6 @@ impl ParallelExecutor {
             dictionary,
             physical_config: PhysicalConfig::default(),
             reply_timeout,
-            streaming: true,
-            columnar_wire: true,
             next_query: AtomicU32::new(0),
             pools: None,
             faults: prisma_faultx::global().clone(),
@@ -274,32 +259,6 @@ impl ParallelExecutor {
     /// partition threshold for the E2/E8 experiments).
     pub fn set_physical_config(&mut self, config: PhysicalConfig) {
         self.physical_config = config;
-    }
-
-    /// Toggle streamed batch shipping. `false` selects the materialized
-    /// baseline (fragments and shuffle sites run their subplan to
-    /// completion before the first reply chunk; the messages and their
-    /// routes are unchanged) — only the E6 experiment and tests should
-    /// ever want that.
-    pub fn set_streaming(&mut self, streaming: bool) {
-        self.streaming = streaming;
-    }
-
-    /// Whether fragment replies stream per batch.
-    pub fn streaming(&self) -> bool {
-        self.streaming
-    }
-
-    /// Toggle the columnar wire format. `false` selects the row wire
-    /// (chunks carry row batches, metered per tuple) — the E11 baseline
-    /// and the escape hatch for a mixed-version machine.
-    pub fn set_columnar_wire(&mut self, columnar: bool) {
-        self.columnar_wire = columnar;
-    }
-
-    /// Whether chunks ship as typed column blocks.
-    pub fn columnar_wire(&self) -> bool {
-        self.columnar_wire
     }
 
     fn fresh_query(&self) -> QueryCtx {
@@ -645,8 +604,6 @@ impl ParallelExecutor {
                     right_streams: right_streams.clone(),
                     reply_to: mailbox.id,
                     tag: sidx as u64,
-                    stream: self.streaming,
-                    columnar: self.columnar_wire,
                 },
             )?;
             q.metrics.fragment_tasks += 1;
@@ -670,7 +627,6 @@ impl ParallelExecutor {
                         side,
                         tag: base + i as u64,
                         restrict_to: None,
-                        columnar: self.columnar_wire,
                     },
                 )?;
                 q.metrics.repartition_tasks += 1;
@@ -718,8 +674,6 @@ impl ParallelExecutor {
                     right_streams: right_streams.clone(),
                     reply_to,
                     tag: new_tag,
-                    stream: self.streaming,
-                    columnar: self.columnar_wire,
                 },
             )?;
             let new_site_actors: Vec<prisma_types::ProcessId> = resolved
@@ -757,7 +711,6 @@ impl ParallelExecutor {
                             side,
                             tag: base + i as u64,
                             restrict_to: Some(handle.actor),
-                            columnar: self.columnar_wire,
                         },
                     )?;
                 }
@@ -1159,8 +1112,6 @@ impl ParallelExecutor {
                     extra: extra.clone(),
                     reply_to: mailbox.id,
                     tag: i as u64,
-                    stream: self.streaming,
-                    columnar: self.columnar_wire,
                 },
             )?;
             q.metrics.fragment_tasks += 1;
@@ -1172,8 +1123,6 @@ impl ParallelExecutor {
         // was lost — under the replacement tag.
         let qid = q.query_id;
         let reply_to = mailbox.id;
-        let streaming = self.streaming;
-        let columnar = self.columnar_wire;
         let mut reissue = |handle: &crate::dictionary::FragmentHandle,
                            _old: u64,
                            new_tag: u64|
@@ -1186,8 +1135,6 @@ impl ParallelExecutor {
                     extra: extra.clone(),
                     reply_to,
                     tag: new_tag,
-                    stream: streaming,
-                    columnar,
                 },
             )
         };
@@ -1521,7 +1468,7 @@ mod tests {
     }
 
     #[test]
-    fn streamed_and_materialized_paths_agree_and_meter_identically() {
+    fn multi_chunk_streams_deliver_every_batch_and_meter_it() {
         let (runtime, dict) = rig(30);
         // 3000 rows per fragment → 3 batches each: real multi-chunk streams.
         let a0 = runtime
@@ -1543,10 +1490,11 @@ mod tests {
         )
         .unwrap();
         let plan = LogicalPlan::scan("t", test_schema());
-        let mut exec = ParallelExecutor::new(runtime.clone(), dict.clone());
+        let exec = ParallelExecutor::new(runtime.clone(), dict.clone());
 
         let (streamed, m) = exec.execute(&plan).unwrap();
-        assert_eq!(streamed.len(), 6000);
+        let want: Vec<Tuple> = (0..6000).map(|i| tuple![i, i % 5]).collect();
+        assert_eq!(streamed.canonicalized().tuples(), want);
         assert_eq!(m.tuples_shipped, 6000);
         assert_eq!(m.batches_shipped, 6, "3 batches per fragment: {m:?}");
         assert!(m.first_batch_micros > 0, "{m:?}");
@@ -1555,14 +1503,6 @@ mod tests {
             "first batch cannot arrive after the full result: {m:?}"
         );
         assert_eq!(m.max_in_flight_streams, 2, "{m:?}");
-
-        exec.set_streaming(false);
-        let (materialized, m2) = exec.execute(&plan).unwrap();
-        assert_eq!(
-            streamed.canonicalized().tuples(),
-            materialized.canonicalized().tuples()
-        );
-        assert_eq!(m2.batches_shipped, 6);
         runtime.shutdown();
     }
 
@@ -1582,7 +1522,7 @@ mod tests {
     }
 
     #[test]
-    fn direct_shuffle_matches_the_oracle_streamed_or_not_and_meters_the_hop() {
+    fn direct_shuffle_matches_the_oracle_and_meters_the_hop() {
         let (runtime, dict) = rig(30);
         // 2 left fragments host the phase-2 sites; 2 right fragments.
         register_fragmented(&runtime, &dict, "l", 0, &[0..1500, 1500..3000]);
@@ -1615,16 +1555,6 @@ mod tests {
             "grace join must agree with the reference evaluator"
         );
 
-        // Materialized replies: same route, same buckets, same result.
-        exec.set_streaming(false);
-        let (materialized, mm) = exec.execute(&join_plan()).unwrap();
-        assert_eq!(
-            direct.tuples(),
-            materialized.canonicalized().tuples(),
-            "streamed and materialized grace joins must agree"
-        );
-        assert_eq!(mm.repartition_tasks, 4, "{mm:?}");
-        assert_eq!(mm.shuffled_direct_bits, md.shuffled_direct_bits, "{mm:?} vs {md:?}");
         runtime.shutdown();
     }
 

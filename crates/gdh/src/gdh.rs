@@ -200,30 +200,19 @@ impl GlobalDataHandler {
         self.executor.set_physical_config(cfg);
     }
 
-    /// Toggle streamed batch shipping on the parallel executor. `false`
-    /// selects the materialized baseline — fragments and shuffle sites
-    /// run their subplan to completion before the first reply chunk, on
-    /// the same routes — kept only so the E6 experiment can measure what
-    /// the overlap buys.
+    /// Streaming is the only reply mode. The setter survives as a stub
+    /// because the frozen `e0/` benchmark still calls it with `true`;
+    /// it selects nothing.
+    #[doc(hidden)]
     pub fn set_streaming(&mut self, streaming: bool) {
-        self.executor.set_streaming(streaming);
+        assert!(streaming, "materialized replies were removed: streaming is the only reply mode");
     }
 
-    /// Whether fragment replies currently stream per batch.
-    pub fn executor_streaming(&self) -> bool {
-        self.executor.streaming()
-    }
-
-    /// Toggle the columnar wire format on the parallel executor.
-    /// `false` selects the historical row wire (chunks carry row
-    /// batches) — the E11 baseline and the compatibility escape hatch.
+    /// The column-block wire is the only wire; a stub for the same
+    /// reason as the one above.
+    #[doc(hidden)]
     pub fn set_columnar_wire(&mut self, columnar: bool) {
-        self.executor.set_columnar_wire(columnar);
-    }
-
-    /// Whether chunks currently ship as typed column blocks.
-    pub fn executor_columnar_wire(&self) -> bool {
-        self.executor.columnar_wire()
+        assert!(columnar, "the row wire was removed: column blocks are the only wire");
     }
 
     /// Shut the machine down (drains actor mailboxes).

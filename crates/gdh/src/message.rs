@@ -35,8 +35,13 @@
 //! streams the join result to the coordinator as an ordinary
 //! `BatchChunk`/`StreamEnd` reply whose stats carry the
 //! fragment→fragment bits received ([`StreamStats::shuffled_bits`]).
-//! `stream: false` on the site task only makes the site drain its join
-//! before the first reply chunk; the buckets travel the same way.
+//!
+//! ## One wire
+//!
+//! Every data chunk — reply batch or shuffle bucket — crosses PEs as a
+//! [`ChunkData`]: one checksummed column-block frame, shipped the moment
+//! it is produced. There is no other payload form and no other reply
+//! mode, so the protocol carries no format or mode flag.
 
 use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
@@ -71,83 +76,55 @@ pub enum ShuffleSide {
     Right,
 }
 
-/// Payload of one shipped data chunk — the wire-format seam.
-///
-/// The columnar wire ([`ChunkData::Blocks`]) ships each batch as one
-/// encoded [`prisma_types::wire::BlockChunk`]: typed per-column blocks
-/// with null bitmaps and cheap compression, decoded on the receive side
-/// straight into `ColumnVec`s (no pivot on either end). The legacy row
-/// wire ([`ChunkData::Rows`]) survives behind the executor's
-/// `set_columnar_wire(false)` flag as the measured baseline (E11),
-/// shipping the batch pivoted to tagged-`Value` rows.
+/// Payload of one shipped data chunk: the batch as one encoded
+/// [`prisma_types::wire::BlockChunk`] — typed per-column blocks with null
+/// bitmaps, cheap compression and a frame checksum, decoded on the
+/// receive side straight into `ColumnVec`s (no pivot on either end).
 #[derive(Debug, Clone)]
-pub enum ChunkData {
-    /// Row wire: the batch in row-oriented form.
-    Rows(Batch),
-    /// Columnar wire: the batch as one encoded column-block frame,
-    /// `Arc`-shared so a sealed chunk's **cached** wire block ships
-    /// without copying the frame (re-ships of unmutated cold data are
-    /// refcount bumps — the encoder never re-runs).
-    Blocks {
-        /// The encoded frame — what the interconnect meters and what the
-        /// fault injector's bit damage lands on.
-        frame: std::sync::Arc<prisma_types::wire::BlockChunk>,
-        /// In-process delivery shortcut: when `frame` is a sealed chunk's
-        /// cached wire block, the chunk rides along and the receiver
-        /// serves its columns directly instead of re-decoding its own
-        /// shared frame (the columnar twin of the row wire's
-        /// refcount-bump ship). Dropped on corruption so injected bit
-        /// damage is always seen by the decoder.
-        sealed: Option<std::sync::Arc<prisma_types::SealedChunk>>,
-    },
+pub struct ChunkData {
+    /// The encoded frame — what the interconnect meters and what the
+    /// fault injector's bit damage lands on. `Arc`-shared so a sealed
+    /// chunk's **cached** wire block ships without copying the frame
+    /// (re-ships of unmutated cold data are refcount bumps — the encoder
+    /// never re-runs).
+    frame: Arc<prisma_types::wire::BlockChunk>,
+    /// In-process delivery shortcut: when `frame` is a sealed chunk's
+    /// cached wire block, the chunk rides along and the receiver serves
+    /// its columns directly instead of re-decoding its own shared frame.
+    /// Dropped on corruption so injected bit damage is always seen by
+    /// the decoder.
+    sealed: Option<Arc<prisma_types::SealedChunk>>,
 }
 
 impl ChunkData {
-    /// Encode a produced batch for the wire — the sender-side seam where
-    /// the format flag takes effect. Batches that are whole sealed chunks
-    /// reuse the chunk's cached block frame.
-    pub fn from_batch(batch: Batch, columnar: bool) -> ChunkData {
-        if columnar {
-            ChunkData::Blocks {
-                sealed: batch.sealed_chunk().cloned(),
-                frame: batch.encode_columnar_shared(),
-            }
-        } else {
-            ChunkData::Rows(batch.into_rows())
+    /// Encode a produced batch for the wire. Batches that are whole
+    /// sealed chunks reuse the chunk's cached block frame.
+    pub fn from_batch(batch: Batch) -> ChunkData {
+        ChunkData {
+            sealed: batch.sealed_chunk().cloned(),
+            frame: batch.encode_columnar_shared(),
         }
     }
 
-    /// Rows this chunk carries (from the frame header for blocks — no
-    /// decode needed for stream accounting).
+    /// Rows this chunk carries (from the frame header — no decode needed
+    /// for stream accounting).
     pub fn rows(&self) -> u64 {
-        match self {
-            ChunkData::Rows(batch) => batch.len() as u64,
-            ChunkData::Blocks { frame, .. } => frame.rows() as u64,
-        }
+        self.frame.rows() as u64
     }
 
-    /// Size on the metered interconnect, in bits: the tuple wire size for
-    /// the row form, the encoded frame size for blocks — so the traffic
-    /// ledger and shuffle stats meter whichever format actually shipped.
+    /// Size on the metered interconnect, in bits: the encoded frame size
+    /// — what the traffic ledger and the shuffle stats meter.
     pub fn wire_bits(&self) -> u64 {
-        match self {
-            ChunkData::Rows(batch) => batch.wire_bits(),
-            ChunkData::Blocks { frame, .. } => frame.wire_bits(),
-        }
+        self.frame.wire_bits()
     }
 
-    /// Decode into a batch. Row payloads pass through; block payloads
-    /// decode into a columnar batch feeding the merge kernels directly.
+    /// Decode into a columnar batch feeding the merge kernels directly.
     /// A mangled frame returns a `wire:` protocol error — never a panic,
     /// never silently wrong rows.
     pub fn into_batch(self) -> Result<Batch> {
-        match self {
-            ChunkData::Rows(batch) => Ok(batch),
-            ChunkData::Blocks {
-                sealed: Some(chunk),
-                ..
-            } => Ok(Batch::from_sealed_chunk(&chunk, None)),
-            ChunkData::Blocks { frame, sealed: None } => Batch::from_block(&frame),
+        match self.sealed {
+            Some(chunk) => Ok(Batch::from_sealed_chunk(&chunk, None)),
+            None => Batch::from_block(&self.frame),
         }
     }
 
@@ -158,18 +135,14 @@ impl ChunkData {
     }
 
     /// Mangle the payload in flight (the fault injector's
-    /// `ChunkFate::Corrupt`). Only encoded frames can take bit damage —
-    /// row payloads are in-memory typed values with no byte form to flip,
-    /// so the row wire delivers them unchanged. Shared frames (a sealed
-    /// chunk's cached block) are copied-on-write first, so corruption
-    /// never leaks back into the sender's cache.
+    /// `ChunkFate::Corrupt`). Shared frames (a sealed chunk's cached
+    /// block) are copied-on-write first, so corruption never leaks back
+    /// into the sender's cache.
     pub fn corrupt_in_place(&mut self, seed: u64) {
-        if let ChunkData::Blocks { frame, sealed } = self {
-            std::sync::Arc::make_mut(frame).corrupt_in_place(seed);
-            // The shortcut must not mask the damage: force the receiver
-            // through the decoder, which rejects the mangled frame.
-            *sealed = None;
-        }
+        Arc::make_mut(&mut self.frame).corrupt_in_place(seed);
+        // The shortcut must not mask the damage: force the receiver
+        // through the decoder, which rejects the mangled frame.
+        self.sealed = None;
     }
 }
 
@@ -193,12 +166,6 @@ pub enum GdhMsg {
         reply_to: ProcessId,
         /// Correlation tag (one stream per tag).
         tag: u64,
-        /// Ship each batch as it is produced (true, the pipelined path)
-        /// or run the subplan to completion before the first ship (the
-        /// materialized baseline the E6 experiment compares against).
-        stream: bool,
-        /// Ship batches as encoded column blocks (true) or legacy rows.
-        columnar: bool,
     },
     /// One batch of a `RunSubplan` reply stream.
     BatchChunk {
@@ -208,7 +175,7 @@ pub enum GdhMsg {
         tag: u64,
         /// Position in the stream (0-based; consumers reassemble order).
         seq: u64,
-        /// The batch payload in its wire form (column blocks or rows).
+        /// The batch payload in its wire form.
         data: ChunkData,
     },
     /// Terminal message of a `RunSubplan`/`ShuffleJoin` reply stream:
@@ -253,8 +220,6 @@ pub enum GdhMsg {
         side: ShuffleSide,
         /// Source stream tag (unique per side across the fan-out).
         tag: u64,
-        /// Ship buckets as encoded column blocks (true) or legacy rows.
-        columnar: bool,
     },
     /// One produced batch's bucket payloads for one site, shipped
     /// fragment→fragment (never through the coordinator).
@@ -319,10 +284,6 @@ pub enum GdhMsg {
         reply_to: ProcessId,
         /// Correlation tag of the reply stream.
         tag: u64,
-        /// Ship the join result per batch (true) or materialized.
-        stream: bool,
-        /// Ship the reply stream as encoded column blocks (true) or rows.
-        columnar: bool,
     },
     /// Insert rows under a transaction.
     Insert {
@@ -483,9 +444,8 @@ impl WireMessage for GdhMsg {
     fn wire_bytes(&self) -> usize {
         match self {
             // Result shipping dominates communication; control messages
-            // are a single packet. Data chunks are charged for whichever
-            // wire form they actually carry — encoded block frames meter
-            // their real (compressed) size.
+            // are a single packet. Data chunks are charged their encoded
+            // frame's real (compressed) size.
             GdhMsg::BatchChunk { data, .. } => 32 + (data.wire_bits() / 8) as usize,
             GdhMsg::RunSubplan { extra, .. } => {
                 64 + extra
@@ -563,9 +523,6 @@ struct ShuffleTask {
     owned: HashSet<usize>,
     reply_to: ProcessId,
     tag: u64,
-    stream: bool,
-    /// Wire format of the reply stream to the coordinator.
-    columnar: bool,
     left: ShuffleSideState,
     right: ShuffleSideState,
     /// Bits received fragment→fragment, reported to the coordinator in
@@ -698,13 +655,10 @@ impl OfmActor {
 }
 
 impl OfmActor {
-    /// Run `plan` and ship its output as a chunk stream: one message per
-    /// produced batch (mapped through `to_chunk`, which also reports how
-    /// many rows the chunk carries), then the terminal `StreamEnd`
-    /// advertising the chunk count and the total rows shipped (the
-    /// coordinator cross-checks both). With `stream = false` the subplan
-    /// is drained fully before the first ship — the materialized
-    /// baseline.
+    /// Run `plan` and ship its output as a chunk stream: one
+    /// [`GdhMsg::BatchChunk`] per produced batch, then the terminal
+    /// `StreamEnd` advertising the chunk count and the total rows shipped
+    /// (the coordinator cross-checks both).
     ///
     /// Each `next_batch()`/`send` alternation is the pipelining seam:
     /// the send crosses the interconnect while this actor keeps scanning,
@@ -717,10 +671,8 @@ impl OfmActor {
         reply_to: ProcessId,
         query_id: QueryId,
         tag: u64,
-        stream: bool,
         base_stats: StreamStats,
         ctx: &mut Ctx<'_, GdhMsg>,
-        mut to_chunk: impl FnMut(u64, Batch) -> (u64, GdhMsg),
     ) {
         let end = |result, seq_count| GdhMsg::StreamEnd {
             query_id,
@@ -735,33 +687,28 @@ impl OfmActor {
                 return;
             }
         };
-        let mut held = Vec::new(); // materialized mode parks chunks here
         let mut held_back = Vec::new(); // fault-delayed chunks
         let mut seq = 0u64;
         let mut rows = 0u64;
         loop {
             match source.next_batch() {
                 Ok(Some(batch)) => {
-                    // The batch reaches `to_chunk` in whatever form the
-                    // executor produced; the closure picks the wire form
-                    // (encoded column blocks or pivoted rows).
-                    let (chunk_rows, msg) = to_chunk(seq, batch);
-                    rows += chunk_rows;
-                    if stream {
-                        if self.faulted_send(ctx, reply_to, msg, &mut held_back).is_err() {
-                            return; // requester is gone; abandon the stream
-                        }
-                    } else {
-                        held.push(msg);
+                    // Encode (or reuse the sealed chunk's cached frame)
+                    // whatever form the executor produced.
+                    let data = ChunkData::from_batch(batch);
+                    rows += data.rows();
+                    let msg = GdhMsg::BatchChunk {
+                        query_id,
+                        tag,
+                        seq,
+                        data,
+                    };
+                    if self.faulted_send(ctx, reply_to, msg, &mut held_back).is_err() {
+                        return; // requester is gone; abandon the stream
                     }
                     seq += 1;
                 }
                 Ok(None) => {
-                    for msg in held {
-                        if self.faulted_send(ctx, reply_to, msg, &mut held_back).is_err() {
-                            return;
-                        }
-                    }
                     if self.flush_held(ctx, &mut held_back).is_err() {
                         return;
                     }
@@ -779,10 +726,9 @@ impl OfmActor {
                 }
                 Err(e) => {
                     // Chunks already shipped stay valid; the error ends
-                    // the stream (materialized mode ships nothing).
+                    // the stream.
                     let _ = self.flush_held(ctx, &mut held_back);
-                    let shipped = if stream { seq } else { 0 };
-                    let _ = ctx.send(reply_to, end(Err(e), shipped));
+                    let _ = ctx.send(reply_to, end(Err(e), seq));
                     return;
                 }
             }
@@ -827,8 +773,7 @@ impl OfmActor {
 
     /// Mangle a data chunk's encoded payload (the `Corrupt` chunk fate):
     /// wire bit damage between the sender's encode and the receiver's
-    /// decode. Only columnar-wire payloads have bytes to damage; the
-    /// receiver must reject the frame with a protocol error.
+    /// decode; the receiver must reject the frame with a protocol error.
     fn corrupt_chunk(msg: &mut GdhMsg) {
         match msg {
             GdhMsg::BatchChunk { seq, data, .. } => data.corrupt_in_place(*seq),
@@ -913,7 +858,6 @@ impl OfmActor {
         restrict_to: Option<ProcessId>,
         side: ShuffleSide,
         tag: u64,
-        columnar: bool,
         ctx: &mut Ctx<'_, GdhMsg>,
     ) {
         struct SiteSlot {
@@ -967,11 +911,8 @@ impl OfmActor {
                 Ok(Some(batch)) => {
                     // Partition this batch on the spot by row *position*
                     // (keys read straight from the columnar form — the
-                    // batch is never pivoted to rows here), then build
-                    // each bucket's wire payload: an encoded column
-                    // block on the columnar wire, gathered tuples on
-                    // the row baseline. Placement is bit-identical
-                    // across both wires (same key hash, same NULL drop).
+                    // batch is never pivoted to rows here), then encode
+                    // each bucket's positions as one column block.
                     let positions = prisma_relalg::exec::partition_positions(
                         &batch,
                         key_cols,
@@ -984,13 +925,9 @@ impl OfmActor {
                         if pos.is_empty() {
                             continue;
                         }
-                        let data = if columnar {
-                            ChunkData::Blocks {
-                                frame: std::sync::Arc::new(batch.encode_positions(&pos)),
-                                sealed: None,
-                            }
-                        } else {
-                            ChunkData::Rows(Batch::owned(batch.gather_rows(&pos)))
+                        let data = ChunkData {
+                            frame: Arc::new(batch.encode_positions(&pos)),
+                            sealed: None,
                         };
                         per_slot[slot_of[&sites[j]]].push((j, data));
                     }
@@ -1075,8 +1012,6 @@ impl OfmActor {
         right_streams: &[u64],
         reply_to: ProcessId,
         tag: u64,
-        stream: bool,
-        columnar: bool,
         ctx: &mut Ctx<'_, GdhMsg>,
     ) {
         let key = (query_id, exchange);
@@ -1108,8 +1043,6 @@ impl OfmActor {
             owned: buckets.into_iter().collect(),
             reply_to,
             tag,
-            stream,
-            columnar,
             left: ShuffleSideState::expecting(left_streams),
             right: ShuffleSideState::expecting(right_streams),
             shuffled_bits: 0,
@@ -1277,30 +1210,7 @@ impl OfmActor {
             Relation::new(task.lschema.clone(), task.left.rows),
             Relation::new(task.rschema.clone(), task.right.rows),
         );
-        let tag = task.tag;
-        let columnar = task.columnar;
-        self.ship_stream(
-            &task.plan,
-            &extra,
-            task.reply_to,
-            query_id,
-            tag,
-            task.stream,
-            stats,
-            ctx,
-            |seq, batch| {
-                let data = ChunkData::from_batch(batch, columnar);
-                (
-                    data.rows(),
-                    GdhMsg::BatchChunk {
-                        query_id,
-                        tag,
-                        seq,
-                        data,
-                    },
-                )
-            },
-        );
+        self.ship_stream(&task.plan, &extra, task.reply_to, query_id, task.tag, stats, ctx);
     }
 }
 
@@ -1320,32 +1230,9 @@ impl Process<GdhMsg> for OfmActor {
                 extra,
                 reply_to,
                 tag,
-                stream,
-                columnar,
             } => {
                 self.ofm.seal_for_scan();
-                self.ship_stream(
-                    &plan,
-                    &extra,
-                    reply_to,
-                    query_id,
-                    tag,
-                    stream,
-                    StreamStats::default(),
-                    ctx,
-                    |seq, batch| {
-                        let data = ChunkData::from_batch(batch, columnar);
-                        (
-                            data.rows(),
-                            GdhMsg::BatchChunk {
-                                query_id,
-                                tag,
-                                seq,
-                                data,
-                            },
-                        )
-                    },
-                );
+                self.ship_stream(&plan, &extra, reply_to, query_id, tag, StreamStats::default(), ctx);
             }
             GdhMsg::ShuffleSubplan {
                 query_id,
@@ -1356,12 +1243,10 @@ impl Process<GdhMsg> for OfmActor {
                 restrict_to,
                 side,
                 tag,
-                columnar,
             } => {
                 self.ofm.seal_for_scan();
                 self.run_shuffle_source(
-                    query_id, exchange, &plan, &key_cols, &sites, restrict_to, side, tag,
-                    columnar, ctx,
+                    query_id, exchange, &plan, &key_cols, &sites, restrict_to, side, tag, ctx,
                 );
             }
             GdhMsg::ShuffleJoin {
@@ -1375,8 +1260,6 @@ impl Process<GdhMsg> for OfmActor {
                 right_streams,
                 reply_to,
                 tag,
-                stream,
-                columnar,
             } => {
                 self.install_shuffle_join(
                     query_id,
@@ -1389,8 +1272,6 @@ impl Process<GdhMsg> for OfmActor {
                     &right_streams,
                     reply_to,
                     tag,
-                    stream,
-                    columnar,
                     ctx,
                 );
             }

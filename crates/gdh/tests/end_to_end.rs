@@ -534,17 +534,14 @@ fn grace() -> prisma_optimizer::PhysicalConfig {
 /// Run `sql` on a fault-free machine and on one whose PE 2 — host of an
 /// `emp` primary, hence of a phase-2 shuffle site — is killed three
 /// messages into the query; the two results must be identical and the
-/// recovery must show in the metrics. `streaming` off makes fragments
-/// and sites drain before their first reply chunk — the shuffle route,
-/// and so the failover armed on it, is the same.
-fn assert_pe_kill_mid_query_is_invisible(sql: &str, streaming: bool) {
+/// recovery must show in the metrics.
+fn assert_pe_kill_mid_query_is_invisible(sql: &str) {
     use prisma_faultx::{FaultInjector, FaultSpec};
     use prisma_types::PeId;
 
     // Oracle: the same machine shape and data, no faults.
     let mut oracle_gdh = failover_machine();
     oracle_gdh.set_physical_config(grace());
-    oracle_gdh.set_streaming(streaming);
     setup_emp(&oracle_gdh);
     let (oracle, oracle_metrics) = oracle_gdh.query_sql_with_metrics(sql).unwrap();
     assert_eq!(oracle_metrics.partitioned_joins, 1, "{oracle_metrics:?}");
@@ -559,7 +556,6 @@ fn assert_pe_kill_mid_query_is_invisible(sql: &str, streaming: bool) {
     let mut gdh = failover_machine();
     gdh.set_fault_injector(faults.clone());
     gdh.set_physical_config(grace());
-    gdh.set_streaming(streaming);
     setup_emp(&gdh);
     let emp = gdh.dictionary().relation("emp").unwrap();
     assert!(
@@ -579,14 +575,14 @@ fn assert_pe_kill_mid_query_is_invisible(sql: &str, streaming: bool) {
     // The reply deadline fired, the dictionary promoted the dead PE's
     // backup replicas, and the lost streams were re-requested — and the
     // merged result is bit-identical to the fault-free run.
-    assert_eq!(rows.tuples(), oracle.tuples(), "streaming={streaming}");
+    assert_eq!(rows.tuples(), oracle.tuples());
     assert!(
         metrics.failovers >= 1,
-        "streaming={streaming}: no backup promotion recorded: {metrics:?}"
+        "no backup promotion recorded: {metrics:?}"
     );
     assert!(
         metrics.streams_rerequested >= 1,
-        "streaming={streaming}: no stream re-requested: {metrics:?}"
+        "no stream re-requested: {metrics:?}"
     );
     assert!(
         faults.events().iter().any(|e| e.contains("kill")),
@@ -598,25 +594,19 @@ fn assert_pe_kill_mid_query_is_invisible(sql: &str, streaming: bool) {
 
 #[test]
 fn pe_killed_mid_grace_join_fails_over_to_backup_replica() {
-    for streaming in [true, false] {
-        assert_pe_kill_mid_query_is_invisible(
-            "SELECT e.id, d.name FROM emp e, dept d WHERE e.dept = d.id ORDER BY e.id",
-            streaming,
-        );
-    }
+    assert_pe_kill_mid_query_is_invisible(
+        "SELECT e.id, d.name FROM emp e, dept d WHERE e.dept = d.id ORDER BY e.id",
+    );
 }
 
 /// The lost site's partial aggregate is recomputed at the backup and
 /// counted once: staged partials of the dead attempt are discarded.
 #[test]
 fn pe_killed_mid_aggregate_over_grace_join_counts_no_partial_twice() {
-    for streaming in [true, false] {
-        assert_pe_kill_mid_query_is_invisible(
-            "SELECT d.name, COUNT(*) AS n, SUM(e.sal) AS s, MIN(e.id) AS lo FROM emp e, dept d \
-             WHERE e.dept = d.id GROUP BY d.name ORDER BY d.name",
-            streaming,
-        );
-    }
+    assert_pe_kill_mid_query_is_invisible(
+        "SELECT d.name, COUNT(*) AS n, SUM(e.sal) AS s, MIN(e.id) AS lo FROM emp e, dept d \
+         WHERE e.dept = d.id GROUP BY d.name ORDER BY d.name",
+    );
 }
 
 #[test]
@@ -697,37 +687,7 @@ fn crash_during_2pc_prepare_aborts_and_names_the_silent_participant() {
     gdh.shutdown();
 }
 
-// ---------------- columnar wire format (E11) ----------------
-
-#[test]
-fn columnar_and_row_wire_agree_end_to_end() {
-    // Differential over the wire formats: the same machine shape and
-    // data, queried once over typed column blocks (the default) and once
-    // over the row-wire baseline, must produce identical results on
-    // streamed scans, grace joins and distributed aggregates.
-    let queries = [
-        "SELECT id FROM emp WHERE sal >= 150.0 ORDER BY id",
-        "SELECT e.id, d.name FROM emp e, dept d WHERE e.dept = d.id ORDER BY e.id",
-        "SELECT dept, COUNT(*) AS n, SUM(sal) AS total FROM emp GROUP BY dept ORDER BY dept",
-    ];
-    let columnar = machine(4);
-    assert!(
-        columnar.executor_columnar_wire(),
-        "the columnar wire is the executor default"
-    );
-    setup_emp(&columnar);
-    let mut row = machine(4);
-    row.set_columnar_wire(false);
-    assert!(!row.executor_columnar_wire());
-    setup_emp(&row);
-    for sql in queries {
-        let a = columnar.execute_sql(sql).unwrap().rows().unwrap();
-        let b = row.execute_sql(sql).unwrap().rows().unwrap();
-        assert_eq!(a.tuples(), b.tuples(), "wire formats disagree on {sql}");
-    }
-    columnar.shutdown();
-    row.shutdown();
-}
+// ---------------- wire corruption ----------------
 
 #[test]
 fn corrupted_batch_chunk_fails_the_query_and_spares_the_machine() {
@@ -745,9 +705,6 @@ fn corrupted_batch_chunk_fails_the_query_and_spares_the_machine() {
             .collect(),
     );
     let mut gdh = machine(4);
-    // The corruption target is the encoded frame, so pin the columnar
-    // wire (row chunks ship tuple vectors — nothing decodes).
-    gdh.set_columnar_wire(true);
     gdh.set_fault_injector(faults.clone());
     setup_emp(&gdh);
     let err = gdh
@@ -787,8 +744,6 @@ fn corrupted_shuffle_chunk_fails_the_join_with_a_wire_error() {
             .collect(),
     );
     let mut gdh = failover_machine();
-    // As above: only the columnar wire has a frame to corrupt.
-    gdh.set_columnar_wire(true);
     gdh.set_fault_injector(faults.clone());
     gdh.set_physical_config(grace());
     setup_emp(&gdh);
@@ -797,39 +752,6 @@ fn corrupted_shuffle_chunk_fails_the_join_with_a_wire_error() {
         .unwrap_err()
         .to_string();
     assert!(err.contains("wire"), "not a wire protocol error: {err}");
-    gdh.shutdown();
-}
-
-#[test]
-fn row_wire_is_immune_to_chunk_corruption() {
-    use prisma_faultx::{FaultInjector, FaultSpec};
-    use prisma_types::PeId;
-
-    // The row wire ships in-memory typed values — there is no encoded
-    // byte frame to damage, so the same scripted fault delivers the
-    // chunk unchanged and the query succeeds. (This is the documented
-    // compatibility property of the baseline format.)
-    let faults = FaultInjector::scripted(
-        23,
-        (0..4)
-            .map(|pe| FaultSpec::CorruptChunk { pe: PeId(pe), nth: 1 })
-            .collect(),
-    );
-    let mut gdh = machine(4);
-    gdh.set_fault_injector(faults.clone());
-    gdh.set_columnar_wire(false);
-    setup_emp(&gdh);
-    let rows = gdh
-        .execute_sql("SELECT id FROM emp ORDER BY id")
-        .unwrap()
-        .rows()
-        .unwrap();
-    assert_eq!(rows.len(), 100);
-    assert!(
-        faults.events().iter().any(|e| e.contains("Corrupt")),
-        "the fate hook must still fire on the row wire: {:?}",
-        faults.events()
-    );
     gdh.shutdown();
 }
 

@@ -265,18 +265,17 @@ fn sql_step(seed: &mut u64, next_id: &mut i64, gdhs: [&GlobalDataHandler; 2]) {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(6))]
 
-    /// End-to-end property on both wire formats: after an identical
-    /// random DML history, a machine that seals every 4 rows and a
-    /// machine that never seals answer zone-straddling queries
-    /// identically — row wire and columnar wire alike.
+    /// End-to-end property: after an identical random DML history, a
+    /// machine that seals every 4 rows and a machine that never seals
+    /// answer zone-straddling queries identically.
     #[test]
     fn sealed_and_unsealed_machines_agree_over_sql(
         seed in 0u64..u64::MAX,
         n_ops in 4usize..12,
     ) {
         let mut s = seed;
-        let mut sealing = boot(4);
-        let mut flat = boot(1_000_000);
+        let sealing = boot(4);
+        let flat = boot(1_000_000);
         for gdh in [&sealing, &flat] {
             gdh.execute_sql("CREATE TABLE t (id INT, grp INT NULL, val DOUBLE) \
                              FRAGMENTED BY HASH(id) INTO 4")
@@ -293,17 +292,10 @@ proptest! {
             "SELECT id FROM t WHERE grp IS NULL ORDER BY id".to_owned(),
             "SELECT grp, COUNT(*) AS n FROM t GROUP BY grp ORDER BY grp".to_owned(),
         ];
-        for columnar in [true, false] {
-            sealing.set_columnar_wire(columnar);
-            flat.set_columnar_wire(columnar);
-            for q in &queries {
-                let got = sealing.execute_sql(q).unwrap().rows().unwrap();
-                let want = flat.execute_sql(q).unwrap().rows().unwrap();
-                prop_assert_eq!(
-                    got.tuples(), want.tuples(),
-                    "{} diverged (columnar={}, seed {})", q, columnar, seed
-                );
-            }
+        for q in &queries {
+            let got = sealing.execute_sql(q).unwrap().rows().unwrap();
+            let want = flat.execute_sql(q).unwrap().rows().unwrap();
+            prop_assert_eq!(got.tuples(), want.tuples(), "{} diverged (seed {})", q, seed);
         }
         sealing.shutdown();
         flat.shutdown();
@@ -439,8 +431,8 @@ fn aggregate_over_join_plans(
 }
 
 /// The distributed aggregate-over-join agrees with the oracle under both
-/// join strategies, both wires and both shipping modes — and when the
-/// aggregate is decomposable only partials cross to the coordinator.
+/// join strategies — and when the aggregate is decomposable only
+/// partials cross to the coordinator.
 #[test]
 fn aggregate_over_join_matches_oracle_and_ships_only_partials() {
     let tables = join_tables();
@@ -451,37 +443,32 @@ fn aggregate_over_join_matches_oracle_and_ships_only_partials() {
             broadcast_max_rows,
             ..prisma_optimizer::PhysicalConfig::default()
         });
-        for (streaming, columnar) in [(true, true), (true, false), (false, true), (false, false)] {
-            gdh.set_streaming(streaming);
-            gdh.set_columnar_wire(columnar);
-            for (shape, plan, groups) in aggregate_over_join_plans(&tables) {
-                let case =
-                    format!("{shape} / {strategy} / streaming={streaming} / columnar={columnar}");
-                let want = eval(&plan, &tables).unwrap();
-                let (got, m) = gdh.query(&plan).unwrap();
-                assert_eq!(got.schema(), want.schema(), "{case}");
-                if shape.starts_with("global") {
-                    assert_eq!(got.len(), 1, "{case}");
-                }
-                assert_eq!(got.canonicalized(), want.canonicalized(), "{case}");
-                let (partitioned, broadcast) = (m.partitioned_joins, m.broadcast_joins);
-                match strategy {
-                    "partitioned" => assert_eq!((partitioned, broadcast), (1, 0), "{case}: {m:?}"),
-                    _ => assert_eq!((partitioned, broadcast), (0, 1), "{case}: {m:?}"),
-                }
-                let Some(groups) = groups else {
-                    continue;
-                };
-                let bound = match strategy {
-                    "partitioned" => groups * sites,
-                    _ => groups * sites + build_rows,
-                };
-                assert!(
-                    m.tuples_shipped <= bound,
-                    "{case}: {} row(s) shipped, bound {bound}: {m:?}",
-                    m.tuples_shipped
-                );
+        for (shape, plan, groups) in aggregate_over_join_plans(&tables) {
+            let case = format!("{shape} / {strategy}");
+            let want = eval(&plan, &tables).unwrap();
+            let (got, m) = gdh.query(&plan).unwrap();
+            assert_eq!(got.schema(), want.schema(), "{case}");
+            if shape.starts_with("global") {
+                assert_eq!(got.len(), 1, "{case}");
             }
+            assert_eq!(got.canonicalized(), want.canonicalized(), "{case}");
+            let (partitioned, broadcast) = (m.partitioned_joins, m.broadcast_joins);
+            match strategy {
+                "partitioned" => assert_eq!((partitioned, broadcast), (1, 0), "{case}: {m:?}"),
+                _ => assert_eq!((partitioned, broadcast), (0, 1), "{case}: {m:?}"),
+            }
+            let Some(groups) = groups else {
+                continue;
+            };
+            let bound = match strategy {
+                "partitioned" => groups * sites,
+                _ => groups * sites + build_rows,
+            };
+            assert!(
+                m.tuples_shipped <= bound,
+                "{case}: {} row(s) shipped, bound {bound}: {m:?}",
+                m.tuples_shipped
+            );
         }
     }
     gdh.shutdown();

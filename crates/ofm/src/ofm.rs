@@ -494,12 +494,10 @@ impl Ofm {
     ///
     /// Scans snapshot the fragment at open time, so the stream stays
     /// consistent however long shipping takes. Batches come out in
-    /// whatever physical form the executor produced — with the columnar
-    /// wire (the default) callers shipping across PEs encode them as
-    /// typed column blocks via `Batch::encode_columnar`, so the batch
-    /// never pivots to rows on its way to the coordinator; only the
-    /// legacy row wire (`set_columnar_wire(false)`) still pivots with
-    /// [`Batch::into_rows`] at the wire boundary.
+    /// whatever physical form the executor produced; callers shipping
+    /// across PEs encode them as typed column blocks via
+    /// [`Batch::encode_columnar_shared`], so a batch never pivots to rows
+    /// on its way to the coordinator.
     pub fn open_physical(
         &self,
         plan: &PhysicalPlan,
@@ -540,18 +538,15 @@ impl Ofm {
     }
 
     /// Execute a lowered physical subplan to completion, returning every
-    /// batch at once (the materialized path; the actor hot path streams
-    /// through [`Ofm::open_physical`] instead). Batches are pivoted to
-    /// row form for the embedder- and test-facing callers of this
-    /// convenience; the wire path encodes straight from
-    /// [`Ofm::open_physical`]'s batches without this pivot.
+    /// batch at once in whatever form the executor produced — a
+    /// convenience for embedders and tests; the actor hot path streams
+    /// through [`Ofm::open_physical`] instead.
     pub fn execute_physical(
         &self,
         plan: &PhysicalPlan,
         extra: &HashMap<String, Arc<Relation>>,
     ) -> Result<Vec<Batch>> {
-        let batches = self.open_physical(plan, extra)?.drain()?;
-        Ok(batches.into_iter().map(Batch::into_rows).collect())
+        self.open_physical(plan, extra)?.drain()
     }
 
     /// Execute a local logical subplan: lower it and run the physical
@@ -559,7 +554,7 @@ impl Ofm {
     ///
     /// Convenience for embedders and tests. Note it lowers with default
     /// join strategies and deep-copies each `extra` relation into an
-    /// `Arc`; the actor hot path uses [`Ofm::execute_physical`] directly
+    /// `Arc`; the actor hot path uses [`Ofm::open_physical`] directly
     /// with pre-shared extras.
     pub fn execute(
         &self,

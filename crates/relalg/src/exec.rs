@@ -20,8 +20,7 @@
 //! A [`Batch`] carries its rows in one of two physical forms:
 //!
 //! * **row-oriented** (`Shared` windows into an `Arc<Relation>`, or
-//!   `Owned` tuple vectors) — what scans emit and what crosses the wire
-//!   between PEs;
+//!   `Owned` tuple vectors) — what row-heap scans and joins emit;
 //! * **columnar** (`Columns`) — a set of `Arc`-shared [`ColumnVec`]s plus
 //!   a [`SelVec`] selection vector, produced by Filter and Project so
 //!   expressions evaluate column-at-a-time through the vectorized
@@ -39,9 +38,10 @@
 //!    kept alongside, so pivoting *back* to rows only bumps refcounts
 //!    instead of re-assembling tuples.
 //! 2. *Columns → rows* happens at materialization points — blocking
-//!    operators, [`collect_batches`], join output, and the OFM wire
-//!    boundary ([`Batch::into_rows`]) — and is cached per batch, so
-//!    repeated [`Batch::tuples`] calls pivot at most once.
+//!    operators, [`collect_batches`] and join output — and is cached per
+//!    batch, so repeated [`Batch::tuples`] calls pivot at most once. The
+//!    wire between PEs is not one of them: every batch ships as an
+//!    encoded column block ([`Batch::encode_columnar_shared`]).
 //!
 //! A Filter over a columnar batch is pure selection refinement: the
 //! output batch shares the input's column set untouched and only the
@@ -101,9 +101,6 @@ pub type SharedColumns = Arc<LazyColumns>;
 #[derive(Debug, Clone)]
 pub struct Batch {
     inner: BatchInner,
-    /// Wire size, computed at most once per batch (the ledger path asks
-    /// on every ship).
-    wire: OnceLock<u64>,
     /// When the batch *is* a whole sealed chunk — unprojected, every row
     /// selected — the chunk rides along so the wire boundary can reuse
     /// its cached [`prisma_types::wire::BlockChunk`] instead of
@@ -139,7 +136,6 @@ impl Batch {
     fn from_inner(inner: BatchInner) -> Batch {
         Batch {
             inner,
-            wire: OnceLock::new(),
             chunk: None,
         }
     }
@@ -227,14 +223,6 @@ impl Batch {
         self.len() == 0
     }
 
-    /// Wire size in bits when shipped between PEs; computed once and
-    /// cached (callers meter every shipped batch against the ledger).
-    pub fn wire_bits(&self) -> u64 {
-        *self
-            .wire
-            .get_or_init(|| self.tuples().iter().map(Tuple::wire_bits).sum())
-    }
-
     /// Extract the rows (refcount bumps for shared batches).
     pub fn into_tuples(self) -> Vec<Tuple> {
         match self.inner {
@@ -246,20 +234,6 @@ impl Batch {
                     .unwrap_or_else(|| pivot_to_rows(&cols, &sel)),
                 Err(shared) => shared.get_or_init(|| pivot_to_rows(&cols, &sel)).clone(),
             },
-        }
-    }
-
-    /// Pivot to the row-oriented form (the wire representation shipped
-    /// between PEs). No-op for batches already holding rows.
-    pub fn into_rows(self) -> Batch {
-        match self.inner {
-            BatchInner::Columns { .. } => {
-                let wire = self.wire.clone();
-                let mut out = Batch::owned(self.into_tuples());
-                out.wire = wire;
-                out
-            }
-            _ => self,
         }
     }
 
@@ -312,9 +286,8 @@ impl Batch {
     /// Encode the batch's live rows as one columnar wire frame
     /// ([`prisma_types::wire::BlockChunk`]). Columnar batches encode their
     /// column set directly (gathering through the selection when one is
-    /// active); row batches pivot per column here — the *only* pivot the
-    /// columnar wire pays, replacing the receive-side re-pivot of the row
-    /// wire.
+    /// active); row batches pivot per column here — the only pivot the
+    /// wire pays.
     pub fn encode_columnar(&self) -> prisma_types::wire::BlockChunk {
         use std::borrow::Cow;
         if let BatchInner::Columns { cols, sel, .. } = &self.inner {
@@ -373,13 +346,6 @@ impl Batch {
             positions.len(),
             (0..cols.arity()).map(|c| Cow::Owned(cols.col(c).gather(&idx))),
         )
-    }
-
-    /// Clone the live rows at `positions` — the row-wire counterpart of
-    /// [`Batch::encode_positions`] (refcount bumps, no payload copies).
-    pub fn gather_rows(&self, positions: &[u32]) -> Vec<Tuple> {
-        let tuples = self.tuples();
-        positions.iter().map(|&p| tuples[p as usize].clone()).collect()
     }
 
     /// Decode a received columnar wire frame into a columnar batch whose
@@ -1634,21 +1600,18 @@ mod tests {
             vec![tuple![1], tuple![2], Tuple::new(vec![Value::Null]), tuple![1]],
         ));
         let batch = Batch::shared(rel, 0, 4);
-        let parts: Vec<Vec<Tuple>> = partition_positions(&batch, &[0], 3)
-            .iter()
-            .map(|pos| batch.gather_rows(pos))
-            .collect();
+        let parts = partition_positions(&batch, &[0], 3);
         let total: usize = parts.iter().map(Vec::len).sum();
         assert_eq!(total, 3, "NULL key dropped");
         // Equal keys land in the same bucket.
-        let with_one: Vec<usize> = parts
-            .iter()
-            .enumerate()
-            .filter(|(_, b)| b.iter().any(|t| t.get(0) == &Value::Int(1)))
-            .map(|(i, _)| i)
-            .collect();
+        let ones = |pos: &[u32]| {
+            pos.iter()
+                .filter(|&&p| batch.value_at(p as usize, 0) == Value::Int(1))
+                .count()
+        };
+        let with_one: Vec<usize> = (0..parts.len()).filter(|&i| ones(&parts[i]) > 0).collect();
         assert_eq!(with_one.len(), 1);
-        assert_eq!(parts[with_one[0]].iter().filter(|t| t.get(0) == &Value::Int(1)).count(), 2);
+        assert_eq!(ones(&parts[with_one[0]]), 2);
     }
 
     #[test]
@@ -1686,7 +1649,7 @@ mod tests {
     }
 
     #[test]
-    fn batch_pivot_roundtrip_and_wire_bits_cache() {
+    fn batch_pivot_roundtrip() {
         let rows = vec![tuple![1, 2.5, "a"], tuple![2, -0.5, "bb"]];
         let b = Batch::owned(rows.clone());
         let (cols, sel) = b.to_columns();
@@ -1697,11 +1660,6 @@ mod tests {
         let col_batch = Batch::columns_shared(cols, SelVec::from_indices(2, vec![1]));
         assert_eq!(col_batch.len(), 1);
         assert_eq!(col_batch.tuples(), &rows[1..]);
-        // wire_bits of the pivoted batch equals the row computation, and
-        // the cached value is stable across calls.
-        let expected: u64 = rows[1].wire_bits();
-        assert_eq!(col_batch.wire_bits(), expected);
-        assert_eq!(col_batch.wire_bits(), expected);
         // Gathered rows are refcount bumps of the source tuples.
         assert_eq!(col_batch.value_at(0, 2), Value::from("bb"));
         assert_eq!(col_batch.key_at(0, &[1, 0]), vec![Value::from(-0.5), Value::from(2)]);

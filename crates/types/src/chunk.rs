@@ -6,7 +6,7 @@
 //! chunk is sealed exactly once: the rows are pivoted into typed
 //! [`ColumnVec`]s (the *only* pivot those rows ever pay for), a [`ZoneMap`]
 //! is computed per column, and the original row form is retained so row
-//! consumers (checkpoints, the legacy row wire, undo) can gather refcounted
+//! consumers (checkpoints, undo) can gather refcounted
 //! tuples without un-pivoting.
 //!
 //! Chunks are immutable; a mutation of any covered row *dissolves* the whole

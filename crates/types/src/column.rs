@@ -324,7 +324,7 @@ impl LazyColumns {
     /// Column set from already-materialized columns **and** the retained
     /// row form they were pivoted from — a sealed fragment chunk. Kernels
     /// read the pre-filled columns with zero pivot, while row consumers
-    /// (`pivot_to_rows`, point reads, the row wire) gather refcounted
+    /// (`pivot_to_rows`, point reads) gather refcounted
     /// tuples out of `rows` instead of rebuilding them from the columns.
     pub fn from_rows_and_cols(
         rows: std::sync::Arc<Vec<crate::tuple::Tuple>>,

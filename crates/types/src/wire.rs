@@ -826,10 +826,10 @@ fn decode_column(tag: u8, payload: &[u8], rows: usize, col: usize) -> Result<Col
 
 /// One encoded batch: a checksummed frame of per-column typed blocks.
 ///
-/// This is the unit the streaming protocol ships — `BatchChunk` and
-/// `ShuffleChunk` payloads carry a `BlockChunk` instead of a row vector when
-/// the columnar wire is on. The row count is recorded in the frame header so
-/// stream accounting (rows advertised vs. released) works without decoding.
+/// This is the unit the streaming protocol ships: every `BatchChunk` and
+/// `ShuffleChunk` payload is a `BlockChunk`. The row count is recorded in
+/// the frame header so stream accounting (rows advertised vs. released)
+/// works without decoding.
 #[derive(Debug, Clone, PartialEq)]
 pub struct BlockChunk {
     rows: u32,

@@ -63,7 +63,7 @@ fn distributed_execution_matches_reference_evaluator() {
 /// evaluator; a small build side must stay on the broadcast path.
 #[test]
 fn partitioned_and_broadcast_joins_agree_with_reference() {
-    let mut db = PrismaMachine::builder().pes(8).build().unwrap();
+    let db = PrismaMachine::builder().pes(8).build().unwrap();
     db.sql("CREATE TABLE big_l (k INT, grp INT, v INT) FRAGMENTED BY HASH(k) INTO 4")
         .unwrap();
     db.sql("CREATE TABLE big_r (k INT, grp INT, v INT) FRAGMENTED BY HASH(grp) INTO 3")
@@ -110,82 +110,76 @@ fn partitioned_and_broadcast_joins_agree_with_reference() {
     .into_iter()
     .collect();
 
-    // Streamed and materialized replies take the same routes: every
-    // check below — oracle agreement, strategy, shipped-rows bounds —
-    // holds under both.
-    for streaming in [true, false] {
-        db.gdh_mut().set_streaming(streaming);
-        let check = |sql: &str| -> prisma::gdh::exec::ExecMetrics {
-            let (rows, metrics) = db.query_with_metrics(sql).unwrap();
-            let stmt = sqlfe::parse_statement(sql).unwrap();
-            let PlannedStatement::Query(plan) = sqlfe::plan(&stmt, &catalog).unwrap() else {
-                panic!("{sql} is not a query")
-            };
-            let via_reference = eval(&plan, &reference).unwrap().canonicalized();
-            assert_eq!(
-                rows.canonicalized().tuples(),
-                via_reference.tuples(),
-                "machine and reference disagree on: {sql}"
-            );
-            metrics
+    let check = |sql: &str| -> prisma::gdh::exec::ExecMetrics {
+        let (rows, metrics) = db.query_with_metrics(sql).unwrap();
+        let stmt = sqlfe::parse_statement(sql).unwrap();
+        let PlannedStatement::Query(plan) = sqlfe::plan(&stmt, &catalog).unwrap() else {
+            panic!("{sql} is not a query")
         };
-
-        // Both sides large: grace join.
-        let m = check("SELECT l.v, r.v FROM big_l l, big_r r WHERE l.k = r.k");
-        assert!(m.partitioned_joins >= 1, "expected a grace join: {m:?}");
-        assert_eq!(m.repartition_tasks, 7, "4 left + 3 right fragments: {m:?}");
-        assert!(m.batches_shipped > 0, "{m:?}");
-
-        // Residual predicates survive the partitioned path.
-        let m = check(
-            "SELECT l.k FROM big_l l, big_r r WHERE l.k = r.k AND l.v < r.v",
+        let via_reference = eval(&plan, &reference).unwrap().canonicalized();
+        assert_eq!(
+            rows.canonicalized().tuples(),
+            via_reference.tuples(),
+            "machine and reference disagree on: {sql}"
         );
-        assert!(m.partitioned_joins >= 1, "{m:?}");
+        metrics
+    };
 
-        // Small build side: broadcast.
-        let m = check("SELECT l.v, t.label FROM big_l l, tiny t WHERE l.grp = t.k");
-        assert!(m.broadcast_joins >= 1, "expected broadcast: {m:?}");
-        assert_eq!(m.partitioned_joins, 0, "{m:?}");
+    // Both sides large: grace join.
+    let m = check("SELECT l.v, r.v FROM big_l l, big_r r WHERE l.k = r.k");
+    assert!(m.partitioned_joins >= 1, "expected a grace join: {m:?}");
+    assert_eq!(m.repartition_tasks, 7, "4 left + 3 right fragments: {m:?}");
+    assert!(m.batches_shipped > 0, "{m:?}");
 
-        // Decomposable aggregate over the grace join: each of the 4 phase-2
-        // sites folds its own buckets and ships at most one row per group
-        // (40) — the 1300 joined rows never cross to the coordinator.
-        let m = check(
-            "SELECT l.grp, COUNT(*) AS n, SUM(r.v) AS s FROM big_l l, big_r r \
-             WHERE l.k = r.k GROUP BY l.grp",
-        );
-        assert!(m.partitioned_joins >= 1, "{m:?}");
-        assert!(m.tuples_shipped <= 40 * 4, "partials only: {m:?}");
+    // Residual predicates survive the partitioned path.
+    let m = check(
+        "SELECT l.k FROM big_l l, big_r r WHERE l.k = r.k AND l.v < r.v",
+    );
+    assert!(m.partitioned_joins >= 1, "{m:?}");
 
-        // A predicate over both sides sits between the aggregate and the join.
-        let m = check(
-            "SELECT l.grp, MIN(r.v) AS lo, MAX(l.v) AS hi FROM big_l l, big_r r \
-             WHERE l.k = r.k AND l.v + r.v > 1000 GROUP BY l.grp",
-        );
-        assert!(m.partitioned_joins >= 1, "{m:?}");
-        assert!(m.tuples_shipped <= 40 * 4, "partials only: {m:?}");
+    // Small build side: broadcast.
+    let m = check("SELECT l.v, t.label FROM big_l l, tiny t WHERE l.grp = t.k");
+    assert!(m.broadcast_joins >= 1, "expected broadcast: {m:?}");
+    assert_eq!(m.partitioned_joins, 0, "{m:?}");
 
-        // A global aggregate over a join that matches nothing: one row, COUNT 0.
-        let m = check(
-            "SELECT COUNT(*) AS n, SUM(r.v) AS s FROM big_l l, big_r r \
-             WHERE l.k = r.k AND l.v + r.v < 0",
-        );
-        assert!(m.tuples_shipped <= 4, "one partial per site: {m:?}");
+    // Decomposable aggregate over the grace join: each of the 4 phase-2
+    // sites folds its own buckets and ships at most one row per group
+    // (40) — the 1300 joined rows never cross to the coordinator.
+    let m = check(
+        "SELECT l.grp, COUNT(*) AS n, SUM(r.v) AS s FROM big_l l, big_r r \
+         WHERE l.k = r.k GROUP BY l.grp",
+    );
+    assert!(m.partitioned_joins >= 1, "{m:?}");
+    assert!(m.tuples_shipped <= 40 * 4, "partials only: {m:?}");
 
-        // The same below a broadcast join: one partial per big_l fragment,
-        // plus tiny's 30 build rows assembling at the coordinator.
-        let m = check(
-            "SELECT t.label, COUNT(*) AS n, SUM(l.v) AS s FROM big_l l, tiny t \
-             WHERE l.grp = t.k GROUP BY t.label",
-        );
-        assert!(m.broadcast_joins >= 1, "{m:?}");
-        assert!(m.tuples_shipped <= 30 * 4 + 30, "partials only: {m:?}");
+    // A predicate over both sides sits between the aggregate and the join.
+    let m = check(
+        "SELECT l.grp, MIN(r.v) AS lo, MAX(l.v) AS hi FROM big_l l, big_r r \
+         WHERE l.k = r.k AND l.v + r.v > 1000 GROUP BY l.grp",
+    );
+    assert!(m.partitioned_joins >= 1, "{m:?}");
+    assert!(m.tuples_shipped <= 40 * 4, "partials only: {m:?}");
 
-        // AVG is not decomposable: it takes the generic route and still agrees.
-        let m =
-            check("SELECT l.grp, AVG(r.v) AS a FROM big_l l, big_r r WHERE l.k = r.k GROUP BY l.grp");
-        assert!(m.tuples_shipped >= 1300, "the joined rows ship: {m:?}");
-    }
+    // A global aggregate over a join that matches nothing: one row, COUNT 0.
+    let m = check(
+        "SELECT COUNT(*) AS n, SUM(r.v) AS s FROM big_l l, big_r r \
+         WHERE l.k = r.k AND l.v + r.v < 0",
+    );
+    assert!(m.tuples_shipped <= 4, "one partial per site: {m:?}");
+
+    // The same below a broadcast join: one partial per big_l fragment,
+    // plus tiny's 30 build rows assembling at the coordinator.
+    let m = check(
+        "SELECT t.label, COUNT(*) AS n, SUM(l.v) AS s FROM big_l l, tiny t \
+         WHERE l.grp = t.k GROUP BY t.label",
+    );
+    assert!(m.broadcast_joins >= 1, "{m:?}");
+    assert!(m.tuples_shipped <= 30 * 4 + 30, "partials only: {m:?}");
+
+    // AVG is not decomposable: it takes the generic route and still agrees.
+    let m =
+        check("SELECT l.grp, AVG(r.v) AS a FROM big_l l, big_r r WHERE l.k = r.k GROUP BY l.grp");
+    assert!(m.tuples_shipped >= 1300, "the joined rows ship: {m:?}");
 
     // EXPLAIN shows the placement the executor used.
     let plan = db
@@ -209,7 +203,7 @@ fn partitioned_and_broadcast_joins_agree_with_reference() {
 
 #[test]
 fn streamed_batch_shipping_overlaps_scan_and_merge() {
-    let mut db = PrismaMachine::builder().pes(8).build().unwrap();
+    let db = PrismaMachine::builder().pes(8).build().unwrap();
     db.sql("CREATE TABLE s (a INT, b INT) FRAGMENTED BY HASH(a) INTO 4")
         .unwrap();
     let rows: Vec<prisma::Tuple> = (0..6000).map(|i| prisma::types::tuple![i, i % 11]).collect();
@@ -219,12 +213,10 @@ fn streamed_batch_shipping_overlaps_scan_and_merge() {
     }
     let sql = "SELECT a, b FROM s WHERE b < 9";
 
-    // Streaming (the default): the first merged batch lands while other
-    // fragments are still scanning, so first-batch latency is measured
-    // and bounded by the full-result latency; every fragment's stream
-    // was in flight at once.
+    // The first merged batch lands while other fragments are still
+    // scanning, so first-batch latency is measured and bounded by the
+    // full-result latency; every fragment's stream was in flight at once.
     let (streamed, m) = db.query_with_metrics(sql).unwrap();
-    assert!(db.gdh().executor_streaming());
     assert!(m.batches_shipped >= 4, "{m:?}");
     assert!(
         m.first_batch_micros > 0 && m.first_batch_micros <= m.full_result_micros,
@@ -232,15 +224,14 @@ fn streamed_batch_shipping_overlaps_scan_and_merge() {
     );
     assert_eq!(m.max_in_flight_streams, 4, "{m:?}");
 
-    // The materialized baseline ships the same batches and agrees
-    // exactly; it only loses the overlap.
-    db.gdh_mut().set_streaming(false);
-    let (materialized, m2) = db.query_with_metrics(sql).unwrap();
-    assert_eq!(
-        streamed.canonicalized().tuples(),
-        materialized.canonicalized().tuples()
-    );
-    assert_eq!(m.tuples_shipped, m2.tuples_shipped);
+    // Every qualifying row arrives exactly once, and only those ship.
+    let want: Vec<prisma::Tuple> = rows
+        .iter()
+        .filter(|t| t.get(1).as_int() < Some(9))
+        .cloned()
+        .collect();
+    assert_eq!(streamed.canonicalized().tuples(), want);
+    assert_eq!(m.tuples_shipped, want.len() as u64);
     db.shutdown();
 }
 

@@ -296,20 +296,6 @@ fn shared_machine() -> &'static Arc<PrismaMachine> {
     })
 }
 
-/// The same machine shape and data as [`shared_machine`], pinned to the
-/// legacy row wire — the differential half of the wire-format property:
-/// both machines must give the same answer as the eval oracle on every
-/// generated plan.
-fn shared_row_wire_machine() -> &'static Arc<PrismaMachine> {
-    static MACHINE: OnceLock<Arc<PrismaMachine>> = OnceLock::new();
-    MACHINE.get_or_init(|| {
-        let mut db = PrismaMachine::builder().pes(8).build().unwrap();
-        db.gdh_mut().set_columnar_wire(false);
-        load_lr(&db);
-        Arc::new(db)
-    })
-}
-
 fn machine_rows() -> (Vec<Tuple>, Vec<Tuple>) {
     let l = (0..1200i64).map(|i| tuple![i, i % 37, (i * 7) % 50]).collect();
     let r = (0..1100i64).map(|i| tuple![i, i % 37, (i * 11) % 50]).collect();
@@ -726,32 +712,22 @@ proptest! {
         reference.insert("r".into(), to_rel(&rrows));
         let oracle = eval(&plan, &reference).unwrap().canonicalized();
 
-        // Differential: streamed or materialized replies, columnar or
-        // legacy row wire — one route, one result.
-        for (streaming, columnar) in [(true, true), (true, false), (false, true), (false, false)] {
-            db.gdh_mut().set_streaming(streaming);
-            db.gdh_mut().set_columnar_wire(columnar);
-            let (rows, metrics) = db.gdh().query(&plan).unwrap();
-            prop_assert_eq!(metrics.partitioned_joins, 1, "not a grace join: {:?}", metrics);
-            prop_assert_eq!(
-                metrics.tuples_shipped,
-                rows.len() as u64,
-                "the coordinator must receive result rows only (streaming={}, columnar={}): {:?}",
-                streaming,
-                columnar,
-                metrics
-            );
-            let got = rows.canonicalized();
-            prop_assert_eq!(
-                got.tuples(),
-                oracle.tuples(),
-                "grace join disagrees with the oracle (parts={:?}, key={}, streaming={}, columnar={})",
-                parts,
-                key,
-                streaming,
-                columnar
-            );
-        }
+        let (rows, metrics) = db.gdh().query(&plan).unwrap();
+        prop_assert_eq!(metrics.partitioned_joins, 1, "not a grace join: {:?}", metrics);
+        prop_assert_eq!(
+            metrics.tuples_shipped,
+            rows.len() as u64,
+            "the coordinator must receive result rows only: {:?}",
+            metrics
+        );
+        let got = rows.canonicalized();
+        prop_assert_eq!(
+            got.tuples(),
+            oracle.tuples(),
+            "grace join disagrees with the oracle (parts={:?}, key={})",
+            parts,
+            key
+        );
         db.shutdown();
     }
 }
@@ -802,9 +778,10 @@ proptest! {
         };
 
         // Build every (side, source, site) stream: sources partition each
-        // produced "batch" and group bucket slices per owning site, with
-        // per-site sequence numbers — exactly the ShuffleChunk shape.
-        type Payload = Vec<(usize, Vec<Tuple>)>;
+        // produced "batch", encode each bucket's positions as one wire
+        // frame and group the frames per owning site, with per-site
+        // sequence numbers — exactly the ShuffleChunk shape.
+        type Payload = Vec<(usize, BlockChunk)>;
         enum Ev {
             Chunk { site: usize, side: usize, tag: u64, seq: u64, payload: Payload },
             End { site: usize, side: usize, tag: u64, seq_count: u64 },
@@ -818,7 +795,7 @@ proptest! {
                     let mut per_site: Vec<Payload> = vec![Vec::new(); n_sites];
                     for (j, pos) in partition_positions(&batch, &[0], parts).iter().enumerate() {
                         if !pos.is_empty() {
-                            per_site[site_of(j)].push((j, batch.gather_rows(pos)));
+                            per_site[site_of(j)].push((j, batch.encode_positions(pos)));
                         }
                     }
                     for (site, payload) in per_site.into_iter().enumerate() {
@@ -874,9 +851,10 @@ proptest! {
                     released.clear();
                     sites[site][side].accept(tag, seq, payload, &mut released).unwrap();
                     for payload in released.drain(..) {
-                        for (bucket, rows) in payload {
+                        for (bucket, frame) in payload {
                             prop_assert_eq!(site_of(bucket), site, "chunk at wrong site");
-                            collected[site][side].extend(rows);
+                            collected[site][side]
+                                .extend(Batch::from_block(&frame).unwrap().into_tuples());
                         }
                     }
                 }
@@ -920,17 +898,12 @@ proptest! {
     // broadcast AND hash-partitioned joins (the scans are sized across
     // the broadcast threshold), decomposable-aggregate merges, CSE memo
     // hits from the union arm — agrees with the reference evaluator on
-    // randomized plans, over the columnar wire (the default) AND the
-    // legacy row wire run in the same case as a differential check.
+    // randomized plans.
     #[test]
     fn distributed_batch_pipeline_matches_reference_evaluator(
         ops in arb_plan_ops(5),
     ) {
         let db = shared_machine();
-        prop_assert!(
-            db.gdh().executor_columnar_wire(),
-            "the columnar wire is the executor default"
-        );
         let plan = build_plan(&ops, &int3_schema(), &int3_schema());
         let (rows, _metrics) = db.gdh().query(&plan).unwrap();
         let via_machine = rows.canonicalized();
@@ -939,15 +912,6 @@ proptest! {
             via_machine.tuples(),
             via_reference.tuples(),
             "machine and reference disagree on:\n{}",
-            plan
-        );
-        let row_db = shared_row_wire_machine();
-        let (rows, _metrics) = row_db.gdh().query(&plan).unwrap();
-        let via_row_wire = rows.canonicalized();
-        prop_assert_eq!(
-            via_row_wire.tuples(),
-            via_reference.tuples(),
-            "row-wire machine disagrees with the reference on:\n{}",
             plan
         );
     }
@@ -1441,7 +1405,7 @@ proptest! {
     }
 }
 
-// ---------- columnar wire under mid-query failover ----------
+// ---------- the wire under mid-query failover and corruption ----------
 
 /// A 4-PE machine with a 1-second reply deadline, so a dropped reply
 /// chunk retires its stream quickly instead of stalling for the default
@@ -1459,15 +1423,14 @@ fn failover_db() -> PrismaMachine {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(4))]
 
-    // Mid-query failover over the columnar wire: a grace join whose reply
-    // streams lose randomly chosen chunks (forcing retire + re-request
-    // under the PR 7 failover protocol) still matches the eval oracle
-    // exactly — and the row wire survives the same fault script in the
-    // same case as a differential check. The armed-but-empty injector
-    // calibrates the per-PE chunk clock on a fault-free run, so drops can
-    // be scripted at each victim's first chunk of the *next* run.
+    // Mid-query failover: a grace join whose reply streams lose randomly
+    // chosen chunks (forcing retire + re-request under the PR 7 failover
+    // protocol) still matches the eval oracle exactly. The
+    // armed-but-empty injector calibrates the per-PE chunk clock on a
+    // fault-free run, so drops can be scripted at each victim's first
+    // chunk of the *next* run.
     #[test]
-    fn failover_rerequests_match_eval_oracle_on_both_wires(
+    fn failover_rerequests_match_eval_oracle(
         lrows in prop::collection::vec((-20i64..20, -20i64..20, -20i64..20), 30..90),
         rrows in prop::collection::vec((-20i64..20, -20i64..20, -20i64..20), 20..70),
         victims in prop::collection::vec(0usize..4, 1..3),
@@ -1515,39 +1478,147 @@ proptest! {
         let calm = calm.canonicalized();
         prop_assert_eq!(calm.tuples(), oracle.tuples());
 
-        // Both wires take a faulted turn; chunk ordinals are scripted
-        // against the clock right before each run, so the second script
-        // lands in the third run regardless of how many extra chunks the
-        // re-requests of the second shipped.
-        for columnar in [true, false] {
-            db.gdh_mut().set_columnar_wire(columnar);
-            let specs: Vec<FaultSpec> = victims
-                .iter()
-                .map(|&pe| PeId(pe as u32))
-                .filter(|&pe| faults.chunks_seen(pe) > 0)
-                .map(|pe| FaultSpec::DropChunk { pe, nth: faults.chunks_seen(pe) + 1 })
-                .collect();
-            let expect_rerequest = !specs.is_empty();
-            faults.script(specs);
-            let (rows, metrics) = db.gdh().query(&plan).unwrap();
-            let rows = rows.canonicalized();
-            prop_assert_eq!(
-                rows.tuples(),
-                oracle.tuples(),
-                "columnar={}: faulted run disagrees with the oracle",
-                columnar
+        // The faulted run: chunk ordinals are scripted against the clock
+        // the calibration run left behind.
+        let specs: Vec<FaultSpec> = victims
+            .iter()
+            .map(|&pe| PeId(pe as u32))
+            .filter(|&pe| faults.chunks_seen(pe) > 0)
+            .map(|pe| FaultSpec::DropChunk { pe, nth: faults.chunks_seen(pe) + 1 })
+            .collect();
+        let expect_rerequest = !specs.is_empty();
+        faults.script(specs);
+        let (rows, metrics) = db.gdh().query(&plan).unwrap();
+        let rows = rows.canonicalized();
+        prop_assert_eq!(
+            rows.tuples(),
+            oracle.tuples(),
+            "faulted run disagrees with the oracle"
+        );
+        if expect_rerequest {
+            prop_assert!(
+                metrics.streams_rerequested >= 1,
+                "no stream was re-requested — the drop never bit: {:?}",
+                metrics
             );
-            if expect_rerequest {
-                prop_assert!(
-                    metrics.streams_rerequested >= 1,
-                    "columnar={}: no stream was re-requested — the drop never bit: {:?}",
-                    columnar,
-                    metrics
-                );
-            }
-            prop_assert_eq!(metrics.failovers, 0, "no PE died: {:?}", metrics);
         }
+        prop_assert_eq!(metrics.failovers, 0, "no PE died: {:?}", metrics);
         db.shutdown();
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(4))]
+
+    // Corruption is never silent anywhere on the wire: whichever chunk a
+    // scripted `CorruptChunk` lands on — a cached sealed-chunk frame of a
+    // streamed scan, a shuffle bucket of a grace join, a site's
+    // partial-aggregate reply — and at whatever ordinal of its PE's chunk
+    // clock, a run in which the fault fired fails with a `wire:` protocol
+    // error and a run in which it did not returns exactly the oracle's
+    // rows. Once the ordinal is behind the clock the machine answers the
+    // same query in full.
+    #[test]
+    fn corrupted_chunk_is_never_silent_on_any_stream(
+        lrows in prop::collection::vec((-20i64..20, -20i64..20, -20i64..20), 200..400),
+        rrows in prop::collection::vec((-20i64..20, -20i64..20, -20i64..20), 100..200),
+        targets in prop::collection::vec((0u32..4, 0u64..12), 3),
+        seed in any::<u64>(),
+    ) {
+        use prisma::faultx::{FaultInjector, FaultSpec};
+        use prisma::optimizer::PhysicalConfig;
+        use prisma::types::PeId;
+
+        let schema = int3_schema();
+        let to_rel = |rows: &[(i64, i64, i64)]| {
+            Relation::new(
+                schema.clone(),
+                rows.iter().map(|&(a, b, c)| tuple![a, b, c]).collect(),
+            )
+        };
+        let mut reference: HashMap<String, Relation> = HashMap::new();
+        reference.insert("l".into(), to_rel(&lrows));
+        reference.insert("r".into(), to_rel(&rrows));
+        let join = LogicalPlan::scan("l", schema.clone())
+            .join(LogicalPlan::scan("r", schema.clone()), vec![(0, 0)]);
+        let plans = [
+            LogicalPlan::scan("l", schema.clone()),
+            join.clone(),
+            LogicalPlan::Aggregate {
+                input: Box::new(join),
+                group_by: vec![1],
+                aggs: vec![
+                    AggExpr::new(AggFunc::CountStar, 0, "n"),
+                    AggExpr::new(AggFunc::Sum, 5, "s"),
+                ],
+            },
+        ];
+        // One machine per plan, so a fault whose ordinal one plan never
+        // reached cannot leak into the next plan's clean run.
+        for (plan, &(pe, offset)) in plans.iter().zip(&targets) {
+            let oracle = eval(plan, &reference).unwrap().canonicalized();
+            let faults = FaultInjector::scripted(seed, vec![]);
+            // 32-row sealed chunks: every fragment ships several chunks,
+            // cached frames among them, in every lane.
+            let mut db = PrismaMachine::builder().pes(4).seal_rows(32).build().unwrap();
+            db.gdh_mut().set_fault_injector(faults.clone());
+            db.gdh_mut().set_physical_config(PhysicalConfig {
+                broadcast_max_rows: 0.0,
+                ..PhysicalConfig::default()
+            });
+            db.sql("CREATE TABLE l (a INT, b INT, c INT) FRAGMENTED BY HASH(a) INTO 3")
+                .unwrap();
+            db.sql("CREATE TABLE r (a INT, b INT, c INT) FRAGMENTED BY HASH(c) INTO 2")
+                .unwrap();
+            for name in ["l", "r"] {
+                db.sql(&format!(
+                    "INSERT INTO {name} VALUES {}",
+                    values_clause(reference[name].tuples())
+                ))
+                .unwrap();
+            }
+
+            let pe = PeId(pe);
+            let nth = faults.chunks_seen(pe) + 1 + offset;
+            faults.script(vec![FaultSpec::CorruptChunk { pe, nth }]);
+            // Run until the PE's chunk clock has passed the ordinal (or
+            // the PE turns out to ship nothing for this plan).
+            loop {
+                let (clock, logged) = (faults.chunks_seen(pe), faults.events().len());
+                let result = db.gdh().query(plan);
+                let fired = faults.events()[logged..].iter().any(|e| e.contains("Corrupt"));
+                match result {
+                    Err(e) => {
+                        prop_assert!(fired, "query failed with no corruption injected: {}", e);
+                        prop_assert!(
+                            e.to_string().contains("wire:"),
+                            "not a wire protocol error: {}",
+                            e
+                        );
+                    }
+                    Ok((rows, _)) => {
+                        prop_assert!(
+                            !fired,
+                            "chunk {} of {} was corrupted and the query succeeded:\n{}",
+                            nth,
+                            pe,
+                            plan
+                        );
+                        let rows = rows.canonicalized();
+                        prop_assert_eq!(rows.tuples(), oracle.tuples());
+                    }
+                }
+                let now = faults.chunks_seen(pe);
+                if fired || now >= nth || now == clock {
+                    break;
+                }
+            }
+            // The damage was confined to the run it landed in.
+            let (rows, _) = db.gdh().query(plan).unwrap();
+            let rows = rows.canonicalized();
+            prop_assert_eq!(rows.tuples(), oracle.tuples(), "clean re-run of:\n{}", plan);
+            db.shutdown();
+        }
     }
 }
 
