@@ -39,11 +39,16 @@
 //! as its own [`GdhMsg::BatchChunk`] and ends the stream with a
 //! [`GdhMsg::StreamEnd`], so the coordinator's merge overlaps fragment
 //! scans (the time to the first merged batch is measured in
-//! [`ExecMetrics::first_batch_micros`]). Union sinks append tuples as
-//! chunks arrive; broadcast-join build sides assemble the same way before
-//! shipping; partial-aggregate merges feed every arriving batch straight
-//! into the merge accumulators; and grace-join buckets ship per produced
-//! batch **fragment→fragment** ([`GdhMsg::ShuffleChunk`]) while the
+//! [`ExecMetrics::first_batch_micros`]). Arriving chunks are **staged
+//! per stream, still encoded,** until the stream's `StreamEnd` (a stream
+//! re-requested after a fault replays from scratch, so nothing of it may
+//! reach a sink early); a completed stream's chunks are then decoded and
+//! fed to the sink in chunk order on the client thread. Union sinks and
+//! broadcast-join build sides pivot each decoded batch into rows — one
+//! allocation per row, strings moved out of the decoded columns
+//! ([`Batch::into_tuples`]); partial-aggregate merges read the decoded
+//! columns as they are. Grace-join buckets ship per produced batch
+//! **fragment→fragment** ([`GdhMsg::ShuffleChunk`]) while the
 //! coordinator only sees the sites' join-result streams
 //! ([`ExecMetrics::shuffled_direct_bits`] meters the direct hop). That
 //! is the only grace-join route and streaming is the only reply mode.
@@ -727,8 +732,9 @@ impl ParallelExecutor {
     }
 
     /// Receive one fan-out's reply streams, feeding every batch to `sink`:
-    /// restore per-stream order through [`StreamReassembly`], decode each
-    /// released chunk at the merge, and count it. Stamps the query's
+    /// restore per-stream order through [`StreamReassembly`], stage each
+    /// stream's released chunks until it completes, then decode, count and
+    /// sink them in chunk order. Stamps the query's
     /// first-batch latency on the first arriving chunk; returns once every
     /// stream has delivered its `StreamEnd`, after cross-checking each
     /// stream's advertised row count against the rows actually released.
@@ -1059,8 +1065,8 @@ impl ParallelExecutor {
 
     /// Lower `plan`, ship it (+ `extra` relations) to every fragment
     /// actor of `relation`, and union the reply streams into a relation —
-    /// tuples are appended as chunks arrive, while other fragments are
-    /// still scanning.
+    /// each stream's rows are appended when it completes, while other
+    /// fragments are still scanning.
     fn run_on_fragments_with(
         &self,
         plan: &LogicalPlan,
@@ -1273,8 +1279,7 @@ impl PartialMerger {
         };
         let mut key: Vec<Value> = Vec::with_capacity(group_cols.len());
         for row in 0..batch.len() {
-            key.clear();
-            key.extend(group_cols.iter().map(|&c| batch.value_at(row, c)));
+            batch.key_at(row, group_cols, &mut key);
             // Most partial rows hit a group an earlier partial opened:
             // look up by slice, clone the key only for a new group.
             if let Some(accs) = groups.get_mut(key.as_slice()) {

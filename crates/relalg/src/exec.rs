@@ -39,9 +39,13 @@
 //!    instead of re-assembling tuples.
 //! 2. *Columns → rows* happens at materialization points — blocking
 //!    operators, [`collect_batches`] and join output — and is cached per
-//!    batch, so repeated [`Batch::tuples`] calls pivot at most once. The
-//!    wire between PEs is not one of them: every batch ships as an
-//!    encoded column block ([`Batch::encode_columnar_shared`]).
+//!    batch, so repeated [`Batch::tuples`] calls pivot at most once. A
+//!    row costs one allocation (its `Arc<[Value]>`); a batch that is the
+//!    only holder of its columns — every block decoded off the wire —
+//!    is *consumed* by [`Batch::into_tuples`], which moves its strings
+//!    into the rows instead of cloning them. The wire between PEs is not
+//!    a materialization point: every batch ships as an encoded column
+//!    block ([`Batch::encode_columnar_shared`]).
 //!
 //! A Filter over a columnar batch is pure selection refinement: the
 //! output batch shares the input's column set untouched and only the
@@ -223,17 +227,21 @@ impl Batch {
         self.len() == 0
     }
 
-    /// Extract the rows (refcount bumps for shared batches).
+    /// Extract the rows (refcount bumps for shared batches). A columnar
+    /// batch that is the only holder of its columns — every chunk decoded
+    /// off the wire — is consumed: its strings move into the rows instead
+    /// of being cloned and dropped.
     pub fn into_tuples(self) -> Vec<Tuple> {
         match self.inner {
             BatchInner::Shared { rel, start, end } => rel.tuples()[start..end].to_vec(),
             BatchInner::Owned(rows) => rows,
-            BatchInner::Columns { cols, sel, rows } => match Arc::try_unwrap(rows) {
-                Ok(cell) => cell
-                    .into_inner()
-                    .unwrap_or_else(|| pivot_to_rows(&cols, &sel)),
-                Err(shared) => shared.get_or_init(|| pivot_to_rows(&cols, &sel)).clone(),
-            },
+            BatchInner::Columns { cols, sel, rows } => {
+                match Arc::try_unwrap(rows).map(OnceLock::into_inner) {
+                    Ok(Some(pivoted)) => pivoted,
+                    Ok(None) => pivot_into_rows(cols, &sel),
+                    Err(shared) => shared.get_or_init(|| pivot_to_rows(&cols, &sel)).clone(),
+                }
+            }
         }
     }
 
@@ -276,11 +284,14 @@ impl Batch {
         }
     }
 
-    /// Hash/group key of the `row`-th live row — the columnar analogue of
-    /// [`Tuple::key`], used by hash-join and hash-aggregate so key
-    /// extraction never forces a pivot back to rows.
-    pub fn key_at(&self, row: usize, key_cols: &[usize]) -> Vec<Value> {
-        key_cols.iter().map(|&c| self.value_at(row, c)).collect()
+    /// Hash/group key of the `row`-th live row, written into the caller's
+    /// reused `key` buffer — the columnar analogue of [`Tuple::key`], used
+    /// by hash-join and hash-aggregate so key extraction neither forces a
+    /// pivot back to rows nor allocates per row (tables are looked up by
+    /// the buffer's slice; only a *new* key is cloned out of it).
+    pub fn key_at(&self, row: usize, key_cols: &[usize], key: &mut Vec<Value>) {
+        key.clear();
+        key.extend(key_cols.iter().map(|&c| self.value_at(row, c)));
     }
 
     /// Encode the batch's live rows as one columnar wire frame
@@ -358,7 +369,7 @@ impl Batch {
         if cols.is_empty() {
             // Zero-attribute batches (no such schema exists today, but the
             // frame can express one) fall back to empty tuples.
-            return Ok(Batch::owned(vec![Tuple::new(Vec::new()); rows]));
+            return Ok(Batch::owned(vec![Tuple::unit(); rows]));
         }
         Ok(Batch::columns(
             cols.into_iter().map(Arc::new).collect(),
@@ -374,13 +385,36 @@ impl Batch {
 fn pivot_to_rows(cols: &LazyColumns, sel: &SelVec) -> Vec<Tuple> {
     match cols.src_rows() {
         Some(rows) => sel.iter().map(|idx| rows[idx].clone()).collect(),
-        None => sel
-            .iter()
-            .map(|idx| {
-                Tuple::new((0..cols.arity()).map(|c| cols.col(c).value_at(idx)).collect())
-            })
-            .collect(),
+        None => {
+            let cols: Vec<&ColumnVec> = (0..cols.arity()).map(|c| &**cols.col(c)).collect();
+            build_rows(cols.len(), sel, |c, idx| cols[c].value_at(idx))
+        }
     }
+}
+
+/// [`pivot_to_rows`] for a caller giving the column set up: when nothing
+/// else holds the columns they are consumed, and strings move into the
+/// rows; otherwise this is the borrowing pivot.
+fn pivot_into_rows(cols: SharedColumns, sel: &SelVec) -> Vec<Tuple> {
+    match Arc::try_unwrap(cols).map(LazyColumns::into_owned_cols) {
+        Ok(Ok(mut owned)) => build_rows(owned.len(), sel, |c, idx| owned[c].take_at(idx)),
+        Ok(Err(cols)) => pivot_to_rows(&cols, sel),
+        Err(cols) => pivot_to_rows(&cols, sel),
+    }
+}
+
+/// The one row-building loop behind both pivots: `value(col, idx)` clones
+/// out of borrowed columns ([`pivot_to_rows`]) or moves out of owned ones
+/// ([`pivot_into_rows`]); each selected index is read once per column.
+/// A row costs one allocation (see [`Tuple`]'s `FromIterator`).
+fn build_rows(
+    arity: usize,
+    sel: &SelVec,
+    mut value: impl FnMut(usize, usize) -> Value,
+) -> Vec<Tuple> {
+    sel.iter()
+        .map(|idx| (0..arity).map(|c| value(c, idx)).collect())
+        .collect()
 }
 
 /// Collect batches into a relation with the given schema.
@@ -780,8 +814,7 @@ pub fn partition_positions(batch: &Batch, key_cols: &[usize], parts: usize) -> V
     let mut buckets: Vec<Vec<u32>> = (0..parts).map(|_| Vec::new()).collect();
     let mut key: Vec<Value> = Vec::with_capacity(key_cols.len());
     for row in 0..batch.len() {
-        key.clear();
-        key.extend(key_cols.iter().map(|&c| batch.value_at(row, c)));
+        batch.key_at(row, key_cols, &mut key);
         if key.iter().any(Value::is_null) {
             continue;
         }
@@ -1047,14 +1080,15 @@ pub(crate) fn probe_range(
     end: usize,
 ) -> Vec<Tuple> {
     let mut out = Vec::new();
+    let mut key: Vec<Value> = Vec::with_capacity(lkeys.len());
     for row in start..end {
         // Columnar key extraction: a probe batch whose keys all miss
         // never pivots back to rows at all.
-        let key = batch.key_at(row, lkeys);
+        batch.key_at(row, lkeys, &mut key);
         let candidates = if key.iter().any(Value::is_null) {
             &[][..]
         } else {
-            table.get(&key).map(Vec::as_slice).unwrap_or(&[])
+            table.get(key.as_slice()).map(Vec::as_slice).unwrap_or(&[])
         };
         let mut matched = false;
         if !candidates.is_empty() {
@@ -1662,7 +1696,9 @@ mod tests {
         assert_eq!(col_batch.tuples(), &rows[1..]);
         // Gathered rows are refcount bumps of the source tuples.
         assert_eq!(col_batch.value_at(0, 2), Value::from("bb"));
-        assert_eq!(col_batch.key_at(0, &[1, 0]), vec![Value::from(-0.5), Value::from(2)]);
+        let mut key = vec![Value::Null];
+        col_batch.key_at(0, &[1, 0], &mut key);
+        assert_eq!(key, vec![Value::from(-0.5), Value::from(2)]);
     }
 
     #[test]

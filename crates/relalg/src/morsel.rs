@@ -49,6 +49,32 @@ const WAVE_MORSELS_PER_WORKER: usize = 4;
 /// below this the scatter overhead beats the win.
 const PAR_PROBE_MIN_ROWS: usize = 512;
 
+/// Run `f` over every item on the pool's workers and return the results
+/// **in item order** — the scatter/gather every morsel-parallel span in
+/// this module is built on. Blocks until all jobs finished, so `f` and the
+/// items may borrow from the caller's stack.
+fn pool_map<T: Send, R: Send>(
+    pool: &WorkerPool,
+    items: impl IntoIterator<Item = T>,
+    f: impl Fn(T) -> R + Sync,
+) -> Vec<R> {
+    let items: Vec<T> = items.into_iter().collect();
+    let mut slots: Vec<Option<R>> = items.iter().map(|_| None).collect();
+    {
+        let f = &f;
+        let jobs: Vec<Job> = slots
+            .iter_mut()
+            .zip(items)
+            .map(|(slot, item)| Box::new(move || *slot = Some(f(item))) as Job)
+            .collect();
+        pool.run(jobs);
+    }
+    slots
+        .into_iter()
+        .map(|r| r.expect("WorkerPool::run returns only after every job ran"))
+        .collect()
+}
+
 /// One compiled stage of a scan-rooted pipeline fragment.
 #[derive(Clone)]
 pub(crate) enum Stage {
@@ -109,23 +135,11 @@ impl ParPipelineOp {
             ranges.push((self.next_row, end));
             self.next_row = end;
         }
-        let mut slots: Vec<Option<Batch>> = ranges.iter().map(|_| None).collect();
-        {
-            let rel = &self.rel;
-            let projection = &self.projection;
-            let stages = &self.stages;
-            let jobs: Vec<Job> = slots
-                .iter_mut()
-                .zip(&ranges)
-                .map(|(slot, &(start, end))| {
-                    Box::new(move || {
-                        *slot = run_morsel(rel, projection, stages, start, end);
-                    }) as Job
-                })
-                .collect();
-            self.pool.run(jobs);
-        }
-        self.ready.extend(slots.into_iter().flatten());
+        let (rel, projection, stages) = (&self.rel, &self.projection, &self.stages);
+        let out = pool_map(&self.pool, ranges, |(start, end)| {
+            run_morsel(rel, projection, stages, start, end)
+        });
+        self.ready.extend(out.into_iter().flatten());
     }
 }
 
@@ -243,24 +257,13 @@ impl ParChunkPipelineOp {
         let end = (self.next_unit + wave).min(self.units.len());
         let wave_units = &self.units[self.next_unit..end];
         self.next_unit = end;
-        let mut slots: Vec<Option<Batch>> = wave_units.iter().map(|_| None).collect();
-        {
-            let projection = &self.projection;
-            let stages = &self.stages;
-            let jobs: Vec<Job> = slots
-                .iter_mut()
-                .zip(wave_units)
-                .map(|(slot, unit)| {
-                    Box::new(move || {
-                        if unit.len() > 0 {
-                            *slot = run_stages(unit.batch(projection.as_deref()), stages);
-                        }
-                    }) as Job
-                })
-                .collect();
-            self.pool.run(jobs);
-        }
-        self.ready.extend(slots.into_iter().flatten());
+        let (projection, stages) = (&self.projection, &self.stages);
+        let out = pool_map(&self.pool, wave_units, |unit| {
+            (unit.len() > 0)
+                .then(|| run_stages(unit.batch(projection.as_deref()), stages))
+                .flatten()
+        });
+        self.ready.extend(out.into_iter().flatten());
     }
 }
 
@@ -289,24 +292,14 @@ pub(crate) type JoinTable = FastMap<Vec<Value>, Vec<Tuple>>;
 /// rows in exactly the order the serial single-threaded build would.
 pub(crate) fn parallel_build(pool: &WorkerPool, batches: &[Batch], rkeys: &[usize]) -> JoinTable {
     let chunks = chunk_ranges(batches.len(), pool.workers());
-    let mut partials: Vec<Option<JoinTable>> = chunks.iter().map(|_| None).collect();
-    {
-        let jobs: Vec<Job> = partials
-            .iter_mut()
-            .zip(&chunks)
-            .map(|(slot, &(start, end))| {
-                Box::new(move || {
-                    let mut table = JoinTable::default();
-                    for batch in &batches[start..end] {
-                        insert_build_batch(&mut table, batch, rkeys);
-                    }
-                    *slot = Some(table);
-                }) as Job
-            })
-            .collect();
-        pool.run(jobs);
-    }
-    let mut partials = partials.into_iter().flatten();
+    let mut partials = pool_map(pool, chunks, |(start, end)| {
+        let mut table = JoinTable::default();
+        for batch in &batches[start..end] {
+            insert_build_batch(&mut table, batch, rkeys);
+        }
+        table
+    })
+    .into_iter();
     let mut table = partials.next().unwrap_or_default();
     for partial in partials {
         for (key, rows) in partial {
@@ -319,16 +312,21 @@ pub(crate) fn parallel_build(pool: &WorkerPool, batches: &[Batch], rkeys: &[usiz
 /// One build batch into a table — shared by the serial and parallel
 /// paths so they cannot diverge.
 pub(crate) fn insert_build_batch(table: &mut JoinTable, batch: &Batch, rkeys: &[usize]) {
+    let mut key: Vec<Value> = Vec::with_capacity(rkeys.len());
     for row in 0..batch.len() {
-        let key = batch.key_at(row, rkeys);
+        batch.key_at(row, rkeys, &mut key);
         // SQL equi-joins never match NULL keys.
         if key.iter().any(Value::is_null) {
             continue;
         }
-        table
-            .entry(key)
-            .or_default()
-            .push(batch.tuples()[row].clone());
+        let tuple = batch.tuples()[row].clone();
+        // Look up by slice: only a key's first row pays for an owned key.
+        match table.get_mut(key.as_slice()) {
+            Some(rows) => rows.push(tuple),
+            None => {
+                table.insert(key.clone(), vec![tuple]);
+            }
+        }
     }
 }
 
@@ -348,20 +346,7 @@ where
         .step_by(morsel)
         .map(|s| (s, (s + morsel).min(rows)))
         .collect();
-    let mut slots: Vec<Vec<Tuple>> = ranges.iter().map(|_| Vec::new()).collect();
-    {
-        let probe_rows = &probe_rows;
-        let jobs: Vec<Job> = slots
-            .iter_mut()
-            .zip(&ranges)
-            .map(|(slot, &(start, end))| {
-                Box::new(move || {
-                    *slot = probe_rows(batch, start, end);
-                }) as Job
-            })
-            .collect();
-        pool.run(jobs);
-    }
+    let slots = pool_map(pool, ranges, |(start, end)| probe_rows(batch, start, end));
     let mut out = Vec::with_capacity(slots.iter().map(Vec::len).sum());
     for s in slots {
         out.extend(s);
@@ -391,22 +376,12 @@ pub(crate) fn parallel_aggregate(
     aggs: &[AggExpr],
 ) -> Result<(FastMap<Vec<Value>, Vec<Accumulator>>, Vec<Vec<Value>>)> {
     let chunks = chunk_ranges(batches.len(), pool.workers());
-    let mut partials: Vec<Option<Result<AggPartial>>> = chunks.iter().map(|_| None).collect();
-    {
-        let jobs: Vec<Job> = partials
-            .iter_mut()
-            .zip(&chunks)
-            .map(|(slot, &(start, end))| {
-                Box::new(move || {
-                    *slot = Some(aggregate_chunk(&batches[start..end], group_by, aggs));
-                }) as Job
-            })
-            .collect();
-        pool.run(jobs);
-    }
+    let partials = pool_map(pool, chunks, |(start, end)| {
+        aggregate_chunk(&batches[start..end], group_by, aggs)
+    });
     let mut groups: FastMap<Vec<Value>, Vec<Accumulator>> = FastMap::default();
     let mut order: Vec<Vec<Value>> = Vec::new();
-    for partial in partials.into_iter().flatten() {
+    for partial in partials {
         let partial = partial?;
         for key in partial.order {
             let accs = &partial.groups[&key];
@@ -448,12 +423,7 @@ pub(crate) fn update_agg_batch(
     group_by: &[usize],
     aggs: &[AggExpr],
 ) -> Result<()> {
-    for row in 0..batch.len() {
-        let key = batch.key_at(row, group_by);
-        let accs = groups.entry(key.clone()).or_insert_with(|| {
-            order.push(key);
-            aggs.iter().map(|a| Accumulator::new(a.func)).collect()
-        });
+    let fold = |accs: &mut [Accumulator], row: usize| -> Result<()> {
         for (acc, a) in accs.iter_mut().zip(aggs) {
             let v = if a.func == AggFunc::CountStar {
                 Value::Bool(true) // placeholder; COUNT(*) counts rows
@@ -462,6 +432,22 @@ pub(crate) fn update_agg_batch(
             };
             acc.update(&v)?;
         }
+        Ok(())
+    };
+    let mut key: Vec<Value> = Vec::with_capacity(group_by.len());
+    for row in 0..batch.len() {
+        batch.key_at(row, group_by, &mut key);
+        // Most rows hit an open group: look up by slice, clone the key
+        // only to open a new one.
+        if let Some(accs) = groups.get_mut(key.as_slice()) {
+            fold(accs, row)?;
+            continue;
+        }
+        order.push(key.clone());
+        let accs = groups
+            .entry(key.clone())
+            .or_insert_with(|| aggs.iter().map(|a| Accumulator::new(a.func)).collect());
+        fold(accs, row)?;
     }
     Ok(())
 }

@@ -1,0 +1,122 @@
+//! Allocation-count regression test for the row-materialization hot path.
+//!
+//! A counting `#[global_allocator]` wraps the system allocator, so this
+//! file is a test binary of its own and holds **one** `#[test]`: nothing
+//! else may allocate while a count is being taken (CI also runs it with
+//! `--test-threads=1`).
+//!
+//! The three obligations:
+//!
+//! * a `Tuple` collected from an iterator whose length std trusts costs
+//!   one allocation (the `Arc<[Value]>` itself);
+//! * collecting a wire-decoded block of N `(Int, Int, Str)` rows costs
+//!   N + O(columns) allocations — one per row, nothing per string (the
+//!   decoder's strings are moved into the rows);
+//! * a hash-join probe whose keys all miss costs O(batches), not one key
+//!   vector per probed row.
+
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::collections::HashMap;
+use std::sync::atomic::{AtomicU64, Ordering};
+
+use prisma_relalg::exec::collect_batches;
+use prisma_relalg::{execute_physical, lower, Batch, LogicalPlan, Relation};
+use prisma_types::{Column, DataType, Schema, Tuple, Value};
+
+struct Counting;
+
+static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
+
+// SAFETY: every method forwards its arguments unchanged to the system
+// allocator, whose contract is the one `GlobalAlloc` states; the counter
+// is a relaxed statistic and publishes no data.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        // SAFETY: the caller upholds `GlobalAlloc::alloc`'s contract.
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: `ptr` came from `System` through `alloc`/`realloc` above.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        // SAFETY: `ptr` came from `System`; the caller upholds the rest.
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+}
+
+#[global_allocator]
+static GLOBAL: Counting = Counting;
+
+/// Allocations (and reallocations) performed while `f` runs.
+fn allocations<R>(f: impl FnOnce() -> R) -> (R, u64) {
+    let before = ALLOCATIONS.load(Ordering::Relaxed);
+    let out = f();
+    (out, ALLOCATIONS.load(Ordering::Relaxed) - before)
+}
+
+fn schema(cols: &[(&str, DataType)]) -> Schema {
+    Schema::new(cols.iter().map(|&(n, t)| Column::new(n, t)).collect())
+}
+
+#[test]
+fn row_materialization_allocates_once_per_row() {
+    // 1. One allocation per collected tuple, through every shape the hot
+    //    builders use: a mapped range, mapped slice indices, a chain.
+    let src = [Value::Int(1), Value::Str("payload".into()), Value::Null];
+    let (t, n) = allocations(|| (0..3).map(|i: i64| Value::Int(i)).collect::<Tuple>());
+    assert_eq!((t.arity(), n), (3, 1), "range-mapped collect");
+    let wide = Tuple::new(src.to_vec());
+    let (p, n) = allocations(|| wide.project(&[2, 0]));
+    assert_eq!((p.arity(), n), (2, 1), "Tuple::project");
+    let (c, n) = allocations(|| wide.concat(&p));
+    // The Str payload is cloned: one more allocation, for the string.
+    assert_eq!((c.arity(), n), (5, 2), "Tuple::concat");
+
+    // 2. N rows off the wire: N row allocations + O(columns).
+    const N: usize = 4096;
+    let rows: Vec<Tuple> = (0..N as i64)
+        .map(|i| {
+            [Value::Int(i), Value::Int(i % 7), Value::Str(format!("string-payload-{i:08}"))]
+                .into_iter()
+                .collect()
+        })
+        .collect();
+    let block = Batch::owned(rows.clone()).encode_columnar();
+    let wire_schema = schema(&[("a", DataType::Int), ("b", DataType::Int), ("s", DataType::Str)]);
+    let decoded = Batch::from_block(&block).expect("a block this test encoded");
+    let (rel, n) = allocations(|| collect_batches(wire_schema, vec![decoded]));
+    assert_eq!(rel.tuples(), rows.as_slice());
+    assert!(
+        (N as u64..=N as u64 + 16).contains(&n),
+        "collecting {N} decoded rows took {n} allocations; want one per row plus O(columns)"
+    );
+
+    // 3. An all-miss probe allocates per batch, never per probed row.
+    let two_ints = schema(&[("k", DataType::Int), ("v", DataType::Int)]);
+    let probe: Vec<Tuple> = (0..N as i64)
+        .map(|i| [Value::Int(i), Value::Int(i)].into_iter().collect())
+        .collect();
+    let build: Vec<Tuple> = (0..64_i64)
+        .map(|i| [Value::Int(-1 - i), Value::Int(i)].into_iter().collect())
+        .collect();
+    let db = HashMap::from([
+        ("probe".to_owned(), Relation::new(two_ints.clone(), probe)),
+        ("build".to_owned(), Relation::new(two_ints.clone(), build)),
+    ]);
+    let join = lower(
+        &LogicalPlan::scan("probe", two_ints.clone())
+            .join(LogicalPlan::scan("build", two_ints), vec![(0, 0)]),
+    )
+    .expect("a hash join lowers");
+    let (joined, n) = allocations(|| execute_physical(&join, &db).expect("join runs"));
+    assert!(joined.is_empty(), "every probe key misses");
+    assert!(
+        n < N as u64 / 8,
+        "an all-miss probe of {N} rows took {n} allocations; the key buffer must be reused"
+    );
+}

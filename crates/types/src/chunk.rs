@@ -340,7 +340,7 @@ mod tests {
         assert!(Arc::ptr_eq(&a, &b), "second ship must reuse the frame");
         let cols = a.decode().expect("cached frame decodes");
         let back: Vec<Tuple> = (0..a.rows())
-            .map(|i| Tuple::new(cols.iter().map(|c| c.value_at(i)).collect()))
+            .map(|i| cols.iter().map(|c| c.value_at(i)).collect())
             .collect();
         assert_eq!(back, rows);
     }

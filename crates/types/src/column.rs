@@ -79,6 +79,23 @@ impl ColumnVec {
         }
     }
 
+    /// [`ColumnVec::value_at`] for a caller that owns the column and reads
+    /// each row at most once: a string (or `Mixed` value) is **moved** out
+    /// instead of cloned, leaving an empty string (or NULL) in the slot.
+    pub fn take_at(&mut self, i: usize) -> Value {
+        let is_null = |nulls: &Option<Vec<bool>>| nulls.as_ref().is_some_and(|n| n[i]);
+        match self {
+            ColumnVec::Int { data, nulls } if !is_null(nulls) => Value::Int(data[i]),
+            ColumnVec::Double { data, nulls } if !is_null(nulls) => Value::Double(data[i]),
+            ColumnVec::Bool { data, nulls } if !is_null(nulls) => Value::Bool(data[i]),
+            ColumnVec::Str { data, nulls } if !is_null(nulls) => {
+                Value::Str(std::mem::take(&mut data[i]))
+            }
+            ColumnVec::Mixed(v) => std::mem::replace(&mut v[i], Value::Null),
+            _ => Value::Null,
+        }
+    }
+
     /// Build a column from row values in a single pass, sniffing the
     /// tightest typed representation: a single non-null runtime type
     /// yields the typed variant (with a mask when NULLs occur); anything
@@ -368,6 +385,30 @@ impl LazyColumns {
     /// rows.
     pub fn src_rows(&self) -> Option<&std::sync::Arc<Vec<crate::tuple::Tuple>>> {
         self.src_rows.as_ref()
+    }
+
+    /// The columns by value, when this set is the only holder of every
+    /// one of them and retains no row form — a batch just decoded off the
+    /// wire. Anything else (columns shared with a sealed chunk or a
+    /// sibling batch, rows retained, a column not yet pivoted) comes back
+    /// unchanged.
+    pub fn into_owned_cols(self) -> std::result::Result<Vec<ColumnVec>, LazyColumns> {
+        let unique = self.src_rows.is_none()
+            && self
+                .cols
+                .iter()
+                .all(|c| c.get().is_some_and(|a| std::sync::Arc::strong_count(a) == 1));
+        if !unique {
+            return Err(self);
+        }
+        Ok(self
+            .cols
+            .into_iter()
+            .map(|cell| {
+                let col = cell.into_inner().expect("checked above: every column is filled");
+                std::sync::Arc::unwrap_or_clone(col)
+            })
+            .collect())
     }
 
     /// Attribute `i` as a column, pivoting it on first access (and only

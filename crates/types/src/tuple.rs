@@ -52,15 +52,12 @@ impl Tuple {
 
     /// New tuple holding the attributes at `indices`, in that order.
     pub fn project(&self, indices: &[usize]) -> Tuple {
-        Tuple::new(indices.iter().map(|&i| self.values[i].clone()).collect())
+        indices.iter().map(|&i| self.values[i].clone()).collect()
     }
 
     /// Concatenation `self ++ other` — the join of two matching rows.
     pub fn concat(&self, other: &Tuple) -> Tuple {
-        let mut v = Vec::with_capacity(self.arity() + other.arity());
-        v.extend_from_slice(&self.values);
-        v.extend_from_slice(&other.values);
-        Tuple::new(v)
+        self.values.iter().chain(other.values.iter()).cloned().collect()
     }
 
     /// Key extracted for hash/sort operations: the values at `indices`.
@@ -117,6 +114,20 @@ impl From<Vec<Value>> for Tuple {
     }
 }
 
+/// Collect a row straight into its shared slice. An iterator whose length
+/// the standard library trusts — slices, ranges, and `map`/`chain`/
+/// `cloned`/`zip` over them — costs **one allocation**: the `Arc<[Value]>`
+/// itself. ([`Tuple::new`] costs two: the caller's `Vec`, then the copy
+/// into the `Arc`.) Any other iterator is buffered first and costs what
+/// `Tuple::new` does.
+impl FromIterator<Value> for Tuple {
+    fn from_iter<I: IntoIterator<Item = Value>>(iter: I) -> Self {
+        Tuple {
+            values: iter.into_iter().collect(),
+        }
+    }
+}
+
 /// Convenience macro for building tuples in tests and examples:
 /// `tuple![1, "bob", 3.5]`.
 #[macro_export]
@@ -145,6 +156,14 @@ mod tests {
         let c = t.concat(&tuple![true]);
         assert_eq!(c.arity(), 4);
         assert_eq!(t.key(&[1]), vec![Value::from("a")]);
+    }
+
+    #[test]
+    fn collect_equals_new() {
+        let vals = vec![Value::Int(1), Value::Null, Value::from("s")];
+        let collected: Tuple = vals.iter().cloned().collect();
+        assert_eq!(collected, Tuple::new(vals));
+        assert_eq!((0..0).map(Value::Int).collect::<Tuple>(), Tuple::unit());
     }
 
     #[test]

@@ -1405,6 +1405,75 @@ proptest! {
     }
 }
 
+// ---------- columns → rows: the owned and the borrowing pivot ----------
+
+/// A row spelled bit-for-bit: `Value`'s equality is `total_cmp`, under
+/// which `Int(1) == Double(1.0)` and NaN payloads coincide.
+fn row_bits(t: &Tuple) -> Vec<String> {
+    t.values()
+        .iter()
+        .map(|v| match v {
+            Value::Double(d) => format!("Double({:#018x})", d.to_bits()),
+            other => format!("{other:?}"),
+        })
+        .collect()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    // The commuting square of the row pivot. For any column set — typed
+    // with and without NULL masks, `Mixed`, all-NULL, zero rows — under a
+    // full or a partial selection, three routes from columns to rows agree
+    // bit for bit: `value_at` row by row (the definition), the borrowing
+    // pivot (`Batch::tuples`, and `into_tuples` on a batch whose columns
+    // something else still holds), and the owned pivot (`into_tuples` on a
+    // batch that is the only holder of its columns, which moves strings
+    // and `Mixed` values out instead of cloning them).
+    #[test]
+    fn owned_pivot_equals_borrowing_pivot_equals_value_at(
+        rows in 0usize..WIRE_SLOTS + 1,
+        plans in prop::collection::vec(arb_wire_col(), 1..6),
+        picks in prop::collection::vec(any::<bool>(), WIRE_SLOTS),
+        partial in any::<bool>(),
+    ) {
+        use prisma::relalg::Batch;
+        let build = || -> Vec<Arc<ColumnVec>> {
+            plans.iter().map(|p| Arc::new(p.build(rows))).collect()
+        };
+        let sel = if partial {
+            SelVec::from_indices(rows, (0..rows as u32).filter(|&i| picks[i as usize]).collect())
+        } else {
+            SelVec::all(rows)
+        };
+        let cols = build();
+        let want: Vec<Vec<String>> = sel
+            .iter()
+            .map(|i| row_bits(&cols.iter().map(|c| c.value_at(i)).collect()))
+            .collect();
+        let bits = |rows: &[Tuple]| rows.iter().map(row_bits).collect::<Vec<_>>();
+
+        let borrowed = Batch::columns(build(), sel.clone());
+        prop_assert_eq!(bits(borrowed.tuples()), want.clone(), "borrowing pivot");
+        // `cols` stays alive: every column has a second holder.
+        let shared = Batch::columns(cols.clone(), sel.clone()).into_tuples();
+        prop_assert_eq!(bits(&shared), want.clone(), "into_tuples over Arc-shared columns");
+        let owned = Batch::columns(build(), sel.clone()).into_tuples();
+        prop_assert_eq!(bits(&owned), want.clone(), "owned pivot");
+        // The shared route left the columns it borrowed intact.
+        for (c, fresh) in cols.iter().zip(build()) {
+            prop_assert!(cols_bit_eq(c, &fresh), "borrowing pivot disturbed a column");
+        }
+        // And a decoded wire block — the owned pivot's real input.
+        let block = BlockChunk::from_columns(rows, cols.iter().map(|c| Cow::Borrowed(&**c)));
+        let decoded = Batch::from_block(&block).unwrap().into_tuples();
+        let all: Vec<Vec<String>> = (0..rows)
+            .map(|i| row_bits(&cols.iter().map(|c| c.value_at(i)).collect()))
+            .collect();
+        prop_assert_eq!(bits(&decoded), all, "owned pivot of a decoded block");
+    }
+}
+
 // ---------- the wire under mid-query failover and corruption ----------
 
 /// A 4-PE machine with a 1-second reply deadline, so a dropped reply
@@ -1418,6 +1487,29 @@ fn failover_db() -> PrismaMachine {
     }
     .with_reply_timeout_secs(1);
     PrismaMachine::builder().config(cfg).build().unwrap()
+}
+
+/// Create `l` (hash-fragmented on `a` into `l_frags`) and `r` (on `c`
+/// into 2) on a machine whose every equi-join takes the grace route, and
+/// load them with `reference`'s rows.
+fn create_and_load_lr(db: &mut PrismaMachine, reference: &HashMap<String, Relation>, l_frags: usize) {
+    db.gdh_mut().set_physical_config(prisma::optimizer::PhysicalConfig {
+        broadcast_max_rows: 0.0,
+        ..prisma::optimizer::PhysicalConfig::default()
+    });
+    db.sql(&format!(
+        "CREATE TABLE l (a INT, b INT, c INT) FRAGMENTED BY HASH(a) INTO {l_frags}"
+    ))
+    .unwrap();
+    db.sql("CREATE TABLE r (a INT, b INT, c INT) FRAGMENTED BY HASH(c) INTO 2")
+        .unwrap();
+    for name in ["l", "r"] {
+        db.sql(&format!(
+            "INSERT INTO {name} VALUES {}",
+            values_clause(reference[name].tuples())
+        ))
+        .unwrap();
+    }
 }
 
 proptest! {
@@ -1437,7 +1529,6 @@ proptest! {
         seed in any::<u64>(),
     ) {
         use prisma::faultx::{FaultInjector, FaultSpec};
-        use prisma::optimizer::PhysicalConfig;
         use prisma::types::PeId;
 
         let schema = int3_schema();
@@ -1450,26 +1541,12 @@ proptest! {
         let faults = FaultInjector::scripted(seed, vec![]);
         let mut db = failover_db();
         db.gdh_mut().set_fault_injector(faults.clone());
-        db.gdh_mut().set_physical_config(PhysicalConfig {
-            broadcast_max_rows: 0.0,
-            ..PhysicalConfig::default()
-        });
-        db.sql("CREATE TABLE l (a INT, b INT, c INT) FRAGMENTED BY HASH(a) INTO 3")
-            .unwrap();
-        db.sql("CREATE TABLE r (a INT, b INT, c INT) FRAGMENTED BY HASH(c) INTO 2")
-            .unwrap();
-        for (name, rows) in [("l", &lrows), ("r", &rrows)] {
-            db.sql(&format!(
-                "INSERT INTO {name} VALUES {}",
-                values_clause(to_rel(rows).tuples())
-            ))
-            .unwrap();
-        }
-        let plan = LogicalPlan::scan("l", schema.clone())
-            .join(LogicalPlan::scan("r", schema.clone()), vec![(0, 0)]);
         let mut reference: HashMap<String, Relation> = HashMap::new();
         reference.insert("l".into(), to_rel(&lrows));
         reference.insert("r".into(), to_rel(&rrows));
+        create_and_load_lr(&mut db, &reference, 3);
+        let plan = LogicalPlan::scan("l", schema.clone())
+            .join(LogicalPlan::scan("r", schema.clone()), vec![(0, 0)]);
         let oracle = eval(&plan, &reference).unwrap().canonicalized();
 
         // Fault-free calibration run (also pins the no-fault answer).
@@ -1518,15 +1595,22 @@ proptest! {
     // error and a run in which it did not returns exactly the oracle's
     // rows. Once the ordinal is behind the clock the machine answers the
     // same query in full.
+    //
+    // The fourth leg aims the fault deep into long streams: a scan of two
+    // 50 000-row streams of 1024-row chunks on a machine with four
+    // workers per PE, the ordinals spread over a stream's ~50 chunks. The
+    // coordinator stages every chunk until `StreamEnd`, so the bad frame
+    // is found only when the completed stream is decoded — and must still
+    // come back as the query's `wire:` error, with nothing of the stream
+    // in the result.
     #[test]
     fn corrupted_chunk_is_never_silent_on_any_stream(
         lrows in prop::collection::vec((-20i64..20, -20i64..20, -20i64..20), 200..400),
         rrows in prop::collection::vec((-20i64..20, -20i64..20, -20i64..20), 100..200),
-        targets in prop::collection::vec((0u32..4, 0u64..12), 3),
+        targets in prop::collection::vec((0u32..4, 0u64..12), 4),
         seed in any::<u64>(),
     ) {
         use prisma::faultx::{FaultInjector, FaultSpec};
-        use prisma::optimizer::PhysicalConfig;
         use prisma::types::PeId;
 
         let schema = int3_schema();
@@ -1541,8 +1625,9 @@ proptest! {
         reference.insert("r".into(), to_rel(&rrows));
         let join = LogicalPlan::scan("l", schema.clone())
             .join(LogicalPlan::scan("r", schema.clone()), vec![(0, 0)]);
+        let scan = LogicalPlan::scan("l", schema.clone());
         let plans = [
-            LogicalPlan::scan("l", schema.clone()),
+            scan.clone(),
             join.clone(),
             LogicalPlan::Aggregate {
                 input: Box::new(join),
@@ -1552,34 +1637,40 @@ proptest! {
                     AggExpr::new(AggFunc::Sum, 5, "s"),
                 ],
             },
+            scan,
         ];
+        let mut long_reference = reference.clone();
+        long_reference.insert(
+            "l".into(),
+            Relation::new(schema.clone(), tile_rows(&lrows[..60], 100_000)),
+        );
         // One machine per plan, so a fault whose ordinal one plan never
         // reached cannot leak into the next plan's clean run.
-        for (plan, &(pe, offset)) in plans.iter().zip(&targets) {
-            let oracle = eval(plan, &reference).unwrap().canonicalized();
+        for (leg, (plan, &(pe, offset))) in plans.iter().zip(&targets).enumerate() {
+            // Legs 0–2: 32-row sealed chunks, so every fragment ships
+            // several chunks, cached frames among them, in every lane.
+            // Leg 3: 1024-row chunks in two long streams, four workers.
+            let long = leg == 3;
+            let (reference, cfg, l_frags, stride) = if long {
+                let cfg = prisma::types::MachineConfig::default().with_ofm_workers(4);
+                (&long_reference, cfg, 2, 4)
+            } else {
+                (&reference, prisma::types::MachineConfig::default(), 3, 1)
+            };
+            let oracle = eval(plan, reference).unwrap().canonicalized();
             let faults = FaultInjector::scripted(seed, vec![]);
-            // 32-row sealed chunks: every fragment ships several chunks,
-            // cached frames among them, in every lane.
-            let mut db = PrismaMachine::builder().pes(4).seal_rows(32).build().unwrap();
+            let mut db = PrismaMachine::builder()
+                .config(cfg)
+                .pes(4)
+                .seal_rows(if long { 1024 } else { 32 })
+                .build()
+                .unwrap();
             db.gdh_mut().set_fault_injector(faults.clone());
-            db.gdh_mut().set_physical_config(PhysicalConfig {
-                broadcast_max_rows: 0.0,
-                ..PhysicalConfig::default()
-            });
-            db.sql("CREATE TABLE l (a INT, b INT, c INT) FRAGMENTED BY HASH(a) INTO 3")
-                .unwrap();
-            db.sql("CREATE TABLE r (a INT, b INT, c INT) FRAGMENTED BY HASH(c) INTO 2")
-                .unwrap();
-            for name in ["l", "r"] {
-                db.sql(&format!(
-                    "INSERT INTO {name} VALUES {}",
-                    values_clause(reference[name].tuples())
-                ))
-                .unwrap();
-            }
+            create_and_load_lr(&mut db, reference, l_frags);
 
             let pe = PeId(pe);
-            let nth = faults.chunks_seen(pe) + 1 + offset;
+            // The long leg spreads its ordinals over a stream's ~50 chunks.
+            let nth = faults.chunks_seen(pe) + 1 + offset * stride;
             faults.script(vec![FaultSpec::CorruptChunk { pe, nth }]);
             // Run until the PE's chunk clock has passed the ordinal (or
             // the PE turns out to ship nothing for this plan).
@@ -1617,6 +1708,99 @@ proptest! {
             let (rows, _) = db.gdh().query(plan).unwrap();
             let rows = rows.canonicalized();
             prop_assert_eq!(rows.tuples(), oracle.tuples(), "clean re-run of:\n{}", plan);
+            db.shutdown();
+        }
+    }
+}
+
+// ---------- the coordinator's merge does not depend on pool width ----------
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(4))]
+
+    // The fragments behind a query run their plans on worker pools of
+    // whatever width the machine was built with; the coordinator merges
+    // each completed reply stream in chunk order. Whatever the width — 1
+    // (no pools), 2 or 4 — a scan, a grace join and a join + GROUP BY
+    // over streams of several chunks return the oracle's rows, ship the
+    // same number of tuples and batches, and a scan's rows keep their
+    // order within each fragment's stream (streams themselves complete in
+    // arrival order). The bare join's batch count is not pinned: a site
+    // probes in windows over rows in the order its peers' shuffle streams
+    // arrived, so which windows find a match — and emit a batch — is a
+    // race at any pool width.
+    #[test]
+    fn merged_result_does_not_depend_on_pool_width(
+        lseed in prop::collection::vec((-20i64..20, -20i64..20, -20i64..20), 20..60),
+        rseed in prop::collection::vec((-20i64..20, -20i64..20, -20i64..20), 10..40),
+    ) {
+        let schema = int3_schema();
+        let mut reference: HashMap<String, Relation> = HashMap::new();
+        reference.insert("l".into(), Relation::new(schema.clone(), tile_rows(&lseed, 9000)));
+        reference.insert("r".into(), Relation::new(schema.clone(), tile_rows(&rseed, 2500)));
+        let join = LogicalPlan::scan("l", schema.clone())
+            .join(LogicalPlan::scan("r", schema.clone()), vec![(0, 0)]);
+        let plans = [
+            LogicalPlan::scan("l", schema.clone()),
+            join.clone(),
+            LogicalPlan::Aggregate {
+                input: Box::new(join),
+                group_by: vec![1],
+                aggs: vec![
+                    AggExpr::new(AggFunc::CountStar, 0, "n"),
+                    AggExpr::new(AggFunc::Sum, 5, "s"),
+                ],
+            },
+        ];
+        let oracles: Vec<Relation> = plans
+            .iter()
+            .map(|p| eval(p, &reference).unwrap().canonicalized())
+            .collect();
+
+        // Per plan, what the 1-worker machine answered: the scan's rows
+        // split by home fragment, and the shipping counters.
+        let mut serial: Vec<(Vec<Vec<Tuple>>, u64, u64)> = Vec::new();
+        for workers in [1usize, 2, 4] {
+            let cfg = prisma::types::MachineConfig::default()
+                .with_pes(4)
+                .with_ofm_workers(workers);
+            let mut db = PrismaMachine::builder().config(cfg).build().unwrap();
+            create_and_load_lr(&mut db, &reference, 3);
+            let l_info = db.gdh().dictionary().relation("l").unwrap();
+            for (i, (plan, oracle)) in plans.iter().zip(&oracles).enumerate() {
+                let (rows, m) = db.gdh().query(plan).unwrap();
+                prop_assert_eq!(m.pool_workers, workers as u64);
+                if workers == 1 {
+                    prop_assert_eq!(m.pool_morsels, 0, "{:?}", m);
+                }
+                let mut by_stream = vec![Vec::new(); l_info.fragments.len()];
+                if i == 0 {
+                    for t in rows.tuples() {
+                        by_stream[l_info.route(t.values()).unwrap()].push(t.clone());
+                    }
+                }
+                let canonical = rows.canonicalized();
+                prop_assert_eq!(
+                    canonical.tuples(), oracle.tuples(),
+                    "workers={} plan:\n{}", workers, plan
+                );
+                match serial.get(i) {
+                    None => serial.push((by_stream, m.batches_shipped, m.tuples_shipped)),
+                    Some((streams, batches, tuples)) => {
+                        prop_assert_eq!(m.tuples_shipped, *tuples, "workers={}:\n{}", workers, plan);
+                        if i != 1 {
+                            prop_assert_eq!(
+                                m.batches_shipped, *batches,
+                                "workers={} plan:\n{}", workers, plan
+                            );
+                        }
+                        prop_assert!(
+                            &by_stream == streams,
+                            "workers={}: a stream's rows changed order", workers
+                        );
+                    }
+                }
+            }
             db.shutdown();
         }
     }
