@@ -5,7 +5,9 @@
 //! dispatched to the PE's work-stealing worker pool
 //! (`prisma_poolx::WorkerPool`). This experiment runs two
 //! compute-heavy workloads — a scan→filter→project pipeline and a hash
-//! join (parallel build + parallel probe) — at 1, 2 and 4 workers and
+//! join (the build side is built once on the calling thread and is not
+//! metered; the probe is a stage of the scan's pipeline, one morsel per
+//! `BATCH_SIZE` window at every width) — at 1, 2 and 4 workers and
 //! records how the work scales.
 //!
 //! ## Methodology: modeled speedup, not wall clock

@@ -49,7 +49,9 @@ use std::sync::Arc;
 use prisma_multicomputer::StreamReassembly;
 use prisma_ofm::shuffle_extras;
 use prisma_poolx::{Ctx, Process, WireMessage};
-use prisma_relalg::{Batch, PhysicalPlan, Relation};
+use prisma_relalg::{
+    Batch, BatchStream, BatchWindows, ChunkedRelation, PhysicalPlan, Relation, BATCH_SIZE,
+};
 use prisma_storage::expr::ScalarExpr;
 use prisma_types::{
     FragmentId, FragmentStatistics, PrismaError, ProcessId, QueryId, Result, Schema, Tuple,
@@ -126,12 +128,6 @@ impl ChunkData {
             Some(chunk) => Ok(Batch::from_sealed_chunk(&chunk, None)),
             None => Batch::from_block(&self.frame),
         }
-    }
-
-    /// Decode into materialized tuples (the shuffle receiver's build/probe
-    /// collections are row-keyed relations).
-    pub fn into_tuples(self) -> Result<Vec<Tuple>> {
-        self.into_batch().map(Batch::into_tuples)
     }
 
     /// Mangle the payload in flight (the fault injector's
@@ -492,14 +488,18 @@ type ShufflePayload = Vec<(usize, ChunkData)>;
 /// One join side's peer streams reassembling at a phase-2 site.
 struct ShuffleSideState {
     reassembly: StreamReassembly<ShufflePayload>,
-    /// Rows released from reassembly per source stream.
+    /// Rows released from reassembly per source stream (the decoded
+    /// blocks' lengths).
     released: HashMap<u64, u64>,
     /// Rows each source advertised in its per-site `ShuffleEnd`.
     advertised: HashMap<u64, u64>,
-    /// The collected bucket rows (bucket identity is irrelevant once
-    /// ownership is checked — the site joins all its buckets in one
-    /// build).
-    rows: Vec<Tuple>,
+    /// The collected bucket blocks, decoded on arrival and kept as column
+    /// batches: appended, in release order, into full [`BATCH_SIZE`]-row
+    /// windows — the batches a scan of the same rows would cut, so the
+    /// site's result is framed the same however the buckets arrived
+    /// (bucket identity is irrelevant once ownership is checked — the
+    /// site joins all its buckets in one build).
+    batches: BatchWindows,
 }
 
 impl ShuffleSideState {
@@ -508,7 +508,7 @@ impl ShuffleSideState {
             reassembly: StreamReassembly::expecting(tags.iter().copied()),
             released: HashMap::new(),
             advertised: HashMap::new(),
-            rows: Vec::new(),
+            batches: BatchWindows::new(BATCH_SIZE),
         }
     }
 }
@@ -655,7 +655,7 @@ impl OfmActor {
 }
 
 impl OfmActor {
-    /// Run `plan` and ship its output as a chunk stream: one
+    /// Ship an opened plan's output as a chunk stream: one
     /// [`GdhMsg::BatchChunk`] per produced batch, then the terminal
     /// `StreamEnd` advertising the chunk count and the total rows shipped
     /// (the coordinator cross-checks both).
@@ -663,11 +663,9 @@ impl OfmActor {
     /// Each `next_batch()`/`send` alternation is the pipelining seam:
     /// the send crosses the interconnect while this actor keeps scanning,
     /// so the coordinator's merge overlaps fragment execution.
-    #[allow(clippy::too_many_arguments)]
     fn ship_stream(
         &self,
-        plan: &PhysicalPlan,
-        extra: &HashMap<String, Arc<Relation>>,
+        source: Result<BatchStream>,
         reply_to: ProcessId,
         query_id: QueryId,
         tag: u64,
@@ -680,7 +678,7 @@ impl OfmActor {
             seq_count,
             result,
         };
-        let mut source = match self.ofm.open_physical(plan, extra) {
+        let mut source = match source {
             Ok(s) => s,
             Err(e) => {
                 let _ = ctx.send(reply_to, end(Err(e), 0));
@@ -1138,9 +1136,9 @@ impl OfmActor {
                         // Decode here — a frame mangled on the wire is a
                         // protocol error that tears the task down and
                         // fails the query, never a silent mis-join.
-                        let rows = data.into_tuples()?;
-                        *state.released.entry(tag).or_default() += rows.len() as u64;
-                        state.rows.extend(rows);
+                        let batch = data.into_batch()?;
+                        *state.released.entry(tag).or_default() += batch.len() as u64;
+                        state.batches.push(&batch);
                     }
                 }
                 Ok(())
@@ -1206,11 +1204,12 @@ impl OfmActor {
             rows: 0, // filled by ship_stream
             shuffled_bits: task.shuffled_bits,
         };
-        let extra = shuffle_extras(
-            Relation::new(task.lschema.clone(), task.left.rows),
-            Relation::new(task.rschema.clone(), task.right.rows),
+        let inputs = shuffle_extras(
+            ChunkedRelation::from_batches(task.lschema, task.left.batches.finish()),
+            ChunkedRelation::from_batches(task.rschema, task.right.batches.finish()),
         );
-        self.ship_stream(&task.plan, &extra, task.reply_to, query_id, task.tag, stats, ctx);
+        let source = self.ofm.open_shuffle_join(&task.plan, &inputs);
+        self.ship_stream(source, task.reply_to, query_id, task.tag, stats, ctx);
     }
 }
 
@@ -1232,7 +1231,8 @@ impl Process<GdhMsg> for OfmActor {
                 tag,
             } => {
                 self.ofm.seal_for_scan();
-                self.ship_stream(&plan, &extra, reply_to, query_id, tag, StreamStats::default(), ctx);
+                let source = self.ofm.open_physical(&plan, &extra);
+                self.ship_stream(source, reply_to, query_id, tag, StreamStats::default(), ctx);
             }
             GdhMsg::ShuffleSubplan {
                 query_id,

@@ -3,7 +3,9 @@
 use std::collections::HashMap;
 use std::sync::Arc;
 
-use prisma_relalg::{Batch, LogicalPlan, PhysicalPlan, Relation, RelationProvider};
+use prisma_relalg::{
+    Batch, ChunkedRelation, LogicalPlan, PhysicalPlan, Relation, RelationProvider,
+};
 use prisma_stable::{CheckpointStore, LogPayload, WriteAheadLog};
 use prisma_storage::expr::{CmpOp, ScalarExpr};
 use prisma_storage::Rid;
@@ -19,12 +21,16 @@ pub const SHUFFLE_LEFT: &str = "__shuffle_l";
 /// (build) buckets to.
 pub const SHUFFLE_RIGHT: &str = "__shuffle_r";
 
-/// Provider bindings for a site-local shuffle join: the reassembled
-/// bucket rows of both sides under the agreed scan names, ready for
-/// [`Ofm::open_physical`]. One place owns the naming convention shared
-/// by the coordinator (which builds the site plan) and the site actor
-/// (which runs it).
-pub fn shuffle_extras(left: Relation, right: Relation) -> HashMap<String, Arc<Relation>> {
+/// Provider bindings for a site-local shuffle join: the collected bucket
+/// batches of both sides under the agreed scan names, ready for
+/// [`Ofm::open_shuffle_join`] — still in column form; the site plan scans
+/// them one batch per unit. One place owns the naming convention shared by
+/// the coordinator (which builds the site plan) and the site actor (which
+/// runs it).
+pub fn shuffle_extras(
+    left: ChunkedRelation,
+    right: ChunkedRelation,
+) -> HashMap<String, Arc<ChunkedRelation>> {
     HashMap::from([
         (SHUFFLE_LEFT.to_owned(), Arc::new(left)),
         (SHUFFLE_RIGHT.to_owned(), Arc::new(right)),
@@ -503,38 +509,64 @@ impl Ofm {
         plan: &PhysicalPlan,
         extra: &HashMap<String, Arc<Relation>>,
     ) -> Result<prisma_relalg::BatchStream> {
+        self.open_with_inputs(plan, extra, &HashMap::new())
+    }
+
+    /// [`Ofm::open_physical`] for a phase-2 shuffle-join site plan: its
+    /// two scans read the collected bucket batches ([`shuffle_extras`]) in
+    /// column form, so nothing between the wire and the join's probe
+    /// builds a row.
+    pub fn open_shuffle_join(
+        &self,
+        plan: &PhysicalPlan,
+        inputs: &HashMap<String, Arc<ChunkedRelation>>,
+    ) -> Result<prisma_relalg::BatchStream> {
+        self.open_with_inputs(plan, &HashMap::new(), inputs)
+    }
+
+    fn open_with_inputs(
+        &self,
+        plan: &PhysicalPlan,
+        extra: &HashMap<String, Arc<Relation>>,
+        batched: &HashMap<String, Arc<ChunkedRelation>>,
+    ) -> Result<prisma_relalg::BatchStream> {
         struct P<'a> {
             ofm: &'a Ofm,
             extra: &'a HashMap<String, Arc<Relation>>,
+            batched: &'a HashMap<String, Arc<ChunkedRelation>>,
         }
         impl RelationProvider for P<'_> {
             fn relation(&self, name: &str) -> Result<Arc<Relation>> {
                 if name == self.ofm.name {
                     Ok(Arc::new(self.ofm.snapshot()))
+                } else if let Some(rel) = self.extra.get(name) {
+                    Ok(Arc::clone(rel))
                 } else {
-                    self.extra
-                        .get(name)
-                        .map(Arc::clone)
-                        .ok_or_else(|| PrismaError::UnknownRelation(name.to_owned()))
+                    self.batched.relation(name)
                 }
             }
 
-            fn chunked(&self, name: &str) -> Option<Arc<prisma_relalg::ChunkedRelation>> {
+            fn chunked(&self, name: &str) -> Option<Arc<ChunkedRelation>> {
                 if name != self.ofm.name {
-                    return None;
+                    return self.batched.chunked(name);
                 }
                 let frag = &self.ofm.fragment;
                 if frag.sealed_count() == 0 {
                     // All-delta fragments scan through the plain row path.
                     return None;
                 }
-                Some(Arc::new(prisma_relalg::ChunkedRelation::new(
+                Some(Arc::new(ChunkedRelation::new(
                     frag.sealed_chunks(),
                     Relation::new(frag.schema().clone(), frag.delta_tuples()),
                 )))
             }
         }
-        prisma_relalg::open_batches_pooled(plan, &P { ofm: self, extra }, self.pool.clone())
+        let provider = P {
+            ofm: self,
+            extra,
+            batched,
+        };
+        prisma_relalg::open_batches_pooled(plan, &provider, self.pool.clone())
     }
 
     /// Execute a lowered physical subplan to completion, returning every

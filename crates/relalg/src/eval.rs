@@ -51,6 +51,20 @@ impl RelationProvider for HashMap<String, Arc<Relation>> {
     }
 }
 
+/// Provider over column-form intermediates: scans read the chunks and
+/// batches as they are, anything else reads the materialized rows.
+impl RelationProvider for HashMap<String, Arc<crate::table::ChunkedRelation>> {
+    fn relation(&self, name: &str) -> Result<Arc<Relation>> {
+        self.get(name)
+            .map(|ch| Arc::new(ch.materialize()))
+            .ok_or_else(|| PrismaError::UnknownRelation(name.to_owned()))
+    }
+
+    fn chunked(&self, name: &str) -> Option<Arc<crate::table::ChunkedRelation>> {
+        self.get(name).map(Arc::clone)
+    }
+}
+
 /// Evaluation context: a provider plus transient bindings (fixpoint
 /// accumulators and deltas shadow base relations by name). Bindings are
 /// `Arc`-shared, so binding the accumulator each iteration costs a

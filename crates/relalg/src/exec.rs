@@ -9,8 +9,10 @@
 //! * scans over [`Arc<Relation>`]s emit **shared** batches — windows into
 //!   the source relation, no tuple is copied;
 //! * row-at-a-time `Tuple` clones inside operators are reference-count
-//!   bumps ([`Tuple`] is `Arc`-backed), so filter/project/join pipelines
-//!   never deep-copy payloads;
+//!   bumps ([`Tuple`] is `Arc`-backed), so row-wise operators never
+//!   deep-copy payloads;
+//! * filter, project and hash join (`crate::join`) work column-at-a-time
+//!   and never build a row;
 //! * blocking operators (hash build sides, aggregation, sort, closure,
 //!   fixpoint) materialize only their own inputs; everything downstream
 //!   keeps streaming.
@@ -20,11 +22,13 @@
 //! A [`Batch`] carries its rows in one of two physical forms:
 //!
 //! * **row-oriented** (`Shared` windows into an `Arc<Relation>`, or
-//!   `Owned` tuple vectors) — what row-heap scans and joins emit;
+//!   `Owned` tuple vectors) — what unprojected row scans and the
+//!   row-wise operators (set operators, sort, aggregate output) emit;
 //! * **columnar** (`Columns`) — a set of `Arc`-shared [`ColumnVec`]s plus
-//!   a [`SelVec`] selection vector, produced by Filter and Project so
-//!   expressions evaluate column-at-a-time through the vectorized
-//!   kernels in [`prisma_storage::expr`].
+//!   a [`SelVec`] selection vector, produced by chunk scans, projected
+//!   row scans, Filter, Project and hash join, so expressions evaluate
+//!   column-at-a-time through the vectorized kernels in
+//!   [`prisma_storage::expr`] and join keys hash in typed loops.
 //!
 //! Pivoting between the forms is **lazy in both directions and lazy per
 //! column**:
@@ -37,8 +41,8 @@
 //!    unreferenced columns are never built. The original tuple vector is
 //!    kept alongside, so pivoting *back* to rows only bumps refcounts
 //!    instead of re-assembling tuples.
-//! 2. *Columns → rows* happens at materialization points — blocking
-//!    operators, [`collect_batches`] and join output — and is cached per
+//! 2. *Columns → rows* happens at materialization points — row-wise
+//!    blocking operators and [`collect_batches`] — and is cached per
 //!    batch, so repeated [`Batch::tuples`] calls pivot at most once. A
 //!    row costs one allocation (its `Arc<[Value]>`); a batch that is the
 //!    only holder of its columns — every block decoded off the wire —
@@ -46,6 +50,9 @@
 //!    into the rows instead of cloning them. The wire between PEs is not
 //!    a materialization point: every batch ships as an encoded column
 //!    block ([`Batch::encode_columnar_shared`]).
+//! 3. A join's *output* columns are lazy too — one gather per column,
+//!    run on first reference ([`LazyColumns::gathered`]) — so what a
+//!    projection above the join drops is never gathered.
 //!
 //! A Filter over a columnar batch is pure selection refinement: the
 //! output batch shares the input's column set untouched and only the
@@ -65,7 +72,8 @@ use prisma_types::{ColumnVec, LazyColumns, PrismaError, Result, Schema, SelVec, 
 
 use crate::agg::{Accumulator, AggExpr};
 use crate::eval::{transitive_closure, EvalContext, RelationProvider};
-use crate::morsel::{self, JoinTable, ParPipelineOp, Stage};
+use crate::join::{JoinProbe, JoinTable};
+use crate::morsel::{self, ParPipelineOp, Stage};
 use crate::physical::PhysicalPlan;
 use crate::plan::JoinKind;
 use crate::table::Relation;
@@ -191,6 +199,28 @@ impl Batch {
         Batch::from_inner(BatchInner::Shared { rel, start, end })
     }
 
+    /// Rows `[start, end)` of a row relation as a scan emits them: the
+    /// zero-copy window, or — under a fused projection — just the kept
+    /// attributes, pivoted straight into columns (one pass per kept
+    /// column; no projected row is ever built).
+    pub(crate) fn row_window(
+        rel: &Arc<Relation>,
+        start: usize,
+        end: usize,
+        projection: Option<&[usize]>,
+    ) -> Batch {
+        match projection {
+            None => Batch::shared(Arc::clone(rel), start, end),
+            Some(cols) => {
+                let rows = &rel.tuples()[start..end];
+                Batch::columns(
+                    cols.iter().map(|&c| Arc::new(ColumnVec::pivot_one(rows, c))).collect(),
+                    SelVec::all(rows.len()),
+                )
+            }
+        }
+    }
+
     /// Columnar batch over materialized columns: `sel` selects the live
     /// rows of `cols` (every column must have length `sel.len()`).
     pub fn columns(cols: Vec<Arc<ColumnVec>>, sel: SelVec) -> Batch {
@@ -200,6 +230,28 @@ impl Batch {
             sel,
             rows: Arc::new(OnceLock::new()),
         })
+    }
+
+    /// The rows of a row-oriented batch; `None` for a columnar one.
+    pub(crate) fn row_slice(&self) -> Option<&[Tuple]> {
+        match &self.inner {
+            BatchInner::Columns { .. } => None,
+            _ => Some(self.tuples()),
+        }
+    }
+
+    /// The batch narrowed to the attributes `cols`, in that order — what a
+    /// scan's fused projection does to a ready-made batch.
+    pub(crate) fn project_cols(&self, cols: &[usize]) -> Batch {
+        match &self.inner {
+            BatchInner::Columns { cols: set, sel, .. } => Batch::columns_shared(
+                Arc::new(LazyColumns::from_cols(
+                    cols.iter().map(|&c| Arc::clone(set.col(c))).collect(),
+                )),
+                sel.clone(),
+            ),
+            _ => Batch::owned(self.tuples().iter().map(|t| t.project(cols)).collect()),
+        }
     }
 
     /// The rows, pivoting (and caching) for columnar batches.
@@ -284,11 +336,11 @@ impl Batch {
         }
     }
 
-    /// Hash/group key of the `row`-th live row, written into the caller's
+    /// Group key of the `row`-th live row, written into the caller's
     /// reused `key` buffer — the columnar analogue of [`Tuple::key`], used
-    /// by hash-join and hash-aggregate so key extraction neither forces a
-    /// pivot back to rows nor allocates per row (tables are looked up by
-    /// the buffer's slice; only a *new* key is cloned out of it).
+    /// by hash-aggregate so key extraction neither forces a pivot back to
+    /// rows nor allocates per row (tables are looked up by the buffer's
+    /// slice; only a *new* key is cloned out of it).
     pub fn key_at(&self, row: usize, key_cols: &[usize], key: &mut Vec<Value>) {
         key.clear();
         key.extend(key_cols.iter().map(|&c| self.value_at(row, c)));
@@ -355,7 +407,7 @@ impl Batch {
         let idx: Vec<u32> = positions.iter().map(|&p| sel.nth(p as usize) as u32).collect();
         prisma_types::wire::BlockChunk::from_columns(
             positions.len(),
-            (0..cols.arity()).map(|c| Cow::Owned(cols.col(c).gather(&idx))),
+            (0..cols.arity()).map(|c| Cow::Owned(cols.gather_col(c, &idx))),
         )
     }
 
@@ -493,8 +545,8 @@ pub fn open_batches(
 
 /// [`open_batches`] with morsel-driven intra-fragment parallelism: when a
 /// [`WorkerPool`] is supplied, compute-heavy spans of the operator tree
-/// (scan→filter→project pipelines, hash-join builds and probes, hash
-/// aggregation) dispatch [`BATCH_SIZE`]-row morsels to the pool's
+/// (scan→filter→join-probe→project pipelines, hash aggregation) dispatch
+/// morsels — whole scan units of up to [`BATCH_SIZE`] rows — to the pool's
 /// work-stealing workers. Output batches are *identical* to the serial
 /// path — same batches in the same order (see [`mod@crate::morsel`]) —
 /// so the stream's consumers (including the wire protocol) cannot tell
@@ -590,12 +642,13 @@ pub(crate) fn open_with(
         } => Box::new(HashJoinOp {
             probe: open_with(left, ctx, pool)?,
             build: Some(open_with(right, ctx, pool)?),
-            table: JoinTable::default(),
-            lkeys: on.iter().map(|&(l, _)| l).collect(),
             rkeys: on.iter().map(|&(_, r)| r).collect(),
-            kind: *kind,
-            residual: residual.as_ref().map(|p| p.compile_predicate()),
-            pool: pool.map(Arc::clone),
+            kernel: JoinProbe::new(
+                Arc::new(JoinTable::empty()),
+                on.iter().map(|&(l, _)| l).collect(),
+                *kind,
+                residual.as_ref().map(|p| p.compile_vec_predicate()),
+            ),
         }),
         PhysicalPlan::NestedLoopJoin {
             left,
@@ -664,83 +717,109 @@ pub(crate) fn open_with(
     })
 }
 
-/// Recognize a scan-rooted pipeline fragment — `(Filter|Project)*` over
-/// `SeqScan`/`Values` — and open it as a single morsel-parallel operator
-/// when the source is big enough to be worth it. Returns `None` (caller
-/// falls back to the serial operator chain) otherwise.
+/// Recognize a scan-rooted pipeline — `(Filter|Project|HashJoin probe)*`
+/// over `SeqScan`/`Values` — and open it as a single morsel-parallel
+/// operator when the source is big enough to be worth it: every scan unit
+/// runs scan → filter → probe → project worker-side in one go. Returns
+/// `None` (caller falls back to the serial operator chain) otherwise.
 fn try_open_pipeline(
     plan: &PhysicalPlan,
     ctx: &mut EvalContext<'_>,
     pool: &Arc<WorkerPool>,
 ) -> Result<Option<BoxOp>> {
-    let mut stages_rev: Vec<Stage> = Vec::new();
+    // The pipeline's spine, top down; a join continues into its probe side.
+    let mut spine: Vec<&PhysicalPlan> = Vec::new();
     let mut cur = plan;
-    loop {
+    let source = loop {
         match cur {
-            PhysicalPlan::Filter { input, predicate } => {
-                stages_rev.push(Stage::Filter(predicate.compile_vec_predicate()));
+            PhysicalPlan::Filter { input, .. } | PhysicalPlan::Project { input, .. } => {
+                spine.push(cur);
                 cur = input;
             }
-            PhysicalPlan::Project { input, exprs, .. } => {
-                stages_rev.push(Stage::Project {
-                    exprs: exprs.iter().map(|e| e.compile_vec()).collect(),
-                    identity: identity_width(exprs),
-                });
-                cur = input;
+            PhysicalPlan::HashJoin { left, .. } => {
+                spine.push(cur);
+                cur = left;
             }
-            PhysicalPlan::SeqScan {
-                relation,
-                projection,
-                prune,
-                ..
-            } => {
-                let stages: Vec<Stage> = stages_rev.into_iter().rev().collect();
-                if let Some(ch) = ctx.lookup_chunked(relation) {
-                    // Eligibility is decided *before* cutting scan units
-                    // so an ineligible plan falls back to the serial
-                    // chunk scan without double-counting prune telemetry.
-                    if !ParPipelineOp::eligible(ch.len(), &stages, projection) {
-                        return Ok(None);
-                    }
-                    let refuter = prune
-                        .as_ref()
-                        .map(prisma_storage::ZoneRefuter::compile)
-                        .unwrap_or_default();
-                    let units = chunk_scan_units(&ch, &refuter);
-                    return Ok(Some(Box::new(morsel::ParChunkPipelineOp::new(
-                        units,
-                        projection.clone(),
-                        stages,
-                        Arc::clone(pool),
-                    ))));
-                }
-                let rel = ctx.lookup(relation)?;
-                if !ParPipelineOp::eligible(rel.len(), &stages, projection) {
-                    return Ok(None);
-                }
-                return Ok(Some(Box::new(ParPipelineOp::new(
-                    rel,
-                    projection.clone(),
-                    stages,
-                    Arc::clone(pool),
-                ))));
-            }
-            PhysicalPlan::Values { schema, rows } => {
-                let stages: Vec<Stage> = stages_rev.into_iter().rev().collect();
-                if !ParPipelineOp::eligible(rows.len(), &stages, &None) {
-                    return Ok(None);
-                }
-                let rel = Arc::new(Relation::new(schema.clone(), rows.clone()));
-                return Ok(Some(Box::new(ParPipelineOp::new(
-                    rel,
-                    None,
-                    stages,
-                    Arc::clone(pool),
-                ))));
-            }
+            PhysicalPlan::SeqScan { .. } | PhysicalPlan::Values { .. } => break cur,
             _ => return Ok(None),
         }
+    };
+    // Eligibility is decided *before* anything is cut or built, so an
+    // ineligible plan falls back to the serial chain without
+    // double-counting prune telemetry or building a join table twice.
+    let mut units = Vec::new();
+    let projection = match source {
+        PhysicalPlan::SeqScan {
+            relation,
+            projection,
+            prune,
+            ..
+        } => {
+            let eligible = |rows| ParPipelineOp::eligible(rows, !spine.is_empty(), projection);
+            if let Some(ch) = ctx.lookup_chunked(relation) {
+                if !eligible(ch.len()) {
+                    return Ok(None);
+                }
+                let refuter = prune
+                    .as_ref()
+                    .map(prisma_storage::ZoneRefuter::compile)
+                    .unwrap_or_default();
+                units = chunk_scan_units(&ch, &refuter);
+            } else {
+                let rel = ctx.lookup(relation)?;
+                if !eligible(rel.len()) {
+                    return Ok(None);
+                }
+                row_scan_units(&rel, &mut units);
+            }
+            projection.clone()
+        }
+        PhysicalPlan::Values { schema, rows } => {
+            if !ParPipelineOp::eligible(rows.len(), !spine.is_empty(), &None) {
+                return Ok(None);
+            }
+            let rel = Arc::new(Relation::new(schema.clone(), rows.clone()));
+            row_scan_units(&rel, &mut units);
+            None
+        }
+        _ => unreachable!("the spine walk ends at a scan"),
+    };
+    let mut stages = Vec::with_capacity(spine.len());
+    for node in spine.into_iter().rev() {
+        stages.push(match node {
+            PhysicalPlan::Filter { predicate, .. } => {
+                Stage::Filter(predicate.compile_vec_predicate())
+            }
+            PhysicalPlan::Project { exprs, .. } => Stage::Project {
+                exprs: exprs.iter().map(|e| e.compile_vec()).collect(),
+                identity: identity_width(exprs),
+            },
+            PhysicalPlan::HashJoin {
+                right,
+                kind,
+                on,
+                residual,
+                ..
+            } => {
+                let mut build = open_with(right, ctx, Some(pool))?;
+                let rkeys: Vec<usize> = on.iter().map(|&(_, r)| r).collect();
+                let table = JoinTable::build(&drain(build.as_mut())?, &rkeys)?;
+                Stage::Probe(JoinProbe::new(
+                    Arc::new(table),
+                    on.iter().map(|&(l, _)| l).collect(),
+                    *kind,
+                    residual.as_ref().map(|p| p.compile_vec_predicate()),
+                ))
+            }
+            _ => unreachable!("only these enter the spine"),
+        });
     }
+    Ok(Some(Box::new(ParPipelineOp::new(
+        units,
+        projection,
+        stages,
+        Arc::clone(pool),
+    ))))
 }
 
 fn run_fixpoint(
@@ -804,36 +883,42 @@ pub fn key_hash(key: &[Value]) -> u64 {
 }
 
 /// Split one batch's live rows into `parts` buckets of row *positions*
-/// (indices into `0..batch.len()`) by join-key hash ([`key_hash`]), reading
-/// keys straight from the columnar form. Rows with a NULL key component
-/// are dropped — SQL equi-joins never match NULL keys, so they cannot
-/// contribute to any bucket's join result. Placement depends only on the
-/// key values, so the columnar and row shuffle wires route every row to
+/// (indices into `0..batch.len()`) by join-key hash, computed straight from
+/// the typed key columns and bit-identical to [`key_hash`] over the same
+/// values. Rows with a NULL key component are dropped — SQL equi-joins
+/// never match NULL keys, so they cannot contribute to any bucket's join
+/// result. Placement depends only on the key values, so both sides of a
+/// join, whatever their column types and batch forms, route equal keys to
 /// the same site.
 pub fn partition_positions(batch: &Batch, key_cols: &[usize], parts: usize) -> Vec<Vec<u32>> {
     let mut buckets: Vec<Vec<u32>> = (0..parts).map(|_| Vec::new()).collect();
-    let mut key: Vec<Value> = Vec::with_capacity(key_cols.len());
-    for row in 0..batch.len() {
-        batch.key_at(row, key_cols, &mut key);
-        if key.iter().any(Value::is_null) {
-            continue;
+    if batch.is_empty() {
+        return buckets; // (and an empty row batch has no columns to hash)
+    }
+    let (cols, sel) = batch.to_columns();
+    let (mut hashes, mut nulls) = (Vec::new(), Vec::new());
+    crate::join::hash_keys(&cols, &sel, key_cols, &mut hashes, &mut nulls);
+    for (row, (hash, null)) in hashes.into_iter().zip(nulls).enumerate() {
+        if !null {
+            buckets[(hash % parts as u64) as usize].push(row as u32);
         }
-        let idx = (key_hash(&key) % parts as u64) as usize;
-        buckets[idx].push(row as u32);
     }
     buckets
 }
 
 // ---------------- operators ----------------
 
-/// One unit of a two-tier fragment scan: a whole sealed chunk (the
-/// natural morsel — pre-pivoted, zone-mapped, wire-cached) or a
-/// [`BATCH_SIZE`] window of the row delta.
+/// One unit of a scan — the natural morsel: a whole sealed chunk
+/// (pre-pivoted, zone-mapped, wire-cached), a ready-made column batch, or a
+/// [`BATCH_SIZE`] window of a row relation (a fragment's delta, or all of a
+/// row-backed source).
 #[derive(Debug, Clone)]
 pub(crate) enum ScanUnit {
     /// A sealed column chunk, served with zero row pivot.
     Chunk(Arc<prisma_types::SealedChunk>),
-    /// `[start, end)` window into the delta relation.
+    /// A batch the source already holds in column form.
+    Ready(Batch),
+    /// `[start, end)` window into a row relation.
     Delta(Arc<Relation>, usize, usize),
 }
 
@@ -841,25 +926,19 @@ impl ScanUnit {
     pub(crate) fn len(&self) -> usize {
         match self {
             ScanUnit::Chunk(c) => c.len(),
+            ScanUnit::Ready(b) => b.len(),
             ScanUnit::Delta(_, start, end) => end - start,
         }
     }
 
-    /// The unit as a batch; delta windows mirror `ScanOp` exactly (shared
-    /// window, or projected owned rows), so a chunked scan's delta tail is
+    /// The unit as a batch; row windows are `ScanOp`'s
+    /// ([`Batch::row_window`]), so a chunked scan's delta tail is
     /// bit-identical to the row path.
     pub(crate) fn batch(&self, projection: Option<&[usize]>) -> Batch {
         match self {
             ScanUnit::Chunk(c) => Batch::from_sealed_chunk(c, projection),
-            ScanUnit::Delta(rel, start, end) => match projection {
-                None => Batch::shared(Arc::clone(rel), *start, *end),
-                Some(cols) => Batch::owned(
-                    rel.tuples()[*start..*end]
-                        .iter()
-                        .map(|t| t.project(cols))
-                        .collect(),
-                ),
-            },
+            ScanUnit::Ready(b) => projection.map_or_else(|| b.clone(), |cols| b.project_cols(cols)),
+            ScanUnit::Delta(rel, start, end) => Batch::row_window(rel, *start, *end, projection),
         }
     }
 }
@@ -867,9 +946,9 @@ impl ScanUnit {
 /// Cut a chunked relation into scan units, zone-pruning sealed chunks
 /// **eagerly at open time**: a chunk whose zone maps refute the scan's
 /// prune hint is dropped here, before any of its data is touched. Kept
-/// chunks and prune victims bump the process-wide telemetry counters; the
-/// delta is appended as ordinary row windows (units stay in
-/// sealed-then-delta order so every execution mode scans identically).
+/// chunks and prune victims bump the process-wide telemetry counters;
+/// ready-made batches and then the delta's row windows follow (units stay
+/// in that order so every execution mode scans identically).
 pub(crate) fn chunk_scan_units(
     ch: &crate::table::ChunkedRelation,
     refuter: &prisma_storage::ZoneRefuter,
@@ -889,14 +968,19 @@ pub(crate) fn chunk_scan_units(
         CHUNKS_SCANNED.fetch_add(scanned, std::sync::atomic::Ordering::Relaxed);
         CHUNKS_PRUNED.fetch_add(pruned, std::sync::atomic::Ordering::Relaxed);
     }
-    let delta = ch.delta();
+    units.extend(ch.batches().iter().cloned().map(ScanUnit::Ready));
+    row_scan_units(ch.delta(), &mut units);
+    units
+}
+
+/// Cut a row relation into [`BATCH_SIZE`] windows, appended to `units`.
+pub(crate) fn row_scan_units(rel: &Arc<Relation>, units: &mut Vec<ScanUnit>) {
     let mut start = 0;
-    while start < delta.len() {
-        let end = (start + BATCH_SIZE).min(delta.len());
-        units.push(ScanUnit::Delta(Arc::clone(delta), start, end));
+    while start < rel.len() {
+        let end = (start + BATCH_SIZE).min(rel.len());
+        units.push(ScanUnit::Delta(Arc::clone(rel), start, end));
         start = end;
     }
-    units
 }
 
 /// Scan over a two-tier chunked relation: one batch per surviving scan
@@ -935,15 +1019,7 @@ impl Operator for ScanOp {
         let start = self.pos;
         let end = (start + BATCH_SIZE).min(self.rel.len());
         self.pos = end;
-        Ok(Some(match &self.projection {
-            None => Batch::shared(Arc::clone(&self.rel), start, end),
-            Some(cols) => Batch::owned(
-                self.rel.tuples()[start..end]
-                    .iter()
-                    .map(|t| t.project(cols))
-                    .collect(),
-            ),
-        }))
+        Ok(Some(Batch::row_window(&self.rel, start, end, self.projection.as_deref())))
     }
 }
 
@@ -1028,119 +1104,28 @@ impl Operator for ProjectOp {
     }
 }
 
+/// Hash join on the calling thread: the build side drains into a
+/// [`JoinTable`] on the first pull, then every probe batch goes through the
+/// columnar kernel whole ([`JoinProbe::probe`]) — one output batch per
+/// probe batch that joins anything. A scan-rooted probe side with a pool
+/// attached never gets here: it runs as a `Stage::Probe` of the pooled
+/// pipeline, through the same kernel.
 struct HashJoinOp {
     probe: BoxOp,
     build: Option<BoxOp>,
-    table: JoinTable,
-    lkeys: Vec<usize>,
     rkeys: Vec<usize>,
-    kind: JoinKind,
-    residual: Option<CompiledPredicate>,
-    /// Morsel-parallel build and probe when attached; candidate and
-    /// output orders match the serial path exactly (contiguous-chunk
-    /// partial builds merged in chunk order, probe morsels concatenated
-    /// in row order).
-    pool: Option<Arc<WorkerPool>>,
-}
-
-impl HashJoinOp {
-    fn build_table(&mut self) -> Result<()> {
-        let Some(mut build) = self.build.take() else {
-            return Ok(());
-        };
-        match &self.pool {
-            Some(pool) => {
-                let batches = drain(build.as_mut())?;
-                self.table = morsel::parallel_build(pool, &batches, &self.rkeys);
-            }
-            None => {
-                while let Some(batch) = build.next_batch()? {
-                    // Key extraction reads the columnar form when the
-                    // child produced one; the stored row still comes
-                    // from the (cached) row pivot, since probe output
-                    // concatenates whole tuples.
-                    morsel::insert_build_batch(&mut self.table, &batch, &self.rkeys);
-                }
-            }
-        }
-        Ok(())
-    }
-}
-
-/// Probe rows `[start, end)` of one batch against the build table — the
-/// row-at-a-time kernel shared by the serial probe loop and the morsel
-/// splits of the parallel one.
-pub(crate) fn probe_range(
-    table: &JoinTable,
-    lkeys: &[usize],
-    kind: JoinKind,
-    residual: Option<&CompiledPredicate>,
-    batch: &Batch,
-    start: usize,
-    end: usize,
-) -> Vec<Tuple> {
-    let mut out = Vec::new();
-    let mut key: Vec<Value> = Vec::with_capacity(lkeys.len());
-    for row in start..end {
-        // Columnar key extraction: a probe batch whose keys all miss
-        // never pivots back to rows at all.
-        batch.key_at(row, lkeys, &mut key);
-        let candidates = if key.iter().any(Value::is_null) {
-            &[][..]
-        } else {
-            table.get(key.as_slice()).map(Vec::as_slice).unwrap_or(&[])
-        };
-        let mut matched = false;
-        if !candidates.is_empty() {
-            // Materialized lazily so an all-miss probe batch never
-            // pivots back to rows.
-            let lt = &batch.tuples()[row];
-            for rt in candidates {
-                let joined = lt.concat(rt);
-                let ok = residual.is_none_or(|p| p(&joined));
-                if ok {
-                    matched = true;
-                    if kind == JoinKind::Inner {
-                        out.push(joined);
-                    } else {
-                        break;
-                    }
-                }
-            }
-        }
-        match kind {
-            JoinKind::Semi if matched => out.push(batch.tuples()[row].clone()),
-            JoinKind::Anti if !matched => out.push(batch.tuples()[row].clone()),
-            _ => {}
-        }
-    }
-    out
+    kernel: JoinProbe,
 }
 
 impl Operator for HashJoinOp {
     fn next_batch(&mut self) -> Result<Option<Batch>> {
-        self.build_table()?;
+        if let Some(mut build) = self.build.take() {
+            let table = JoinTable::build(&drain(build.as_mut())?, &self.rkeys)?;
+            self.kernel.set_table(table);
+        }
         while let Some(batch) = self.probe.next_batch()? {
-            let out = match &self.pool {
-                Some(pool) => {
-                    let (table, lkeys, kind) = (&self.table, &self.lkeys[..], self.kind);
-                    let residual = self.residual.as_ref();
-                    morsel::parallel_probe(pool, &batch, |b, s, e| {
-                        probe_range(table, lkeys, kind, residual, b, s, e)
-                    })
-                }
-                None => probe_range(
-                    &self.table,
-                    &self.lkeys,
-                    self.kind,
-                    self.residual.as_ref(),
-                    &batch,
-                    0,
-                    batch.len(),
-                ),
-            };
-            if !out.is_empty() {
-                return Ok(Some(Batch::owned(out)));
+            if let Some(out) = self.kernel.probe(&batch) {
+                return Ok(Some(out));
             }
         }
         Ok(None)
@@ -1742,7 +1727,7 @@ mod tests {
                 ))
                 .project_cols(&[0, 1])
                 .unwrap(),
-            // Hash join: parallel build + probe.
+            // Hash join: the probe is a stage of the scan's pipeline.
             emp().join(dept(), vec![(1, 0)]),
             // Aggregate: parallel partials folded at the breaker.
             LogicalPlan::Aggregate {

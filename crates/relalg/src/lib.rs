@@ -25,6 +25,7 @@
 pub mod agg;
 pub mod eval;
 pub mod exec;
+mod join;
 pub mod morsel;
 pub mod physical;
 pub mod plan;
@@ -38,4 +39,4 @@ pub use exec::{
 };
 pub use physical::{lower, lower_with, JoinStrategy, PhysicalPlan, ShufflePlacement};
 pub use plan::{JoinKind, LogicalPlan};
-pub use table::{ChunkedRelation, Relation};
+pub use table::{BatchWindows, ChunkedRelation, Relation};

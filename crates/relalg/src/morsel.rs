@@ -3,20 +3,21 @@
 //! The executor in [`crate::exec`] runs one operator tree per fragment on
 //! the owning PE's actor thread. When a [`WorkerPool`] is attached
 //! ([`crate::exec::open_batches_pooled`]), the compute-heavy spans of
-//! that tree are cut into **morsels** — [`BATCH_SIZE`]-row ranges — and
-//! dispatched to the pool's work-stealing workers:
+//! that tree are cut into **morsels** and dispatched to the pool's
+//! work-stealing workers:
 //!
-//! * a scan→filter→project pipeline fragment becomes a parallel
-//!   pipeline operator (`ParPipelineOp`): waves of morsels run the
-//!   whole stage chain worker-side, and the outputs are emitted in
-//!   morsel order;
-//! * a hash-join build side is split into contiguous batch chunks, each
-//!   worker builds a private partial table, and the partials merge at
-//!   the pipeline breaker in chunk order;
-//! * a hash-aggregate input likewise folds into per-worker partial
-//!   group tables merged in chunk order (see [`Accumulator::merge`]);
-//! * probe batches are themselves split row-wise across workers, with
-//!   per-morsel outputs concatenated in order.
+//! * a scan-rooted pipeline — scan → filter → hash-join probe → project,
+//!   in any mix — becomes one parallel pipeline operator
+//!   (`ParPipelineOp`): the morsel is a whole **scan unit** (a sealed
+//!   chunk, a ready column batch, a [`BATCH_SIZE`] window of rows), waves
+//!   of them run the full stage chain worker-side, and the outputs are
+//!   emitted in unit order. A join's build side is built once, on the
+//!   opening thread, before the first wave; its probe is a stage like any
+//!   other (`crate::join`), so a batch is never split by rows and the
+//!   morsel count does not depend on the pool width;
+//! * a hash-aggregate input folds into per-worker partial group tables
+//!   over contiguous batch chunks, merged in chunk order (see
+//!   [`Accumulator::merge`]).
 //!
 //! **Every merge is ordered by morsel position**, which makes pooled
 //! execution *bit-identical* to the serial baseline — same batches, same
@@ -34,20 +35,16 @@ use std::sync::Arc;
 
 use prisma_poolx::{Job, WorkerPool};
 use prisma_storage::FastMap;
-use prisma_types::{Result, SelVec, Tuple, Value};
+use prisma_types::{Result, SelVec, Value};
 
 use crate::agg::{Accumulator, AggExpr, AggFunc};
-use crate::exec::{Batch, Operator, BATCH_SIZE};
-use crate::table::Relation;
+use crate::exec::{Batch, Operator, ScanUnit, BATCH_SIZE};
+use crate::join::JoinProbe;
 
 /// Morsels dispatched per wave, as a multiple of the pool width: enough
 /// slack that a stolen straggler rebalances, small enough that a wave's
 /// output stays a handful of batches (the stream stays incremental).
 const WAVE_MORSELS_PER_WORKER: usize = 4;
-
-/// Minimum live rows before splitting a probe batch across workers —
-/// below this the scatter overhead beats the win.
-const PAR_PROBE_MIN_ROWS: usize = 512;
 
 /// Run `f` over every item on the pool's workers and return the results
 /// **in item order** — the scatter/gather every morsel-parallel span in
@@ -88,34 +85,39 @@ pub(crate) enum Stage {
         exprs: Vec<prisma_storage::expr::CompiledVecExpr>,
         identity: Option<usize>,
     },
+    /// Hash-join probe against a table built before the first wave (each
+    /// worker clones the kernel's scratch; the table is shared).
+    Probe(JoinProbe),
 }
 
-/// A scan→(filter|project)* chain executed morsel-parallel: the source
-/// relation is cut into [`BATCH_SIZE`]-row morsels, a wave of them runs
-/// the full stage chain on the pool, and results are emitted in morsel
-/// order (identical to the serial operator chain's output).
+/// A scan-rooted stage chain executed morsel-parallel: the source's scan
+/// units — sealed chunks pre-pruned by their zone maps at open time, ready
+/// column batches, [`BATCH_SIZE`] row windows — are the morsels. Waves of
+/// units run the stage chain on the pool's workers and outputs merge in
+/// unit order, so the pooled pipeline is bit-identical to the serial
+/// [`crate::exec`] operator chain.
 pub(crate) struct ParPipelineOp {
-    rel: Arc<Relation>,
+    units: Vec<ScanUnit>,
     projection: Option<Vec<usize>>,
     stages: Vec<Stage>,
     pool: Arc<WorkerPool>,
-    next_row: usize,
+    next_unit: usize,
     ready: VecDeque<Batch>,
 }
 
 impl ParPipelineOp {
     pub(crate) fn new(
-        rel: Arc<Relation>,
+        units: Vec<ScanUnit>,
         projection: Option<Vec<usize>>,
         stages: Vec<Stage>,
         pool: Arc<WorkerPool>,
     ) -> ParPipelineOp {
         ParPipelineOp {
-            rel,
+            units,
             projection,
             stages,
             pool,
-            next_row: 0,
+            next_unit: 0,
             ready: VecDeque::new(),
         }
     }
@@ -123,21 +125,20 @@ impl ParPipelineOp {
     /// Whether the pooled pipeline is worth it for this source: at least
     /// two morsels and some per-row compute (a bare scan is zero-copy
     /// window arithmetic — nothing to parallelize).
-    pub(crate) fn eligible(rows: usize, stages: &[Stage], projection: &Option<Vec<usize>>) -> bool {
-        rows > BATCH_SIZE && (!stages.is_empty() || projection.is_some())
+    pub(crate) fn eligible(rows: usize, has_stages: bool, projection: &Option<Vec<usize>>) -> bool {
+        rows > BATCH_SIZE && (has_stages || projection.is_some())
     }
 
     fn run_wave(&mut self) {
         let wave = self.pool.workers() * WAVE_MORSELS_PER_WORKER;
-        let mut ranges = Vec::with_capacity(wave);
-        while ranges.len() < wave && self.next_row < self.rel.len() {
-            let end = (self.next_row + BATCH_SIZE).min(self.rel.len());
-            ranges.push((self.next_row, end));
-            self.next_row = end;
-        }
-        let (rel, projection, stages) = (&self.rel, &self.projection, &self.stages);
-        let out = pool_map(&self.pool, ranges, |(start, end)| {
-            run_morsel(rel, projection, stages, start, end)
+        let end = (self.next_unit + wave).min(self.units.len());
+        let wave_units = &self.units[self.next_unit..end];
+        self.next_unit = end;
+        let (projection, stages) = (&self.projection, &self.stages);
+        let out = pool_map(&self.pool, wave_units, |unit| {
+            (unit.len() > 0)
+                .then(|| run_stages(unit.batch(projection.as_deref()), stages))
+                .flatten()
         });
         self.ready.extend(out.into_iter().flatten());
     }
@@ -149,7 +150,7 @@ impl Operator for ParPipelineOp {
             if let Some(b) = self.ready.pop_front() {
                 return Ok(Some(b));
             }
-            if self.next_row >= self.rel.len() {
+            if self.next_unit >= self.units.len() {
                 return Ok(None);
             }
             self.run_wave();
@@ -157,30 +158,9 @@ impl Operator for ParPipelineOp {
     }
 }
 
-/// Run the full stage chain over one morsel of the source relation.
-/// Mirrors `ScanOp` → `FilterOp` → `ProjectOp` exactly, one batch deep.
-fn run_morsel(
-    rel: &Arc<Relation>,
-    projection: &Option<Vec<usize>>,
-    stages: &[Stage],
-    start: usize,
-    end: usize,
-) -> Option<Batch> {
-    let batch = match projection {
-        None => Batch::shared(Arc::clone(rel), start, end),
-        Some(cols) => Batch::owned(
-            rel.tuples()[start..end]
-                .iter()
-                .map(|t| t.project(cols))
-                .collect(),
-        ),
-    };
-    run_stages(batch, stages)
-}
-
 /// Push one source batch through the stage chain — the per-morsel kernel
-/// shared by the relation-backed and chunk-backed pipelines (mirrors
-/// `FilterOp` → `ProjectOp` exactly, one batch deep).
+/// (mirrors `FilterOp` / `HashJoinOp` / `ProjectOp` exactly, one batch
+/// deep).
 fn run_stages(mut batch: Batch, stages: &[Stage]) -> Option<Batch> {
     for stage in stages {
         if batch.is_empty() {
@@ -212,146 +192,20 @@ fn run_stages(mut batch: Batch, stages: &[Stage]) -> Option<Batch> {
                 let out: Vec<_> = exprs.iter().map(|e| e.eval(&cols, &sel)).collect();
                 batch = Batch::columns(out, SelVec::all(sel.count()));
             }
+            Stage::Probe(kernel) => batch = kernel.clone().probe(&batch)?,
         }
+    }
+    // A join that ends the pipeline hands its whole output to the wire or
+    // to a row pivot, which read every column: gather them here, on the
+    // worker, not on the thread that drains the stream.
+    if let Some(Stage::Probe(_)) = stages.last() {
+        batch.to_columns().0.force_gathers();
     }
     if batch.is_empty() {
         None
     } else {
         Some(batch)
     }
-}
-
-/// The chunked-scan counterpart of [`ParPipelineOp`]: scan units — whole
-/// sealed chunks plus delta windows, pre-pruned by the zone maps at open
-/// time — are the morsels. Waves of units run the stage chain on the
-/// pool's workers and outputs merge in unit order, so the pooled chunked
-/// scan is bit-identical to the serial [`crate::exec`] chunk scan.
-pub(crate) struct ParChunkPipelineOp {
-    units: Vec<crate::exec::ScanUnit>,
-    projection: Option<Vec<usize>>,
-    stages: Vec<Stage>,
-    pool: Arc<WorkerPool>,
-    next_unit: usize,
-    ready: VecDeque<Batch>,
-}
-
-impl ParChunkPipelineOp {
-    pub(crate) fn new(
-        units: Vec<crate::exec::ScanUnit>,
-        projection: Option<Vec<usize>>,
-        stages: Vec<Stage>,
-        pool: Arc<WorkerPool>,
-    ) -> ParChunkPipelineOp {
-        ParChunkPipelineOp {
-            units,
-            projection,
-            stages,
-            pool,
-            next_unit: 0,
-            ready: VecDeque::new(),
-        }
-    }
-
-    fn run_wave(&mut self) {
-        let wave = self.pool.workers() * WAVE_MORSELS_PER_WORKER;
-        let end = (self.next_unit + wave).min(self.units.len());
-        let wave_units = &self.units[self.next_unit..end];
-        self.next_unit = end;
-        let (projection, stages) = (&self.projection, &self.stages);
-        let out = pool_map(&self.pool, wave_units, |unit| {
-            (unit.len() > 0)
-                .then(|| run_stages(unit.batch(projection.as_deref()), stages))
-                .flatten()
-        });
-        self.ready.extend(out.into_iter().flatten());
-    }
-}
-
-impl Operator for ParChunkPipelineOp {
-    fn next_batch(&mut self) -> Result<Option<Batch>> {
-        loop {
-            if let Some(b) = self.ready.pop_front() {
-                return Ok(Some(b));
-            }
-            if self.next_unit >= self.units.len() {
-                return Ok(None);
-            }
-            self.run_wave();
-        }
-    }
-}
-
-// ---------------- hash-join helpers ----------------
-
-/// Type of a hash-join build table (also the serial executor's).
-pub(crate) type JoinTable = FastMap<Vec<Value>, Vec<Tuple>>;
-
-/// Build a join table from the drained build side in parallel: workers
-/// build private partial tables over contiguous batch chunks, and the
-/// partials merge in chunk order — so each key's candidate vector lists
-/// rows in exactly the order the serial single-threaded build would.
-pub(crate) fn parallel_build(pool: &WorkerPool, batches: &[Batch], rkeys: &[usize]) -> JoinTable {
-    let chunks = chunk_ranges(batches.len(), pool.workers());
-    let mut partials = pool_map(pool, chunks, |(start, end)| {
-        let mut table = JoinTable::default();
-        for batch in &batches[start..end] {
-            insert_build_batch(&mut table, batch, rkeys);
-        }
-        table
-    })
-    .into_iter();
-    let mut table = partials.next().unwrap_or_default();
-    for partial in partials {
-        for (key, rows) in partial {
-            table.entry(key).or_default().extend(rows);
-        }
-    }
-    table
-}
-
-/// One build batch into a table — shared by the serial and parallel
-/// paths so they cannot diverge.
-pub(crate) fn insert_build_batch(table: &mut JoinTable, batch: &Batch, rkeys: &[usize]) {
-    let mut key: Vec<Value> = Vec::with_capacity(rkeys.len());
-    for row in 0..batch.len() {
-        batch.key_at(row, rkeys, &mut key);
-        // SQL equi-joins never match NULL keys.
-        if key.iter().any(Value::is_null) {
-            continue;
-        }
-        let tuple = batch.tuples()[row].clone();
-        // Look up by slice: only a key's first row pays for an owned key.
-        match table.get_mut(key.as_slice()) {
-            Some(rows) => rows.push(tuple),
-            None => {
-                table.insert(key.clone(), vec![tuple]);
-            }
-        }
-    }
-}
-
-/// Probe one batch against the table with the rows split across workers;
-/// per-morsel outputs concatenate in row order, matching the serial
-/// probe loop. `probe_rows` is the row-at-a-time kernel both paths share.
-pub(crate) fn parallel_probe<F>(pool: &WorkerPool, batch: &Batch, probe_rows: F) -> Vec<Tuple>
-where
-    F: Fn(&Batch, usize, usize) -> Vec<Tuple> + Sync,
-{
-    let rows = batch.len();
-    if rows < PAR_PROBE_MIN_ROWS {
-        return probe_rows(batch, 0, rows);
-    }
-    let morsel = rows.div_ceil(pool.workers()).max(1);
-    let ranges: Vec<(usize, usize)> = (0..rows)
-        .step_by(morsel)
-        .map(|s| (s, (s + morsel).min(rows)))
-        .collect();
-    let slots = pool_map(pool, ranges, |(start, end)| probe_rows(batch, start, end));
-    let mut out = Vec::with_capacity(slots.iter().map(Vec::len).sum());
-    for s in slots {
-        out.extend(s);
-    }
-    out
 }
 
 // ---------------- hash-aggregate helpers ----------------

@@ -3,7 +3,7 @@
 use std::fmt;
 
 use prisma_storage::FastSet;
-use prisma_types::{Result, Schema, Tuple};
+use prisma_types::{ColumnVec, Result, Schema, SelVec, Tuple};
 
 /// A materialized table: a schema plus a bag of tuples.
 ///
@@ -171,19 +171,22 @@ impl fmt::Display for Relation {
     }
 }
 
-/// A two-tier scan source: a fragment's sealed columnar chunks plus its
-/// row-oriented delta, snapshotted together.
+/// A scan source held (partly) in column form: a fragment's sealed
+/// columnar chunks plus its row-oriented delta, snapshotted together — or
+/// an intermediate that already exists as column batches (the decoded
+/// bucket blocks a grace-join site collected).
 ///
-/// Providers that store fragments two-tier (`prisma-ofm`) hand this out
-/// through [`crate::RelationProvider::chunked`]; the executor's chunk scan
-/// serves the sealed chunks as ready-made column batches (zero row pivot,
-/// zone-map pruning) and appends the delta through the ordinary row path.
-/// The logical contents are exactly `chunks ⧺ delta` — the same multiset a
-/// row scan of the fragment would produce.
+/// Providers hand this out through [`crate::RelationProvider::chunked`];
+/// the executor's scan serves sealed chunks (zero row pivot, zone-map
+/// pruning) and ready batches as they are and appends the delta through
+/// the ordinary row path. The logical contents are exactly
+/// `chunks ⧺ batches ⧺ delta` — the same rows, in the same order, a row
+/// scan of [`ChunkedRelation::materialize`] would produce.
 #[derive(Debug, Clone)]
 pub struct ChunkedRelation {
     schema: Schema,
     chunks: Vec<std::sync::Arc<prisma_types::SealedChunk>>,
+    batches: Vec<crate::exec::Batch>,
     delta: std::sync::Arc<Relation>,
 }
 
@@ -196,7 +199,17 @@ impl ChunkedRelation {
         ChunkedRelation {
             schema: delta.schema().clone(),
             chunks,
+            batches: Vec::new(),
             delta: std::sync::Arc::new(delta),
+        }
+    }
+
+    /// A relation that exists as ready column batches, scanned one batch
+    /// per unit in the given order.
+    pub fn from_batches(schema: Schema, batches: Vec<crate::exec::Batch>) -> ChunkedRelation {
+        ChunkedRelation {
+            batches,
+            ..ChunkedRelation::new(Vec::new(), Relation::empty(schema))
         }
     }
 
@@ -210,19 +223,111 @@ impl ChunkedRelation {
         &self.chunks
     }
 
-    /// The row-oriented delta (scanned after the chunks).
+    /// Ready column batches (scanned after the chunks).
+    pub fn batches(&self) -> &[crate::exec::Batch] {
+        &self.batches
+    }
+
+    /// The row-oriented delta (scanned last).
     pub fn delta(&self) -> &std::sync::Arc<Relation> {
         &self.delta
     }
 
-    /// Total rows across both tiers.
+    /// Total rows across all tiers.
     pub fn len(&self) -> usize {
-        self.chunks.iter().map(|c| c.len()).sum::<usize>() + self.delta.len()
+        self.chunks.iter().map(|c| c.len()).sum::<usize>()
+            + self.batches.iter().map(crate::exec::Batch::len).sum::<usize>()
+            + self.delta.len()
     }
 
-    /// True when both tiers are empty.
+    /// True when every tier is empty.
     pub fn is_empty(&self) -> bool {
         self.len() == 0
+    }
+
+    /// The contents as a row relation, in scan order — what a consumer
+    /// that cannot take the column form reads.
+    pub fn materialize(&self) -> Relation {
+        let mut rows = Vec::with_capacity(self.len());
+        for chunk in &self.chunks {
+            rows.extend(chunk.rows().iter().cloned());
+        }
+        for batch in &self.batches {
+            rows.extend_from_slice(batch.tuples());
+        }
+        rows.extend(self.delta.tuples().iter().cloned());
+        Relation::new(self.schema.clone(), rows)
+    }
+}
+
+/// Accumulates column batches into full windows of `window` rows each
+/// (the last one shorter), appending column-wise — no row is ever built.
+///
+/// A phase-2 shuffle site collects its decoded bucket blocks through this
+/// at [`crate::exec::BATCH_SIZE`], so the site join sees the same batch boundaries a
+/// row-backed scan of the same rows would cut, and frames its result the
+/// same way; the join kernel concatenates a columnar build side with it.
+#[derive(Debug)]
+pub struct BatchWindows {
+    window: usize,
+    full: Vec<crate::exec::Batch>,
+    open: Vec<ColumnVec>,
+    open_rows: usize,
+}
+
+impl BatchWindows {
+    /// An empty accumulator cutting windows of `window` rows.
+    pub fn new(window: usize) -> BatchWindows {
+        BatchWindows {
+            window,
+            full: Vec::new(),
+            open: Vec::new(),
+            open_rows: 0,
+        }
+    }
+
+    /// Append the live rows of `batch`.
+    pub fn push(&mut self, batch: &crate::exec::Batch) {
+        let (cols, sel) = batch.to_columns();
+        let live = sel.count();
+        if self.open.is_empty() {
+            self.open = vec![ColumnVec::Mixed(Vec::new()); cols.arity()];
+        }
+        // A refined selection is compacted once, then appended by range.
+        let compact: Vec<std::sync::Arc<ColumnVec>> = (0..cols.arity())
+            .map(|c| match sel.indices() {
+                None => std::sync::Arc::clone(cols.col(c)),
+                Some(idx) => std::sync::Arc::new(cols.gather_col(c, idx)),
+            })
+            .collect();
+        let mut taken = 0;
+        while taken < live {
+            let take = (self.window - self.open_rows).min(live - taken);
+            for (open, col) in self.open.iter_mut().zip(&compact) {
+                open.append_range(col, taken..taken + take);
+            }
+            taken += take;
+            self.open_rows += take;
+            if self.open_rows == self.window {
+                self.close();
+            }
+        }
+    }
+
+    fn close(&mut self) {
+        let cols = self.open.iter_mut().map(|c| {
+            std::sync::Arc::new(std::mem::replace(c, ColumnVec::Mixed(Vec::new())))
+        });
+        self.full.push(crate::exec::Batch::columns(cols.collect(), SelVec::all(self.open_rows)));
+        self.open_rows = 0;
+    }
+
+    /// The windows, in arrival order.
+    pub fn finish(mut self) -> Vec<crate::exec::Batch> {
+        if self.open_rows > 0 {
+            self.close();
+        }
+        self.full
     }
 }
 

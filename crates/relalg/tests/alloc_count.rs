@@ -5,7 +5,7 @@
 //! else may allocate while a count is being taken (CI also runs it with
 //! `--test-threads=1`).
 //!
-//! The three obligations:
+//! The obligations:
 //!
 //! * a `Tuple` collected from an iterator whose length std trusts costs
 //!   one allocation (the `Arc<[Value]>` itself);
@@ -13,14 +13,24 @@
 //!   N + O(columns) allocations — one per row, nothing per string (the
 //!   decoder's strings are moved into the rows);
 //! * a hash-join probe whose keys all miss costs O(batches), not one key
-//!   vector per probed row.
+//!   vector per probed row;
+//! * an N-row probe that matches through `Project(HashJoin)` costs
+//!   O(batches × columns) plus one allocation per output `String` — no
+//!   key, no joined row, no projected row per probed row;
+//! * wire blocks → batch windows → site join → `encode_columnar` never
+//!   builds a row at all.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 
+use std::sync::Arc;
+
 use prisma_relalg::exec::collect_batches;
-use prisma_relalg::{execute_physical, lower, Batch, LogicalPlan, Relation};
+use prisma_relalg::{
+    execute_batches, execute_physical, lower, Batch, BatchWindows, ChunkedRelation, LogicalPlan,
+    Relation, BATCH_SIZE,
+};
 use prisma_types::{Column, DataType, Schema, Tuple, Value};
 
 struct Counting;
@@ -117,6 +127,74 @@ fn row_materialization_allocates_once_per_row() {
     assert!(joined.is_empty(), "every probe key misses");
     assert!(
         n < N as u64 / 8,
-        "an all-miss probe of {N} rows took {n} allocations; the key buffer must be reused"
+        "an all-miss probe of {N} rows took {n} allocations; keys must be hashed in place"
+    );
+
+    // 4. Every probe row matches one of ten build rows. Keeping only Int
+    //    columns above the join costs O(batches x columns); keeping the
+    //    build side's Str column adds one allocation per output string.
+    let labelled = schema(&[("k", DataType::Int), ("label", DataType::Str)]);
+    let two_ints = schema(&[("k", DataType::Int), ("v", DataType::Int)]);
+    let probe: Vec<Tuple> = (0..N as i64)
+        .map(|i| [Value::Int(i % 10), Value::Int(i)].into_iter().collect())
+        .collect();
+    let build: Vec<Tuple> = (0..10_i64)
+        .map(|k| [Value::Int(k), Value::Str(format!("label-{k}"))].into_iter().collect())
+        .collect();
+    let db = HashMap::from([
+        ("probe".to_owned(), Relation::new(two_ints.clone(), probe)),
+        ("build".to_owned(), Relation::new(labelled.clone(), build)),
+    ]);
+    let joined = LogicalPlan::scan("probe", two_ints.clone())
+        .join(LogicalPlan::scan("build", labelled), vec![(0, 0)]);
+    for (keep, strings) in [(&[1, 2][..], 0), (&[1, 3][..], N as u64)] {
+        let plan = lower(&joined.clone().project_cols(keep).expect("ordinals in range"))
+            .expect("a projected join lowers");
+        let (batches, n) = allocations(|| execute_batches(&plan, &db).expect("join runs"));
+        assert_eq!(batches.iter().map(Batch::len).sum::<usize>(), N);
+        assert!(
+            (strings..strings + N as u64 / 8).contains(&n),
+            "projecting {keep:?} above a {N}-row matching probe took {n} allocations; \
+             want {strings} for the strings plus O(batches x columns)"
+        );
+    }
+
+    // 5. What a grace-join site does between the wire and the wire: decode
+    //    the bucket blocks, append them into batch windows, join, encode.
+    let encode = |rows: Vec<Tuple>| -> Vec<_> {
+        rows.chunks(300).map(|run| Batch::owned(run.to_vec()).encode_columnar()).collect()
+    };
+    let lblocks = encode(
+        (0..N as i64).map(|i| [Value::Int(i), Value::Int(-i)].into_iter().collect()).collect(),
+    );
+    let rblocks = encode(
+        (0..N as i64 / 2).map(|i| [Value::Int(i * 2), Value::Int(i)].into_iter().collect()).collect(),
+    );
+    let site_join = lower(
+        &LogicalPlan::scan("l", two_ints.clone())
+            .join(LogicalPlan::scan("r", two_ints.clone()), vec![(0, 0)]),
+    )
+    .expect("a hash join lowers");
+    let (shipped, n) = allocations(|| {
+        let collect = |blocks: &[prisma_types::wire::BlockChunk]| {
+            let mut windows = BatchWindows::new(BATCH_SIZE);
+            for block in blocks {
+                windows.push(&Batch::from_block(block).expect("a block this test encoded"));
+            }
+            Arc::new(ChunkedRelation::from_batches(two_ints.clone(), windows.finish()))
+        };
+        let inputs = HashMap::from([
+            ("l".to_owned(), collect(&lblocks)),
+            ("r".to_owned(), collect(&rblocks)),
+        ]);
+        let out = execute_batches(&site_join, &inputs).expect("site join runs");
+        out.iter().map(|b| b.encode_columnar().rows()).sum::<usize>()
+    });
+    assert_eq!(shipped, N / 2);
+    assert!(
+        n < N as u64 / 4,
+        "decoding, joining and re-encoding {N} + {} received rows took {n} allocations; \
+         a row was built somewhere",
+        N / 2
     );
 }

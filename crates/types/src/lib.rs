@@ -24,7 +24,7 @@ pub mod value;
 pub mod wire;
 
 pub use chunk::{seal_every, SealedChunk, ZoneMap, DEFAULT_SEAL_EVERY};
-pub use column::{ColumnVec, LazyColumns, SelVec};
+pub use column::{ColumnVec, LazyColumns, SelVec, KEY_HASH_SEED};
 pub use config::{MachineConfig, TopologyKind};
 pub use error::{PrismaError, Result};
 pub use ids::{FragmentId, PeId, ProcessId, QueryId, TxnId};

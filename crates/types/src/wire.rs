@@ -115,8 +115,10 @@ fn fnv1a(bytes: &[u8]) -> u64 {
 
 /// FNV-1a [`std::hash::Hasher`] for the dictionary map on the string
 /// encode path — the keys are short strings hashed once per value, where
-/// the default SipHash is measurable overhead.
-struct FnvHasher(u64);
+/// the default SipHash is measurable overhead. Also the `Value` fallback
+/// of the typed join-key hash kernels ([`crate::ColumnVec::hash_keys_into`]),
+/// which continue a running hash through it.
+pub(crate) struct FnvHasher(pub(crate) u64);
 
 impl std::hash::Hasher for FnvHasher {
     fn write(&mut self, bytes: &[u8]) {

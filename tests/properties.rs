@@ -1060,10 +1060,9 @@ proptest! {
     // serial** on arbitrary plans over morsel-spanning data: the same
     // tuples in the same order at 1, 2 and 4 workers, twice at each
     // width (steal interleavings differ between runs), and the result
-    // agrees with the reference evaluator. Covers parallel pipelines,
-    // partial hash-join builds merged at the breaker, parallel probes,
-    // and partial-aggregate merge ordering; empty relations exercise
-    // the zero-morsel edge.
+    // agrees with the reference evaluator. Covers parallel pipelines
+    // (with hash-join probes as pipeline stages) and partial-aggregate
+    // merge ordering; empty relations exercise the zero-morsel edge.
     #[test]
     fn pooled_execution_deterministic_and_matches_oracle(
         ops in arb_plan_ops(4),
@@ -1471,6 +1470,204 @@ proptest! {
             .map(|i| row_bits(&cols.iter().map(|c| c.value_at(i)).collect()))
             .collect();
         prop_assert_eq!(bits(&decoded), all, "owned pivot of a decoded block");
+    }
+}
+
+// ---------- the columnar join: typed key hashes, the commuting square ----------
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    // Typed partitioning is the `Value`/`key_hash` definition. For any
+    // set of key columns — Int, Double, Str, Bool, `Mixed`, with and
+    // without NULL masks, all-NULL, one to three of them — under a full
+    // or a partial selection, `partition_positions` (per-type hash loops
+    // over the columns) puts every live row where hashing its key
+    // `Value`s with `key_hash` puts it, and drops exactly the rows with a
+    // NULL key component. The row-backed form of the same rows partitions
+    // identically, and an Int key meets the Double key of equal value in
+    // the same bucket.
+    #[test]
+    fn typed_partitioning_matches_value_key_hash(
+        rows in 0usize..WIRE_SLOTS + 1,
+        plans in prop::collection::vec(arb_wire_col(), 1..4),
+        picks in prop::collection::vec(any::<bool>(), WIRE_SLOTS),
+        partial in any::<bool>(),
+        parts in 1usize..9,
+        ints in prop::collection::vec(-40i64..40, WIRE_SLOTS),
+    ) {
+        use prisma::relalg::exec::{key_hash, partition_positions};
+        use prisma::relalg::Batch;
+        let sel = if partial {
+            SelVec::from_indices(rows, (0..rows as u32).filter(|&i| picks[i as usize]).collect())
+        } else {
+            SelVec::all(rows)
+        };
+        let cols: Vec<Arc<ColumnVec>> = plans.iter().map(|p| Arc::new(p.build(rows))).collect();
+        let key_cols: Vec<usize> = (0..cols.len()).rev().collect();
+        let batch = Batch::columns(cols, sel);
+        let mut want: Vec<Vec<u32>> = vec![Vec::new(); parts];
+        let mut key = Vec::new();
+        for row in 0..batch.len() {
+            batch.key_at(row, &key_cols, &mut key);
+            if !key.iter().any(Value::is_null) {
+                want[(key_hash(&key) % parts as u64) as usize].push(row as u32);
+            }
+        }
+        prop_assert_eq!(&partition_positions(&batch, &key_cols, parts), &want, "typed columns");
+        let as_rows = Batch::owned(batch.tuples().to_vec());
+        prop_assert_eq!(&partition_positions(&as_rows, &key_cols, parts), &want, "row-backed");
+
+        let int_keys = ColumnVec::Int { data: ints[..rows].to_vec(), nulls: None };
+        let double_keys = ColumnVec::Double {
+            data: ints[..rows].iter().map(|&i| i as f64).collect(),
+            nulls: None,
+        };
+        let of = |col: ColumnVec| {
+            partition_positions(&Batch::columns(vec![Arc::new(col)], SelVec::all(rows)), &[0], parts)
+        };
+        prop_assert_eq!(of(int_keys), of(double_keys), "Int(n) and Double(n) part ways");
+    }
+}
+
+/// One generated join input row: two nullable key parts and two payloads.
+type JoinRow = (Option<i64>, Option<i64>, i64, String);
+
+/// `(k1, k2, v, s)` rows. `k1` is an Int on the left and — cross-type —
+/// a Double of the same small domain on the right when `double_k1`; `k2`
+/// spells its small domain as Int, Str, or a `Mixed` column (`style` 0, 1,
+/// 2: Int for even values, Double for odd ones — still equal to the other
+/// side's spelling of the same number).
+fn join_rows(seed: &[JoinRow], copies: usize, double_k1: bool, style: u8) -> Vec<Tuple> {
+    let k2 = |v: i64| match style {
+        0 => Value::Int(v),
+        1 => Value::Str(format!("k{v}")),
+        _ if v % 2 == 0 => Value::Int(v),
+        _ => Value::Double(v as f64),
+    };
+    std::iter::repeat_n(seed, copies)
+        .flatten()
+        .map(|(k1, k2v, v, s)| {
+            let k1 = match k1 {
+                None => Value::Null,
+                Some(k) if double_k1 => Value::Double(*k as f64),
+                Some(k) => Value::Int(*k),
+            };
+            Tuple::new(vec![k1, k2v.map_or(Value::Null, k2), Value::Int(*v), Value::Str(s.clone())])
+        })
+        .collect()
+}
+
+fn arb_join_rows(max: usize) -> impl Strategy<Value = Vec<JoinRow>> {
+    let key = || (0u8..6, -4i64..4).prop_map(|(t, v)| (t != 0).then_some(v));
+    prop::collection::vec((key(), key(), -9i64..9, "[a-c]{0,2}"), 0..=max)
+}
+
+fn join_schema() -> Schema {
+    Schema::new(vec![
+        Column::nullable("k1", DataType::Double),
+        Column::nullable("k2", DataType::Str),
+        Column::new("v", DataType::Int),
+        Column::new("s", DataType::Str),
+    ])
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    // The commuting square of the join: rows → columns → columnar join ≡
+    // rows → `relalg::eval`, with the output in the **same order** — probe
+    // row by probe row, matches in build insertion order. Inner, semi and
+    // anti joins; one- and two-column keys with NULLs, duplicates on both
+    // sides, cross-type numeric keys (Int probe, Double build) and Str or
+    // `Mixed` key columns; with and without a residual over both sides;
+    // with and without a projection above the join; either side empty.
+    // Over three physical forms of the same inputs — row relations, sealed
+    // chunks plus a delta tail, and wire blocks decoded and appended into
+    // batch windows (what a grace-join site holds) — serially and on
+    // pools of 1, 2 and 4 workers.
+    #[test]
+    fn columnar_join_commutes_with_the_eval_oracle(
+        lseed in arb_join_rows(24),
+        rseed in arb_join_rows(10),
+        kind in 0u8..3,
+        two_keys in any::<bool>(),
+        residual in any::<bool>(),
+        project in any::<bool>(),
+        double_k1 in any::<bool>(),
+        style in 0u8..3,
+        big_probe in any::<bool>(),
+    ) {
+        use prisma::relalg::{
+            open_batches_pooled, Batch, BatchWindows, ChunkedRelation, JoinKind, BATCH_SIZE,
+        };
+        // A probe side of several morsels engages the pooled pipeline; a
+        // small one takes the serial operator on every width.
+        let lcopies = if big_probe && !lseed.is_empty() { 2600_usize.div_ceil(lseed.len()) } else { 1 };
+        let lrows = join_rows(&lseed, lcopies, false, style);
+        let rrows = join_rows(&rseed, 3, double_k1, style);
+        let schema = join_schema();
+        let kind = [JoinKind::Inner, JoinKind::Semi, JoinKind::Anti][kind as usize];
+        let mut plan = LogicalPlan::Join {
+            left: Box::new(LogicalPlan::scan("l", schema.clone())),
+            right: Box::new(LogicalPlan::scan("r", schema.clone())),
+            kind,
+            on: if two_keys { vec![(0, 0), (1, 1)] } else { vec![(0, 0)] },
+            residual: residual
+                .then(|| ScalarExpr::cmp(CmpOp::Le, ScalarExpr::col(2), ScalarExpr::col(6))),
+        };
+        if project {
+            let keep: &[usize] = if kind == JoinKind::Inner { &[3, 6, 0] } else { &[3, 2] };
+            plan = plan.project_cols(keep).unwrap();
+        }
+        let physical = lower(&plan).unwrap();
+
+        let mut rows_db: HashMap<String, Relation> = HashMap::new();
+        rows_db.insert("l".into(), Relation::new(schema.clone(), lrows.clone()));
+        rows_db.insert("r".into(), Relation::new(schema.clone(), rrows.clone()));
+        let oracle = eval(&plan, &rows_db).unwrap();
+
+        // Sealed chunks of 700 rows over a prefix, the rest a delta tail.
+        let sealed = |rows: &[Tuple]| {
+            let cut = rows.len() / 700 * 700;
+            let chunks = rows[..cut]
+                .chunks(700)
+                .map(|run| Arc::new(prisma::types::SealedChunk::seal(run.to_vec())))
+                .collect();
+            Arc::new(ChunkedRelation::new(chunks, Relation::new(schema.clone(), rows[cut..].to_vec())))
+        };
+        // Wire blocks of 300 rows, decoded and appended into full windows.
+        let decoded = |rows: &[Tuple]| {
+            let mut windows = BatchWindows::new(BATCH_SIZE);
+            for run in rows.chunks(300) {
+                let block = Batch::owned(run.to_vec()).encode_columnar();
+                windows.push(&Batch::from_block(&block).unwrap());
+            }
+            Arc::new(ChunkedRelation::from_batches(schema.clone(), windows.finish()))
+        };
+        let form = |f: &dyn Fn(&[Tuple]) -> Arc<ChunkedRelation>| {
+            HashMap::from([("l".to_owned(), f(&lrows)), ("r".to_owned(), f(&rrows))])
+        };
+        let (chunk_db, wire_db) = (form(&sealed), form(&decoded));
+        let forms: [(&str, &dyn prisma::relalg::RelationProvider); 3] =
+            [("rows", &rows_db), ("sealed chunks", &chunk_db), ("decoded blocks", &wire_db)];
+        for (name, db) in forms {
+            for workers in [0usize, 1, 2, 4] {
+                let pool = (workers > 0).then(|| prisma::poolx::WorkerPool::new(workers));
+                let got: Vec<Tuple> = open_batches_pooled(&physical, db, pool)
+                    .unwrap()
+                    .drain()
+                    .unwrap()
+                    .into_iter()
+                    .flat_map(Batch::into_tuples)
+                    .collect();
+                prop_assert_eq!(
+                    got.iter().map(row_bits).collect::<Vec<_>>(),
+                    oracle.tuples().iter().map(row_bits).collect::<Vec<_>>(),
+                    "{} at {} workers, plan:\n{}", name, workers, plan
+                );
+            }
+        }
     }
 }
 
