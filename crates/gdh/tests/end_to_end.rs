@@ -267,6 +267,42 @@ fn sql_closure_table_function_distributed() {
 }
 
 #[test]
+fn explain_shows_the_closure_seed_and_analyze_counts_the_seeded_rows() {
+    let gdh = machine(4);
+    gdh.execute_sql("CREATE TABLE edge (src INT, dst INT) FRAGMENTED BY HASH(src) INTO 3")
+        .unwrap();
+    gdh.execute_sql("INSERT INTO edge VALUES (0,1),(1,2),(2,3),(10,11),(11,12)")
+        .unwrap();
+    // e0's R1: the selection on the source becomes the closure's seed in
+    // the optimized and the physical plan; the unoptimized plan keeps it
+    // above the closure.
+    let sql = "SELECT c.dst FROM CLOSURE(edge) c WHERE c.src = 0";
+    let explain = gdh.explain_sql(sql).unwrap();
+    assert_eq!(
+        explain.matches("TransitiveClosure seed: (#0 = 0)").count(),
+        2,
+        "{explain}"
+    );
+    assert!(
+        explain.contains("push-selection: 1 factor(s) into a closure's seed"),
+        "{explain}"
+    );
+    // The analyze walk evaluates the seeded closure whole: 0→1, 0→2, 0→3.
+    let analyze = gdh.explain_analyze_sql(sql).unwrap();
+    let closure_line = analyze
+        .lines()
+        .find(|l| l.trim_start().starts_with("Closure:"))
+        .unwrap_or_else(|| panic!("{analyze}"));
+    assert!(closure_line.ends_with("actual 3"), "{analyze}");
+    let rows = gdh.execute_sql(sql).unwrap().rows().unwrap();
+    assert_eq!(
+        rows.canonicalized().tuples(),
+        &[tuple![1], tuple![2], tuple![3]]
+    );
+    gdh.shutdown();
+}
+
+#[test]
 fn inter_query_parallelism_on_disjoint_relations() {
     use std::sync::Arc;
     let gdh = Arc::new(machine(8));

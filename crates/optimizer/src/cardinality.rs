@@ -95,9 +95,21 @@ pub fn estimate_rows(plan: &LogicalPlan, stats: &dyn StatsSource) -> f64 {
         LogicalPlan::Limit { input, n } => estimate_rows(input, stats).min(*n as f64),
         // Closure of a graph with E edges and d distinct sources: the
         // classic heuristic |TC| ≈ E · avg-path-length; we use E · log2(E).
-        LogicalPlan::Closure { input } => {
+        // A seed keeps the share of that its selectivity over the unseeded
+        // closure predicts, so σ(Closure) and Closure{seed} estimate alike.
+        LogicalPlan::Closure { input, seed } => {
             let e = estimate_rows(input, stats).max(1.0);
-            e * e.log2().max(1.0)
+            let tc = e * e.log2().max(1.0);
+            match seed {
+                None => tc,
+                Some(p) => {
+                    let unseeded = LogicalPlan::Closure {
+                        input: input.clone(),
+                        seed: None,
+                    };
+                    tc * predicate_selectivity(p, &unseeded, stats)
+                }
+            }
         }
         LogicalPlan::Fixpoint { base, step, .. } => {
             let b = estimate_rows(base, stats).max(1.0);
@@ -377,6 +389,39 @@ mod tests {
         let probe = LogicalPlan::scan("t", schema2())
             .select(ScalarExpr::eq(ScalarExpr::col(0), ScalarExpr::lit(50)));
         assert!(estimate_rows(&probe, &s) > 0.0);
+    }
+
+    #[test]
+    fn seeded_closure_estimates_like_the_selection_it_replaces() {
+        let s = stats();
+        let edges = || Box::new(LogicalPlan::scan("u", schema2()));
+        for seed in [
+            ScalarExpr::eq(ScalarExpr::col(0), ScalarExpr::lit(5)),
+            ScalarExpr::cmp(CmpOp::Lt, ScalarExpr::col(0), ScalarExpr::lit(5)),
+        ] {
+            let selected = LogicalPlan::Closure {
+                input: edges(),
+                seed: None,
+            }
+            .select(seed.clone());
+            let seeded = LogicalPlan::Closure {
+                input: edges(),
+                seed: Some(seed),
+            };
+            let (a, b) = (estimate_rows(&selected, &s), estimate_rows(&seeded, &s));
+            assert!(
+                (a - b).abs() < 1e-9,
+                "σ(Closure) {a} vs Closure{{seed}} {b}"
+            );
+            let full = estimate_rows(
+                &LogicalPlan::Closure {
+                    input: edges(),
+                    seed: None,
+                },
+                &s,
+            );
+            assert!(b < full);
+        }
     }
 
     #[test]

@@ -149,4 +149,22 @@ mod tests {
         };
         assert!(detect_common_subexpressions(&plan).is_empty());
     }
+
+    #[test]
+    fn closures_with_different_seeds_not_confused() {
+        let edge = Schema::new(vec![
+            Column::new("src", DataType::Int),
+            Column::new("dst", DataType::Int),
+        ]);
+        let seeded = |v: i64| LogicalPlan::Closure {
+            input: Box::new(LogicalPlan::scan("e", edge.clone())),
+            seed: Some(ScalarExpr::eq(ScalarExpr::col(0), ScalarExpr::lit(v))),
+        };
+        let plan = LogicalPlan::Union {
+            left: Box::new(seeded(1)),
+            right: Box::new(seeded(2)),
+            all: true,
+        };
+        assert!(detect_common_subexpressions(&plan).is_empty());
+    }
 }

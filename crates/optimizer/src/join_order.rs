@@ -113,8 +113,9 @@ fn rewrite(plan: LogicalPlan, stats: &dyn StatsSource, trace: &mut Trace) -> Res
             input: Box::new(rewrite(*input, stats, trace)?),
             n,
         },
-        LogicalPlan::Closure { input } => LogicalPlan::Closure {
+        LogicalPlan::Closure { input, seed } => LogicalPlan::Closure {
             input: Box::new(rewrite(*input, stats, trace)?),
+            seed,
         },
         LogicalPlan::Fixpoint { name, base, step } => LogicalPlan::Fixpoint {
             name,

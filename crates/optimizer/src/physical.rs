@@ -533,8 +533,9 @@ fn map_children(
             input: Box::new(f(*input)),
             n,
         },
-        PhysicalPlan::Closure { input } => PhysicalPlan::Closure {
+        PhysicalPlan::Closure { input, seed } => PhysicalPlan::Closure {
             input: Box::new(f(*input)),
+            seed,
         },
         PhysicalPlan::Fixpoint { name, base, step } => PhysicalPlan::Fixpoint {
             name,
@@ -703,7 +704,7 @@ fn note_vectorized(plan: &PhysicalPlan, trace: &mut Trace) {
         | PhysicalPlan::HashAggregate { input, .. }
         | PhysicalPlan::Sort { input, .. }
         | PhysicalPlan::Limit { input, .. }
-        | PhysicalPlan::Closure { input } => note_vectorized(input, trace),
+        | PhysicalPlan::Closure { input, .. } => note_vectorized(input, trace),
         PhysicalPlan::Fixpoint { base, step, .. } => {
             note_vectorized(base, trace);
             note_vectorized(step, trace);
@@ -838,8 +839,9 @@ fn fuse_projections(plan: PhysicalPlan, trace: &mut Trace) -> PhysicalPlan {
             input: Box::new(fuse_projections(*input, trace)),
             n,
         },
-        PhysicalPlan::Closure { input } => PhysicalPlan::Closure {
+        PhysicalPlan::Closure { input, seed } => PhysicalPlan::Closure {
             input: Box::new(fuse_projections(*input, trace)),
+            seed,
         },
         PhysicalPlan::Fixpoint { name, base, step } => PhysicalPlan::Fixpoint {
             name,

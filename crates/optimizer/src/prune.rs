@@ -313,11 +313,12 @@ fn prune(plan: LogicalPlan, need: Need, trace: &mut Trace) -> Result<Pruned> {
                 map: input.map,
             }
         }
-        LogicalPlan::Closure { input } => {
+        LogicalPlan::Closure { input, seed } => {
             let input = prune(*input, Need::All, trace)?;
             Pruned {
                 plan: LogicalPlan::Closure {
                     input: Box::new(input.plan),
+                    seed,
                 },
                 map: input.map,
             }

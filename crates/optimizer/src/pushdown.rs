@@ -227,6 +227,30 @@ fn push_once(plan: LogicalPlan, trace: &mut Trace) -> LogicalPlan {
                 input: Box::new(inner.select(predicate)),
                 keys,
             },
+            LogicalPlan::Closure { input: inner, seed } => {
+                // σ_p(TC(e)) with p over the source column only starts the
+                // recursion from the pairs whose source passes p: a step
+                // keeps each pair's source. Anything else stays above.
+                let (to_seed, keep): (Vec<_>, Vec<_>) = predicate
+                    .split_conjunction()
+                    .into_iter()
+                    .partition(|f| f.columns() == [0]);
+                if !to_seed.is_empty() {
+                    trace.note(
+                        "push-selection",
+                        format!("{} factor(s) into a closure's seed", to_seed.len()),
+                    );
+                }
+                let seeds: Vec<ScalarExpr> = seed.into_iter().chain(to_seed).collect();
+                let mut rebuilt = LogicalPlan::Closure {
+                    input: inner,
+                    seed: (!seeds.is_empty()).then(|| ScalarExpr::conjunction(seeds)),
+                };
+                if !keep.is_empty() {
+                    rebuilt = rebuilt.select(ScalarExpr::conjunction(keep));
+                }
+                rebuilt
+            }
             LogicalPlan::Aggregate {
                 input: inner,
                 group_by,
@@ -407,6 +431,52 @@ mod tests {
             eval(&plan, &db).unwrap().canonicalized(),
             eval(&pushed, &db).unwrap().canonicalized()
         );
+    }
+
+    #[test]
+    fn source_selection_seeds_a_closure_and_the_rest_stays_above() {
+        let db = db();
+        let closure = LogicalPlan::Closure {
+            input: Box::new(LogicalPlan::scan("t", db["t"].schema().clone())),
+            seed: None,
+        };
+        // src = 3 AND dst < 2 AND (src < 10 OR src IS NULL): two factors on
+        // the source seed the closure, the one on the destination stays.
+        let src_or = ScalarExpr::or(
+            ScalarExpr::cmp(CmpOp::Lt, ScalarExpr::col(0), ScalarExpr::lit(10)),
+            ScalarExpr::IsNull(Box::new(ScalarExpr::col(0))),
+        );
+        let plan = closure.select(ScalarExpr::conjunction(vec![
+            ScalarExpr::eq(ScalarExpr::col(0), ScalarExpr::lit(3)),
+            ScalarExpr::cmp(CmpOp::Lt, ScalarExpr::col(1), ScalarExpr::lit(2)),
+            src_or,
+        ]));
+        let mut trace = Trace::default();
+        let pushed = push_selections(plan.clone(), &mut trace);
+        let LogicalPlan::Select { input, predicate } = &pushed else {
+            panic!("the destination factor stays above: {pushed}");
+        };
+        assert_eq!(predicate.columns(), vec![1]);
+        let LogicalPlan::Closure {
+            seed: Some(seed), ..
+        } = input.as_ref()
+        else {
+            panic!("the source factors seed the closure: {pushed}");
+        };
+        assert_eq!(seed.clone().split_conjunction().len(), 2);
+        assert_eq!(
+            trace.count_of("push-selection: 2 factor(s) into a closure's seed"),
+            1
+        );
+        assert!(
+            pushed.to_string().contains("TransitiveClosure seed: "),
+            "{pushed}"
+        );
+        assert_eq!(
+            eval(&plan, &db).unwrap().canonicalized(),
+            eval(&pushed, &db).unwrap().canonicalized()
+        );
+        pushed.validate().unwrap();
     }
 
     #[test]

@@ -11,7 +11,9 @@
 //!
 //! The evaluator handles arbitrary positive programs, including mutual
 //! recursion (which the algebra translator in [`crate::translate`]
-//! deliberately does not).
+//! deliberately does not). A variable shared by two argument positions
+//! is an equi-join, and NULL matches nothing — the algebra's rule — so no
+//! derivation continues through a NULL.
 
 use std::collections::HashMap;
 
@@ -247,7 +249,7 @@ pub fn answer_query(
                 }
                 Term::Var(x) => {
                     if let Some(&prev) = bound.get(x.as_str()) {
-                        if prev != t.get(i) {
+                        if prev.is_null() || prev != t.get(i) {
                             continue 'tuples;
                         }
                     } else {
@@ -352,11 +354,15 @@ fn fire_rule(
                         }
                     }
                     for (a, b) in &local_dups {
-                        if row[*a] != row[*b] {
+                        if row[*a].is_null() || row[*a] != row[*b] {
                             continue 'rows;
                         }
                     }
                     let key: Row = join_keys.iter().map(|&(_, i)| row[i].clone()).collect();
+                    // NULL join keys match nothing (the equi-join rule).
+                    if key.iter().any(Value::is_null) {
+                        continue;
+                    }
                     index.entry(key).or_default().push(row);
                 }
                 // Join bindings with the indexed source.
@@ -576,6 +582,53 @@ mod tests {
         let prog = parse_program("p(X) :- ghost(X).").unwrap();
         let db: HashMap<String, Relation> = HashMap::new();
         assert!(evaluate(&prog, &db).is_err());
+    }
+
+    #[test]
+    fn no_derivation_continues_through_null() {
+        let schema = Schema::new(vec![
+            Column::nullable("src", DataType::Int),
+            Column::nullable("dst", DataType::Int),
+        ]);
+        let mut db = HashMap::new();
+        db.insert(
+            "edge".to_owned(),
+            Relation::new(
+                schema,
+                vec![
+                    Tuple::new(vec![Value::Int(0), Value::Null]),
+                    Tuple::new(vec![Value::Null, Value::Int(5)]),
+                    tuple![0, 1],
+                ],
+            ),
+        );
+        for program in [
+            "p(X, Y) :- edge(X, Y). p(X, Y) :- p(X, Z), edge(Z, Y).",
+            "p(X, Y) :- edge(X, Y). p(X, Y) :- edge(X, Z), p(Z, Y).",
+        ] {
+            let prog = parse_program(program).unwrap();
+            let (idb, _) = evaluate(&prog, &db).unwrap();
+            let q = parse_query("?- p(0, X).").unwrap();
+            let ans = answer_query(&q, &idb, &db).unwrap().canonicalized();
+            // NULL and 1 are edges out of 0; 5 is only behind the NULL.
+            assert_eq!(
+                ans.tuples(),
+                &[Tuple::new(vec![Value::Null]), tuple![1]],
+                "{program}"
+            );
+        }
+        // A repeated variable is an equality too: NULL does not equal NULL.
+        let prog = parse_program("self(X) :- edge(X, X).").unwrap();
+        let mut loops = db.clone();
+        loops.insert(
+            "edge".to_owned(),
+            Relation::new(
+                db["edge"].schema().clone(),
+                vec![Tuple::new(vec![Value::Null, Value::Null]), tuple![2, 2]],
+            ),
+        );
+        let (idb, _) = evaluate(&prog, &loops).unwrap();
+        assert_eq!(idb["self"].tuples(), &[tuple![2]]);
     }
 
     #[test]

@@ -5,12 +5,24 @@
 //! relations in the database. Rules are view definitions including
 //! recursion." — so each rule becomes a select-project-join expression,
 //! each predicate a union of its rules, and a linearly self-recursive
-//! predicate a [`LogicalPlan::Fixpoint`] evaluated semi-naively.
+//! predicate one of the two recursive operators:
+//!
+//! * a **transitive closure** — the only non-recursive rule is
+//!   `p(X,Y) :- q(X,Y)` and every recursive rule is `p(X,Y) :- q(X,Z),
+//!   p(Z,Y)` (right-linear) or `p(X,Y) :- p(X,Z), q(Z,Y)` (left-linear),
+//!   X, Y, Z distinct variables, q one binary predicate outside p's SCC —
+//!   becomes [`LogicalPlan::Closure`] over q, the same operator as SQL's
+//!   `CLOSURE(q)`. A constant query argument on the source (`?- p(0, X)`)
+//!   is then a selection the optimizer moves into the closure's seed;
+//! * any other linear self-recursion becomes a [`LogicalPlan::Fixpoint`]
+//!   evaluated semi-naively.
 //!
 //! Mutual recursion and non-linear rules are supported by the direct
 //! evaluator ([`crate::seminaive`]) but deliberately not by the algebra
 //! translator (the distributed executor runs algebra; the paper's own
-//! recursive showcase — transitive closure — is linear).
+//! recursive showcase — transitive closure — is linear). Both follow the
+//! equi-join's NULL rule: a NULL join value matches nothing, so no
+//! derivation continues through a NULL.
 
 use std::collections::HashMap;
 
@@ -178,6 +190,19 @@ impl Ctx<'_> {
             return Err(PrismaError::UnsafeRule(format!(
                 "recursive predicate {pred} has no non-recursive rule"
             )));
+        }
+        if let Some(q) = closure_edges(pred, &facts, &base_rules, &rec_rules) {
+            let edges = self.predicate_plan(q)?;
+            // An edge relation whose two columns differ in type can never
+            // chain; it keeps the Fixpoint route and its errors.
+            if matches!(edges.output_schema()?.columns(), [a, b] if a.dtype == b.dtype) {
+                let plan = LogicalPlan::Closure {
+                    input: Box::new(edges),
+                    seed: None,
+                };
+                self.cache.insert(pred.to_owned(), plan.clone());
+                return Ok(plan);
+            }
         }
         let base = self.union_of(pred, &facts, &base_rules, None)?;
         let base_schema = base.output_schema()?;
@@ -408,6 +433,68 @@ fn split_rules<'r>(
     (facts, base, rec)
 }
 
+/// The edge predicate q when `pred` is the transitive closure of q: no
+/// facts, the one non-recursive rule `p(X,Y) :- q(X,Y)`, and every
+/// recursive rule `p(X,Y) :- q(X,Z), p(Z,Y)` or `p(X,Y) :- p(X,Z),
+/// q(Z,Y)` (body atoms in either order) with X, Y, Z distinct variables
+/// and the same q throughout. The caller has already refused mutual and
+/// non-linear recursion, so q is outside p's SCC.
+fn closure_edges<'r>(
+    pred: &str,
+    facts: &[&Rule],
+    base: &[&'r Rule],
+    rec: &[&'r Rule],
+) -> Option<&'r str> {
+    fn vars(atom: &Atom) -> Option<(&str, &str)> {
+        match atom.args.as_slice() {
+            [Term::Var(a), Term::Var(b)] if a != b => Some((a, b)),
+            _ => None,
+        }
+    }
+    fn atoms(rule: &Rule) -> Option<Vec<&Atom>> {
+        rule.body
+            .iter()
+            .map(|l| match l {
+                Literal::Atom(a) => Some(a),
+                Literal::Cmp(..) => None,
+            })
+            .collect()
+    }
+    let ([], [base]) = (facts, base) else {
+        return None;
+    };
+    let [edge] = atoms(base)?[..] else {
+        return None;
+    };
+    if edge.pred == pred || vars(edge)? != vars(&base.head)? {
+        return None;
+    }
+    let q = edge.pred.as_str();
+    for rule in rec {
+        let (x, y) = vars(&rule.head)?;
+        let [first, second] = atoms(rule)?[..] else {
+            return None;
+        };
+        let (rec_atom, step) = if first.pred == pred {
+            (first, second)
+        } else {
+            (second, first)
+        };
+        if rec_atom.pred != pred || step.pred != q {
+            return None;
+        }
+        // `vars` already keeps Z apart from X and Y: each atom holds two
+        // distinct variables, one of them X or Y.
+        let ((ra, rb), (sa, sb)) = (vars(rec_atom)?, vars(step)?);
+        let right_linear = sa == x && sb == ra && rb == y; // q(X,Z), p(Z,Y)
+        let left_linear = ra == x && rb == sa && sb == y; // p(X,Z), q(Z,Y)
+        if !(right_linear || left_linear) {
+            return None;
+        }
+    }
+    Some(q)
+}
+
 fn fact_schema(pred: &str, rows: &[Tuple]) -> Schema {
     let arity = rows.first().map(Tuple::arity).unwrap_or(0);
     let cols = (0..arity)
@@ -564,6 +651,135 @@ mod tests {
         );
         let q = parse_query("?- path(X, Y).").unwrap();
         assert!(compile_query(&prog, &q, &schemas).is_err());
+    }
+
+    fn int_edges() -> (HashMap<String, Schema>, HashMap<String, Relation>) {
+        let schema = Schema::new(vec![
+            Column::nullable("src", DataType::Int),
+            Column::nullable("dst", DataType::Int),
+        ]);
+        let rows = vec![
+            tuple![0, 1],
+            tuple![1, 2],
+            tuple![2, 0],
+            tuple![2, 3],
+            tuple![3, 3],
+            Tuple::new(vec![prisma_types::Value::Int(0), prisma_types::Value::Null]),
+            Tuple::new(vec![prisma_types::Value::Null, prisma_types::Value::Int(5)]),
+        ];
+        let mut schemas = HashMap::new();
+        let mut db = HashMap::new();
+        for name in ["edge", "link"] {
+            schemas.insert(name.to_owned(), schema.clone());
+            db.insert(name.to_owned(), Relation::new(schema.clone(), rows.clone()));
+        }
+        (schemas, db)
+    }
+
+    /// Compile `?- p(0, X).` and hold it to the direct evaluator; returns
+    /// the plan.
+    fn compile_and_check(program: &str) -> LogicalPlan {
+        let (schemas, db) = int_edges();
+        let prog = parse_program(program).unwrap();
+        let q = parse_query("?- p(0, X).").unwrap();
+        let plan = compile_query(&prog, &q, &schemas).unwrap();
+        let via_algebra = eval(&plan, &db).unwrap().canonicalized();
+        let (idb, _) = evaluate(&prog, &db).unwrap();
+        let via_eval = answer_query(&q, &idb, &db).unwrap().canonicalized();
+        assert_eq!(via_algebra.tuples(), via_eval.tuples(), "{program}\n{plan}");
+        plan
+    }
+
+    fn contains(plan: &LogicalPlan, pred: &dyn Fn(&LogicalPlan) -> bool) -> bool {
+        pred(plan) || plan.children().into_iter().any(|c| contains(c, pred))
+    }
+
+    #[test]
+    fn transitive_closure_programs_compile_to_the_closure_operator() {
+        for program in [
+            "p(X, Y) :- edge(X, Y). p(X, Y) :- edge(X, Z), p(Z, Y).",
+            "p(X, Y) :- edge(X, Y). p(X, Y) :- p(X, Z), edge(Z, Y).",
+            "p(X, Y) :- edge(X, Y). p(X, Y) :- p(X, Z), edge(Z, Y). \
+             p(X, Y) :- edge(X, Z), p(Z, Y).",
+            "p(A, B) :- edge(A, B). p(A, B) :- p(C, B), edge(A, C).",
+        ] {
+            let plan = compile_and_check(program);
+            assert!(
+                contains(&plan, &|p| matches!(
+                    p,
+                    LogicalPlan::Closure { input, seed: None }
+                        if matches!(input.as_ref(), LogicalPlan::Scan { relation, .. } if relation == "edge")
+                )),
+                "{program}\n{plan}"
+            );
+            assert!(!contains(&plan, &|p| matches!(
+                p,
+                LogicalPlan::Fixpoint { .. }
+            )));
+        }
+    }
+
+    #[test]
+    fn near_misses_of_transitive_closure_stay_fixpoints() {
+        for program in [
+            // A constant argument.
+            "p(X, Y) :- edge(X, Y). p(X, Y) :- edge(X, 2), p(2, Y).",
+            // A repeated variable.
+            "p(X, Y) :- edge(X, Y). p(X, Y) :- edge(X, Y), p(Y, Y).",
+            // Swapped head arguments.
+            "p(X, Y) :- edge(X, Y). p(Y, X) :- edge(X, Z), p(Z, Y).",
+            // A comparison literal.
+            "p(X, Y) :- edge(X, Y). p(X, Y) :- edge(X, Z), p(Z, Y), Z > 0.",
+            // A different q in the base and the step.
+            "p(X, Y) :- edge(X, Y). p(X, Y) :- link(X, Z), p(Z, Y).",
+        ] {
+            let plan = compile_and_check(program);
+            assert!(
+                contains(&plan, &|p| matches!(p, LogicalPlan::Fixpoint { .. })),
+                "{program}\n{plan}"
+            );
+            assert!(!contains(&plan, &|p| matches!(
+                p,
+                LogicalPlan::Closure { .. }
+            )));
+        }
+    }
+
+    #[test]
+    fn recursion_does_not_continue_through_null() {
+        // edge = {(0,NULL), (NULL,5), (0,1)}: the answer is {NULL, 1} on
+        // every route; 5 sits only behind the NULL.
+        let schema = Schema::new(vec![
+            Column::nullable("src", DataType::Int),
+            Column::nullable("dst", DataType::Int),
+        ]);
+        let null = prisma_types::Value::Null;
+        let mut db = HashMap::new();
+        db.insert(
+            "edge".to_owned(),
+            Relation::new(
+                schema.clone(),
+                vec![
+                    Tuple::new(vec![prisma_types::Value::Int(0), null.clone()]),
+                    Tuple::new(vec![null.clone(), prisma_types::Value::Int(5)]),
+                    tuple![0, 1],
+                ],
+            ),
+        );
+        let schemas = HashMap::from([("edge".to_owned(), schema)]);
+        let prog = parse_program("p(X,Y) :- edge(X,Y). p(X,Y) :- p(X,Z), edge(Z,Y).").unwrap();
+        let q = parse_query("?- p(0, X).").unwrap();
+        let plan = compile_query(&prog, &q, &schemas).unwrap();
+        let want = vec![Tuple::new(vec![null]), tuple![1]];
+        assert_eq!(eval(&plan, &db).unwrap().canonicalized().tuples(), want);
+        let (idb, _) = evaluate(&prog, &db).unwrap();
+        assert_eq!(
+            answer_query(&q, &idb, &db)
+                .unwrap()
+                .canonicalized()
+                .tuples(),
+            want
+        );
     }
 
     #[test]

@@ -210,9 +210,22 @@ fn eval_ctx(plan: &LogicalPlan, ctx: &mut EvalContext<'_>) -> Result<Arc<Relatio
                 rel.tuples().iter().take(*n).cloned().collect(),
             ))
         }
-        LogicalPlan::Closure { input } => {
+        // The definition, σ_seed(TC(input)): the whole closure, then the
+        // seed as a plain selection. The executor seeds the recursion
+        // instead; this is what it must agree with.
+        LogicalPlan::Closure { input, seed } => {
             let rel = eval_ctx(input, ctx)?;
-            Arc::new(transitive_closure(&rel)?)
+            let tc = transitive_closure(&rel)?;
+            Arc::new(match seed {
+                None => tc,
+                Some(p) => {
+                    let pred = p.compile_predicate();
+                    Relation::new(
+                        tc.schema().clone(),
+                        tc.tuples().iter().filter(|t| pred(t)).cloned().collect(),
+                    )
+                }
+            })
         }
         LogicalPlan::Fixpoint { name, base, step } => {
             let rel = eval_ctx(base, ctx)?;
@@ -345,7 +358,9 @@ fn aggregate(
     Ok(Relation::new(out_schema, tuples))
 }
 
-/// Semi-naive transitive closure of a binary relation — the OFM operator.
+/// Semi-naive transitive closure of a binary relation — the oracle of the
+/// OFM operator. A path never continues through a NULL node: NULL has no
+/// successors, as an equi-join never matches a NULL key.
 pub fn transitive_closure(rel: &Relation) -> Result<Relation> {
     if rel.schema().arity() != 2 {
         return Err(PrismaError::Execution(format!(
@@ -354,13 +369,7 @@ pub fn transitive_closure(rel: &Relation) -> Result<Relation> {
         )));
     }
     let schema = rel.schema().clone();
-    // Adjacency of the base edges.
-    let mut adj: FastMap<Value, Vec<Value>> = FastMap::default();
-    for t in rel.tuples() {
-        adj.entry(t.get(0).clone())
-            .or_default()
-            .push(t.get(1).clone());
-    }
+    let adj = adjacency(rel);
     let mut all: FastSet<(Value, Value)> = FastSet::default();
     let mut delta: Vec<(Value, Value)> = Vec::new();
     for t in rel.tuples() {
@@ -391,6 +400,17 @@ pub fn transitive_closure(rel: &Relation) -> Result<Relation> {
     Ok(Relation::new(schema, out))
 }
 
+/// Successors of every non-NULL source node.
+fn adjacency(rel: &Relation) -> FastMap<Value, Vec<Value>> {
+    let mut adj: FastMap<Value, Vec<Value>> = FastMap::default();
+    for t in rel.tuples().iter().filter(|t| !t.get(0).is_null()) {
+        adj.entry(t.get(0).clone())
+            .or_default()
+            .push(t.get(1).clone());
+    }
+    adj
+}
+
 /// Naive-iteration transitive closure (whole relation re-joined each round)
 /// — kept as the E6 ablation baseline.
 pub fn transitive_closure_naive(rel: &Relation) -> Result<Relation> {
@@ -401,12 +421,7 @@ pub fn transitive_closure_naive(rel: &Relation) -> Result<Relation> {
         )));
     }
     let schema = rel.schema().clone();
-    let mut adj: FastMap<Value, Vec<Value>> = FastMap::default();
-    for t in rel.tuples() {
-        adj.entry(t.get(0).clone())
-            .or_default()
-            .push(t.get(1).clone());
-    }
+    let adj = adjacency(rel);
     let mut all: FastSet<(Value, Value)> = rel
         .tuples()
         .iter()
@@ -699,6 +714,7 @@ mod tests {
         let db = db();
         let plan = LogicalPlan::Closure {
             input: Box::new(LogicalPlan::scan("edge", db["edge"].schema().clone())),
+            seed: None,
         };
         let out = eval(&plan, &db).unwrap();
         // chain 1->2->3->4: pairs = 3+2+1 = 6
@@ -720,10 +736,53 @@ mod tests {
         );
         let plan = LogicalPlan::Closure {
             input: Box::new(LogicalPlan::scan("g", schema)),
+            seed: None,
         };
         let out = eval(&plan, &db).unwrap();
         // {(1,2),(2,1),(1,1),(2,2)}
         assert_eq!(out.len(), 4);
+    }
+
+    #[test]
+    fn seeded_closure_is_the_selection_of_the_closure() {
+        let db = db();
+        let edge = || Box::new(LogicalPlan::scan("edge", db["edge"].schema().clone()));
+        let seed = ScalarExpr::cmp(CmpOp::Le, ScalarExpr::col(0), ScalarExpr::lit(2));
+        let seeded = LogicalPlan::Closure {
+            input: edge(),
+            seed: Some(seed.clone()),
+        };
+        let selected = LogicalPlan::Closure {
+            input: edge(),
+            seed: None,
+        }
+        .select(seed);
+        let out = eval(&seeded, &db).unwrap().canonicalized();
+        assert_eq!(out, eval(&selected, &db).unwrap().canonicalized());
+        // Sources 1 and 2 of the chain 1->2->3->4: 3 + 2 pairs.
+        assert_eq!(out.len(), 5);
+    }
+
+    #[test]
+    fn closure_never_continues_through_null() {
+        let schema = Schema::new(vec![
+            Column::nullable("src", DataType::Int),
+            Column::nullable("dst", DataType::Int),
+        ]);
+        let edges = Relation::new(
+            schema,
+            vec![
+                Tuple::new(vec![Value::Int(0), Value::Null]),
+                Tuple::new(vec![Value::Null, Value::Int(5)]),
+                tuple![0, 1],
+            ],
+        );
+        // The three edges are paths; no path runs 0 -> NULL -> 5.
+        for tc in [transitive_closure(&edges), transitive_closure_naive(&edges)] {
+            let tc = tc.unwrap();
+            assert_eq!(tc.len(), 3);
+            assert!(!tc.tuples().contains(&tuple![0, 5]));
+        }
     }
 
     #[test]
@@ -755,6 +814,7 @@ mod tests {
         let tc = eval(
             &LogicalPlan::Closure {
                 input: Box::new(LogicalPlan::scan("edge", edge_schema)),
+                seed: None,
             },
             &db,
         )

@@ -71,7 +71,7 @@ use prisma_storage::{FastMap, FastSet, FnvBuild};
 use prisma_types::{ColumnVec, LazyColumns, PrismaError, Result, Schema, SelVec, Tuple, Value};
 
 use crate::agg::{Accumulator, AggExpr};
-use crate::eval::{transitive_closure, EvalContext, RelationProvider};
+use crate::eval::{EvalContext, RelationProvider};
 use crate::join::{JoinProbe, JoinTable};
 use crate::morsel::{self, ParPipelineOp, Stage};
 use crate::physical::PhysicalPlan;
@@ -699,9 +699,10 @@ pub(crate) fn open_with(
             child: open_with(input, ctx, pool)?,
             remaining: *n,
         }),
-        PhysicalPlan::Closure { input } => Box::new(ClosureOp {
+        PhysicalPlan::Closure { input, seed } => Box::new(ClosureOp {
             child: Some(open_with(input, ctx, pool)?),
             schema: input.output_schema()?,
+            seed: seed.as_ref().map(|p| p.compile_predicate()),
             output: None,
         }),
         PhysicalPlan::Fixpoint { name, base, step } => {
@@ -1397,19 +1398,68 @@ impl Operator for LimitOp {
     }
 }
 
+/// The seeded semi-naive transitive closure: σ_seed(TC(input)) without
+/// computing TC(input). The input's adjacency is built once; the first
+/// delta is the input pairs whose source passes the seed, and a step
+/// keeps each pair's source, so the loop derives exactly the pairs
+/// reachable from a seeded source — in the order the unseeded closure
+/// would derive them. A NULL node has no successors (the equi-join rule).
 struct ClosureOp {
     child: Option<BoxOp>,
     schema: Schema,
+    seed: Option<CompiledPredicate>,
     output: Option<ScanOp>,
+}
+
+impl ClosureOp {
+    fn run(&self, edges: &Relation) -> Result<Vec<Tuple>> {
+        if edges.schema().arity() != 2 {
+            return Err(PrismaError::Execution(format!(
+                "closure over arity-{} relation",
+                edges.schema().arity()
+            )));
+        }
+        let edges = edges.tuples();
+        let mut adj: FastMap<&Value, Vec<&Value>> = FastMap::default();
+        for t in edges.iter().filter(|t| !t.get(0).is_null()) {
+            adj.entry(t.get(0)).or_default().push(t.get(1));
+        }
+        let mut seen: FastSet<(&Value, &Value)> = FastSet::default();
+        let mut delta: Vec<(&Value, &Value)> = Vec::new();
+        let mut out: Vec<Tuple> = Vec::new();
+        for t in edges {
+            let pair = (t.get(0), t.get(1));
+            if self.seed.as_ref().is_none_or(|p| p(t)) && seen.insert(pair) {
+                delta.push(pair);
+                out.push(t.clone());
+            }
+        }
+        while !delta.is_empty() {
+            let mut next = Vec::new();
+            for &(a, b) in &delta {
+                for &c in adj.get(b).into_iter().flatten() {
+                    if seen.insert((a, c)) {
+                        next.push((a, c));
+                    }
+                }
+            }
+            out.extend(
+                next.iter()
+                    .map(|&(a, c)| Tuple::new(vec![a.clone(), c.clone()])),
+            );
+            delta = next;
+        }
+        Ok(out)
+    }
 }
 
 impl Operator for ClosureOp {
     fn next_batch(&mut self) -> Result<Option<Batch>> {
         if self.output.is_none() {
             let mut child = self.child.take().expect("closure runs once");
-            let rel = materialize(child.as_mut(), self.schema.clone())?;
+            let edges = materialize(child.as_mut(), self.schema.clone())?;
             self.output = Some(ScanOp {
-                rel: Arc::new(transitive_closure(&rel)?),
+                rel: Arc::new(Relation::new(self.schema.clone(), self.run(&edges)?)),
                 projection: None,
                 pos: 0,
             });
@@ -1580,10 +1630,26 @@ mod tests {
     #[test]
     fn recursion_matches_eval() {
         let db = db();
+        let edge = || Box::new(LogicalPlan::scan("edge", db["edge"].schema().clone()));
         let closure = LogicalPlan::Closure {
-            input: Box::new(LogicalPlan::scan("edge", db["edge"].schema().clone())),
+            input: edge(),
+            seed: None,
         };
         assert_agrees(&closure, &db);
+        // Seeded: the executor starts from the seeded sources, the oracle
+        // filters the whole closure; an empty seed set and a seed that
+        // admits every node are the two edges of the square.
+        for seed in [
+            ScalarExpr::cmp(CmpOp::Eq, ScalarExpr::col(0), ScalarExpr::lit(2)),
+            ScalarExpr::cmp(CmpOp::Gt, ScalarExpr::col(0), ScalarExpr::lit(99)),
+            ScalarExpr::cmp(CmpOp::Ge, ScalarExpr::col(0), ScalarExpr::lit(0)),
+        ] {
+            let seeded = LogicalPlan::Closure {
+                input: edge(),
+                seed: Some(seed),
+            };
+            assert_agrees(&seeded, &db);
+        }
         let edge_schema = db["edge"].schema().clone();
         let fixpoint = LogicalPlan::Fixpoint {
             name: "path".into(),
@@ -1596,6 +1662,43 @@ mod tests {
             ),
         };
         assert_agrees(&fixpoint, &db);
+    }
+
+    #[test]
+    fn seeded_closure_does_not_continue_through_null() {
+        let schema = Schema::new(vec![
+            Column::nullable("src", DataType::Int),
+            Column::nullable("dst", DataType::Int),
+        ]);
+        let mut db = HashMap::new();
+        db.insert(
+            "e".to_owned(),
+            Relation::new(
+                schema.clone(),
+                vec![
+                    Tuple::new(vec![Value::Int(0), Value::Null]),
+                    Tuple::new(vec![Value::Null, Value::Int(5)]),
+                    tuple![0, 1],
+                ],
+            ),
+        );
+        for seed in [
+            None,
+            Some(ScalarExpr::cmp(
+                CmpOp::Eq,
+                ScalarExpr::col(0),
+                ScalarExpr::lit(0),
+            )),
+            Some(ScalarExpr::IsNull(Box::new(ScalarExpr::col(0)))),
+        ] {
+            let plan = LogicalPlan::Closure {
+                input: Box::new(LogicalPlan::scan("e", schema.clone())),
+                seed,
+            };
+            assert_agrees(&plan, &db);
+            let out = execute_physical(&lower(&plan).unwrap(), &db).unwrap();
+            assert!(!out.tuples().contains(&tuple![0, 5]), "plan:\n{plan}");
+        }
     }
 
     #[test]

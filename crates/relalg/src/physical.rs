@@ -208,10 +208,16 @@ pub enum PhysicalPlan {
         /// Row budget.
         n: usize,
     },
-    /// Semi-naive transitive closure (the OFM operator of §2.5).
+    /// Seeded semi-naive transitive closure (the OFM operator of §2.5):
+    /// σ_seed(TC(input)), computed by starting the recursion from the
+    /// input pairs whose source passes `seed`. A path never continues
+    /// through a NULL node.
     Closure {
         /// Binary input.
         input: Box<PhysicalPlan>,
+        /// Predicate over the source column (ordinal 0) only; `None`
+        /// keeps every source.
+        seed: Option<ScalarExpr>,
     },
     /// Semi-naive linear fixpoint; `Scan(name)`/`Scan(Δname)` inside
     /// `step` read the accumulator/delta bindings.
@@ -316,8 +322,9 @@ pub fn lower_with(plan: &LogicalPlan, choose: &mut StrategyChooser<'_>) -> Resul
             input: Box::new(lower_with(input, choose)?),
             n: *n,
         },
-        LogicalPlan::Closure { input } => PhysicalPlan::Closure {
+        LogicalPlan::Closure { input, seed } => PhysicalPlan::Closure {
             input: Box::new(lower_with(input, choose)?),
+            seed: seed.clone(),
         },
         LogicalPlan::Fixpoint { name, base, step } => PhysicalPlan::Fixpoint {
             name: name.clone(),
@@ -342,7 +349,7 @@ impl PhysicalPlan {
             | PhysicalPlan::Distinct { input }
             | PhysicalPlan::Sort { input, .. }
             | PhysicalPlan::Limit { input, .. }
-            | PhysicalPlan::Closure { input } => input.output_schema()?,
+            | PhysicalPlan::Closure { input, .. } => input.output_schema()?,
             PhysicalPlan::Project { schema, .. } => schema.clone(),
             PhysicalPlan::HashJoin {
                 left, right, kind, ..
@@ -424,7 +431,7 @@ impl PhysicalPlan {
             | PhysicalPlan::HashAggregate { input, .. }
             | PhysicalPlan::Sort { input, .. }
             | PhysicalPlan::Limit { input, .. }
-            | PhysicalPlan::Closure { input } => vec![input],
+            | PhysicalPlan::Closure { input, .. } => vec![input],
             PhysicalPlan::HashJoin { left, right, .. }
             | PhysicalPlan::NestedLoopJoin { left, right, .. }
             | PhysicalPlan::Union { left, right, .. }
@@ -443,7 +450,7 @@ impl PhysicalPlan {
             | PhysicalPlan::HashAggregate { input, .. }
             | PhysicalPlan::Sort { input, .. }
             | PhysicalPlan::Limit { input, .. }
-            | PhysicalPlan::Closure { input } => vec![input],
+            | PhysicalPlan::Closure { input, .. } => vec![input],
             PhysicalPlan::HashJoin { left, right, .. }
             | PhysicalPlan::NestedLoopJoin { left, right, .. }
             | PhysicalPlan::Union { left, right, .. }
@@ -512,6 +519,12 @@ impl PhysicalPlan {
                 if let Some(p) = residual {
                     p.check(&ls.join(&rs))?;
                 }
+            }
+            PhysicalPlan::Closure {
+                input,
+                seed: Some(p),
+            } => {
+                crate::plan::check_closure_seed(p, &input.validate()?)?;
             }
             _ => {
                 for c in self.children() {
@@ -593,7 +606,7 @@ impl PhysicalPlan {
             }
             PhysicalPlan::Sort { keys, .. } => writeln!(f, "{pad}Sort {keys:?}")?,
             PhysicalPlan::Limit { n, .. } => writeln!(f, "{pad}Limit {n}")?,
-            PhysicalPlan::Closure { .. } => writeln!(f, "{pad}TransitiveClosure")?,
+            PhysicalPlan::Closure { seed, .. } => crate::plan::fmt_closure(f, &pad, seed.as_ref())?,
             PhysicalPlan::Fixpoint { name, .. } => writeln!(f, "{pad}Fixpoint {name}")?,
         }
         for c in self.children() {

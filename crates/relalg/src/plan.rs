@@ -34,7 +34,8 @@ impl fmt::Display for JoinKind {
 /// Leaf schemas are embedded (`Scan`, `Values`); inner nodes derive theirs
 /// structurally via [`LogicalPlan::output_schema`]. The recursive
 /// extensions required by PRISMAlog are [`LogicalPlan::Closure`] (the
-/// paper's per-OFM transitive-closure operator) and
+/// paper's per-OFM transitive-closure operator, optionally seeded by a
+/// selection on its source column) and
 /// [`LogicalPlan::Fixpoint`] (general linear recursion evaluated
 /// semi-naively: inside `step`, `Scan(name)` reads the accumulated result
 /// and `Scan("Δ" + name)` reads the last iteration's delta).
@@ -128,10 +129,22 @@ pub enum LogicalPlan {
         n: usize,
     },
     /// Transitive closure of a binary relation — the OFM operator of §2.5.
+    ///
+    /// Its meaning is σ_seed(TC(input)): the pairs `(a, b)` such that a
+    /// path of one or more input edges leads from `a` to `b` and `a`
+    /// passes `seed`. A path never continues through a NULL node (the
+    /// equi-join rule: NULL matches nothing), but input pairs with NULL
+    /// endpoints are paths of length one and stay in the result. Because
+    /// a step keeps each pair's source, an executor may start the
+    /// recursion from the seeded sources only; the optimizer moves
+    /// source-column selections here (`pushdown`).
     Closure {
         /// Input plan; must produce a 2-column relation whose columns are
         /// union-compatible.
         input: Box<LogicalPlan>,
+        /// Predicate over the source column (ordinal 0) only; `None`
+        /// keeps every source.
+        seed: Option<ScalarExpr>,
     },
     /// Semi-naive linear fixpoint (PRISMAlog recursion).
     Fixpoint {
@@ -235,7 +248,7 @@ impl LogicalPlan {
                 }
                 Schema::new(cols)
             }
-            LogicalPlan::Closure { input } => input.output_schema()?,
+            LogicalPlan::Closure { input, .. } => input.output_schema()?,
             LogicalPlan::Fixpoint { base, .. } => base.output_schema()?,
         })
     }
@@ -309,7 +322,7 @@ impl LogicalPlan {
             LogicalPlan::Aggregate { input, .. } => {
                 input.validate()?;
             }
-            LogicalPlan::Closure { input } => {
+            LogicalPlan::Closure { input, seed } => {
                 let s = input.validate()?;
                 if s.arity() != 2 {
                     return Err(PrismaError::ExprType(format!(
@@ -322,6 +335,9 @@ impl LogicalPlan {
                     return Err(PrismaError::ExprType(
                         "closure columns must share a type".into(),
                     ));
+                }
+                if let Some(p) = seed {
+                    check_closure_seed(p, &s)?;
                 }
             }
             LogicalPlan::Fixpoint { base, step, .. } => {
@@ -347,7 +363,7 @@ impl LogicalPlan {
             | LogicalPlan::Sort { input, .. }
             | LogicalPlan::Limit { input, .. }
             | LogicalPlan::Aggregate { input, .. }
-            | LogicalPlan::Closure { input } => vec![input],
+            | LogicalPlan::Closure { input, .. } => vec![input],
             LogicalPlan::Join { left, right, .. }
             | LogicalPlan::Union { left, right, .. }
             | LogicalPlan::Difference { left, right } => vec![left, right],
@@ -410,8 +426,9 @@ impl LogicalPlan {
                 input: Box::new(input.transform_up(f)),
                 n: *n,
             },
-            LogicalPlan::Closure { input } => LogicalPlan::Closure {
+            LogicalPlan::Closure { input, seed } => LogicalPlan::Closure {
                 input: Box::new(input.transform_up(f)),
+                seed: seed.clone(),
             },
             LogicalPlan::Fixpoint { name, base, step } => LogicalPlan::Fixpoint {
                 name: name.clone(),
@@ -488,13 +505,41 @@ impl LogicalPlan {
             }
             LogicalPlan::Sort { keys, .. } => writeln!(f, "{pad}Sort {keys:?}")?,
             LogicalPlan::Limit { n, .. } => writeln!(f, "{pad}Limit {n}")?,
-            LogicalPlan::Closure { .. } => writeln!(f, "{pad}TransitiveClosure")?,
+            LogicalPlan::Closure { seed, .. } => fmt_closure(f, &pad, seed.as_ref())?,
             LogicalPlan::Fixpoint { name, .. } => writeln!(f, "{pad}Fixpoint {name}")?,
         }
         for c in self.children() {
             c.fmt_indent(f, indent + 1)?;
         }
         Ok(())
+    }
+}
+
+/// A closure seed must be a boolean predicate over the source column
+/// (ordinal 0) only: seeding the recursion equals filtering its result
+/// only for such predicates.
+pub(crate) fn check_closure_seed(seed: &ScalarExpr, schema: &Schema) -> Result<()> {
+    if seed.columns().iter().any(|&c| c != 0) {
+        return Err(PrismaError::ExprType(format!(
+            "closure seed {seed} reads a column other than the source"
+        )));
+    }
+    let t = seed.check(schema)?;
+    if t != DataType::Bool {
+        return Err(PrismaError::ExprType(format!("closure seed has type {t}")));
+    }
+    Ok(())
+}
+
+/// The closure's EXPLAIN line, shared by the logical and physical trees.
+pub(crate) fn fmt_closure(
+    f: &mut fmt::Formatter<'_>,
+    pad: &str,
+    seed: Option<&ScalarExpr>,
+) -> fmt::Result {
+    match seed {
+        Some(p) => writeln!(f, "{pad}TransitiveClosure seed: {p}"),
+        None => writeln!(f, "{pad}TransitiveClosure"),
     }
 }
 
@@ -583,6 +628,23 @@ mod tests {
         // Closure over non-binary relation.
         let c = LogicalPlan::Closure {
             input: Box::new(LogicalPlan::scan("emp", emp_schema())),
+            seed: None,
+        };
+        assert!(c.validate().is_err());
+        // A closure seed that reads the destination column.
+        let edge = Schema::new(vec![
+            Column::new("src", DataType::Int),
+            Column::new("dst", DataType::Int),
+        ]);
+        let c = LogicalPlan::Closure {
+            input: Box::new(LogicalPlan::scan("edge", edge.clone())),
+            seed: Some(ScalarExpr::eq(ScalarExpr::col(1), ScalarExpr::lit(0))),
+        };
+        assert!(c.validate().is_err());
+        // A non-boolean seed.
+        let c = LogicalPlan::Closure {
+            input: Box::new(LogicalPlan::scan("edge", edge)),
+            seed: Some(ScalarExpr::col(0)),
         };
         assert!(c.validate().is_err());
         // Join key out of range.

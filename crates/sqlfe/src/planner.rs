@@ -286,6 +286,7 @@ fn source_plan(src: &TableRef, catalog: &dyn Catalog) -> Result<LogicalPlan> {
             let base = catalog.table_schema(name)?;
             let plan = LogicalPlan::Closure {
                 input: Box::new(LogicalPlan::scan(name.clone(), base.qualify(src.alias()))),
+                seed: None,
             };
             Ok(plan)
         }
