@@ -81,11 +81,10 @@ use prisma_multicomputer::StreamReassembly;
 use prisma_optimizer::cse::{detect_common_subexpressions, plan_key};
 use prisma_optimizer::{lower_physical, PhysicalConfig, Trace};
 use prisma_poolx::{ExternalMailbox, PoolRuntime};
-use prisma_relalg::agg::Accumulator;
 use prisma_ofm::{SHUFFLE_LEFT, SHUFFLE_RIGHT};
 use prisma_relalg::{
-    execute_physical, AggExpr, AggFunc, Batch, JoinKind, JoinStrategy, LogicalPlan, PhysicalPlan,
-    Relation, ShufflePlacement,
+    agg::GroupTable, execute_physical, AggExpr, AggFunc, Batch, JoinKind, JoinStrategy,
+    LogicalPlan, PhysicalPlan, Relation, ShufflePlacement,
 };
 use prisma_types::{FragmentId, PrismaError, QueryId, Result, Schema, Tuple, Value};
 
@@ -261,7 +260,7 @@ impl ParallelExecutor {
     }
 
     /// Override the physical-lowering tunables (e.g. the broadcast-vs-
-    /// partition threshold for the E2/E8 experiments).
+    /// partition threshold for the E8 experiment).
     pub fn set_physical_config(&mut self, config: PhysicalConfig) {
         self.physical_config = config;
     }
@@ -392,10 +391,26 @@ impl ParallelExecutor {
                 group_by,
                 aggs,
             } if decomposable(aggs) => {
-                let mut merger = PartialMerger::new(group_by.len(), aggs);
-                let mut sink = |batch: Batch| merger.consume(&batch);
+                // The partials' aggregate `i` sits at column `g + i`; COUNT
+                // and COUNT(*) partials merge as SUM, the rest as themselves.
+                let g = group_by.len();
+                let merge_aggs: Vec<AggExpr> = aggs
+                    .iter()
+                    .enumerate()
+                    .map(|(i, a)| {
+                        let func = match a.func {
+                            AggFunc::CountStar | AggFunc::Count => AggFunc::Sum,
+                            func => func,
+                        };
+                        AggExpr::new(func, g + i, a.name.clone())
+                    })
+                    .collect();
+                let group_cols: Vec<usize> = (0..g).collect();
+                let mut merged = GroupTable::new(&group_cols, &merge_aggs);
+                let mut sink = |batch: Batch| merged.fold(&batch);
                 let distributed = if let Some(relation) = pushable_relation(input) {
-                    self.stream_fragments(plan, &relation, HashMap::new(), q, &mut sink)?;
+                    let physical = self.lower(plan)?;
+                    self.stream_fragments(&physical, &relation, HashMap::new(), q, &mut sink)?;
                     true
                 } else if let Some(join) = join_under_chain(input) {
                     let above = |join| LogicalPlan::Aggregate {
@@ -408,7 +423,22 @@ impl ParallelExecutor {
                     false
                 };
                 if distributed {
-                    Ok(Arc::new(merger.finish(plan, aggs)?))
+                    let mut rows = merged.finish();
+                    if g == 0 {
+                        // A global aggregate's one row: COUNT over zero
+                        // matching rows is 0, not the NULL a SUM-merge of
+                        // no partials produces.
+                        let row = rows[0]
+                            .values()
+                            .iter()
+                            .zip(aggs)
+                            .map(|(v, a)| match a.func {
+                                AggFunc::Count | AggFunc::CountStar if v.is_null() => Value::Int(0),
+                                _ => v.clone(),
+                            });
+                        rows[0] = row.collect();
+                    }
+                    Ok(Arc::new(Relation::new(plan.output_schema()?, rows)))
                 } else {
                     self.exec_via_children(plan, cse, memo, q)
                 }
@@ -501,7 +531,7 @@ impl ParallelExecutor {
                 joined(build_scan, (**probe).clone())
             };
             let extra = HashMap::from([("__build".to_owned(), built)]);
-            self.stream_fragments(&frag_plan, &rel, extra, q, sink)?;
+            self.stream_fragments(&self.lower(&frag_plan)?, &rel, extra, q, sink)?;
             return Ok(true);
         }
         Ok(false)
@@ -1054,51 +1084,29 @@ impl ParallelExecutor {
         Ok(Arc::new(execute_physical(&self.lower(plan)?, &provider)?))
     }
 
+    /// Lower `plan`, ship it to every fragment actor of `relation`, and
+    /// union the reply streams into a relation — each stream's rows are
+    /// appended when it completes, while other fragments are still
+    /// scanning.
     fn run_on_fragments(
         &self,
         plan: &LogicalPlan,
         relation: &str,
         q: &mut QueryCtx,
     ) -> Result<Arc<Relation>> {
-        self.run_on_fragments_with(plan, relation, HashMap::new(), q)
-    }
-
-    /// Lower `plan`, ship it (+ `extra` relations) to every fragment
-    /// actor of `relation`, and union the reply streams into a relation —
-    /// each stream's rows are appended when it completes, while other
-    /// fragments are still scanning.
-    fn run_on_fragments_with(
-        &self,
-        plan: &LogicalPlan,
-        relation: &str,
-        extra: HashMap<String, Arc<Relation>>,
-        q: &mut QueryCtx,
-    ) -> Result<Arc<Relation>> {
         let physical = self.lower(plan)?;
-        let schema = physical.output_schema()?;
         let mut out: Vec<Tuple> = Vec::new();
-        self.ship_to_fragments(&physical, relation, extra, q, &mut |batch| {
+        self.stream_fragments(&physical, relation, HashMap::new(), q, &mut |batch| {
             out.extend(batch.into_tuples());
             Ok(())
         })?;
-        Ok(Arc::new(Relation::new(schema, out)))
+        Ok(Arc::new(Relation::new(physical.output_schema()?, out)))
     }
 
-    /// Lower `plan` and stream every fragment's reply batches into `sink`
-    /// (incremental consumers: partial-aggregate merge, union sinks).
+    /// Ship `physical` (+ `extra` relations) to every fragment actor of
+    /// `relation` and stream every reply batch into `sink` (incremental
+    /// consumers: partial-aggregate merge, union sinks).
     fn stream_fragments(
-        &self,
-        plan: &LogicalPlan,
-        relation: &str,
-        extra: HashMap<String, Arc<Relation>>,
-        q: &mut QueryCtx,
-        sink: &mut dyn FnMut(Batch) -> Result<()>,
-    ) -> Result<()> {
-        let physical = self.lower(plan)?;
-        self.ship_to_fragments(&physical, relation, extra, q, sink)
-    }
-
-    fn ship_to_fragments(
         &self,
         physical: &PhysicalPlan,
         relation: &str,
@@ -1229,112 +1237,6 @@ fn chain_over(chain: &LogicalPlan, join: LogicalPlan) -> LogicalPlan {
 
 fn decomposable(aggs: &[AggExpr]) -> bool {
     aggs.iter().all(|a| a.func.decomposable())
-}
-
-/// Incremental merge of per-fragment partial aggregates: COUNT→SUM,
-/// SUM→SUM, MIN→MIN, MAX→MAX, re-grouped on the same keys. Partial
-/// batches feed the merge accumulators the moment they arrive — no
-/// materialized partials relation exists at any point.
-struct PartialMerger {
-    group_cols: Vec<usize>,
-    merge_funcs: Vec<AggFunc>,
-    groups: HashMap<Vec<Value>, Vec<Accumulator>>,
-    /// First-seen order of group keys (stable output like the batch
-    /// executor's hash aggregate).
-    order: Vec<Vec<Value>>,
-}
-
-impl PartialMerger {
-    fn new(num_group_cols: usize, aggs: &[AggExpr]) -> Self {
-        let merge_funcs = aggs
-            .iter()
-            .map(|a| match a.func {
-                AggFunc::CountStar | AggFunc::Count | AggFunc::Sum => AggFunc::Sum,
-                AggFunc::Min => AggFunc::Min,
-                AggFunc::Max => AggFunc::Max,
-                AggFunc::Avg => unreachable!("guarded by decomposable()"),
-            })
-            .collect();
-        PartialMerger {
-            group_cols: (0..num_group_cols).collect(),
-            merge_funcs,
-            groups: HashMap::new(),
-            order: Vec::new(),
-        }
-    }
-
-    /// Fold one arriving partial batch into the merge accumulators.
-    fn consume(&mut self, batch: &Batch) -> Result<()> {
-        let PartialMerger {
-            group_cols,
-            merge_funcs,
-            groups,
-            order,
-        } = self;
-        let fold = |accs: &mut [Accumulator], row: usize| -> Result<()> {
-            for (i, acc) in accs.iter_mut().enumerate() {
-                acc.update(&batch.value_at(row, group_cols.len() + i))?;
-            }
-            Ok(())
-        };
-        let mut key: Vec<Value> = Vec::with_capacity(group_cols.len());
-        for row in 0..batch.len() {
-            batch.key_at(row, group_cols, &mut key);
-            // Most partial rows hit a group an earlier partial opened:
-            // look up by slice, clone the key only for a new group.
-            if let Some(accs) = groups.get_mut(key.as_slice()) {
-                fold(accs, row)?;
-                continue;
-            }
-            order.push(key.clone());
-            let accs = groups
-                .entry(key.clone())
-                .or_insert_with(|| merge_funcs.iter().map(|&f| Accumulator::new(f)).collect());
-            fold(accs, row)?;
-        }
-        Ok(())
-    }
-
-    /// Finish the merge into the original aggregate's output relation.
-    fn finish(self, original: &LogicalPlan, aggs: &[AggExpr]) -> Result<Relation> {
-        let final_schema = original.output_schema()?;
-        let num_group_cols = self.group_cols.len();
-        // A global (ungrouped) aggregate always yields one row, even over
-        // zero fragment partials; and COUNT over zero matching rows must
-        // be 0, not the NULL a SUM-merge of nothing produces.
-        if num_group_cols == 0 {
-            let row: Vec<Value> = match self.order.first() {
-                Some(key) => self.groups[key].iter().map(Accumulator::finish).collect(),
-                None => self
-                    .merge_funcs
-                    .iter()
-                    .map(|&f| Accumulator::new(f).finish())
-                    .collect(),
-            };
-            let fixed: Vec<Value> = row
-                .into_iter()
-                .zip(aggs)
-                .map(|(v, a)| {
-                    if v.is_null()
-                        && matches!(a.func, AggFunc::Count | AggFunc::CountStar)
-                    {
-                        Value::Int(0)
-                    } else {
-                        v
-                    }
-                })
-                .collect();
-            return Ok(Relation::new(final_schema, vec![Tuple::new(fixed)]));
-        }
-        let mut tuples = Vec::with_capacity(self.order.len());
-        for key in &self.order {
-            let accs = &self.groups[key];
-            let mut row = key.clone();
-            row.extend(accs.iter().map(Accumulator::finish));
-            tuples.push(Tuple::new(row));
-        }
-        Ok(Relation::new(final_schema, tuples))
-    }
 }
 
 /// Schema helper re-exported for the facade.

@@ -641,7 +641,7 @@ impl GlobalDataHandler {
     }
 
     /// Compile and execute a SQL query, returning rows plus the parallel
-    /// executor's metrics (batch/repartition counters drive E2/E8).
+    /// executor's metrics (batch/repartition counters drive E8).
     pub fn query_sql_with_metrics(&self, sql: &str) -> Result<(Relation, ExecMetrics)> {
         let planned = sqlfe::compile(sql, &*self.dictionary)?;
         let PlannedStatement::Query(plan) = planned else {

@@ -1,8 +1,12 @@
-//! Aggregate functions.
+//! Aggregate functions and the one group table every aggregation folds
+//! into.
 
 use std::fmt;
 
-use prisma_types::{DataType, PrismaError, Result, Value};
+use prisma_storage::FastMap;
+use prisma_types::{DataType, PrismaError, Result, Tuple, Value};
+
+use crate::exec::Batch;
 
 /// The aggregate functions of the SQL front end.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -199,6 +203,123 @@ impl Accumulator {
                 }
             },
         }
+    }
+}
+
+/// A hash group table: each group key's accumulators, one per aggregate,
+/// and the keys in first-seen order. It is the executor's only group-by:
+/// the inline aggregate folds its input into one table, the pooled one
+/// folds a table per contiguous chunk of its input and merges them in
+/// chunk order, and the coordinator folds the fragments' partial rows into
+/// one table over the merge aggregates.
+#[derive(Debug)]
+pub struct GroupTable {
+    group_by: Vec<usize>,
+    aggs: Vec<AggExpr>,
+    groups: FastMap<Vec<Value>, Vec<Accumulator>>,
+    /// Group keys in first-seen order: the output order, and the order in
+    /// which a merged table's groups join this one.
+    order: Vec<Vec<Value>>,
+}
+
+impl GroupTable {
+    /// An empty table grouping on the columns `group_by`, computing `aggs`.
+    pub fn new(group_by: &[usize], aggs: &[AggExpr]) -> GroupTable {
+        GroupTable {
+            group_by: group_by.to_vec(),
+            aggs: aggs.to_vec(),
+            groups: FastMap::default(),
+            order: Vec::new(),
+        }
+    }
+
+    /// Fold one batch's live rows into the table. Keys and aggregate inputs
+    /// are read from the batch's columnar form when it has one, so a
+    /// filtered or projected input never pivots back to tuples.
+    pub fn fold(&mut self, batch: &Batch) -> Result<()> {
+        let GroupTable {
+            group_by,
+            aggs,
+            groups,
+            order,
+        } = self;
+        let fold = |accs: &mut [Accumulator], row: usize| -> Result<()> {
+            for (acc, a) in accs.iter_mut().zip(aggs.iter()) {
+                let v = if a.func == AggFunc::CountStar {
+                    Value::Bool(true) // placeholder; COUNT(*) counts rows
+                } else {
+                    batch.value_at(row, a.col)
+                };
+                acc.update(&v)?;
+            }
+            Ok(())
+        };
+        let mut key: Vec<Value> = Vec::with_capacity(group_by.len());
+        for row in 0..batch.len() {
+            batch.key_at(row, group_by, &mut key);
+            // Most rows hit an open group: look up by slice, clone the key
+            // only to open a new one.
+            if let Some(accs) = groups.get_mut(key.as_slice()) {
+                fold(accs, row)?;
+                continue;
+            }
+            order.push(key.clone());
+            let accs = groups
+                .entry(key.clone())
+                .or_insert_with(|| aggs.iter().map(|a| Accumulator::new(a.func)).collect());
+            fold(accs, row)?;
+        }
+        Ok(())
+    }
+
+    /// Merge `other`, a table over input that followed this table's: its
+    /// new groups follow this table's in first-seen order, and shared
+    /// groups merge their accumulators ([`Accumulator::merge`]) — so
+    /// merging contiguous chunks' tables in chunk order reproduces one
+    /// table over the whole input, float rounding included.
+    pub fn merge(&mut self, other: GroupTable) -> Result<()> {
+        let GroupTable {
+            mut groups, order, ..
+        } = other;
+        for key in order {
+            let accs = groups.remove(&key).expect("every ordered key has a group");
+            match self.groups.get_mut(&key) {
+                Some(existing) => {
+                    for (acc, part) in existing.iter_mut().zip(&accs) {
+                        acc.merge(part)?;
+                    }
+                }
+                None => {
+                    self.order.push(key.clone());
+                    self.groups.insert(key, accs);
+                }
+            }
+        }
+        Ok(())
+    }
+
+    /// The result rows — group key, then one value per aggregate — in
+    /// first-seen group order. A global aggregate (no group-by) over empty
+    /// input still yields its one row.
+    pub fn finish(self) -> Vec<Tuple> {
+        if self.group_by.is_empty() && self.order.is_empty() {
+            let row = self
+                .aggs
+                .iter()
+                .map(|a| Accumulator::new(a.func).finish())
+                .collect();
+            return vec![Tuple::new(row)];
+        }
+        let groups = self.groups;
+        self.order
+            .into_iter()
+            .map(|key| {
+                let accs = &groups[&key];
+                let mut row = key;
+                row.extend(accs.iter().map(Accumulator::finish));
+                Tuple::new(row)
+            })
+            .collect()
     }
 }
 

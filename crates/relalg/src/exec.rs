@@ -11,11 +11,16 @@
 //! * row-at-a-time `Tuple` clones inside operators are reference-count
 //!   bumps ([`Tuple`] is `Arc`-backed), so row-wise operators never
 //!   deep-copy payloads;
-//! * filter, project and hash join (`crate::join`) work column-at-a-time
-//!   and never build a row;
+//! * every scan, and every filter / project / hash-join probe chain
+//!   (`crate::join`), is one pipeline operator ([`mod@crate::morsel`]):
+//!   one kernel pushes each morsel — a scan unit or a child batch —
+//!   through the stages column-at-a-time, never building a row, inline on
+//!   the calling thread or, over a scan worth it, on a worker pool, with
+//!   bit-identical output;
 //! * blocking operators (hash build sides, aggregation, sort, closure,
-//!   fixpoint) materialize only their own inputs; everything downstream
-//!   keeps streaming.
+//!   fixpoint) materialize only their own inputs and emit their result
+//!   as row-window units; everything downstream keeps streaming. Every
+//!   aggregation folds into one [`GroupTable`](crate::agg::GroupTable).
 //!
 //! ## Row/column duality
 //!
@@ -66,14 +71,14 @@
 use std::sync::{Arc, OnceLock};
 
 use prisma_poolx::WorkerPool;
-use prisma_storage::expr::{CompiledPredicate, CompiledVecExpr, CompiledVecPredicate};
+use prisma_storage::expr::CompiledPredicate;
 use prisma_storage::{FastMap, FastSet, FnvBuild};
 use prisma_types::{ColumnVec, LazyColumns, PrismaError, Result, Schema, SelVec, Tuple, Value};
 
-use crate::agg::{Accumulator, AggExpr};
+use crate::agg::AggExpr;
 use crate::eval::{EvalContext, RelationProvider};
 use crate::join::{JoinProbe, JoinTable};
-use crate::morsel::{self, ParPipelineOp, Stage};
+use crate::morsel::{self, PipelineOp, Source, Stage};
 use crate::physical::PhysicalPlan;
 use crate::plan::JoinKind;
 use crate::table::Relation;
@@ -484,7 +489,7 @@ pub trait Operator {
     fn next_batch(&mut self) -> Result<Option<Batch>>;
 }
 
-type BoxOp = Box<dyn Operator>;
+pub(crate) type BoxOp = Box<dyn Operator>;
 
 /// Execute a physical plan to a materialized relation.
 pub fn execute_physical(plan: &PhysicalPlan, provider: &dyn RelationProvider) -> Result<Relation> {
@@ -545,12 +550,12 @@ pub fn open_batches(
 
 /// [`open_batches`] with morsel-driven intra-fragment parallelism: when a
 /// [`WorkerPool`] is supplied, compute-heavy spans of the operator tree
-/// (scan→filter→join-probe→project pipelines, hash aggregation) dispatch
-/// morsels — whole scan units of up to [`BATCH_SIZE`] rows — to the pool's
-/// work-stealing workers. Output batches are *identical* to the serial
-/// path — same batches in the same order (see [`mod@crate::morsel`]) —
-/// so the stream's consumers (including the wire protocol) cannot tell
-/// the difference except by the clock.
+/// (scan→filter→join-probe→project pipelines, hash aggregation) run their
+/// morsels — whole scan units of up to [`BATCH_SIZE`] rows — on the pool's
+/// work-stealing workers instead of inline. Output batches are
+/// *identical* either way — same batches in the same order (see
+/// [`mod@crate::morsel`]) — so the stream's consumers (including the wire
+/// protocol) cannot tell the difference except by the clock.
 pub fn open_batches_pooled(
     plan: &PhysicalPlan,
     provider: &dyn RelationProvider,
@@ -561,7 +566,7 @@ pub fn open_batches_pooled(
     Ok(BatchStream { op })
 }
 
-fn drain(op: &mut dyn Operator) -> Result<Vec<Batch>> {
+pub(crate) fn drain(op: &mut dyn Operator) -> Result<Vec<Batch>> {
     let mut out = Vec::new();
     while let Some(b) = op.next_batch()? {
         out.push(b);
@@ -583,214 +588,142 @@ pub fn open(plan: &PhysicalPlan, ctx: &mut EvalContext<'_>) -> Result<BoxOp> {
 
 /// [`open`] with an optional worker pool; the pool threads through every
 /// recursive child so each parallelizable span of the tree can use it.
+///
+/// A `(Filter|Project|HashJoin probe)*` chain opens as one
+/// [`PipelineOp`] over its bottom node: scan units for a `SeqScan` or
+/// `Values`, a deferred [`Blocking`] operator, an eager fixpoint's result,
+/// or any other operator's batches. The pool runs the pipeline's morsels
+/// only over scan units that pass [`PipelineOp::eligible`].
 pub(crate) fn open_with(
     plan: &PhysicalPlan,
     ctx: &mut EvalContext<'_>,
     pool: Option<&Arc<WorkerPool>>,
 ) -> Result<BoxOp> {
-    if let Some(pool) = pool {
-        if let Some(op) = try_open_pipeline(plan, ctx, pool)? {
-            return Ok(op);
-        }
-    }
-    Ok(match plan {
-        PhysicalPlan::SeqScan {
-            relation,
-            projection,
-            prune,
-            ..
-        } => match ctx.lookup_chunked(relation) {
-            Some(ch) => {
-                let refuter = prune
-                    .as_ref()
-                    .map(prisma_storage::ZoneRefuter::compile)
-                    .unwrap_or_default();
-                Box::new(ChunkScanOp {
-                    units: chunk_scan_units(&ch, &refuter),
-                    projection: projection.clone(),
-                    idx: 0,
-                })
-            }
-            None => Box::new(ScanOp {
-                rel: ctx.lookup(relation)?,
-                projection: projection.clone(),
-                pos: 0,
-            }),
-        },
-        PhysicalPlan::Values { schema, rows } => Box::new(ScanOp {
-            rel: Arc::new(Relation::new(schema.clone(), rows.clone())),
-            projection: None,
-            pos: 0,
-        }),
-        PhysicalPlan::Filter { input, predicate } => Box::new(FilterOp {
-            child: open_with(input, ctx, pool)?,
-            pred: predicate.compile_vec_predicate(),
-            sel_buf: Vec::new(),
-        }),
-        PhysicalPlan::Project { input, exprs, .. } => Box::new(ProjectOp {
-            child: open_with(input, ctx, pool)?,
-            exprs: exprs.iter().map(|e| e.compile_vec()).collect(),
-            identity: identity_width(exprs),
-        }),
-        PhysicalPlan::HashJoin {
-            left,
-            right,
-            kind,
-            on,
-            residual,
-            ..
-        } => Box::new(HashJoinOp {
-            probe: open_with(left, ctx, pool)?,
-            build: Some(open_with(right, ctx, pool)?),
-            rkeys: on.iter().map(|&(_, r)| r).collect(),
-            kernel: JoinProbe::new(
-                Arc::new(JoinTable::empty()),
-                on.iter().map(|&(l, _)| l).collect(),
-                *kind,
-                residual.as_ref().map(|p| p.compile_vec_predicate()),
-            ),
-        }),
-        PhysicalPlan::NestedLoopJoin {
-            left,
-            right,
-            kind,
-            residual,
-        } => Box::new(NestedLoopOp {
-            outer: open_with(left, ctx, pool)?,
-            inner: Some(open_with(right, ctx, pool)?),
-            inner_rows: Vec::new(),
-            kind: *kind,
-            residual: residual.as_ref().map(|p| p.compile_predicate()),
-        }),
-        PhysicalPlan::Union { left, right, all } => Box::new(UnionOp {
-            left: Some(open_with(left, ctx, pool)?),
-            right: Some(open_with(right, ctx, pool)?),
-            seen: if *all { None } else { Some(FastSet::default()) },
-        }),
-        PhysicalPlan::Difference { left, right } => Box::new(DifferenceOp {
-            left: open_with(left, ctx, pool)?,
-            right: Some(open_with(right, ctx, pool)?),
-            exclude: FastSet::default(),
-            seen: FastSet::default(),
-        }),
-        PhysicalPlan::Distinct { input } => Box::new(DistinctOp {
-            child: open_with(input, ctx, pool)?,
-            seen: FastSet::default(),
-        }),
-        PhysicalPlan::HashAggregate {
-            input,
-            group_by,
-            aggs,
-        } => Box::new(HashAggOp {
-            child: Some(open_with(input, ctx, pool)?),
-            schema: plan.output_schema()?,
-            group_by: group_by.clone(),
-            aggs: aggs.clone(),
-            output: None,
-            pool: pool.map(Arc::clone),
-        }),
-        PhysicalPlan::Sort { input, keys } => Box::new(SortOp {
-            child: Some(open_with(input, ctx, pool)?),
-            schema: input.output_schema()?,
-            keys: keys.clone(),
-            output: None,
-        }),
-        PhysicalPlan::Limit { input, n } => Box::new(LimitOp {
-            child: open_with(input, ctx, pool)?,
-            remaining: *n,
-        }),
-        PhysicalPlan::Closure { input, seed } => Box::new(ClosureOp {
-            child: Some(open_with(input, ctx, pool)?),
-            schema: input.output_schema()?,
-            seed: seed.as_ref().map(|p| p.compile_predicate()),
-            output: None,
-        }),
-        PhysicalPlan::Fixpoint { name, base, step } => {
-            // Bindings change every iteration, so the fixpoint runs
-            // eagerly here and streams its materialized result.
-            let rel = run_fixpoint(name, base, step, ctx, pool)?;
-            Box::new(ScanOp {
-                rel: Arc::new(rel),
-                projection: None,
-                pos: 0,
-            })
-        }
-    })
-}
-
-/// Recognize a scan-rooted pipeline — `(Filter|Project|HashJoin probe)*`
-/// over `SeqScan`/`Values` — and open it as a single morsel-parallel
-/// operator when the source is big enough to be worth it: every scan unit
-/// runs scan → filter → probe → project worker-side in one go. Returns
-/// `None` (caller falls back to the serial operator chain) otherwise.
-fn try_open_pipeline(
-    plan: &PhysicalPlan,
-    ctx: &mut EvalContext<'_>,
-    pool: &Arc<WorkerPool>,
-) -> Result<Option<BoxOp>> {
     // The pipeline's spine, top down; a join continues into its probe side.
     let mut spine: Vec<&PhysicalPlan> = Vec::new();
     let mut cur = plan;
-    let source = loop {
-        match cur {
-            PhysicalPlan::Filter { input, .. } | PhysicalPlan::Project { input, .. } => {
-                spine.push(cur);
-                cur = input;
-            }
-            PhysicalPlan::HashJoin { left, .. } => {
-                spine.push(cur);
-                cur = left;
-            }
-            PhysicalPlan::SeqScan { .. } | PhysicalPlan::Values { .. } => break cur,
-            _ => return Ok(None),
-        }
+    while let PhysicalPlan::Filter { input, .. }
+    | PhysicalPlan::Project { input, .. }
+    | PhysicalPlan::HashJoin { left: input, .. } = cur
+    {
+        spine.push(cur);
+        cur = input;
+    }
+    let has_stages = !spine.is_empty();
+    let blocking = |input: &PhysicalPlan, kind, ctx: &mut EvalContext<'_>| -> Result<Source> {
+        Ok(Source::Blocking(Some(Blocking {
+            input: open_with(input, ctx, pool)?,
+            schema: cur.output_schema()?,
+            kind,
+        })))
     };
-    // Eligibility is decided *before* anything is cut or built, so an
-    // ineligible plan falls back to the serial chain without
-    // double-counting prune telemetry or building a join table twice.
-    let mut units = Vec::new();
-    let projection = match source {
+    let mut pooled = false;
+    let source = match cur {
         PhysicalPlan::SeqScan {
             relation,
             projection,
             prune,
             ..
         } => {
-            let eligible = |rows| ParPipelineOp::eligible(rows, !spine.is_empty(), projection);
-            if let Some(ch) = ctx.lookup_chunked(relation) {
-                if !eligible(ch.len()) {
-                    return Ok(None);
+            let mut units = Vec::new();
+            let rows = match ctx.lookup_chunked(relation) {
+                Some(ch) => {
+                    let refuter = prune
+                        .as_ref()
+                        .map(prisma_storage::ZoneRefuter::compile)
+                        .unwrap_or_default();
+                    units = chunk_scan_units(&ch, &refuter);
+                    ch.len()
                 }
-                let refuter = prune
-                    .as_ref()
-                    .map(prisma_storage::ZoneRefuter::compile)
-                    .unwrap_or_default();
-                units = chunk_scan_units(&ch, &refuter);
-            } else {
-                let rel = ctx.lookup(relation)?;
-                if !eligible(rel.len()) {
-                    return Ok(None);
+                None => {
+                    let rel = ctx.lookup(relation)?;
+                    row_scan_units(&rel, &mut units);
+                    rel.len()
                 }
-                row_scan_units(&rel, &mut units);
+            };
+            pooled = PipelineOp::eligible(rows, has_stages, projection);
+            Source::Units {
+                units,
+                projection: projection.clone(),
+                next: 0,
             }
-            projection.clone()
         }
         PhysicalPlan::Values { schema, rows } => {
-            if !ParPipelineOp::eligible(rows.len(), !spine.is_empty(), &None) {
-                return Ok(None);
-            }
-            let rel = Arc::new(Relation::new(schema.clone(), rows.clone()));
-            row_scan_units(&rel, &mut units);
-            None
+            pooled = PipelineOp::eligible(rows.len(), has_stages, &None);
+            Source::rows(Relation::new(schema.clone(), rows.clone()))
         }
-        _ => unreachable!("the spine walk ends at a scan"),
+        PhysicalPlan::HashAggregate {
+            input,
+            group_by,
+            aggs,
+        } => {
+            let kind = BlockingKind::Aggregate {
+                group_by: group_by.clone(),
+                aggs: aggs.clone(),
+                pool: pool.map(Arc::clone),
+            };
+            blocking(input, kind, ctx)?
+        }
+        PhysicalPlan::Sort { input, keys } => {
+            blocking(input, BlockingKind::Sort(keys.clone()), ctx)?
+        }
+        PhysicalPlan::Closure { input, seed } => {
+            let seed = seed.as_ref().map(|p| p.compile_predicate());
+            blocking(input, BlockingKind::Closure(seed), ctx)?
+        }
+        // Bindings change every iteration, so the fixpoint runs eagerly
+        // here and streams its materialized result.
+        PhysicalPlan::Fixpoint { name, base, step } => {
+            Source::rows(run_fixpoint(name, base, step, ctx, pool)?)
+        }
+        other => {
+            let op: BoxOp = match other {
+                PhysicalPlan::NestedLoopJoin {
+                    left,
+                    right,
+                    kind,
+                    residual,
+                } => Box::new(NestedLoopOp {
+                    outer: open_with(left, ctx, pool)?,
+                    inner: Some(open_with(right, ctx, pool)?),
+                    inner_rows: Vec::new(),
+                    kind: *kind,
+                    residual: residual.as_ref().map(|p| p.compile_predicate()),
+                }),
+                PhysicalPlan::Union { left, right, all } => Box::new(UnionOp {
+                    left: Some(open_with(left, ctx, pool)?),
+                    right: Some(open_with(right, ctx, pool)?),
+                    seen: if *all { None } else { Some(FastSet::default()) },
+                }),
+                PhysicalPlan::Difference { left, right } => Box::new(DifferenceOp {
+                    left: open_with(left, ctx, pool)?,
+                    right: Some(open_with(right, ctx, pool)?),
+                    exclude: FastSet::default(),
+                    seen: FastSet::default(),
+                }),
+                PhysicalPlan::Distinct { input } => Box::new(DistinctOp {
+                    child: open_with(input, ctx, pool)?,
+                    seen: FastSet::default(),
+                }),
+                PhysicalPlan::Limit { input, n } => Box::new(LimitOp {
+                    child: open_with(input, ctx, pool)?,
+                    remaining: *n,
+                }),
+                _ => unreachable!("pipeline sources and stages are matched above"),
+            };
+            if !has_stages {
+                return Ok(op);
+            }
+            Source::Child(op)
+        }
     };
     let mut stages = Vec::with_capacity(spine.len());
     for node in spine.into_iter().rev() {
         stages.push(match node {
-            PhysicalPlan::Filter { predicate, .. } => {
-                Stage::Filter(predicate.compile_vec_predicate())
-            }
+            PhysicalPlan::Filter { predicate, .. } => Stage::Filter {
+                pred: predicate.compile_vec_predicate(),
+                kept: Vec::new(),
+            },
             PhysicalPlan::Project { exprs, .. } => Stage::Project {
                 exprs: exprs.iter().map(|e| e.compile_vec()).collect(),
                 identity: identity_width(exprs),
@@ -802,7 +735,9 @@ fn try_open_pipeline(
                 residual,
                 ..
             } => {
-                let mut build = open_with(right, ctx, Some(pool))?;
+                // The build side drains into its table now, on the
+                // opening thread.
+                let mut build = open_with(right, ctx, pool)?;
                 let rkeys: Vec<usize> = on.iter().map(|&(_, r)| r).collect();
                 let table = JoinTable::build(&drain(build.as_mut())?, &rkeys)?;
                 Stage::Probe(JoinProbe::new(
@@ -815,12 +750,8 @@ fn try_open_pipeline(
             _ => unreachable!("only these enter the spine"),
         });
     }
-    Ok(Some(Box::new(ParPipelineOp::new(
-        units,
-        projection,
-        stages,
-        Arc::clone(pool),
-    ))))
+    let pool = pool.filter(|_| pooled).map(Arc::clone);
+    Ok(Box::new(PipelineOp::new(source, stages, pool)))
 }
 
 fn run_fixpoint(
@@ -932,9 +863,8 @@ impl ScanUnit {
         }
     }
 
-    /// The unit as a batch; row windows are `ScanOp`'s
-    /// ([`Batch::row_window`]), so a chunked scan's delta tail is
-    /// bit-identical to the row path.
+    /// The unit as a batch under the scan's fused projection; a chunked
+    /// scan's delta tail and a row scan both cut [`Batch::row_window`]s.
     pub(crate) fn batch(&self, projection: Option<&[usize]>) -> Batch {
         match self {
             ScanUnit::Chunk(c) => Batch::from_sealed_chunk(c, projection),
@@ -984,94 +914,6 @@ pub(crate) fn row_scan_units(rel: &Arc<Relation>, units: &mut Vec<ScanUnit>) {
     }
 }
 
-/// Scan over a two-tier chunked relation: one batch per surviving scan
-/// unit (pruning already happened in [`chunk_scan_units`]).
-struct ChunkScanOp {
-    units: Vec<ScanUnit>,
-    projection: Option<Vec<usize>>,
-    idx: usize,
-}
-
-impl Operator for ChunkScanOp {
-    fn next_batch(&mut self) -> Result<Option<Batch>> {
-        while self.idx < self.units.len() {
-            let unit = &self.units[self.idx];
-            self.idx += 1;
-            if unit.len() == 0 {
-                continue;
-            }
-            return Ok(Some(unit.batch(self.projection.as_deref())));
-        }
-        Ok(None)
-    }
-}
-
-struct ScanOp {
-    rel: Arc<Relation>,
-    projection: Option<Vec<usize>>,
-    pos: usize,
-}
-
-impl Operator for ScanOp {
-    fn next_batch(&mut self) -> Result<Option<Batch>> {
-        if self.pos >= self.rel.len() {
-            return Ok(None);
-        }
-        let start = self.pos;
-        let end = (start + BATCH_SIZE).min(self.rel.len());
-        self.pos = end;
-        Ok(Some(Batch::row_window(&self.rel, start, end, self.projection.as_deref())))
-    }
-}
-
-/// Vectorized filter: predicate → refined selection vector. The output
-/// batch shares the input's columns; no per-tuple output buffer is
-/// allocated. `sel_buf` (and the predicate's internal conjunction
-/// scratch) persist across `next_batch` calls, so steady state allocates
-/// only the compact index vector that escapes inside the output batch —
-/// and nothing at all when every row survives.
-struct FilterOp {
-    child: BoxOp,
-    pred: CompiledVecPredicate,
-    sel_buf: Vec<u32>,
-}
-
-impl Operator for FilterOp {
-    fn next_batch(&mut self) -> Result<Option<Batch>> {
-        while let Some(batch) = self.child.next_batch()? {
-            if batch.is_empty() {
-                continue;
-            }
-            let (cols, sel) = batch.to_columns();
-            self.pred.select(&cols, &sel, &mut self.sel_buf);
-            if self.sel_buf.is_empty() {
-                continue;
-            }
-            let kept = if self.sel_buf.len() == sel.count() && sel.is_all() {
-                SelVec::all(sel.len())
-            } else {
-                SelVec::from_indices(sel.len(), self.sel_buf.clone())
-            };
-            return Ok(Some(Batch::columns_shared(cols, kept)));
-        }
-        Ok(None)
-    }
-}
-
-/// Vectorized projection: each output attribute is one kernel evaluation
-/// over the input columns. Plain column references under a full selection
-/// are refcount bumps (and pure column projections are usually already
-/// fused into the scan by the optimizer).
-struct ProjectOp {
-    child: BoxOp,
-    exprs: Vec<CompiledVecExpr>,
-    /// `Some(n)` when the projection is `Col(0)..Col(n-1)` — a pure
-    /// rename at plan level. Whole-chunk batches of arity `n` then pass
-    /// through untouched, keeping their sealed-chunk tag (and with it
-    /// the cached wire block) alive across the projection.
-    identity: Option<usize>,
-}
-
 /// `Some(n)` iff `exprs` is exactly `[Col(0), .., Col(n-1)]`.
 pub(crate) fn identity_width(exprs: &[prisma_storage::expr::ScalarExpr]) -> Option<usize> {
     use prisma_storage::expr::ScalarExpr;
@@ -1080,57 +922,6 @@ pub(crate) fn identity_width(exprs: &[prisma_storage::expr::ScalarExpr]) -> Opti
         .enumerate()
         .all(|(i, e)| matches!(e, ScalarExpr::Col(c) if *c == i))
         .then_some(exprs.len())
-}
-
-impl Operator for ProjectOp {
-    fn next_batch(&mut self) -> Result<Option<Batch>> {
-        while let Some(batch) = self.child.next_batch()? {
-            // An empty batch pivots to zero columns (arity unknowable),
-            // which the kernels' column references cannot index — and it
-            // carries no rows to project anyway.
-            if batch.is_empty() {
-                continue;
-            }
-            if let (Some(n), Some(chunk)) = (self.identity, batch.sealed_chunk()) {
-                if chunk.arity() == n {
-                    return Ok(Some(batch));
-                }
-            }
-            let (cols, sel) = batch.to_columns();
-            let out: Vec<Arc<ColumnVec>> =
-                self.exprs.iter().map(|e| e.eval(&cols, &sel)).collect();
-            return Ok(Some(Batch::columns(out, SelVec::all(sel.count()))));
-        }
-        Ok(None)
-    }
-}
-
-/// Hash join on the calling thread: the build side drains into a
-/// [`JoinTable`] on the first pull, then every probe batch goes through the
-/// columnar kernel whole ([`JoinProbe::probe`]) — one output batch per
-/// probe batch that joins anything. A scan-rooted probe side with a pool
-/// attached never gets here: it runs as a `Stage::Probe` of the pooled
-/// pipeline, through the same kernel.
-struct HashJoinOp {
-    probe: BoxOp,
-    build: Option<BoxOp>,
-    rkeys: Vec<usize>,
-    kernel: JoinProbe,
-}
-
-impl Operator for HashJoinOp {
-    fn next_batch(&mut self) -> Result<Option<Batch>> {
-        if let Some(mut build) = self.build.take() {
-            let table = JoinTable::build(&drain(build.as_mut())?, &self.rkeys)?;
-            self.kernel.set_table(table);
-        }
-        while let Some(batch) = self.probe.next_batch()? {
-            if let Some(out) = self.kernel.probe(&batch) {
-                return Ok(Some(out));
-            }
-        }
-        Ok(None)
-    }
 }
 
 struct NestedLoopOp {
@@ -1279,99 +1070,6 @@ impl Operator for DistinctOp {
     }
 }
 
-struct HashAggOp {
-    child: Option<BoxOp>,
-    schema: Schema,
-    group_by: Vec<usize>,
-    aggs: Vec<AggExpr>,
-    output: Option<ScanOp>,
-    /// Morsel-parallel partial aggregation when attached; partials merge
-    /// in chunk order, so group order and float rounding match serial.
-    pool: Option<Arc<WorkerPool>>,
-}
-
-impl HashAggOp {
-    fn run(&mut self) -> Result<Vec<Tuple>> {
-        let mut child = self.child.take().expect("aggregate runs once");
-        // Grouping consumes the columnar form directly: group keys and
-        // aggregate inputs are read from the column vectors, so a
-        // filtered/projected input never pivots back to tuples.
-        let (groups, order) = match &self.pool {
-            Some(pool) => {
-                let batches = drain(child.as_mut())?;
-                morsel::parallel_aggregate(pool, &batches, &self.group_by, &self.aggs)?
-            }
-            None => {
-                let mut groups: FastMap<Vec<Value>, Vec<Accumulator>> = FastMap::default();
-                let mut order: Vec<Vec<Value>> = Vec::new();
-                while let Some(batch) = child.next_batch()? {
-                    morsel::update_agg_batch(
-                        &mut groups,
-                        &mut order,
-                        &batch,
-                        &self.group_by,
-                        &self.aggs,
-                    )?;
-                }
-                (groups, order)
-            }
-        };
-        // Global aggregate over empty input still yields one row.
-        if self.group_by.is_empty() && groups.is_empty() {
-            let row: Vec<Value> = self
-                .aggs
-                .iter()
-                .map(|a| Accumulator::new(a.func).finish())
-                .collect();
-            return Ok(vec![Tuple::new(row)]);
-        }
-        let mut tuples = Vec::with_capacity(order.len());
-        for key in order {
-            let accs = &groups[&key];
-            let mut row = key;
-            row.extend(accs.iter().map(Accumulator::finish));
-            tuples.push(Tuple::new(row));
-        }
-        Ok(tuples)
-    }
-}
-
-impl Operator for HashAggOp {
-    fn next_batch(&mut self) -> Result<Option<Batch>> {
-        if self.output.is_none() {
-            let rows = self.run()?;
-            self.output = Some(ScanOp {
-                rel: Arc::new(Relation::new(self.schema.clone(), rows)),
-                projection: None,
-                pos: 0,
-            });
-        }
-        self.output.as_mut().expect("set above").next_batch()
-    }
-}
-
-struct SortOp {
-    child: Option<BoxOp>,
-    schema: Schema,
-    keys: Vec<(usize, bool)>,
-    output: Option<ScanOp>,
-}
-
-impl Operator for SortOp {
-    fn next_batch(&mut self) -> Result<Option<Batch>> {
-        if self.output.is_none() {
-            let mut child = self.child.take().expect("sort runs once");
-            let rel = materialize(child.as_mut(), self.schema.clone())?;
-            self.output = Some(ScanOp {
-                rel: Arc::new(rel.sorted_by(&self.keys)),
-                projection: None,
-                pos: 0,
-            });
-        }
-        self.output.as_mut().expect("set above").next_batch()
-    }
-}
-
 struct LimitOp {
     child: BoxOp,
     remaining: usize,
@@ -1398,74 +1096,96 @@ impl Operator for LimitOp {
     }
 }
 
-/// The seeded semi-naive transitive closure: σ_seed(TC(input)) without
-/// computing TC(input). The input's adjacency is built once; the first
-/// delta is the input pairs whose source passes the seed, and a step
-/// keeps each pair's source, so the loop derives exactly the pairs
-/// reachable from a seeded source — in the order the unseeded closure
-/// would derive them. A NULL node has no successors (the equi-join rule).
-struct ClosureOp {
-    child: Option<BoxOp>,
+/// A blocking operator: drains its input on the first pull of the
+/// pipeline it feeds, whose source then streams the materialized result
+/// as row-window units.
+pub(crate) struct Blocking {
+    input: BoxOp,
+    /// The operator's output schema.
     schema: Schema,
-    seed: Option<CompiledPredicate>,
-    output: Option<ScanOp>,
+    kind: BlockingKind,
 }
 
-impl ClosureOp {
-    fn run(&self, edges: &Relation) -> Result<Vec<Tuple>> {
-        if edges.schema().arity() != 2 {
-            return Err(PrismaError::Execution(format!(
-                "closure over arity-{} relation",
-                edges.schema().arity()
-            )));
-        }
-        let edges = edges.tuples();
-        let mut adj: FastMap<&Value, Vec<&Value>> = FastMap::default();
-        for t in edges.iter().filter(|t| !t.get(0).is_null()) {
-            adj.entry(t.get(0)).or_default().push(t.get(1));
-        }
-        let mut seen: FastSet<(&Value, &Value)> = FastSet::default();
-        let mut delta: Vec<(&Value, &Value)> = Vec::new();
-        let mut out: Vec<Tuple> = Vec::new();
-        for t in edges {
-            let pair = (t.get(0), t.get(1));
-            if self.seed.as_ref().is_none_or(|p| p(t)) && seen.insert(pair) {
-                delta.push(pair);
-                out.push(t.clone());
+enum BlockingKind {
+    /// Hash aggregation, morsel-parallel when a pool is attached.
+    Aggregate {
+        group_by: Vec<usize>,
+        aggs: Vec<AggExpr>,
+        pool: Option<Arc<WorkerPool>>,
+    },
+    Sort(Vec<(usize, bool)>),
+    /// The seeded transitive closure ([`closure`]).
+    Closure(Option<CompiledPredicate>),
+}
+
+impl Blocking {
+    pub(crate) fn run(self) -> Result<Relation> {
+        let Blocking {
+            mut input,
+            schema,
+            kind,
+        } = self;
+        let rows = match kind {
+            BlockingKind::Aggregate {
+                group_by,
+                aggs,
+                pool,
+            } => morsel::aggregate(input.as_mut(), &group_by, &aggs, pool.as_deref())?,
+            BlockingKind::Sort(keys) => {
+                return Ok(materialize(input.as_mut(), schema)?.sorted_by(&keys))
             }
+            BlockingKind::Closure(seed) => {
+                closure(&materialize(input.as_mut(), schema.clone())?, seed.as_ref())?
+            }
+        };
+        Ok(Relation::new(schema, rows))
+    }
+}
+
+/// The seeded semi-naive transitive closure: σ_seed(TC(edges)) without
+/// computing TC(edges). The adjacency is built once; the first delta is
+/// the edges whose source passes the seed, and a step keeps each pair's
+/// source, so the loop derives exactly the pairs reachable from a seeded
+/// source — in the order the unseeded closure would derive them. A NULL
+/// node has no successors (the equi-join rule).
+fn closure(edges: &Relation, seed: Option<&CompiledPredicate>) -> Result<Vec<Tuple>> {
+    if edges.schema().arity() != 2 {
+        return Err(PrismaError::Execution(format!(
+            "closure over arity-{} relation",
+            edges.schema().arity()
+        )));
+    }
+    let edges = edges.tuples();
+    let mut adj: FastMap<&Value, Vec<&Value>> = FastMap::default();
+    for t in edges.iter().filter(|t| !t.get(0).is_null()) {
+        adj.entry(t.get(0)).or_default().push(t.get(1));
+    }
+    let mut seen: FastSet<(&Value, &Value)> = FastSet::default();
+    let mut delta: Vec<(&Value, &Value)> = Vec::new();
+    let mut out: Vec<Tuple> = Vec::new();
+    for t in edges {
+        let pair = (t.get(0), t.get(1));
+        if seed.is_none_or(|p| p(t)) && seen.insert(pair) {
+            delta.push(pair);
+            out.push(t.clone());
         }
-        while !delta.is_empty() {
-            let mut next = Vec::new();
-            for &(a, b) in &delta {
-                for &c in adj.get(b).into_iter().flatten() {
-                    if seen.insert((a, c)) {
-                        next.push((a, c));
-                    }
+    }
+    while !delta.is_empty() {
+        let mut next = Vec::new();
+        for &(a, b) in &delta {
+            for &c in adj.get(b).into_iter().flatten() {
+                if seen.insert((a, c)) {
+                    next.push((a, c));
                 }
             }
-            out.extend(
-                next.iter()
-                    .map(|&(a, c)| Tuple::new(vec![a.clone(), c.clone()])),
-            );
-            delta = next;
         }
-        Ok(out)
+        out.extend(
+            next.iter()
+                .map(|&(a, c)| Tuple::new(vec![a.clone(), c.clone()])),
+        );
+        delta = next;
     }
-}
-
-impl Operator for ClosureOp {
-    fn next_batch(&mut self) -> Result<Option<Batch>> {
-        if self.output.is_none() {
-            let mut child = self.child.take().expect("closure runs once");
-            let edges = materialize(child.as_mut(), self.schema.clone())?;
-            self.output = Some(ScanOp {
-                rel: Arc::new(Relation::new(self.schema.clone(), self.run(&edges)?)),
-                projection: None,
-                pos: 0,
-            });
-        }
-        self.output.as_mut().expect("set above").next_batch()
-    }
+    Ok(out)
 }
 
 #[cfg(test)]
@@ -1815,56 +1535,80 @@ mod tests {
         assert_agrees(&plan, &db);
     }
 
+    /// Every batch's length and every row, in order, of `phys` run with
+    /// no pool and on `pool`.
+    fn run_both(
+        phys: &PhysicalPlan,
+        db: &dyn RelationProvider,
+        pool: &Arc<prisma_poolx::WorkerPool>,
+    ) -> [(Vec<usize>, Vec<Tuple>); 2] {
+        [None, Some(Arc::clone(pool))].map(|pool| {
+            let batches = open_batches_pooled(phys, db, pool).unwrap().drain().unwrap();
+            let lens = batches.iter().map(Batch::len).collect();
+            (lens, batches.into_iter().flat_map(Batch::into_tuples).collect())
+        })
+    }
+
     #[test]
     fn pooled_execution_is_bit_identical_to_serial() {
         let db = db();
         let emp = || LogicalPlan::scan("emp", db["emp"].schema().clone());
         let dept = || LogicalPlan::scan("dept", db["dept"].schema().clone());
+        let cmp = |op, col, lit: ScalarExpr| ScalarExpr::cmp(op, ScalarExpr::col(col), lit);
+        let aggregate = LogicalPlan::Aggregate {
+            input: Box::new(emp()),
+            group_by: vec![1],
+            aggs: vec![
+                AggExpr::new(AggFunc::CountStar, 0, "n"),
+                AggExpr::new(AggFunc::Sum, 2, "s"),
+                AggExpr::new(AggFunc::Avg, 2, "a"),
+            ],
+        };
         let plans = vec![
-            // Scan→filter→project pipeline (ParPipelineOp).
+            // Scan→filter→project pipeline.
             emp()
-                .select(ScalarExpr::cmp(
-                    CmpOp::Lt,
-                    ScalarExpr::col(2),
-                    ScalarExpr::lit(50.0),
-                ))
+                .select(cmp(CmpOp::Lt, 2, ScalarExpr::lit(50.0)))
                 .project_cols(&[0, 1])
                 .unwrap(),
             // Hash join: the probe is a stage of the scan's pipeline.
             emp().join(dept(), vec![(1, 0)]),
             // Aggregate: parallel partials folded at the breaker.
-            LogicalPlan::Aggregate {
-                input: Box::new(emp()),
-                group_by: vec![1],
-                aggs: vec![
-                    AggExpr::new(AggFunc::CountStar, 0, "n"),
-                    AggExpr::new(AggFunc::Sum, 2, "s"),
-                    AggExpr::new(AggFunc::Avg, 2, "a"),
-                ],
+            aggregate.clone(),
+            // Filter + Project over a blocking source.
+            aggregate
+                .select(cmp(CmpOp::Gt, 1, ScalarExpr::lit(420)))
+                .project_cols(&[2, 0])
+                .unwrap(),
+            // A probe whose source is another operator's batches.
+            LogicalPlan::Union {
+                left: Box::new(emp().select(cmp(CmpOp::Lt, 0, ScalarExpr::lit(1500)))),
+                right: Box::new(emp().select(cmp(CmpOp::Ge, 0, ScalarExpr::lit(1500)))),
+                all: true,
+            }
+            .join(dept(), vec![(1, 0)]),
+            // A limit that cuts a pooled join's output mid-batch.
+            LogicalPlan::Limit {
+                input: Box::new(emp().join(dept(), vec![(1, 0)])),
+                n: 1500,
             },
+            // Values cut into more than one row window.
+            LogicalPlan::Values {
+                schema: db["emp"].schema().clone(),
+                rows: db["emp"].tuples().to_vec(),
+            }
+            .select(cmp(CmpOp::Lt, 2, ScalarExpr::lit(50.0))),
         ];
         for plan in &plans {
             let phys = lower(plan).unwrap();
-            let serial: Vec<Tuple> = open_batches(&phys, &db)
-                .unwrap()
-                .drain()
-                .unwrap()
-                .into_iter()
-                .flat_map(Batch::into_tuples)
-                .collect();
             for workers in [2usize, 4] {
                 let pool = prisma_poolx::WorkerPool::new(workers);
-                let pooled: Vec<Tuple> =
-                    open_batches_pooled(&phys, &db, Some(Arc::clone(&pool)))
-                        .unwrap()
-                        .drain()
-                        .unwrap()
-                        .into_iter()
-                        .flat_map(Batch::into_tuples)
-                        .collect();
-                // Not just set-equal: same rows in the same order.
+                let [serial, pooled] = run_both(&phys, &db, &pool);
+                // Not just set-equal: the same batches, rows in the same order.
                 assert_eq!(pooled, serial, "workers={workers} plan:\n{plan}");
-                assert!(pool.stats().morsels > 0, "pool unused at {workers} workers");
+                assert!(
+                    pool.stats().morsels > 0,
+                    "pool unused at {workers} workers:\n{plan}"
+                );
             }
         }
     }
@@ -2009,24 +1753,21 @@ mod tests {
             .unwrap();
         let mut phys = lower(&plan).unwrap();
         phys.push_prune_hints();
-        let serial: Vec<Tuple> = open_batches(&phys, &db)
-            .unwrap()
-            .drain()
-            .unwrap()
-            .into_iter()
-            .flat_map(Batch::into_tuples)
-            .collect();
+        let bare = lower(&LogicalPlan::scan("emp", db.rows["emp"].schema().clone())).unwrap();
         for workers in [2usize, 4] {
             let pool = prisma_poolx::WorkerPool::new(workers);
-            let pooled: Vec<Tuple> = open_batches_pooled(&phys, &db, Some(Arc::clone(&pool)))
-                .unwrap()
-                .drain()
-                .unwrap()
-                .into_iter()
-                .flat_map(Batch::into_tuples)
-                .collect();
+            let [serial, pooled] = run_both(&phys, &db, &pool);
             assert_eq!(pooled, serial, "workers={workers}");
             assert!(pool.stats().morsels > 0, "pool unused at {workers} workers");
+            // A bare scan runs inline either way, and its whole chunks keep
+            // their tag (and with it the cached wire block).
+            for stream in [None, Some(Arc::clone(&pool))] {
+                let batches = open_batches_pooled(&bare, &db, stream)
+                    .unwrap()
+                    .drain()
+                    .unwrap();
+                assert!(batches[..4].iter().all(|b| b.sealed_chunk().is_some()));
+            }
         }
     }
 

@@ -1,8 +1,10 @@
 //! The columnar hash-join kernel — the one join every execution mode runs.
 //!
-//! The serial operator chain, the pooled pipelines ([`crate::morsel`]) and
-//! the grace-join sites all build one [`JoinTable`] and push whole probe
-//! batches through a [`JoinProbe`]; nothing here touches a [`Tuple`]:
+//! Every hash join — a probe stage of the pipeline operator
+//! ([`crate::morsel`]), inline or on the pool, at a fragment or at a
+//! grace-join site — builds one [`JoinTable`] when its pipeline opens and
+//! pushes whole probe batches through a [`JoinProbe`]; nothing here
+//! touches a [`Tuple`]:
 //!
 //! 1. join keys are hashed straight from the typed key columns
 //!    ([`hash_keys`]), bit-identical to [`crate::exec::key_hash`] over the
@@ -72,12 +74,6 @@ pub(crate) struct JoinTable {
 }
 
 impl JoinTable {
-    /// A table nothing matches (the state of a join before its build side
-    /// ran).
-    pub(crate) fn empty() -> JoinTable {
-        JoinTable::build(&[], &[]).expect("an empty build side fits")
-    }
-
     /// Build the table over the drained build side, on the calling thread:
     /// concatenating, hashing and linking a build side costs a few tens of
     /// nanoseconds per row, less than handing it to the pool.
@@ -138,8 +134,9 @@ fn concat(batches: &[Batch]) -> (SharedColumns, usize) {
     (whole.to_columns().0, whole.len())
 }
 
-/// One join's probe kernel: the shared table plus this prober's scratch.
-/// Cloned per worker (a clone shares the table).
+/// One join's probe kernel: the shared table plus this prober's scratch,
+/// reused across the batches an inline pipeline probes. Cloned per pooled
+/// morsel (a clone shares the table).
 #[derive(Clone)]
 pub(crate) struct JoinProbe {
     table: Arc<JoinTable>,
@@ -165,11 +162,6 @@ impl JoinProbe {
             hashes: Vec::new(),
             nulls: Vec::new(),
         }
-    }
-
-    /// Swap in the built table (the serial operator builds on first pull).
-    pub(crate) fn set_table(&mut self, table: JoinTable) {
-        self.table = Arc::new(table);
     }
 
     /// Join one probe batch; `None` when it yields no row.

@@ -1,27 +1,34 @@
-//! Morsel-driven intra-fragment parallelism.
+//! The morsel pipeline: the executor's one Filter/Project/join-probe
+//! operator, and where its morsels run.
 //!
-//! The executor in [`crate::exec`] runs one operator tree per fragment on
-//! the owning PE's actor thread. When a [`WorkerPool`] is attached
-//! ([`crate::exec::open_batches_pooled`]), the compute-heavy spans of
-//! that tree are cut into **morsels** and dispatched to the pool's
-//! work-stealing workers:
+//! Every `SeqScan`/`Values` and every Filter/Project/hash-join-probe chain
+//! opens as one `PipelineOp`: a `Source` of batches, then a list of
+//! compiled `Stage`s that `run_stages` pushes each batch through. The
+//! source is a scan's **units** — whole sealed chunks, ready column
+//! batches, [`BATCH_SIZE`] row windows — or, when the chain sits on
+//! another operator, that operator's batches. A blocking operator
+//! (aggregate, sort, closure) is a source that runs on the first pull and
+//! then emits its materialized result as row-window units. A join's build
+//! side is drained into its table at open; its probe is a stage like any
+//! other (`crate::join`), so a batch is never split by rows.
 //!
-//! * a scan-rooted pipeline — scan → filter → hash-join probe → project,
-//!   in any mix — becomes one parallel pipeline operator
-//!   (`ParPipelineOp`): the morsel is a whole **scan unit** (a sealed
-//!   chunk, a ready column batch, a [`BATCH_SIZE`] window of rows), waves
-//!   of them run the full stage chain worker-side, and the outputs are
-//!   emitted in unit order. A join's build side is built once, on the
-//!   opening thread, before the first wave; its probe is a stage like any
-//!   other (`crate::join`), so a batch is never split by rows and the
-//!   morsel count does not depend on the pool width;
-//! * a hash-aggregate input folds into per-worker partial group tables
-//!   over contiguous batch chunks, merged in chunk order (see
-//!   [`Accumulator::merge`]).
+//! Each unit or child batch is one **morsel**. Where the morsels run is
+//! decided at open from what the plan already says:
+//!
+//! * on the [`WorkerPool`], when a pool is attached
+//!   ([`crate::exec::open_batches_pooled`]) and the source is scan units
+//!   that pass `PipelineOp::eligible`: waves of units run the whole stage
+//!   chain worker-side, each with its own copy of the stage scratch;
+//! * otherwise inline on the calling thread, one unit or child batch at a
+//!   time, reusing the stages' scratch (predicate buffers, the selection
+//!   buffer, probe hashes) across batches.
+//!
+//! A pooled hash aggregate folds one [`GroupTable`] per contiguous chunk
+//! of its input and merges them in chunk order (`aggregate`).
 //!
 //! **Every merge is ordered by morsel position**, which makes pooled
-//! execution *bit-identical* to the serial baseline — same batches, same
-//! row order, same float rounding — not merely equal up to reordering.
+//! execution *bit-identical* to inline execution — same batches, same row
+//! order, same float rounding — not merely equal up to reordering.
 //! Determinism therefore cannot depend on steal interleavings; only the
 //! wall-clock (and the pool's busy/steal counters) do.
 //!
@@ -34,12 +41,13 @@ use std::collections::VecDeque;
 use std::sync::Arc;
 
 use prisma_poolx::{Job, WorkerPool};
-use prisma_storage::FastMap;
-use prisma_types::{Result, SelVec, Value};
+use prisma_storage::expr::{CompiledVecExpr, CompiledVecPredicate};
+use prisma_types::{Result, SelVec, Tuple};
 
-use crate::agg::{Accumulator, AggExpr, AggFunc};
-use crate::exec::{Batch, Operator, ScanUnit, BATCH_SIZE};
+use crate::agg::{AggExpr, GroupTable};
+use crate::exec::{drain, row_scan_units, Batch, Blocking, BoxOp, Operator, ScanUnit, BATCH_SIZE};
 use crate::join::JoinProbe;
+use crate::table::Relation;
 
 /// Morsels dispatched per wave, as a multiple of the pool width: enough
 /// slack that a stolen straggler rebalances, small enough that a wave's
@@ -72,113 +80,188 @@ fn pool_map<T: Send, R: Send>(
         .collect()
 }
 
-/// One compiled stage of a scan-rooted pipeline fragment.
+/// One compiled stage of a pipeline, with its scratch. A pooled
+/// pipeline's stages never run themselves: each morsel runs a clone.
 #[derive(Clone)]
 pub(crate) enum Stage {
-    /// Vectorized filter (each worker clones its own scratch).
-    Filter(prisma_storage::expr::CompiledVecPredicate),
+    /// Vectorized filter; `kept` is the selection scratch it refines into.
+    Filter {
+        pred: CompiledVecPredicate,
+        kept: Vec<u32>,
+    },
     /// Vectorized projection. `identity` is `Some(n)` for a pure
     /// `Col(0)..Col(n-1)` rename, which passes whole-chunk batches of
     /// arity `n` through untouched (preserving the sealed-chunk tag and
     /// its cached wire block).
     Project {
-        exprs: Vec<prisma_storage::expr::CompiledVecExpr>,
+        exprs: Arc<[CompiledVecExpr]>,
         identity: Option<usize>,
     },
-    /// Hash-join probe against a table built before the first wave (each
-    /// worker clones the kernel's scratch; the table is shared).
+    /// Hash-join probe against the table built at open (a clone shares
+    /// the table).
     Probe(JoinProbe),
 }
 
-/// A scan-rooted stage chain executed morsel-parallel: the source's scan
-/// units — sealed chunks pre-pruned by their zone maps at open time, ready
-/// column batches, [`BATCH_SIZE`] row windows — are the morsels. Waves of
-/// units run the stage chain on the pool's workers and outputs merge in
-/// unit order, so the pooled pipeline is bit-identical to the serial
-/// [`crate::exec`] operator chain.
-pub(crate) struct ParPipelineOp {
-    units: Vec<ScanUnit>,
-    projection: Option<Vec<usize>>,
+/// Where a pipeline's batches come from.
+pub(crate) enum Source {
+    /// Scan units under the scan's fused projection; `next` is the first
+    /// unit not yet emitted.
+    Units {
+        units: Vec<ScanUnit>,
+        projection: Option<Vec<usize>>,
+        next: usize,
+    },
+    /// A blocking operator, run on the first pull; its result then
+    /// streams as [`Source::rows`].
+    Blocking(Option<Blocking>),
+    /// Any other operator, pulled batch by batch.
+    Child(BoxOp),
+}
+
+impl Source {
+    /// A materialized relation as [`BATCH_SIZE`] row-window units.
+    pub(crate) fn rows(rel: Relation) -> Source {
+        let mut units = Vec::new();
+        row_scan_units(&Arc::new(rel), &mut units);
+        Source::Units {
+            units,
+            projection: None,
+            next: 0,
+        }
+    }
+
+    fn next_batch(&mut self) -> Result<Option<Batch>> {
+        loop {
+            match self {
+                Source::Units {
+                    units,
+                    projection,
+                    next,
+                } => {
+                    while let Some(unit) = units.get(*next) {
+                        *next += 1;
+                        if unit.len() > 0 {
+                            return Ok(Some(unit.batch(projection.as_deref())));
+                        }
+                    }
+                    return Ok(None);
+                }
+                Source::Blocking(op) => {
+                    let rel = op.take().expect("a blocking source runs once").run()?;
+                    *self = Source::rows(rel);
+                }
+                Source::Child(op) => return op.next_batch(),
+            }
+        }
+    }
+}
+
+/// The pipeline operator: a source pushed through its stages, morsel by
+/// morsel, inline or on the pool (see the module docs).
+pub(crate) struct PipelineOp {
+    source: Source,
     stages: Vec<Stage>,
-    pool: Arc<WorkerPool>,
-    next_unit: usize,
+    /// The pool the morsels run on; `None` runs them inline.
+    pool: Option<Arc<WorkerPool>>,
+    /// Pooled output not yet emitted, in unit order.
     ready: VecDeque<Batch>,
 }
 
-impl ParPipelineOp {
+impl PipelineOp {
+    /// A pipeline whose morsels run on `pool` when one is given — which
+    /// takes a [`Source::Units`] source — and inline otherwise.
     pub(crate) fn new(
-        units: Vec<ScanUnit>,
-        projection: Option<Vec<usize>>,
+        source: Source,
         stages: Vec<Stage>,
-        pool: Arc<WorkerPool>,
-    ) -> ParPipelineOp {
-        ParPipelineOp {
-            units,
-            projection,
+        pool: Option<Arc<WorkerPool>>,
+    ) -> PipelineOp {
+        debug_assert!(pool.is_none() || matches!(source, Source::Units { .. }));
+        PipelineOp {
+            source,
             stages,
             pool,
-            next_unit: 0,
             ready: VecDeque::new(),
         }
     }
 
-    /// Whether the pooled pipeline is worth it for this source: at least
-    /// two morsels and some per-row compute (a bare scan is zero-copy
-    /// window arithmetic — nothing to parallelize).
+    /// Whether the pool is worth it for a scan source: at least two
+    /// morsels and some per-row compute (a bare scan is zero-copy window
+    /// arithmetic — nothing to parallelize).
     pub(crate) fn eligible(rows: usize, has_stages: bool, projection: &Option<Vec<usize>>) -> bool {
         rows > BATCH_SIZE && (has_stages || projection.is_some())
     }
-
-    fn run_wave(&mut self) {
-        let wave = self.pool.workers() * WAVE_MORSELS_PER_WORKER;
-        let end = (self.next_unit + wave).min(self.units.len());
-        let wave_units = &self.units[self.next_unit..end];
-        self.next_unit = end;
-        let (projection, stages) = (&self.projection, &self.stages);
-        let out = pool_map(&self.pool, wave_units, |unit| {
-            (unit.len() > 0)
-                .then(|| run_stages(unit.batch(projection.as_deref()), stages))
-                .flatten()
-        });
-        self.ready.extend(out.into_iter().flatten());
-    }
 }
 
-impl Operator for ParPipelineOp {
+impl Operator for PipelineOp {
     fn next_batch(&mut self) -> Result<Option<Batch>> {
+        let Some(pool) = &self.pool else {
+            while let Some(batch) = self.source.next_batch()? {
+                if let Some(out) = run_stages(batch, &mut self.stages) {
+                    return Ok(Some(out));
+                }
+            }
+            return Ok(None);
+        };
         loop {
             if let Some(b) = self.ready.pop_front() {
                 return Ok(Some(b));
             }
-            if self.next_unit >= self.units.len() {
+            let Source::Units {
+                units,
+                projection,
+                next,
+            } = &mut self.source
+            else {
+                unreachable!("only scan units run on the pool")
+            };
+            if *next >= units.len() {
                 return Ok(None);
             }
-            self.run_wave();
+            let end = (*next + pool.workers() * WAVE_MORSELS_PER_WORKER).min(units.len());
+            let (wave, projection, stages) =
+                (&units[*next..end], projection.as_deref(), &self.stages);
+            *next = end;
+            let out = pool_map(pool, wave, |unit| {
+                if unit.len() == 0 {
+                    return None;
+                }
+                let mut stages = stages.to_vec();
+                let out = run_stages(unit.batch(projection), &mut stages)?;
+                // A join that ends the pipeline hands its whole output to
+                // the wire or to a row pivot, which read every column:
+                // gather them here, on the worker, not on the thread that
+                // drains the stream.
+                if let Some(Stage::Probe(_)) = stages.last() {
+                    out.to_columns().0.force_gathers();
+                }
+                Some(out)
+            });
+            self.ready.extend(out.into_iter().flatten());
         }
     }
 }
 
-/// Push one source batch through the stage chain — the per-morsel kernel
-/// (mirrors `FilterOp` / `HashJoinOp` / `ProjectOp` exactly, one batch
-/// deep).
-fn run_stages(mut batch: Batch, stages: &[Stage]) -> Option<Batch> {
+/// Push one source batch through the stages — the one Filter/Project/probe
+/// kernel, inline and on the pool alike. `None` when no row survives.
+fn run_stages(mut batch: Batch, stages: &mut [Stage]) -> Option<Batch> {
     for stage in stages {
         if batch.is_empty() {
             return None;
         }
         match stage {
-            Stage::Filter(pred) => {
-                let mut pred = pred.clone();
+            Stage::Filter { pred, kept } => {
                 let (cols, sel) = batch.to_columns();
-                let mut sel_buf = Vec::new();
-                pred.select(&cols, &sel, &mut sel_buf);
-                if sel_buf.is_empty() {
+                pred.select(&cols, &sel, kept);
+                if kept.is_empty() {
                     return None;
                 }
-                let kept = if sel_buf.len() == sel.count() && sel.is_all() {
+                // The output shares the input's columns; only the compact
+                // index vector that escapes inside it is allocated — and
+                // nothing at all when every row survives.
+                let kept = if kept.len() == sel.count() && sel.is_all() {
                     SelVec::all(sel.len())
                 } else {
-                    SelVec::from_indices(sel.len(), sel_buf)
+                    SelVec::from_indices(sel.len(), kept.clone())
                 };
                 batch = Batch::columns_shared(cols, kept);
             }
@@ -192,118 +275,45 @@ fn run_stages(mut batch: Batch, stages: &[Stage]) -> Option<Batch> {
                 let out: Vec<_> = exprs.iter().map(|e| e.eval(&cols, &sel)).collect();
                 batch = Batch::columns(out, SelVec::all(sel.count()));
             }
-            Stage::Probe(kernel) => batch = kernel.clone().probe(&batch)?,
+            Stage::Probe(kernel) => batch = kernel.probe(&batch)?,
         }
     }
-    // A join that ends the pipeline hands its whole output to the wire or
-    // to a row pivot, which read every column: gather them here, on the
-    // worker, not on the thread that drains the stream.
-    if let Some(Stage::Probe(_)) = stages.last() {
-        batch.to_columns().0.force_gathers();
-    }
-    if batch.is_empty() {
-        None
-    } else {
-        Some(batch)
-    }
+    (!batch.is_empty()).then_some(batch)
 }
 
-// ---------------- hash-aggregate helpers ----------------
-
-/// One worker's partial aggregation state: group table plus first-seen
-/// key order *within the worker's contiguous chunk*.
-struct AggPartial {
-    groups: FastMap<Vec<Value>, Vec<Accumulator>>,
-    order: Vec<Vec<Value>>,
-}
-
-/// Aggregate the drained input in parallel: per-worker partials over
-/// contiguous batch chunks, folded in chunk order. Because chunks are
-/// contiguous and partial key orders are first-seen, folding them in
-/// chunk order reproduces the serial first-seen group order and the
-/// serial accumulator fold order exactly.
-#[allow(clippy::type_complexity)]
-pub(crate) fn parallel_aggregate(
-    pool: &WorkerPool,
-    batches: &[Batch],
+/// Run a hash aggregate over `input`: inline, one [`GroupTable`] folds the
+/// stream; pooled, the drained input is cut into contiguous chunks, each
+/// folds its own table on a worker, and the tables merge in chunk order —
+/// which reproduces the inline group order and fold order exactly.
+pub(crate) fn aggregate(
+    input: &mut dyn Operator,
     group_by: &[usize],
     aggs: &[AggExpr],
-) -> Result<(FastMap<Vec<Value>, Vec<Accumulator>>, Vec<Vec<Value>>)> {
-    let chunks = chunk_ranges(batches.len(), pool.workers());
-    let partials = pool_map(pool, chunks, |(start, end)| {
-        aggregate_chunk(&batches[start..end], group_by, aggs)
-    });
-    let mut groups: FastMap<Vec<Value>, Vec<Accumulator>> = FastMap::default();
-    let mut order: Vec<Vec<Value>> = Vec::new();
-    for partial in partials {
-        let partial = partial?;
-        for key in partial.order {
-            let accs = &partial.groups[&key];
-            match groups.get_mut(&key) {
-                Some(existing) => {
-                    for (acc, part) in existing.iter_mut().zip(accs) {
-                        acc.merge(part)?;
-                    }
-                }
-                None => {
-                    order.push(key.clone());
-                    groups.insert(key, accs.clone());
-                }
+    pool: Option<&WorkerPool>,
+) -> Result<Vec<Tuple>> {
+    let mut table = GroupTable::new(group_by, aggs);
+    match pool {
+        None => {
+            while let Some(batch) = input.next_batch()? {
+                table.fold(&batch)?;
+            }
+        }
+        Some(pool) => {
+            let batches = drain(input)?;
+            let chunks = chunk_ranges(batches.len(), pool.workers());
+            let partials = pool_map(pool, chunks, |(start, end)| -> Result<GroupTable> {
+                let mut partial = GroupTable::new(group_by, aggs);
+                batches[start..end]
+                    .iter()
+                    .try_for_each(|b| partial.fold(b))?;
+                Ok(partial)
+            });
+            for partial in partials {
+                table.merge(partial?)?;
             }
         }
     }
-    Ok((groups, order))
-}
-
-/// Serial aggregation over one contiguous chunk of batches.
-fn aggregate_chunk(batches: &[Batch], group_by: &[usize], aggs: &[AggExpr]) -> Result<AggPartial> {
-    let mut partial = AggPartial {
-        groups: FastMap::default(),
-        order: Vec::new(),
-    };
-    for batch in batches {
-        update_agg_batch(&mut partial.groups, &mut partial.order, batch, group_by, aggs)?;
-    }
-    Ok(partial)
-}
-
-/// Fold one batch into a group table, recording first-seen key order —
-/// the update loop shared by the serial `HashAggOp` and every parallel
-/// partial, so the two paths cannot diverge.
-pub(crate) fn update_agg_batch(
-    groups: &mut FastMap<Vec<Value>, Vec<Accumulator>>,
-    order: &mut Vec<Vec<Value>>,
-    batch: &Batch,
-    group_by: &[usize],
-    aggs: &[AggExpr],
-) -> Result<()> {
-    let fold = |accs: &mut [Accumulator], row: usize| -> Result<()> {
-        for (acc, a) in accs.iter_mut().zip(aggs) {
-            let v = if a.func == AggFunc::CountStar {
-                Value::Bool(true) // placeholder; COUNT(*) counts rows
-            } else {
-                batch.value_at(row, a.col)
-            };
-            acc.update(&v)?;
-        }
-        Ok(())
-    };
-    let mut key: Vec<Value> = Vec::with_capacity(group_by.len());
-    for row in 0..batch.len() {
-        batch.key_at(row, group_by, &mut key);
-        // Most rows hit an open group: look up by slice, clone the key
-        // only to open a new one.
-        if let Some(accs) = groups.get_mut(key.as_slice()) {
-            fold(accs, row)?;
-            continue;
-        }
-        order.push(key.clone());
-        let accs = groups
-            .entry(key.clone())
-            .or_insert_with(|| aggs.iter().map(|a| Accumulator::new(a.func)).collect());
-        fold(accs, row)?;
-    }
-    Ok(())
+    Ok(table.finish())
 }
 
 /// Split `n` items into at most `parts` contiguous, near-equal ranges.

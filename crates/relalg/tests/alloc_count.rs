@@ -18,7 +18,9 @@
 //!   O(batches × columns) plus one allocation per output `String` — no
 //!   key, no joined row, no projected row per probed row;
 //! * wire blocks → batch windows → site join → `encode_columnar` never
-//!   builds a row at all.
+//!   builds a row at all;
+//! * an inline filter costs a fixed handful per batch, its scratch reused;
+//! * a group-by costs O(groups + batches), not O(rows).
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::collections::HashMap;
@@ -28,9 +30,10 @@ use std::sync::Arc;
 
 use prisma_relalg::exec::collect_batches;
 use prisma_relalg::{
-    execute_batches, execute_physical, lower, Batch, BatchWindows, ChunkedRelation, LogicalPlan,
-    Relation, BATCH_SIZE,
+    execute_batches, execute_physical, lower, AggExpr, AggFunc, Batch, BatchWindows,
+    ChunkedRelation, LogicalPlan, Relation, BATCH_SIZE,
 };
+use prisma_storage::expr::ScalarExpr;
 use prisma_types::{Column, DataType, Schema, Tuple, Value};
 
 struct Counting;
@@ -196,5 +199,48 @@ fn row_materialization_allocates_once_per_row() {
         "decoding, joining and re-encoding {N} + {} received rows took {n} allocations; \
          a row was built somewhere",
         N / 2
+    );
+
+    // 6. A filter keeping every other row of an N-row scan costs a fixed
+    //    handful per batch: the lazy column set over the window's rows,
+    //    the pivoted predicate column, the escaping index vector and the
+    //    batch's own handles. The predicate and selection scratch are
+    //    reused across batches; a fresh selection buffer would add one
+    //    allocation per batch.
+    // 7. A 16-group GROUP BY over the same rows costs O(groups + batches):
+    //    the group table opens each group once, a batch costs its key
+    //    buffer.
+    let kv = schema(&[("k", DataType::Int), ("v", DataType::Int)]);
+    let scan = LogicalPlan::scan("t", kv.clone());
+    let even = ScalarExpr::eq(ScalarExpr::col(1), ScalarExpr::lit(0));
+    let filter = lower(&scan.clone().select(even)).expect("a filter lowers");
+    let grouped = lower(&LogicalPlan::Aggregate {
+        input: Box::new(scan),
+        group_by: vec![0],
+        aggs: vec![AggExpr::new(AggFunc::CountStar, 0, "n"), AggExpr::new(AggFunc::Sum, 1, "s")],
+    })
+    .expect("an aggregate lowers");
+    let mut filtered = Vec::new();
+    for n_rows in [N, 2 * N] {
+        let batches = (n_rows / BATCH_SIZE) as u64;
+        let rows = (0..n_rows as i64).map(|i| [Value::Int(i % 16), Value::Int(i % 2)].into_iter().collect());
+        let db = HashMap::from([("t".to_owned(), Relation::new(kv.clone(), rows.collect()))]);
+        let (kept, n) = allocations(|| execute_batches(&filter, &db).expect("filter runs"));
+        assert_eq!(kept.iter().map(Batch::len).sum::<usize>(), n_rows / 2);
+        assert!(n < 16 * batches, "filtering {n_rows} rows took {n} allocations");
+        filtered.push((batches, n));
+
+        let (groups, n) = allocations(|| execute_physical(&grouped, &db).expect("aggregate runs"));
+        assert_eq!(groups.len(), 16);
+        assert!(
+            n <= 10 * 16 + 4 * batches,
+            "grouping {n_rows} rows into 16 groups took {n} allocations; want O(groups + batches)"
+        );
+    }
+    let [(b1, n1), (b2, n2)] = filtered[..] else { unreachable!("two sizes ran") };
+    assert!(
+        n2 - n1 <= 9 * (b2 - b1),
+        "a filtered batch costs {} allocations; the inline filter must reuse its scratch",
+        (n2 - n1) as f64 / (b2 - b1) as f64
     );
 }

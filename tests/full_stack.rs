@@ -176,6 +176,32 @@ fn partitioned_and_broadcast_joins_agree_with_reference() {
     assert!(m.broadcast_joins >= 1, "{m:?}");
     assert!(m.tuples_shipped <= 30 * 4 + 30, "partials only: {m:?}");
 
+    // Every decomposable aggregate over a predicate that matches nothing,
+    // global and grouped, below a scan, a grace join and a broadcast join:
+    // the coordinator's merge of empty partials must equal the oracle.
+    let aggs = "COUNT(*) AS n, COUNT(l.v) AS c, SUM(l.v) AS s, MIN(l.v) AS lo, MAX(l.v) AS hi";
+    for (from, route) in [
+        ("big_l l WHERE l.v < 0", "scan"),
+        (
+            "big_l l, big_r r WHERE l.k = r.k AND l.v + r.v < 0",
+            "grace",
+        ),
+        (
+            "big_l l, tiny t WHERE l.grp = t.k AND l.v + t.k < 0",
+            "broadcast",
+        ),
+    ] {
+        for group in ["", " GROUP BY l.grp"] {
+            let keys = if group.is_empty() { "" } else { "l.grp, " };
+            let m = check(&format!("SELECT {keys}{aggs} FROM {from}{group}"));
+            match route {
+                "grace" => assert!(m.partitioned_joins >= 1, "{m:?}"),
+                "broadcast" => assert!(m.broadcast_joins >= 1, "{m:?}"),
+                _ => assert_eq!(m.partitioned_joins + m.broadcast_joins, 0, "{m:?}"),
+            }
+        }
+    }
+
     // AVG is not decomposable: it takes the generic route and still agrees.
     let m =
         check("SELECT l.grp, AVG(r.v) AS a FROM big_l l, big_r r WHERE l.k = r.k GROUP BY l.grp");
