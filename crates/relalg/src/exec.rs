@@ -341,11 +341,11 @@ impl Batch {
         }
     }
 
-    /// Group key of the `row`-th live row, written into the caller's
-    /// reused `key` buffer — the columnar analogue of [`Tuple::key`], used
-    /// by hash-aggregate so key extraction neither forces a pivot back to
-    /// rows nor allocates per row (tables are looked up by the buffer's
-    /// slice; only a *new* key is cloned out of it).
+    /// Key of the `row`-th live row as `Value`s, written into the caller's
+    /// reused `key` buffer — the columnar analogue of [`Tuple::key`], which
+    /// never forces a pivot back to rows. (The executor's own keys hash and
+    /// compare straight from the typed columns; see
+    /// [`GroupTable`](crate::agg::GroupTable) and `crate::join`.)
     pub fn key_at(&self, row: usize, key_cols: &[usize], key: &mut Vec<Value>) {
         key.clear();
         key.extend(key_cols.iter().map(|&c| self.value_at(row, c)));

@@ -52,7 +52,15 @@ pub(crate) fn hash_keys(
 }
 
 /// End of a bucket chain.
-const NONE: u32 = u32::MAX;
+pub(crate) const NONE: u32 = u32::MAX;
+
+/// Bucket of a key hash in a table of `2^(64 - shift)` buckets: FNV-1a's
+/// low bits only mix the low bits of its input bytes, so the bucket takes
+/// the top bits of a multiplicative remix instead.
+#[inline]
+pub(crate) fn bucket(hash: u64, shift: u32) -> usize {
+    (hash.wrapping_mul(0x9e37_79b9_7f4a_7c15) >> shift) as usize
+}
 
 /// A hash-join build side: the build rows as one column set plus a chained
 /// hash table of their positions.
@@ -108,12 +116,9 @@ impl JoinTable {
         Ok(table)
     }
 
-    /// Bucket of a key hash: FNV-1a's low bits only mix the low bits of
-    /// its input bytes, so the bucket takes the top bits of a
-    /// multiplicative remix instead.
     #[inline]
     fn slot(&self, hash: u64) -> usize {
-        (hash.wrapping_mul(0x9e37_79b9_7f4a_7c15) >> self.shift) as usize
+        bucket(hash, self.shift)
     }
 }
 

@@ -284,7 +284,8 @@ fn run_stages(mut batch: Batch, stages: &mut [Stage]) -> Option<Batch> {
 /// Run a hash aggregate over `input`: inline, one [`GroupTable`] folds the
 /// stream; pooled, the drained input is cut into contiguous chunks, each
 /// folds its own table on a worker, and the tables merge in chunk order —
-/// which reproduces the inline group order and fold order exactly.
+/// which reproduces the inline groups, their order and every result but
+/// the rounding of a floating-point sum ([`GroupTable::merge`]).
 pub(crate) fn aggregate(
     input: &mut dyn Operator,
     group_by: &[usize],

@@ -376,6 +376,26 @@ impl ColumnVec {
         }
     }
 
+    /// Whether row `i` equals `v` as a group key: `Value` equality (Int and
+    /// Double compare numerically), read without building a `Value`, with
+    /// NULL equal to NULL.
+    #[inline]
+    pub fn key_eq_at(&self, i: usize, v: &Value) -> bool {
+        if self.is_null_at(i) {
+            return v.is_null();
+        }
+        match (self, v) {
+            (ColumnVec::Int { data, .. }, Value::Int(x)) => data[i] == *x,
+            (ColumnVec::Int { data, .. }, Value::Double(x)) => (data[i] as f64).to_bits() == x.to_bits(),
+            (ColumnVec::Double { data, .. }, Value::Double(x)) => data[i].to_bits() == x.to_bits(),
+            (ColumnVec::Double { data, .. }, Value::Int(x)) => data[i].to_bits() == (*x as f64).to_bits(),
+            (ColumnVec::Bool { data, .. }, Value::Bool(x)) => data[i] == *x,
+            (ColumnVec::Str { data, .. }, Value::Str(x)) => data[i] == *x,
+            (ColumnVec::Mixed(vals), v) => vals[i] == *v,
+            _ => false,
+        }
+    }
+
     /// Keep the pairs `(li[k], ri[k])` whose values `self[li[k]]` and
     /// `other[ri[k]]` are equal as join keys (`Value` equality: Int and
     /// Double compare numerically), compacting both index lists in step —
@@ -820,6 +840,37 @@ mod tests {
         let (mut li, mut ri) = (vec![0, 1, 1], vec![0, 0, 1]);
         strs.retain_equal(&mut li, &mixed, &mut ri);
         assert_eq!((li, ri), (vec![1], vec![0]));
+    }
+
+    #[test]
+    fn key_eq_at_is_value_equality_with_null_equal_to_null() {
+        let cols = [
+            ColumnVec::from_values([Value::Int(3), Value::Null, Value::Int(1 << 53)].iter()),
+            ColumnVec::from_values([Value::Double(3.0), Value::Double(-0.0), Value::Double(f64::NAN)].iter()),
+            ColumnVec::from_values([Value::Str("a".into()), Value::Null, Value::Str(String::new())].iter()),
+            ColumnVec::from_values([Value::Bool(true), Value::Bool(false), Value::Null].iter()),
+            ColumnVec::Mixed(vec![Value::Int(1), Value::Str("s".into()), Value::Null]),
+        ];
+        let probes = [
+            Value::Null,
+            Value::Int(3),
+            Value::Double(3.0),
+            Value::Double(0.0),
+            Value::Double(-0.0),
+            Value::Double(f64::NAN),
+            Value::Int((1 << 53) + 1),
+            Value::Str("a".into()),
+            Value::Str(String::new()),
+            Value::Bool(false),
+            Value::Int(1),
+        ];
+        for col in &cols {
+            for i in 0..col.len() {
+                for v in &probes {
+                    assert_eq!(col.key_eq_at(i, v), col.value_at(i) == *v, "{col:?}[{i}] vs {v:?}");
+                }
+            }
+        }
     }
 
     #[test]

@@ -1528,6 +1528,79 @@ proptest! {
         };
         prop_assert_eq!(of(int_keys), of(double_keys), "Int(n) and Double(n) part ways");
     }
+
+    // The typed group table is the `Value`-keyed definition. Group by a
+    // low-cardinality numeric column that spells equal numbers as `Int`
+    // and `Double` by turns, by one or two generated columns of any wire
+    // type (NULL masks, all-NULL, `Mixed`), or by both; aggregate any
+    // generated column with COUNT(*), COUNT, SUM, MIN, MAX and AVG; select
+    // all rows or some; fold one batch or two uneven ones. `GroupTable`
+    // forms exactly the groups `eval`'s `Accumulator`s form, in the same
+    // first-seen order, with bit-identical keys and results — and a SUM
+    // that overflows is an error on both sides.
+    #[test]
+    fn typed_group_by_commutes_with_the_eval_oracle(
+        rows in 0usize..WIRE_SLOTS + 1,
+        keys in prop::collection::vec(arb_wire_col(), 1..3),
+        value in arb_wire_col(),
+        small in prop::collection::vec(-3i64..3, WIRE_SLOTS),
+        picks in prop::collection::vec(any::<bool>(), WIRE_SLOTS),
+        partial in any::<bool>(),
+        cut in 0usize..WIRE_SLOTS + 1,
+    ) {
+        use prisma::relalg::agg::GroupTable;
+        use prisma::relalg::Batch;
+        let twin = ColumnVec::Mixed(
+            small[..rows]
+                .iter()
+                .enumerate()
+                .map(|(i, &n)| if i % 2 == 0 { Value::Int(n) } else { Value::Double(n as f64) })
+                .collect(),
+        );
+        let mut cols = vec![Arc::new(twin)];
+        cols.extend(keys.iter().map(|k| Arc::new(k.build(rows))));
+        cols.push(Arc::new(value.build(rows)));
+        let arity = cols.len();
+        let live: Vec<u32> = (0..rows as u32).filter(|&i| !partial || picks[i as usize]).collect();
+        let batch = Batch::columns(cols.clone(), SelVec::from_indices(rows, live.clone()));
+        let schema = Schema::new((0..arity).map(|c| Column::new(format!("c{c}"), DataType::Int)).collect());
+        let db = HashMap::from([("t".to_owned(), Relation::new(schema.clone(), batch.tuples().to_vec()))]);
+        // The batch's live rows, cut in two, as columns gathered out of it.
+        let cut = cut.min(live.len());
+        let halves: Vec<Batch> = [&live[..cut], &live[cut..]]
+            .iter()
+            .map(|idx| {
+                let gathered = cols.iter().map(|c| Arc::new(c.gather(idx))).collect();
+                Batch::columns(gathered, SelVec::all(idx.len()))
+            })
+            .collect();
+        let v = arity - 1;
+        let aggs: Vec<AggExpr> = [AggFunc::CountStar, AggFunc::Count, AggFunc::Sum, AggFunc::Min, AggFunc::Max, AggFunc::Avg]
+            .into_iter()
+            .map(|f| AggExpr::new(f, v, format!("{f}")))
+            .collect();
+        let last_key = arity - 2;
+        for group_by in [vec![0], vec![1], vec![0, last_key], (1..=last_key).collect(), vec![]] {
+            let plan = LogicalPlan::Aggregate {
+                input: Box::new(LogicalPlan::scan("t", schema.clone())),
+                group_by: group_by.clone(),
+                aggs: aggs.clone(),
+            };
+            let want = eval(&plan, &db).map(|r| r.tuples().iter().map(row_bits).collect::<Vec<_>>());
+            for inputs in [std::slice::from_ref(&batch), &halves[..]] {
+                let mut table = GroupTable::new(&group_by, &aggs);
+                let got = inputs
+                    .iter()
+                    .try_for_each(|b| table.fold(b))
+                    .map(|()| table.finish().iter().map(row_bits).collect::<Vec<_>>());
+                match (&got, &want) {
+                    (Ok(got), Ok(want)) => prop_assert_eq!(got, want, "by {:?} over {} batch(es)", group_by, inputs.len()),
+                    (Err(_), Err(_)) => {}
+                    _ => prop_assert!(false, "by {:?}: table {:?}, eval {:?}", group_by, got, want),
+                }
+            }
+        }
+    }
 }
 
 /// One generated join input row: two nullable key parts and two payloads.
