@@ -363,23 +363,26 @@ impl ParallelExecutor {
             return self.run_on_fragments(plan, &relation, q);
         }
         match plan {
-            // 2. Joins between distributed inputs: the join runs below the
-            //    exchange, its result streams to the coordinator.
-            LogicalPlan::Join {
-                kind: JoinKind::Inner,
-                ..
-            } => {
+            // 2. A Select/Project chain over an inner join between
+            //    distributed inputs (a bare join is the empty chain): the
+            //    chain rides with the join below the exchange, at every
+            //    grace site or probed fragment, so only its columns stream
+            //    to the coordinator.
+            _ if let Some(join) = join_under_chain(plan) => {
                 let mut out = Vec::new();
+                let above = |join| chain_over(plan, join);
                 let distributed =
-                    self.join_below_exchange(plan, &|join| join, cse, memo, q, &mut |batch| {
+                    self.join_below_exchange(join, &above, cse, memo, q, &mut |batch| {
                         out.extend(batch.into_tuples());
                         Ok(())
                     })?;
                 if distributed {
                     Ok(Arc::new(Relation::new(plan.output_schema()?, out)))
-                } else {
+                } else if std::ptr::eq(join, plan) {
                     // Neither side pushable: coordinator-local join.
                     self.local_exec(plan, cse, memo, q)
+                } else {
+                    self.exec_via_children(plan, cse, memo, q)
                 }
             }
             // 3. Decomposable aggregates: a partial per fragment — or, over
@@ -448,20 +451,23 @@ impl ParallelExecutor {
             LogicalPlan::Closure { .. } | LogicalPlan::Fixpoint { .. } => {
                 self.local_exec(plan, cse, memo, q)
             }
-            // 5. Everything else: execute the children through the
-            //    distributed machinery, then apply this one operator at
-            //    the coordinator (so a Project above a fragment-parallel
-            //    Aggregate does not de-parallelize the aggregate).
+            // 5. Everything else (sort, limit, distinct, set operations,
+            //    outer joins, a non-decomposable aggregate, a Select/Project
+            //    over anything but a scan or an inner join): execute the
+            //    children through the distributed machinery, then apply
+            //    this one operator at the coordinator (so a Project above a
+            //    fragment-parallel Aggregate does not de-parallelize the
+            //    aggregate).
             _ => self.exec_via_children(plan, cse, memo, q),
         }
     }
 
     /// Run an inner join **below the exchange** and stream the batches of
     /// `above(join)` into `sink`, where `above` wraps a join in whatever
-    /// the caller wants evaluated with it at the data (nothing for a bare
-    /// join; the Select/Project chain and partial aggregate of a
-    /// decomposable `GROUP BY`). One lowering of the join decides the
-    /// strategy and yields the shippable side plans:
+    /// the caller wants evaluated with it at the data: the Select/Project
+    /// chain above it (empty for a bare join) and, for a decomposable
+    /// `GROUP BY`, the partial aggregate over that chain. One lowering of
+    /// the join decides the strategy and yields the shippable side plans:
     ///
     /// * both sides pushable and both estimated large — **grace join**:
     ///   `above(⋈)` is the phase-2 plan each shuffle site runs over its
@@ -1259,7 +1265,7 @@ mod tests {
     use crate::message::OfmActor;
     use prisma_multicomputer::CostModel;
     use prisma_ofm::{Ofm, OfmKind};
-    use prisma_poolx::{Ctx, Process, TrafficLedger};
+    use prisma_poolx::{Ctx, Process, TrafficLedger, COORDINATOR_PE};
     use prisma_stable::DiskProfile;
     use prisma_types::{tuple, Column, DataType, MachineConfig, PeId, TxnId};
 
@@ -1485,6 +1491,41 @@ mod tests {
         }
         assert_eq!(results[0].tuples(), results[1].tuples());
         assert_eq!(results[1].tuples(), results[2].tuples());
+        runtime.shutdown();
+    }
+
+    #[test]
+    fn a_projection_above_a_join_runs_where_the_join_runs() {
+        let (runtime, dict) = rig(30);
+        register_fragmented(&runtime, &dict, "l", 0, &[0..1500, 1500..3000]);
+        register_fragmented(&runtime, &dict, "r", 10, &[0..1100, 1100..2200]);
+        let rows = |r: std::ops::Range<i64>| {
+            Relation::new(test_schema(), r.map(|i| tuple![i, i % 5]).collect())
+        };
+        let db = HashMap::from([
+            ("l".to_owned(), rows(0..3000)),
+            ("r".to_owned(), rows(0..2200)),
+        ]);
+        // One column of the four the join produces, the key not among them.
+        let projected = join_plan().project_cols(&[3]).unwrap();
+        let mut exec = ParallelExecutor::new(runtime.clone(), dict.clone());
+        for (config, grace) in [(grace_config(None), true), (Default::default(), false)] {
+            exec.set_physical_config(config);
+            let coord_recv = |plan: &LogicalPlan| {
+                runtime.ledger().reset();
+                let (got, m) = exec.execute(plan).unwrap();
+                assert_eq!(m.partitioned_joins, u64::from(grace), "{m:?}");
+                assert_eq!(m.broadcast_joins, u64::from(!grace), "{m:?}");
+                let want = prisma_relalg::eval(plan, &db).unwrap();
+                assert_eq!(got.canonicalized().tuples(), want.canonicalized().tuples());
+                runtime.ledger().pe_bytes(COORDINATOR_PE).1
+            };
+            let bare = coord_recv(&join_plan());
+            let narrow = coord_recv(&projected);
+            // Re-projected at the coordinator, the projected join would
+            // receive exactly the bare join's bytes.
+            assert!(narrow < bare, "grace={grace}: {narrow} B vs {bare} B bare");
+        }
         runtime.shutdown();
     }
 

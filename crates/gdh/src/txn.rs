@@ -28,7 +28,7 @@ struct TxnState {
     participants: HashSet<ProcessId>,
 }
 
-/// Outcome metrics of a 2PC commit (E7 measures these).
+/// Outcome metrics of a 2PC commit.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct CommitMetrics {
     /// Participants involved.

@@ -558,29 +558,31 @@ fn failover_machine() -> GlobalDataHandler {
     GlobalDataHandler::boot(cfg, AllocationPolicy::LoadBalanced, DiskProfile::instant()).unwrap()
 }
 
-/// Every join in these tests is forced onto the hash-partitioned (grace)
-/// path — the protocol with the most mid-flight state to lose.
-fn grace() -> prisma_optimizer::PhysicalConfig {
+/// The join strategy a failover test forces: the hash-partitioned (grace)
+/// path — the protocol with the most mid-flight state to lose — or the
+/// broadcast path, whose probed fragments run the join.
+fn strategy(grace: bool) -> prisma_optimizer::PhysicalConfig {
     prisma_optimizer::PhysicalConfig {
-        broadcast_max_rows: 0.0,
+        broadcast_max_rows: if grace { 0.0 } else { 1e12 },
         ..prisma_optimizer::PhysicalConfig::default()
     }
 }
 
 /// Run `sql` on a fault-free machine and on one whose PE 2 — host of an
-/// `emp` primary, hence of a phase-2 shuffle site — is killed three
-/// messages into the query; the two results must be identical and the
-/// recovery must show in the metrics.
-fn assert_pe_kill_mid_query_is_invisible(sql: &str) {
+/// `emp` primary, hence of a phase-2 shuffle site or a probed fragment —
+/// is killed `kill_at` messages into the query; the two results must be
+/// identical and the recovery must show in the metrics.
+fn assert_pe_kill_mid_query_is_invisible(sql: &str, grace: bool, kill_at: u64) {
     use prisma_faultx::{FaultInjector, FaultSpec};
     use prisma_types::PeId;
 
     // Oracle: the same machine shape and data, no faults.
     let mut oracle_gdh = failover_machine();
-    oracle_gdh.set_physical_config(grace());
+    oracle_gdh.set_physical_config(strategy(grace));
     setup_emp(&oracle_gdh);
     let (oracle, oracle_metrics) = oracle_gdh.query_sql_with_metrics(sql).unwrap();
-    assert_eq!(oracle_metrics.partitioned_joins, 1, "{oracle_metrics:?}");
+    assert_eq!(oracle_metrics.partitioned_joins, u64::from(grace), "{oracle_metrics:?}");
+    assert_eq!(oracle_metrics.broadcast_joins, u64::from(!grace), "{oracle_metrics:?}");
     assert_eq!(oracle_metrics.failovers, 0);
     assert_eq!(oracle_metrics.streams_rerequested, 0);
     oracle_gdh.shutdown();
@@ -591,20 +593,19 @@ fn assert_pe_kill_mid_query_is_invisible(sql: &str) {
     let faults = FaultInjector::scripted(0x2026_0807, vec![]);
     let mut gdh = failover_machine();
     gdh.set_fault_injector(faults.clone());
-    gdh.set_physical_config(grace());
+    gdh.set_physical_config(strategy(grace));
     setup_emp(&gdh);
     let emp = gdh.dictionary().relation("emp").unwrap();
     assert!(
         emp.fragments.iter().any(|f| f.pe == PeId(2)),
-        "PE 2 must host a phase-2 site (an emp fragment)"
+        "PE 2 must host an emp fragment"
     );
 
-    // Kill PE 2 three messages into the join: mid-shuffle, after it has
-    // accepted (at most) its phase-2 task and one subplan, its actors —
-    // an emp primary among them — fall silent.
+    // Kill PE 2 `kill_at` messages into the join: its actors — an emp
+    // primary among them — fall silent mid-query.
     faults.script(vec![FaultSpec::KillPeAtMessage {
         pe: PeId(2),
-        at: faults.messages_seen(PeId(2)) + 3,
+        at: faults.messages_seen(PeId(2)) + kill_at,
     }]);
     let (rows, metrics) = gdh.query_sql_with_metrics(sql).unwrap();
 
@@ -628,10 +629,27 @@ fn assert_pe_kill_mid_query_is_invisible(sql: &str) {
     gdh.shutdown();
 }
 
+/// Three messages in: mid-shuffle, after PE 2 has accepted (at most) its
+/// phase-2 task and one subplan.
 #[test]
 fn pe_killed_mid_grace_join_fails_over_to_backup_replica() {
     assert_pe_kill_mid_query_is_invisible(
         "SELECT e.id, d.name FROM emp e, dept d WHERE e.dept = d.id ORDER BY e.id",
+        true,
+        3,
+    );
+}
+
+/// The projection ships with the join to every probed emp fragment. PE 2
+/// hosts no dept fragment, so its first message of the query is its emp
+/// fragment's probe task: the kill lands on it, and the backup replica
+/// runs the same projected plan.
+#[test]
+fn pe_killed_mid_projected_broadcast_join_fails_over_to_backup_replica() {
+    assert_pe_kill_mid_query_is_invisible(
+        "SELECT e.id, e.sal * 2.0 AS s, d.name FROM emp e, dept d WHERE e.dept = d.id ORDER BY e.id",
+        false,
+        1,
     );
 }
 
@@ -642,6 +660,8 @@ fn pe_killed_mid_aggregate_over_grace_join_counts_no_partial_twice() {
     assert_pe_kill_mid_query_is_invisible(
         "SELECT d.name, COUNT(*) AS n, SUM(e.sal) AS s, MIN(e.id) AS lo FROM emp e, dept d \
          WHERE e.dept = d.id GROUP BY d.name ORDER BY d.name",
+        true,
+        3,
     );
 }
 
@@ -781,7 +801,7 @@ fn corrupted_shuffle_chunk_fails_the_join_with_a_wire_error() {
     );
     let mut gdh = failover_machine();
     gdh.set_fault_injector(faults.clone());
-    gdh.set_physical_config(grace());
+    gdh.set_physical_config(strategy(true));
     setup_emp(&gdh);
     let err = gdh
         .execute_sql("SELECT e.id, d.name FROM emp e, dept d WHERE e.dept = d.id")
@@ -805,7 +825,7 @@ fn shuffle_stats_fold_once_across_failover_rerequests() {
     let faults = FaultInjector::scripted(0x2026_0811, vec![]);
     let mut gdh = failover_machine();
     gdh.set_fault_injector(faults.clone());
-    gdh.set_physical_config(grace());
+    gdh.set_physical_config(strategy(true));
     setup_emp(&gdh);
 
     // Fault-free run: the oracle for both rows and traffic accounting.

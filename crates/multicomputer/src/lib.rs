@@ -8,12 +8,14 @@
 //! * store-and-forward routing of **256-bit packets**;
 //! * "various simulations show an average network throughput of up to
 //!   20.000 packets (of 256 bits) per second for each processing element
-//!   simultaneously" — experiment E1 re-runs exactly this simulation.
+//!   simultaneously" — [`traffic::throughput_sweep`] re-runs exactly
+//!   this simulation.
 //!
 //! The crate has two consumers:
 //!
-//! 1. the **E1 network experiment** drives [`NetworkSim`] directly with
-//!    synthetic traffic patterns and measures saturation throughput;
+//! 1. the **network throughput sweep** ([`traffic`]) drives
+//!    [`NetworkSim`] directly with synthetic traffic patterns and measures
+//!    saturation throughput;
 //! 2. the **DBMS layers** (`prisma-poolx`, `prisma-gdh`) use [`CostModel`]
 //!    to charge communication costs for data shipped between PEs,
 //!    [`Topology`] to reason about placement locality, and

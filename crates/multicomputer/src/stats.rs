@@ -6,7 +6,7 @@ use crate::sim::SimTime;
 
 /// Counters accumulated by [`crate::NetworkSim`].
 ///
-/// The headline metric for experiment E1 is
+/// The headline metric of a throughput sweep is
 /// [`NetworkStats::per_pe_throughput_pps`]: delivered packets per second per
 /// PE, to be compared with the paper's "up to 20.000 packets per second for
 /// each processing element simultaneously".
@@ -109,7 +109,7 @@ impl NetworkStats {
     }
 
     /// Delivered packets per second per PE over the given measurement
-    /// window — the E1 headline number.
+    /// window — the sweep's headline number.
     pub fn per_pe_throughput_pps(&self, window_ns: u64) -> f64 {
         if window_ns == 0 {
             return 0.0;

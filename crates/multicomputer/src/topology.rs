@@ -115,7 +115,7 @@ impl Topology {
     /// in packets per second: aggregate link capacity divided by the mean
     /// hop count a packet consumes, normalized per PE.
     ///
-    /// This is the closed-form counterpart of the E1 simulation and is used
+    /// This is the closed-form counterpart of the simulated sweep and is used
     /// in tests to cross-validate the simulator.
     pub fn uniform_saturation_pps(&self, link_pps: f64) -> f64 {
         let capacity = self.num_directed_links() as f64 * link_pps;

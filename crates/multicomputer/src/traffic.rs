@@ -1,4 +1,4 @@
-//! Synthetic traffic patterns for the E1 network experiment.
+//! Synthetic traffic patterns for the network throughput sweep.
 //!
 //! The paper reports throughput for PEs sending "simultaneously"; the
 //! canonical workload for such a claim is uniform random traffic, which we
@@ -102,7 +102,7 @@ pub struct LoadPoint {
     pub mean_queue_wait_us: f64,
 }
 
-/// Run a full offered-load sweep — the E1 experiment.
+/// Run a full offered-load sweep: the paper's per-PE throughput claim.
 ///
 /// For each offered rate, the network is warmed up for `warmup_ms`, stats
 /// are reset, and throughput is measured over `measure_ms` of simulated

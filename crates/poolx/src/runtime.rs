@@ -63,15 +63,14 @@ impl<M: WireMessage> RuntimeInner<M> {
         // result on the first failed send.
         let external = self.externals.lock().get(&to).cloned();
         if let Some(tx) = external {
-            let bytes = msg.wire_bytes();
-            if tx.send(msg).is_err() {
-                return Err(PrismaError::ProcessUnreachable(format!(
-                    "{to} mailbox was dropped"
-                )));
-            }
-            // Metered only when actually delivered.
-            self.ledger.record(from, COORDINATOR_PE, bytes);
-            return Ok(());
+            // Metered before the message becomes visible, so a client that
+            // has received it reads a ledger that counts it. (A mailbox
+            // dropped while this send is in flight is charged for it, as
+            // an interconnect charges a packet its receiver discards.)
+            self.ledger.record(from, COORDINATOR_PE, msg.wire_bytes());
+            return tx.send(msg).map_err(|_| {
+                PrismaError::ProcessUnreachable(format!("{to} mailbox was dropped"))
+            });
         }
         let Some(&pe) = self.placement.lock().get(&to) else {
             return Err(PrismaError::ProcessUnreachable(format!(
@@ -546,6 +545,22 @@ mod tests {
         // echo(pe2)→mailbox(pe0) are remote.
         assert_eq!(rt.ledger().remote_messages(), 2);
         assert!(rt.ledger().byte_hops() > 0);
+        rt.shutdown();
+    }
+
+    #[test]
+    fn a_received_reply_is_already_metered() {
+        // The reply is counted before the client can see it, so reading
+        // the ledger right after `recv` never misses it.
+        let rt = runtime(4);
+        let mb = rt.external_mailbox();
+        let echo = rt.spawn(PeId(3), Box::new(Echo)).unwrap();
+        for n in 0..300 {
+            rt.ledger().reset();
+            rt.send(echo, Msg::Ping { reply_to: mb.id, n }).unwrap();
+            mb.recv_timeout(Duration::from_secs(5)).unwrap();
+            assert_eq!(rt.ledger().remote_messages(), 2, "round trip {n}");
+        }
         rt.shutdown();
     }
 

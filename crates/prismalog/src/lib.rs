@@ -26,8 +26,8 @@
 //!   operator;
 //! * [`seminaive`] — a direct set-oriented semi-naive evaluator for
 //!   arbitrary (including mutually) recursive programs, used as ground
-//!   truth for the algebra translation and for the E6 experiment's
-//!   naive-vs-semi-naive ablation.
+//!   truth for the algebra translation, with a naive mode that checks
+//!   the semi-naive one.
 
 pub mod analyze;
 pub mod ast;

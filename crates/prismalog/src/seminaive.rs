@@ -7,7 +7,7 @@
 //! * **semi-naive** (the default): each iteration joins only against the
 //!   previous iteration's *delta*, the standard optimization;
 //! * **naive**: each iteration re-joins the full relations — kept as the
-//!   E6 ablation baseline.
+//!   reference the semi-naive mode is tested against.
 //!
 //! The evaluator handles arbitrary positive programs, including mutual
 //! recursion (which the algebra translator in [`crate::translate`]
@@ -27,7 +27,7 @@ use crate::ast::{Atom, Literal, Program, Rule, Term};
 type Row = Vec<Value>;
 type TupleSet = FastSet<Row>;
 
-/// Evaluation counters for the E6 experiment.
+/// Evaluation counters: how much work a mode did.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct EvalStats {
     /// Fixpoint iterations across all recursive SCCs.
@@ -43,7 +43,7 @@ pub struct EvalStats {
 pub enum Mode {
     /// Join deltas only (default).
     SemiNaive,
-    /// Re-join full relations each round (E6 baseline).
+    /// Re-join full relations each round (the reference mode).
     Naive,
 }
 

@@ -187,7 +187,7 @@ impl Accumulator {
 ///
 /// 1. every live row is mapped to a **dense group id** (`0, 1, 2, …` in
 ///    first-seen order). Keys hash straight from the typed key columns with
-///    the join's kernel ([`crate::join::hash_keys`], the bits of
+///    the join's kernel (`join::hash_keys`, the bits of
 ///    [`crate::exec::key_hash`] for a key without NULLs), a chained table of
 ///    group ids finds the candidates, and a candidate is verified against
 ///    the group's stored key by [`ColumnVec::key_eq_at`] — `Value`

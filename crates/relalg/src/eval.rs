@@ -412,7 +412,7 @@ fn adjacency(rel: &Relation) -> FastMap<Value, Vec<Value>> {
 }
 
 /// Naive-iteration transitive closure (whole relation re-joined each round)
-/// — kept as the E6 ablation baseline.
+/// — the second oracle the semi-naive closure is tested against.
 pub fn transitive_closure_naive(rel: &Relation) -> Result<Relation> {
     if rel.schema().arity() != 2 {
         return Err(PrismaError::Execution(format!(

@@ -16,8 +16,7 @@ pub struct DiskProfile {
 impl Default for DiskProfile {
     fn default() -> Self {
         // 20 ms average seek+rotation, ~1 MB/s sustained transfer: period
-        // hardware, which is what makes main-memory execution attractive
-        // (experiment E4 measures exactly this gap).
+        // hardware, which is what makes main-memory execution attractive.
         DiskProfile {
             seek_ns: 20_000_000,
             per_byte_ns: 1_000,
@@ -160,7 +159,7 @@ impl StableDevice for SimulatedDisk {
 }
 
 /// A zero-cost device used for transient OFMs in tests and as the "memory
-/// resident" baseline in E4 (syncs are free and instantaneous).
+/// resident" device (syncs are free and instantaneous).
 #[derive(Debug, Clone, Default)]
 pub struct MemDevice {
     inner: SimulatedDisk,

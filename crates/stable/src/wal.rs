@@ -168,7 +168,7 @@ impl WriteAheadLog {
     }
 
     /// Append and immediately force to stable storage. Returns `(lsn,
-    /// simulated_ns)` — the commit-latency cost the E7 bench measures.
+    /// simulated_ns)` — the commit-latency cost of a forced write.
     pub fn append_durable(&self, payload: &LogPayload) -> (Lsn, u64) {
         let lsn = self.append(payload);
         let ns = self.device.sync();

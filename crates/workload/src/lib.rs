@@ -49,7 +49,7 @@ pub fn wisconsin_rows(n: usize, seed: u64) -> Vec<Tuple> {
         .collect()
 }
 
-/// Shape of generated graphs for recursive-query experiments (E6).
+/// Shape of generated graphs for recursive queries.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum GraphShape {
     /// A single path `0 → 1 → … → n-1`: worst-case fixpoint depth.
@@ -118,7 +118,7 @@ pub fn graph_edges(shape: GraphShape, n: usize, seed: u64) -> Vec<Tuple> {
     edges
 }
 
-/// Schema of the bank-accounts relation used by the E3/E7 transaction
+/// Schema of the bank-accounts relation used by the transaction
 /// workloads.
 pub fn accounts_schema() -> Schema {
     Schema::new(vec![

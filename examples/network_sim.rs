@@ -1,4 +1,4 @@
-//! E1 — the paper's interconnect simulation (§3.2).
+//! The paper's interconnect simulation (§3.2).
 //!
 //! "Various simulations show an average network throughput of up to
 //! 20.000 packets (of 256 bits) per second for each processing element
