@@ -31,13 +31,87 @@ use prisma_storage::{
 };
 use prisma_types::stats::{HISTOGRAM_BUCKETS, MOST_COMMON_VALUES};
 use prisma_types::{
-    chunk::seal_every, ColumnStats, FragmentId, FragmentStatistics, Histogram, LazyColumns,
-    PrismaError, Result, Schema, SealedChunk, SelVec, Tuple, Value,
+    chunk::seal_every, ColumnStats, DataType, FragmentId, FragmentStatistics, Histogram,
+    LazyColumns, PrismaError, Result, Schema, SealedChunk, SelVec, Tuple, Value,
 };
 use std::collections::hash_map::Entry;
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::hash::BuildHasher;
 use std::sync::Arc;
+
+/// One column's exact value → count multiset. An INT column keys it by
+/// the bare `i64`: a `Value` key is 32 bytes, and the sketch of a unique
+/// column holds an entry per row, so on an append-only table the sketch
+/// is, after the tuple itself, what a row costs a fragment most. Schema
+/// validation admits only INT values (or NULL, never sketched) into an
+/// INT column.
+#[derive(Debug)]
+enum Sketch {
+    Int(BTreeMap<i64, u64>),
+    Any(BTreeMap<Value, u64>),
+}
+
+impl Sketch {
+    fn new(dtype: DataType) -> Self {
+        match dtype {
+            DataType::Int => Sketch::Int(BTreeMap::new()),
+            _ => Sketch::Any(BTreeMap::new()),
+        }
+    }
+
+    /// Count one non-NULL value. Values are cloned only on first
+    /// occurrence — repeat values (the common case on low-cardinality
+    /// columns) just bump the existing counter.
+    fn add(&mut self, v: &Value) {
+        match (self, v) {
+            (Sketch::Int(m), Value::Int(k)) => *m.entry(*k).or_insert(0) += 1,
+            (Sketch::Any(m), v) => match m.get_mut(v) {
+                Some(c) => *c += 1,
+                None => {
+                    m.insert(v.clone(), 1);
+                }
+            },
+            (Sketch::Int(_), v) => debug_assert!(false, "{v:?} in an INT column"),
+        }
+    }
+
+    /// Uncount one non-NULL value.
+    fn remove(&mut self, v: &Value) {
+        fn dec<K: Ord>(m: &mut BTreeMap<K, u64>, k: &K) {
+            if let Some(c) = m.get_mut(k) {
+                *c -= 1;
+                if *c == 0 {
+                    m.remove(k);
+                }
+            }
+        }
+        match (self, v) {
+            (Sketch::Int(m), Value::Int(k)) => dec(m, k),
+            (Sketch::Any(m), v) => dec(m, v),
+            (Sketch::Int(_), v) => debug_assert!(false, "{v:?} in an INT column"),
+        }
+    }
+
+    /// Call `f` with every `(value, count)` in value order. Stored
+    /// `Value`s are lent, not cloned (a unique-key Str column would
+    /// otherwise clone every distinct value per report).
+    fn with_entries<R>(&self, f: impl FnOnce(&[(&Value, u64)]) -> R) -> R {
+        match self {
+            Sketch::Int(m) => {
+                let keys: Vec<Value> = m.keys().map(|&k| Value::Int(k)).collect();
+                f(&keys
+                    .iter()
+                    .zip(m.values())
+                    .map(|(v, &c)| (v, c))
+                    .collect::<Vec<_>>())
+            }
+            Sketch::Any(m) => f(&m.iter().map(|(v, &c)| (v, c)).collect::<Vec<_>>()),
+        }
+    }
+}
+
+/// The `covered` entry of a slot no sealed span covers.
+const UNCOVERED: u64 = u64::MAX;
 
 /// One sealed run: the heap Rids it covers (in seal order) plus the shared
 /// immutable chunk built from their tuples.
@@ -152,7 +226,7 @@ pub struct Fragment {
     /// insert/delete/update. Exact and cheap for a main-memory fragment;
     /// [`Fragment::statistics`] snapshots it into histograms without
     /// rescanning the heap.
-    sketches: Vec<BTreeMap<Value, u64>>,
+    sketches: Vec<Sketch>,
     /// NULL rows per column (NULLs never enter the sketches).
     null_counts: Vec<u64>,
     /// Sealed columnar runs keyed by seal id — monotonically increasing,
@@ -162,9 +236,14 @@ pub struct Fragment {
     sealed: BTreeMap<u64, SealedSpan>,
     /// Seal id the next sealed span gets.
     next_seal_id: u64,
-    /// Rid → seal id of its span for every covered row (the dissolution
-    /// lookup). Rows absent here form the delta.
-    covered: HashMap<Rid, u64>,
+    /// Seal id of its span per heap slot, `UNCOVERED` for a delta row
+    /// or a free slot (the dissolution lookup). Indexed by slot rather
+    /// than hashed: a full hash table doubles and rewrites every entry,
+    /// so each fragment's resident memory would jump by megabytes at a
+    /// row count all fragments of a table reach together.
+    covered: Vec<u64>,
+    /// Live rows covered by sealed chunks.
+    covered_rows: usize,
     /// Uncovered live rids in slot order (`Rid` orders by slot, so the
     /// set iterates exactly like a covered-filtered heap walk). Kept
     /// incrementally on every mutation/seal/dissolve so per-scan delta
@@ -183,12 +262,15 @@ pub struct Fragment {
 impl Fragment {
     /// Empty fragment.
     pub fn new(id: FragmentId, schema: Schema) -> Self {
-        let arity = schema.arity();
         Fragment {
             id,
+            sketches: schema
+                .columns()
+                .iter()
+                .map(|c| Sketch::new(c.dtype))
+                .collect(),
+            null_counts: vec![0; schema.arity()],
             schema,
-            sketches: vec![BTreeMap::new(); arity],
-            null_counts: vec![0; arity],
             seal_rows: seal_every(),
             ..Fragment::default()
         }
@@ -201,17 +283,13 @@ impl Fragment {
         self.seal_rows = rows.max(1);
     }
 
-    /// Record a tuple's values in the statistics sketches. Values are
-    /// cloned only on first occurrence — repeat values (the common case
-    /// on low-cardinality columns) just bump the existing counter.
+    /// Record a tuple's values in the statistics sketches.
     fn sketch_add(&mut self, tuple: &Tuple) {
         for (i, v) in tuple.values().iter().enumerate() {
             if v.is_null() {
                 self.null_counts[i] += 1;
-            } else if let Some(c) = self.sketches[i].get_mut(v) {
-                *c += 1;
             } else {
-                self.sketches[i].insert(v.clone(), 1);
+                self.sketches[i].add(v);
             }
         }
     }
@@ -221,11 +299,8 @@ impl Fragment {
         for (i, v) in tuple.values().iter().enumerate() {
             if v.is_null() {
                 self.null_counts[i] = self.null_counts[i].saturating_sub(1);
-            } else if let Some(c) = self.sketches[i].get_mut(v) {
-                *c -= 1;
-                if *c == 0 {
-                    self.sketches[i].remove(v);
-                }
+            } else {
+                self.sketches[i].remove(v);
             }
         }
     }
@@ -278,12 +353,12 @@ impl Fragment {
 
     /// Live rows covered by sealed chunks.
     pub fn sealed_rows(&self) -> usize {
-        self.covered.len()
+        self.covered_rows
     }
 
     /// Live rows in the delta (not covered by any sealed chunk).
     pub fn delta_rows(&self) -> usize {
-        debug_assert_eq!(self.delta.len() + self.covered.len(), self.heap.len());
+        debug_assert_eq!(self.delta.len() + self.covered_rows, self.heap.len());
         self.delta.len()
     }
 
@@ -319,9 +394,13 @@ impl Fragment {
             let id = self.next_seal_id;
             self.next_seal_id += 1;
             for &r in run {
-                self.covered.insert(r, id);
+                if self.covered.len() <= r.index() {
+                    self.covered.resize(r.index() + 1, UNCOVERED);
+                }
+                self.covered[r.index()] = id;
                 self.delta.remove(&r);
             }
+            self.covered_rows += run.len();
             self.sealed.insert(
                 id,
                 SealedSpan {
@@ -336,17 +415,19 @@ impl Fragment {
     /// into the delta (dropping its zone maps and cached wire block) so
     /// the row can be mutated through the ordinary heap path.
     fn dissolve(&mut self, rid: Rid) {
-        let Some(id) = self.covered.get(&rid) else {
+        let id = self.covered.get(rid.index()).copied().unwrap_or(UNCOVERED);
+        if id == UNCOVERED {
             return;
-        };
+        }
         let span = self
             .sealed
-            .remove(id)
+            .remove(&id)
             .expect("covered rid names a live span");
         for r in &span.rids {
-            self.covered.remove(r);
+            self.covered[r.index()] = UNCOVERED;
             self.delta.insert(*r);
         }
+        self.covered_rows -= span.rids.len();
     }
 
     /// Candidate victims of `predicate` (which must have passed
@@ -395,31 +476,32 @@ impl Fragment {
             .iter()
             .zip(&self.null_counts)
             .map(|(sketch, &nulls)| {
-                // Select the top values over borrows — only the few
-                // survivors are cloned (a unique-key Str column would
-                // otherwise clone every distinct value per report).
-                let mut by_count: Vec<(&Value, u64)> =
-                    sketch.iter().map(|(v, &c)| (v, c)).collect();
-                let cmp = |a: &(&Value, u64), b: &(&Value, u64)| {
-                    b.1.cmp(&a.1).then_with(|| a.0.cmp(b.0))
-                };
-                if by_count.len() > MOST_COMMON_VALUES {
-                    by_count.select_nth_unstable_by(MOST_COMMON_VALUES, cmp);
-                    by_count.truncate(MOST_COMMON_VALUES);
-                }
-                by_count.sort_by(cmp);
-                let most_common: Vec<(Value, u64)> = by_count
-                    .into_iter()
-                    .map(|(v, c)| (v.clone(), c))
-                    .collect();
-                ColumnStats {
-                    distinct: sketch.len() as u64,
-                    nulls,
-                    min: sketch.keys().next().cloned(),
-                    max: sketch.keys().next_back().cloned(),
-                    histogram: Histogram::equi_depth(sketch.iter(), HISTOGRAM_BUCKETS),
-                    most_common,
-                }
+                sketch.with_entries(|entries| {
+                    // Select the top values over borrows — only the few
+                    // survivors are cloned.
+                    let mut by_count = entries.to_vec();
+                    let cmp = |a: &(&Value, u64), b: &(&Value, u64)| {
+                        b.1.cmp(&a.1).then_with(|| a.0.cmp(b.0))
+                    };
+                    if by_count.len() > MOST_COMMON_VALUES {
+                        by_count.select_nth_unstable_by(MOST_COMMON_VALUES, cmp);
+                        by_count.truncate(MOST_COMMON_VALUES);
+                    }
+                    by_count.sort_by(cmp);
+                    let most_common: Vec<(Value, u64)> =
+                        by_count.into_iter().map(|(v, c)| (v.clone(), c)).collect();
+                    ColumnStats {
+                        distinct: entries.len() as u64,
+                        nulls,
+                        min: entries.first().map(|e| e.0.clone()),
+                        max: entries.last().map(|e| e.0.clone()),
+                        histogram: Histogram::equi_depth(
+                            entries.iter().map(|(v, c)| (*v, c)),
+                            HISTOGRAM_BUCKETS,
+                        ),
+                        most_common,
+                    }
+                })
             })
             .collect();
         // Fold zone-map bounds from the sealed tier into the sketch-derived

@@ -64,13 +64,41 @@ pub trait StableDevice: Send + Sync {
     fn reset(&self);
 }
 
+/// Capacity of one durable segment.
+const SEGMENT_BYTES: usize = 1 << 20;
+
 #[derive(Debug, Default)]
 struct DeviceState {
-    durable: Vec<u8>,
+    /// The durable bytes in segments of [`SEGMENT_BYTES`] capacity, all
+    /// full but the last. A log that outlives a run grows one segment at
+    /// a time: one contiguous buffer would double, and a reallocation
+    /// that copies leaves the old buffer resident, so the machine's
+    /// resident set would jump by the log's whole size at a point set by
+    /// how many commits happened to run.
+    durable: Vec<Vec<u8>>,
     tail: Vec<u8>,
     simulated_ns: u64,
     bytes_written: u64,
     sync_count: u64,
+}
+
+impl DeviceState {
+    fn make_durable(&mut self, mut data: &[u8]) {
+        while !data.is_empty() {
+            match self.durable.last_mut() {
+                Some(seg) if seg.len() < SEGMENT_BYTES => {
+                    let n = data.len().min(SEGMENT_BYTES - seg.len());
+                    seg.extend_from_slice(&data[..n]);
+                    data = &data[n..];
+                }
+                _ => self.durable.push(Vec::with_capacity(SEGMENT_BYTES)),
+            }
+        }
+    }
+
+    fn durable_bytes(&self) -> Vec<u8> {
+        self.durable.concat()
+    }
 }
 
 /// The simulated disk: in-memory bytes plus the [`DiskProfile`] cost model.
@@ -114,29 +142,30 @@ impl StableDevice for SimulatedDisk {
         st.bytes_written += n;
         st.sync_count += 1;
         let tail = std::mem::take(&mut st.tail);
-        st.durable.extend_from_slice(&tail);
+        st.make_durable(&tail);
+        // The emptied buffer takes the next appends.
+        st.tail = tail;
+        st.tail.clear();
         cost
     }
 
     fn durable_bytes(&self) -> Vec<u8> {
-        self.state.lock().durable.clone()
+        self.state.lock().durable_bytes()
     }
 
     fn all_bytes(&self) -> Vec<u8> {
         let st = self.state.lock();
-        let mut v = st.durable.clone();
+        let mut v = st.durable_bytes();
         v.extend_from_slice(&st.tail);
         v
     }
 
     fn crash(&self, torn: Option<usize>) {
         let mut st = self.state.lock();
+        let tail = std::mem::take(&mut st.tail);
         if let Some(k) = torn {
-            let keep = k.min(st.tail.len());
-            let kept: Vec<u8> = st.tail[..keep].to_vec();
-            st.durable.extend_from_slice(&kept);
+            st.make_durable(&tail[..k.min(tail.len())]);
         }
-        st.tail.clear();
     }
 
     fn simulated_ns(&self) -> u64 {
@@ -242,6 +271,28 @@ mod tests {
         assert_eq!(d.simulated_ns(), 120);
         assert_eq!(d.bytes_written(), 10);
         assert_eq!(d.sync_count(), 1);
+    }
+
+    #[test]
+    fn durable_bytes_span_segments_in_order() {
+        let d = SimulatedDisk::new(DiskProfile::instant());
+        let data: Vec<u8> = (0..2 * SEGMENT_BYTES + 300).map(|i| i as u8).collect();
+        for piece in data.chunks(SEGMENT_BYTES / 3 + 7) {
+            d.append(piece);
+            d.sync();
+        }
+        d.append(b"tail");
+        d.crash(Some(2));
+        assert_eq!(d.durable_bytes().len(), data.len() + 2);
+        assert_eq!(&d.durable_bytes()[..data.len()], &data[..]);
+        assert_eq!(&d.durable_bytes()[data.len()..], b"ta");
+        assert_eq!(d.state.lock().durable.len(), 3);
+        assert!(d
+            .state
+            .lock()
+            .durable
+            .iter()
+            .all(|s| s.capacity() == SEGMENT_BYTES));
     }
 
     #[test]
