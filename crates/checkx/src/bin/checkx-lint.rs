@@ -56,7 +56,7 @@ fn main() -> ExitCode {
     }
     if findings.is_empty() {
         eprintln!(
-            "checkx-lint: {} files clean (sync-unwrap, wall-clock, gdhmsg-exhaustive, wire-fingerprint)",
+            "checkx-lint: {} files clean (sync-unwrap, wall-clock, gdhmsg-exhaustive, wire-fingerprint, oracle-evaluator)",
             sources.len()
         );
         ExitCode::SUCCESS

@@ -8,7 +8,8 @@ use std::path::{Path, PathBuf};
 
 pub use lexer::{lex, Lexed};
 pub use rules::{
-    gdhmsg_exhaustive, sync_unwrap, wall_clock, wire_constants_hash, wire_fingerprint, Finding,
+    gdhmsg_exhaustive, oracle_evaluator, sync_unwrap, wall_clock, wire_constants_hash,
+    wire_fingerprint, Finding,
 };
 
 /// Crates whose sources must be simulation-deterministic: the data
@@ -33,6 +34,10 @@ const DETERMINISTIC_CRATES: &[&str] = &[
 
 /// Where the wire-format constants (and their pinned fingerprint) live.
 const WIRE_FILE: &str = "crates/types/src/wire.rs";
+
+/// The reference evaluator, which must share no evaluator with the
+/// executor it checks.
+const ORACLE_FILE: &str = "crates/relalg/src/eval.rs";
 
 /// One source file staged for linting.
 pub struct SourceFile {
@@ -104,6 +109,9 @@ pub fn run_all(sources: &[SourceFile]) -> Vec<Finding> {
         }
         if f.path == Path::new(WIRE_FILE) {
             findings.extend(wire_fingerprint(&f.path, &f.lexed));
+        }
+        if f.path == Path::new(ORACLE_FILE) {
+            findings.extend(oracle_evaluator(&f.path, &f.lexed));
         }
     }
     // The GdhMsg protocol rule needs the enum file plus the actor loops.

@@ -158,6 +158,34 @@ pub fn wall_clock(path: &Path, lexed: &Lexed) -> Vec<Finding> {
     findings
 }
 
+/// `oracle-evaluator`: flag any name of the kernel compiler
+/// (`compile_vec`, `compile_vec_predicate`, `CompiledVec*`) outside the
+/// `#[cfg(test)]` modules of the reference evaluator. The oracle
+/// interprets, so a kernel bug cannot hide behind it; no
+/// `checkx:allow` lifts this.
+pub fn oracle_evaluator(path: &Path, lexed: &Lexed) -> Vec<Finding> {
+    let kernel = |t: &Tok| {
+        t.kind == TokKind::Ident
+            && (t.text == "compile_vec"
+                || t.text == "compile_vec_predicate"
+                || t.text.starts_with("CompiledVec"))
+    };
+    let toks = &lexed.toks;
+    toks.iter()
+        .zip(test_module_mask(toks))
+        .filter(|(t, in_test)| !in_test && kernel(t))
+        .map(|(t, _)| Finding {
+            path: path.to_path_buf(),
+            line: t.line,
+            rule: "oracle-evaluator",
+            message: format!(
+                "`{}` in the reference evaluator, which interprets (`ScalarExpr::eval`)",
+                t.text
+            ),
+        })
+        .collect()
+}
+
 /// `gdhmsg-exhaustive`: every variant of the `GdhMsg` protocol enum must
 /// be named (`GdhMsg::Variant`) in the OFM actor's dispatch file, and in
 /// the union of the actor-loop files. The OFM dispatch `match` has no

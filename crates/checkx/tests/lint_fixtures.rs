@@ -6,7 +6,8 @@
 use std::path::Path;
 
 use prisma_checkx::lint::{
-    self, gdhmsg_exhaustive, lex, sync_unwrap, wall_clock, wire_constants_hash, wire_fingerprint,
+    self, gdhmsg_exhaustive, lex, oracle_evaluator, sync_unwrap, wall_clock, wire_constants_hash,
+    wire_fingerprint,
 };
 
 fn fixture(name: &str) -> String {
@@ -38,6 +39,18 @@ fn wall_clock_flags_now_reads_not_types() {
     // Instant::now and SystemTime::now; the allowed one and the
     // type-position mentions stay silent.
     assert_eq!(lines, vec![7, 11], "findings: {findings:#?}");
+}
+
+#[test]
+fn oracle_evaluator_flags_kernel_names_outside_tests() {
+    let lexed = lex(&fixture("oracle_evaluator.rs"));
+    let findings = oracle_evaluator(Path::new("oracle_evaluator.rs"), &lexed);
+    let lines: Vec<u32> = findings.iter().map(|f| f.line).collect();
+    // The import, the predicate kernel and the expression kernel — even
+    // under an allow; the string, the comment and the test module stay
+    // silent.
+    assert_eq!(lines, vec![4, 7, 11], "findings: {findings:#?}");
+    assert!(findings[0].message.contains("CompiledVecPredicate"), "{}", findings[0]);
 }
 
 #[test]

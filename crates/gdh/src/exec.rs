@@ -1167,7 +1167,9 @@ impl ParallelExecutor {
 }
 
 /// The error for a stream cut short by a fragment-local failure: names
-/// the query and fragment, keeps the underlying error's message.
+/// the query and fragment, keeps the underlying error's message. An
+/// arithmetic fault stays `Arithmetic` — it is the query's data error, the
+/// one the oracle raises too, not a failure of the fragment.
 fn fragment_failure(
     query_id: QueryId,
     streams: &[(u64, FragmentId)],
@@ -1178,7 +1180,12 @@ fn fragment_failure(
         Some((_, frag)) => format!("{frag}"),
         None => format!("stream {tag}"),
     };
-    PrismaError::Execution(format!("{query_id}: {who} stream failed: {e}"))
+    match e {
+        PrismaError::Arithmetic(fault) => {
+            PrismaError::Arithmetic(format!("{query_id}: {who}: {fault}"))
+        }
+        _ => PrismaError::Execution(format!("{query_id}: {who} stream failed: {e}")),
+    }
 }
 
 /// If `plan` is a Select/Project chain over exactly one base-relation
@@ -1542,5 +1549,16 @@ mod tests {
         assert!(msg.contains("q9"), "{msg}");
         assert!(msg.contains("frag3"), "{msg}");
         assert!(msg.contains("ghost"), "{msg}");
+        // A fragment's arithmetic fault stays the query's data error.
+        let e = fragment_failure(
+            QueryId(9),
+            &streams,
+            0,
+            &PrismaError::Arithmetic("1 / 0".into()),
+        );
+        assert!(
+            matches!(&e, PrismaError::Arithmetic(m) if m.contains("frag3") && m.contains("1 / 0")),
+            "{e}"
+        );
     }
 }

@@ -1092,7 +1092,7 @@ mod tests {
                         .expect("victim is live");
                     model.swap_remove(at);
                     if !delete {
-                        let d = bump.compile()(&old);
+                        let d = bump.eval(&old).unwrap();
                         model.push(Tuple::new(vec![old.get(0).clone(), Value::Int(9), d]));
                     }
                 }

@@ -986,3 +986,52 @@ fn dml_after_sealing_dissolves_chunks_and_stays_exact() {
     assert_eq!(rows.tuples()[0].get(0).as_int(), Some(80));
     gdh.shutdown();
 }
+
+/// One arithmetic rule at the SQL surface: an i64 fault is `Arithmetic`
+/// in a query, an UPDATE and an INSERT alike, a failed UPDATE changes
+/// nothing, and a guard in front of a division keeps it from faulting —
+/// on the machine as in the oracle.
+#[test]
+fn arithmetic_faults_are_arithmetic_errors_on_every_path() {
+    use prisma_types::PrismaError;
+    let gdh = machine(4);
+    gdh.execute_sql("CREATE TABLE t (a INT, b INT) FRAGMENTED BY HASH(a) INTO 2")
+        .unwrap();
+    gdh.execute_sql("INSERT INTO t VALUES (9223372036854775807, 0), (6, 2), (3, 0)")
+        .unwrap();
+    let before = gdh.snapshot("t").unwrap().canonicalized();
+    let arithmetic = |sql: &str| match gdh.execute_sql(sql) {
+        Err(PrismaError::Arithmetic(_)) => {}
+        other => panic!("{sql}: {other:?}"),
+    };
+    arithmetic("SELECT a + 1, a / b FROM t");
+    arithmetic("UPDATE t SET b = a + 1");
+    assert_eq!(gdh.snapshot("t").unwrap().canonicalized(), before);
+    let rows = gdh
+        .execute_sql("SELECT a, b FROM t")
+        .unwrap()
+        .rows()
+        .unwrap();
+    assert_eq!(rows.canonicalized().tuples(), before.tuples());
+    arithmetic("INSERT INTO t VALUES (1/0, 2)");
+
+    let guarded = "SELECT a, b FROM t WHERE b <> 0 AND a / b > 1";
+    let got = gdh
+        .execute_sql(guarded)
+        .unwrap()
+        .rows()
+        .unwrap()
+        .canonicalized();
+    let Ok(prisma_sqlfe::PlannedStatement::Query(plan)) =
+        prisma_sqlfe::compile(guarded, &**gdh.dictionary())
+    else {
+        panic!("{guarded} plans as a query");
+    };
+    let mut reference = std::collections::HashMap::new();
+    reference.insert("t".to_owned(), before);
+    let want = prisma_relalg::eval(&plan, &reference).unwrap();
+    assert_eq!(got.tuples(), want.canonicalized().tuples());
+    assert_eq!(got.tuples(), &[tuple![6, 2]]);
+    arithmetic("SELECT a, b FROM t WHERE a / b > 1 AND b <> 0");
+    gdh.shutdown();
+}

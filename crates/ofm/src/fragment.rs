@@ -125,9 +125,8 @@ struct SealedSpan {
 /// predicate plus how much of the sealed tier it had to read for them.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct ZoneScan {
-    /// Every live Rid that may satisfy the predicate, ascending (the
-    /// order a heap walk produces). Sealed hits passed the vectorized
-    /// kernel, delta hits the compiled row predicate.
+    /// Every live Rid that satisfies the predicate, ascending (the order a
+    /// heap walk produces).
     pub rids: Vec<Rid>,
     /// Sealed chunks the kernel ran over.
     pub chunks_scanned: usize,
@@ -433,10 +432,11 @@ impl Fragment {
     /// Candidate victims of `predicate` (which must have passed
     /// [`ScalarExpr::check`] against the schema), found the way a scan
     /// finds its rows: a sealed chunk is skipped when its zone maps refute
-    /// the predicate and otherwise filtered by the vectorized kernel over
-    /// its typed columns; delta rows go through the compiled row
-    /// predicate. No heap tuple of a sealed row is touched.
-    pub fn zone_scan(&self, predicate: &ScalarExpr) -> ZoneScan {
+    /// the predicate and otherwise filtered by the predicate kernel over
+    /// its typed columns; the delta rows pivot into one batch for the same
+    /// kernel. No heap tuple of a sealed row is touched. An arithmetic
+    /// fault on a row the kernel sees is the scan's error.
+    pub fn zone_scan(&self, predicate: &ScalarExpr) -> Result<ZoneScan> {
         let refuter = ZoneRefuter::compile(predicate);
         let mut kernel = predicate.compile_vec_predicate();
         let mut out = ZoneScan::default();
@@ -448,18 +448,21 @@ impl Fragment {
             }
             out.chunks_scanned += 1;
             let cols = LazyColumns::from_cols(span.chunk.cols().to_vec());
-            kernel.select(&cols, &SelVec::all(span.rids.len()), &mut hits);
+            kernel.select(&cols, &SelVec::all(span.rids.len()), &mut hits)?;
             out.rids.extend(hits.iter().map(|&p| span.rids[p as usize]));
         }
-        let row_pred = predicate.compile_predicate();
-        out.rids.extend(
-            self.delta
+        if !self.delta.is_empty() {
+            let delta: Vec<Rid> = self.delta.iter().copied().collect();
+            let rows = delta
                 .iter()
-                .copied()
-                .filter(|&rid| row_pred(self.heap.get(rid).expect("delta rid is live"))),
-        );
+                .map(|&rid| self.heap.get(rid).expect("delta rid is live").clone())
+                .collect();
+            let cols = LazyColumns::from_rows(Arc::new(rows));
+            kernel.select(&cols, &SelVec::all(delta.len()), &mut hits)?;
+            out.rids.extend(hits.iter().map(|&p| delta[p as usize]));
+        }
         out.rids.sort_unstable();
-        out
+        Ok(out)
     }
 
     /// Full statistics snapshot: row/byte counts plus per-column

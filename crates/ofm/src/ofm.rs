@@ -3,13 +3,13 @@
 use std::collections::HashMap;
 use std::sync::Arc;
 
-use prisma_relalg::{
-    Batch, ChunkedRelation, LogicalPlan, PhysicalPlan, Relation, RelationProvider,
-};
+use prisma_relalg::{ChunkedRelation, PhysicalPlan, Relation, RelationProvider};
 use prisma_stable::{CheckpointStore, LogPayload, WriteAheadLog};
 use prisma_storage::expr::{CmpOp, ScalarExpr};
 use prisma_storage::Rid;
-use prisma_types::{FragmentId, PrismaError, Result, Schema, Tuple, TxnId, Value};
+use prisma_types::{
+    ColumnVec, FragmentId, LazyColumns, PrismaError, Result, Schema, SelVec, Tuple, TxnId,
+};
 
 use crate::fragment::{Fragment, FragmentStats};
 
@@ -86,6 +86,14 @@ enum UndoOp {
     Inserted(Rid),
     Deleted(Tuple),
     Updated(Rid, Tuple),
+}
+
+/// What [`Ofm::victims`] found: the candidates, their heap tuples as one
+/// batch, and the kept positions.
+struct Victims {
+    rids: Vec<Rid>,
+    rows: Arc<Vec<Tuple>>,
+    kept: SelVec,
 }
 
 /// A One-Fragment Manager: one fragment plus every local DBMS duty.
@@ -273,18 +281,35 @@ impl Ofm {
         Ok(rid)
     }
 
+    /// The rows a DML statement touches: the access path's candidates and
+    /// their heap tuples as one batch, and the positions in it that the
+    /// predicate kernel keeps.
+    fn victims(&self, predicate: &ScalarExpr) -> Result<Victims> {
+        let (_, candidates) = self.plan_selection(predicate)?;
+        let heap = self.fragment.heap();
+        let (rids, rows): (Vec<Rid>, Vec<Tuple>) = candidates
+            .into_iter()
+            .filter_map(|rid| Some((rid, heap.get(rid)?.clone())))
+            .unzip();
+        let (n, mut kept) = (rows.len(), Vec::new());
+        let rows = Arc::new(rows);
+        if n > 0 {
+            let cols = LazyColumns::from_rows(Arc::clone(&rows));
+            predicate
+                .compile_vec_predicate()
+                .select(&cols, &SelVec::all(n), &mut kept)?;
+        }
+        let kept = SelVec::from_indices(n, kept);
+        Ok(Victims { rids, rows, kept })
+    }
+
     /// Delete all tuples satisfying `predicate` under `txn`; returns count.
     pub fn delete_where(&mut self, txn: TxnId, predicate: &ScalarExpr) -> Result<usize> {
         predicate.check(self.fragment.schema())?;
-        let (_, candidates) = self.plan_selection(predicate);
-        let compiled = predicate.compile_predicate();
-        let rids: Vec<Rid> = candidates
-            .into_iter()
-            .filter(|&rid| self.fragment.heap().get(rid).is_some_and(|t| compiled(t)))
-            .collect();
+        let victims = self.victims(predicate)?;
         let mut n = 0;
-        for rid in rids {
-            if let Some(t) = self.fragment.delete(rid) {
+        for p in victims.kept.iter() {
+            if let Some(t) = self.fragment.delete(victims.rids[p]) {
                 self.undo
                     .entry(txn)
                     .or_default()
@@ -302,6 +327,8 @@ impl Ofm {
 
     /// Update tuples satisfying `predicate`: each assignment sets column
     /// `col` to the value of `expr` over the *old* tuple. Returns count.
+    /// Every assignment runs over every victim before any row changes, so
+    /// an arithmetic fault leaves the fragment as it was.
     pub fn update_where(
         &mut self,
         txn: TxnId,
@@ -317,23 +344,21 @@ impl Ofm {
             }
             e.check(self.fragment.schema())?;
         }
-        let (_, candidates) = self.plan_selection(predicate);
-        let pred = predicate.compile_predicate();
-        let compiled: Vec<(usize, prisma_storage::expr::CompiledExpr)> = assignments
+        let victims = self.victims(predicate)?;
+        if victims.kept.is_empty() {
+            return Ok(0);
+        }
+        let cols = LazyColumns::from_rows(Arc::clone(&victims.rows));
+        let assigned: Vec<(usize, Arc<ColumnVec>)> = assignments
             .iter()
-            .map(|(c, e)| (*c, e.compile()))
-            .collect();
+            .map(|(c, e)| Ok((*c, e.compile_vec().eval(&cols, &victims.kept)?)))
+            .collect::<Result<_>>()?;
         let mut n = 0;
-        for rid in candidates {
-            let Some(old) = self.fragment.heap().get(rid).cloned() else {
-                continue;
-            };
-            if !pred(&old) {
-                continue;
-            }
-            let mut values: Vec<Value> = old.values().to_vec();
-            for (col, f) in &compiled {
-                values[*col] = f(&old);
+        for (k, p) in victims.kept.iter().enumerate() {
+            let (rid, old) = (victims.rids[p], victims.rows[p].clone());
+            let mut values = old.values().to_vec();
+            for (col, column) in &assigned {
+                values[*col] = column.value_at(k);
             }
             let new = Tuple::new(values);
             self.fragment.update(rid, new.clone())?;
@@ -423,14 +448,14 @@ impl Ofm {
     /// 2. `col <cmp> literal` with a B-tree on `col` → range scan;
     /// 3. otherwise → zone-pruned chunk scan + delta, candidates in
     ///    ascending Rid order.
-    pub fn plan_selection(&self, predicate: &ScalarExpr) -> (AccessPath, Vec<Rid>) {
+    pub fn plan_selection(&self, predicate: &ScalarExpr) -> Result<(AccessPath, Vec<Rid>)> {
         let conjuncts = predicate.clone().split_conjunction();
         // Rule 1: hash-index equality.
         for c in &conjuncts {
             if let Some((col, CmpOp::Eq, v)) = c.as_col_cmp_lit() {
                 for (slot, idx) in self.fragment.hash_indexes().iter().enumerate() {
                     if idx.key_cols() == [col] {
-                        return (AccessPath::HashLookup(slot), idx.lookup_one(v).to_vec());
+                        return Ok((AccessPath::HashLookup(slot), idx.lookup_one(v).to_vec()));
                     }
                 }
             }
@@ -448,44 +473,19 @@ impl Ofm {
                             CmpOp::Ge => idx.range_one(Some((v, true)), None),
                             CmpOp::Ne => continue,
                         };
-                        return (AccessPath::BTreeRange(slot), rids);
+                        return Ok((AccessPath::BTreeRange(slot), rids));
                     }
                 }
             }
         }
-        let scan = self.fragment.zone_scan(predicate);
-        (
+        let scan = self.fragment.zone_scan(predicate)?;
+        Ok((
             AccessPath::ZoneScan {
                 chunks_scanned: scan.chunks_scanned,
                 chunks_pruned: scan.chunks_pruned,
             },
             scan.rids,
-        )
-    }
-
-    /// Select tuples satisfying `predicate` (or all, for `None`), using
-    /// the local optimizer and the compiled-predicate fast path.
-    pub fn select(&self, predicate: Option<&ScalarExpr>) -> Result<Relation> {
-        let schema = self.fragment.schema().clone();
-        match predicate {
-            None => Ok(Relation::new(schema, self.fragment.all_tuples())),
-            Some(p) => {
-                p.check(&schema)?;
-                let (_, rids) = self.plan_selection(p);
-                let compiled = p.compile_predicate();
-                let mut out = Vec::new();
-                for rid in rids {
-                    if let Some(t) = self.fragment.heap().get(rid) {
-                        // The index narrowed candidates; the residual
-                        // predicate still applies in full.
-                        if compiled(t) {
-                            out.push(t.clone());
-                        }
-                    }
-                }
-                Ok(Relation::new(schema, out))
-            }
-        }
+        ))
     }
 
     /// Open a lowered physical subplan against this fragment as a
@@ -502,8 +502,8 @@ impl Ofm {
     /// consistent however long shipping takes. Batches come out in
     /// whatever physical form the executor produced; callers shipping
     /// across PEs encode them as typed column blocks via
-    /// [`Batch::encode_columnar_shared`], so a batch never pivots to rows
-    /// on its way to the coordinator.
+    /// [`prisma_relalg::Batch::encode_columnar_shared`], so a batch never
+    /// pivots to rows on its way to the coordinator.
     pub fn open_physical(
         &self,
         plan: &PhysicalPlan,
@@ -567,48 +567,6 @@ impl Ofm {
             batched,
         };
         prisma_relalg::open_batches_pooled(plan, &provider, self.pool.clone())
-    }
-
-    /// Execute a lowered physical subplan to completion, returning every
-    /// batch at once in whatever form the executor produced — a
-    /// convenience for embedders and tests; the actor hot path streams
-    /// through [`Ofm::open_physical`] instead.
-    pub fn execute_physical(
-        &self,
-        plan: &PhysicalPlan,
-        extra: &HashMap<String, Arc<Relation>>,
-    ) -> Result<Vec<Batch>> {
-        self.open_physical(plan, extra)?.drain()
-    }
-
-    /// Execute a local logical subplan: lower it and run the physical
-    /// batch pipeline (the reference evaluator is no longer on this path).
-    ///
-    /// Convenience for embedders and tests. Note it lowers with default
-    /// join strategies and deep-copies each `extra` relation into an
-    /// `Arc`; the actor hot path uses [`Ofm::open_physical`] directly
-    /// with pre-shared extras.
-    pub fn execute(
-        &self,
-        plan: &LogicalPlan,
-        extra: &HashMap<String, Relation>,
-    ) -> Result<Relation> {
-        let physical = prisma_relalg::lower(plan)?;
-        let shared: HashMap<String, Arc<Relation>> = extra
-            .iter()
-            .map(|(k, v)| (k.clone(), Arc::new(v.clone())))
-            .collect();
-        let batches = self.execute_physical(&physical, &shared)?;
-        Ok(prisma_relalg::exec::collect_batches(
-            physical.output_schema()?,
-            batches,
-        ))
-    }
-
-    /// The paper's per-OFM transitive-closure operator applied to this
-    /// fragment (must be binary).
-    pub fn transitive_closure(&self) -> Result<Relation> {
-        prisma_relalg::eval::transitive_closure(&self.snapshot())
     }
 
     /// Scan-side seal hook: fold any over-threshold delta into sealed
@@ -767,22 +725,27 @@ mod tests {
             ofm.insert(txn, tuple![i, i * 10]).unwrap();
         }
         ofm.commit(txn).unwrap();
-        let (path, rids) =
-            ofm.plan_selection(&ScalarExpr::eq(ScalarExpr::col(0), ScalarExpr::lit(7)));
+        let (path, rids) = ofm
+            .plan_selection(&ScalarExpr::eq(ScalarExpr::col(0), ScalarExpr::lit(7)))
+            .unwrap();
         assert_eq!(path, AccessPath::HashLookup(0));
         assert_eq!(rids.len(), 1);
-        let (path, rids) = ofm.plan_selection(&ScalarExpr::cmp(
-            CmpOp::Ge,
-            ScalarExpr::col(1),
-            ScalarExpr::lit(950),
-        ));
+        let (path, rids) = ofm
+            .plan_selection(&ScalarExpr::cmp(
+                CmpOp::Ge,
+                ScalarExpr::col(1),
+                ScalarExpr::lit(950),
+            ))
+            .unwrap();
         assert_eq!(path, AccessPath::BTreeRange(0));
         assert_eq!(rids.len(), 5);
-        let (path, rids) = ofm.plan_selection(&ScalarExpr::cmp(
-            CmpOp::Ne,
-            ScalarExpr::col(0),
-            ScalarExpr::lit(7),
-        ));
+        let (path, rids) = ofm
+            .plan_selection(&ScalarExpr::cmp(
+                CmpOp::Ne,
+                ScalarExpr::col(0),
+                ScalarExpr::lit(7),
+            ))
+            .unwrap();
         // No index serves `<>`; how many chunks there are depends on the
         // lane (`SEAL_EVERY`), that each is scanned or pruned does not.
         let AccessPath::ZoneScan {
@@ -798,11 +761,13 @@ mod tests {
         );
         assert_eq!(rids.len(), 99);
         // Reversed operand order still uses the index.
-        let (path, _) = ofm.plan_selection(&ScalarExpr::cmp(
-            CmpOp::Eq,
-            ScalarExpr::lit(7),
-            ScalarExpr::col(0),
-        ));
+        let (path, _) = ofm
+            .plan_selection(&ScalarExpr::cmp(
+                CmpOp::Eq,
+                ScalarExpr::lit(7),
+                ScalarExpr::col(0),
+            ))
+            .unwrap();
         assert_eq!(path, AccessPath::HashLookup(0));
     }
 
@@ -823,7 +788,7 @@ mod tests {
             )
         };
         // A range inside one chunk: the other eight are refuted unread.
-        let (path, rids) = ofm.plan_selection(&between(42, 47));
+        let (path, rids) = ofm.plan_selection(&between(42, 47)).unwrap();
         assert_eq!(
             path,
             AccessPath::ZoneScan {
@@ -835,7 +800,7 @@ mod tests {
         assert!(rids.windows(2).all(|w| w[0] < w[1]), "ascending Rid order");
         // A range only the delta holds (and one nothing holds) reads no chunk.
         for (pred, hits) in [(between(90, 200), 5), (between(500, 600), 0)] {
-            let (path, rids) = ofm.plan_selection(&pred);
+            let (path, rids) = ofm.plan_selection(&pred).unwrap();
             assert_eq!(
                 path,
                 AccessPath::ZoneScan {
@@ -846,8 +811,9 @@ mod tests {
             assert_eq!(rids.len(), hits);
         }
         // A scattered predicate reaches every chunk.
-        let (path, rids) =
-            ofm.plan_selection(&ScalarExpr::eq(ScalarExpr::col(1), ScalarExpr::lit(3)));
+        let (path, rids) = ofm
+            .plan_selection(&ScalarExpr::eq(ScalarExpr::col(1), ScalarExpr::lit(3)))
+            .unwrap();
         assert_eq!(
             path,
             AccessPath::ZoneScan {
@@ -859,63 +825,74 @@ mod tests {
         // Index rules keep their priority over the zone scan.
         ofm.fragment_mut().add_hash_index(vec![0]).unwrap();
         ofm.fragment_mut().add_btree_index(vec![1]).unwrap();
-        let (path, _) =
-            ofm.plan_selection(&ScalarExpr::eq(ScalarExpr::col(0), ScalarExpr::lit(42)));
+        let (path, _) = ofm
+            .plan_selection(&ScalarExpr::eq(ScalarExpr::col(0), ScalarExpr::lit(42)))
+            .unwrap();
         assert_eq!(path, AccessPath::HashLookup(0));
-        let (path, _) = ofm.plan_selection(&ScalarExpr::cmp(
-            CmpOp::Lt,
-            ScalarExpr::col(1),
-            ScalarExpr::lit(2),
-        ));
+        let (path, _) = ofm
+            .plan_selection(&ScalarExpr::cmp(
+                CmpOp::Lt,
+                ScalarExpr::col(1),
+                ScalarExpr::lit(2),
+            ))
+            .unwrap();
         assert_eq!(path, AccessPath::BTreeRange(0));
-        let (path, _) = ofm.plan_selection(&between(42, 47));
+        let (path, _) = ofm.plan_selection(&between(42, 47)).unwrap();
         assert!(matches!(path, AccessPath::ZoneScan { .. }));
     }
 
     #[test]
-    fn select_with_index_matches_full_scan() {
+    fn an_update_that_faults_changes_no_row() {
         let mut ofm = transient();
-        ofm.fragment_mut().add_btree_index(vec![1]).unwrap();
-        let txn = TxnId(1);
-        for i in 0..50 {
-            ofm.insert(txn, tuple![i, i % 7]).unwrap();
+        for (id, amount) in [(1, 5), (2, i64::MAX), (3, 7)] {
+            ofm.insert(TxnId(1), tuple![id, amount]).unwrap();
         }
-        ofm.commit(txn).unwrap();
+        ofm.commit(TxnId(1)).unwrap();
+        let before = ofm.snapshot();
+        let bump = ScalarExpr::arith(
+            prisma_storage::expr::ArithOp::Add,
+            ScalarExpr::col(1),
+            ScalarExpr::lit(1),
+        );
+        let err = ofm
+            .update_where(TxnId(2), &ScalarExpr::lit(true), &[(1, bump)])
+            .unwrap_err();
+        assert!(matches!(err, PrismaError::Arithmetic(_)), "{err}");
+        assert_eq!(ofm.snapshot(), before);
+    }
+
+    #[test]
+    fn delete_with_index_matches_full_scan() {
         let pred = ScalarExpr::and(
             ScalarExpr::cmp(CmpOp::Lt, ScalarExpr::col(1), ScalarExpr::lit(3)),
             ScalarExpr::cmp(CmpOp::Gt, ScalarExpr::col(0), ScalarExpr::lit(10)),
         );
-        let via_index = ofm.select(Some(&pred)).unwrap().canonicalized();
-        // Strip indexes: full scan reference.
-        let mut plain = transient();
-        for t in ofm.snapshot().tuples() {
-            plain.insert(txn, t.clone()).unwrap();
-        }
-        let via_scan = plain.select(Some(&pred)).unwrap().canonicalized();
-        assert_eq!(via_index, via_scan);
-        assert!(!via_index.is_empty());
-    }
-
-    #[test]
-    fn execute_local_plan_with_shipped_build_side() {
-        let mut ofm = transient();
         let txn = TxnId(1);
-        for i in 0..10 {
-            ofm.insert(txn, tuple![i, i]).unwrap();
+        // The same rows with a B-tree that serves the predicate, and
+        // without: the full scan is the reference.
+        let (mut indexed, mut plain) = (transient(), transient());
+        indexed.fragment_mut().add_btree_index(vec![1]).unwrap();
+        for ofm in [&mut indexed, &mut plain] {
+            for i in 0..50 {
+                ofm.insert(txn, tuple![i, i % 7]).unwrap();
+            }
+            ofm.commit(txn).unwrap();
         }
-        ofm.commit(txn).unwrap();
-        let build = Relation::new(
-            Schema::new(vec![Column::new("k", DataType::Int)]),
-            vec![tuple![3], tuple![5]],
+        assert_eq!(
+            indexed.plan_selection(&pred).unwrap().0,
+            AccessPath::BTreeRange(0)
         );
-        let plan = LogicalPlan::scan("acct", ofm.schema().clone()).join(
-            LogicalPlan::scan("build", build.schema().clone()),
-            vec![(0, 0)],
+        assert!(matches!(
+            plain.plan_selection(&pred).unwrap().0,
+            AccessPath::ZoneScan { .. }
+        ));
+        let n = indexed.delete_where(TxnId(2), &pred).unwrap();
+        assert!(n > 0);
+        assert_eq!(plain.delete_where(TxnId(2), &pred).unwrap(), n);
+        assert_eq!(
+            indexed.snapshot().canonicalized(),
+            plain.snapshot().canonicalized()
         );
-        let mut extra = HashMap::new();
-        extra.insert("build".to_owned(), build);
-        let out = ofm.execute(&plan, &extra).unwrap();
-        assert_eq!(out.len(), 2);
     }
 
     #[test]
@@ -1066,21 +1043,5 @@ mod tests {
             .err()
             .expect("the log deletes a tuple the fragment never held");
         assert!(err.to_string().contains("(9, 900)"), "{err}");
-    }
-
-    #[test]
-    fn closure_operator_on_fragment() {
-        let edge_schema = Schema::new(vec![
-            Column::new("src", DataType::Int),
-            Column::new("dst", DataType::Int),
-        ]);
-        let mut ofm = Ofm::new(FragmentId(1), "edge", edge_schema, OfmKind::Transient);
-        let txn = TxnId(1);
-        for (a, b) in [(1, 2), (2, 3)] {
-            ofm.insert(txn, tuple![a, b]).unwrap();
-        }
-        ofm.commit(txn).unwrap();
-        let tc = ofm.transitive_closure().unwrap();
-        assert_eq!(tc.len(), 3);
     }
 }

@@ -2,8 +2,8 @@
 //!
 //! **Victim search.** `UPDATE`/`DELETE` find their victims through zone
 //! maps and vectorized kernels over the sealed chunks. The other path
-//! round the square is a plain heap walk under the compiled row predicate,
-//! kept here as the reference: both must name the same Rids in the same
+//! round the square is a plain heap walk under the interpreter, kept here
+//! as the reference: both must name the same Rids in the same
 //! order, and driving a fragment through either must leave it in the same
 //! state — tuples slot for slot, sealed/delta split, statistics.
 //!
@@ -199,12 +199,12 @@ fn random_predicate(seed: &mut u64, seal_rows: usize, max_id: i64) -> ScalarExpr
     }
 }
 
-/// The reference side of the victim square: a heap walk by pointer.
+/// The reference side of the victim square: a heap walk by pointer,
+/// through the interpreter.
 fn heap_walk(frag: &Fragment, pred: &ScalarExpr) -> Vec<Rid> {
-    let row_pred = pred.compile_predicate();
     frag.heap()
         .iter()
-        .filter(|(_, t)| row_pred(t))
+        .filter(|(_, t)| pred.eval_predicate(t).unwrap())
         .map(|(rid, _)| rid)
         .collect()
 }
@@ -230,8 +230,9 @@ fn assert_same_state(got: &Fragment, want: &Fragment, what: &str) {
 }
 
 proptest! {
-    /// Zone maps + kernels over chunks, then the residual row predicate,
-    /// select exactly the Rids a heap walk selects, in the same order.
+    /// Zone maps + kernels over the chunks and over the delta batch select
+    /// exactly the Rids a heap walk through the interpreter selects, in
+    /// the same order.
     #[test]
     fn victim_search_agrees_with_a_heap_walk(
         seed in 0u64..u64::MAX,
@@ -250,7 +251,7 @@ proptest! {
         let max_id = frag.len() as i64;
         for _ in 0..8 {
             let pred = random_predicate(&mut s, seal_rows, max_id);
-            let scan = frag.zone_scan(&pred);
+            let scan = frag.zone_scan(&pred).unwrap();
             prop_assert_eq!(
                 scan.chunks_scanned + scan.chunks_pruned, frag.sealed_count(),
                 "every chunk is scanned or pruned ({:?}, seed {})", pred, seed
@@ -259,15 +260,8 @@ proptest! {
                 scan.rids.windows(2).all(|w| w[0] < w[1]),
                 "candidates ascend ({:?}, seed {})", pred, seed
             );
-            let row_pred = pred.compile_predicate();
-            let victims: Vec<Rid> = scan
-                .rids
-                .iter()
-                .copied()
-                .filter(|&rid| frag.heap().get(rid).is_some_and(|t| row_pred(t)))
-                .collect();
             prop_assert_eq!(
-                victims, heap_walk(&frag, &pred),
+                &scan.rids, &heap_walk(&frag, &pred),
                 "victims diverged ({:?}, seed {})", pred, seed
             );
         }
@@ -317,10 +311,9 @@ proptest! {
                 let assignments = [(2, bump.clone()), (1, ScalarExpr::lit(grp))];
                 let n = got.update_where(txn, &pred, &assignments).unwrap();
                 prop_assert_eq!(n, victims.len(), "{}", what);
-                let bump = bump.compile();
                 for rid in victims {
                     let old = want.fragment().heap().get(rid).unwrap().clone();
-                    let new = vec![old.get(0).clone(), Value::Int(grp), bump(&old)];
+                    let new = vec![old.get(0).clone(), Value::Int(grp), bump.eval(&old).unwrap()];
                     want.fragment_mut().update(rid, Tuple::new(new)).unwrap();
                 }
             }

@@ -6,7 +6,14 @@
 //! same result as evaluating the plan here against the union of all
 //! fragments (tests enforce this). Keep it simple and obviously correct;
 //! performance work belongs in the physical pipeline.
+//!
+//! Scalar expressions run through the tree-walking interpreter
+//! ([`ScalarExpr::eval`] / [`ScalarExpr::eval_predicate`]), never through
+//! the kernels the executor runs, so a kernel bug cannot hide behind the
+//! oracle. An arithmetic fault on any row the plan shows an expression is
+//! the plan's error.
 
+use prisma_storage::expr::ScalarExpr;
 use prisma_storage::{FastMap, FastSet};
 use prisma_types::{PrismaError, Result, Tuple, Value};
 use std::collections::HashMap;
@@ -137,21 +144,19 @@ fn eval_ctx(plan: &LogicalPlan, ctx: &mut EvalContext<'_>) -> Result<Arc<Relatio
             Arc::new(Relation::new(schema.clone(), rows.clone()))
         }
         LogicalPlan::Select { input, predicate } => {
-            let rel = eval_ctx(input, ctx)?;
-            let pred = predicate.compile_predicate();
-            Arc::new(Relation::new(
-                rel.schema().clone(),
-                rel.tuples().iter().filter(|t| pred(t)).cloned().collect(),
-            ))
+            Arc::new(select(&*eval_ctx(input, ctx)?, predicate)?)
         }
         LogicalPlan::Project { input, exprs, schema } => {
             let rel = eval_ctx(input, ctx)?;
-            let compiled: Vec<_> = exprs.iter().map(|e| e.compile()).collect();
             let tuples = rel
                 .tuples()
                 .iter()
-                .map(|t| Tuple::new(compiled.iter().map(|f| f(t)).collect()))
-                .collect();
+                .map(|t| {
+                    Ok(Tuple::new(
+                        exprs.iter().map(|e| e.eval(t)).collect::<Result<_>>()?,
+                    ))
+                })
+                .collect::<Result<_>>()?;
             Arc::new(Relation::new(schema.clone(), tuples))
         }
         LogicalPlan::Join {
@@ -218,13 +223,7 @@ fn eval_ctx(plan: &LogicalPlan, ctx: &mut EvalContext<'_>) -> Result<Arc<Relatio
             let tc = transitive_closure(&rel)?;
             Arc::new(match seed {
                 None => tc,
-                Some(p) => {
-                    let pred = p.compile_predicate();
-                    Relation::new(
-                        tc.schema().clone(),
-                        tc.tuples().iter().filter(|t| pred(t)).cloned().collect(),
-                    )
-                }
+                Some(p) => select(&tc, p)?,
             })
         }
         LogicalPlan::Fixpoint { name, base, step } => {
@@ -236,41 +235,56 @@ fn eval_ctx(plan: &LogicalPlan, ctx: &mut EvalContext<'_>) -> Result<Arc<Relatio
     })
 }
 
+/// The rows of `rel` that `predicate` keeps.
+fn select(rel: &Relation, predicate: &ScalarExpr) -> Result<Relation> {
+    let mut kept = Vec::new();
+    for t in rel.tuples() {
+        if predicate.eval_predicate(t)? {
+            kept.push(t.clone());
+        }
+    }
+    Ok(Relation::new(rel.schema().clone(), kept))
+}
+
+/// The residual runs over every candidate pair — a semi or anti join does
+/// not stop at a row's first match — so its faults do not depend on the
+/// order of the candidates.
 fn join(
     l: &Relation,
     r: &Relation,
     kind: JoinKind,
     on: &[(usize, usize)],
-    residual: Option<&prisma_storage::expr::ScalarExpr>,
+    residual: Option<&ScalarExpr>,
 ) -> Result<Relation> {
     let out_schema = match kind {
         JoinKind::Inner => l.schema().join(r.schema()),
         JoinKind::Semi | JoinKind::Anti => l.schema().clone(),
     };
-    let pred = residual.map(|p| p.compile_predicate());
     let mut out = Vec::new();
+    // Joins `lt` with each of its candidates under the residual.
+    let mut probe = |lt: &Tuple, candidates: &mut dyn Iterator<Item = &Tuple>| -> Result<()> {
+        let mut matched = false;
+        for rt in candidates {
+            let joined = lt.concat(rt);
+            if residual.map_or(Ok(true), |p| p.eval_predicate(&joined))? {
+                matched = true;
+                if kind == JoinKind::Inner {
+                    out.push(joined);
+                }
+            }
+        }
+        match kind {
+            JoinKind::Semi if matched => out.push(lt.clone()),
+            JoinKind::Anti if !matched => out.push(lt.clone()),
+            _ => {}
+        }
+        Ok(())
+    };
 
     if on.is_empty() {
         // Pure theta join: nested loops.
         for lt in l.tuples() {
-            let mut matched = false;
-            for rt in r.tuples() {
-                let joined = lt.concat(rt);
-                let ok = pred.as_ref().is_none_or(|p| p(&joined));
-                if ok {
-                    matched = true;
-                    if kind == JoinKind::Inner {
-                        out.push(joined);
-                    } else {
-                        break;
-                    }
-                }
-            }
-            match kind {
-                JoinKind::Semi if matched => out.push(lt.clone()),
-                JoinKind::Anti if !matched => out.push(lt.clone()),
-                _ => {}
-            }
+            probe(lt, &mut r.tuples().iter())?;
         }
         return Ok(Relation::new(out_schema, out));
     }
@@ -294,24 +308,7 @@ fn join(
         } else {
             table.get(&key).map(Vec::as_slice).unwrap_or(&[])
         };
-        let mut matched = false;
-        for rt in candidates {
-            let joined = lt.concat(rt);
-            let ok = pred.as_ref().is_none_or(|p| p(&joined));
-            if ok {
-                matched = true;
-                if kind == JoinKind::Inner {
-                    out.push(joined);
-                } else {
-                    break;
-                }
-            }
-        }
-        match kind {
-            JoinKind::Semi if matched => out.push(lt.clone()),
-            JoinKind::Anti if !matched => out.push(lt.clone()),
-            _ => {}
-        }
+        probe(lt, &mut candidates.iter().copied())?;
     }
     Ok(Relation::new(out_schema, out))
 }

@@ -71,13 +71,13 @@
 use std::sync::{Arc, OnceLock};
 
 use prisma_poolx::WorkerPool;
-use prisma_storage::expr::CompiledPredicate;
+use prisma_storage::expr::CompiledVecPredicate;
 use prisma_storage::{FastMap, FastSet, FnvBuild};
 use prisma_types::{ColumnVec, LazyColumns, PrismaError, Result, Schema, SelVec, Tuple, Value};
 
 use crate::agg::AggExpr;
 use crate::eval::{EvalContext, RelationProvider};
-use crate::join::{JoinProbe, JoinTable};
+use crate::join::{self, JoinProbe, JoinTable};
 use crate::morsel::{self, PipelineOp, Source, Stage};
 use crate::physical::PhysicalPlan;
 use crate::plan::JoinKind;
@@ -668,7 +668,7 @@ pub(crate) fn open_with(
             blocking(input, BlockingKind::Sort(keys.clone()), ctx)?
         }
         PhysicalPlan::Closure { input, seed } => {
-            let seed = seed.as_ref().map(|p| p.compile_predicate());
+            let seed = seed.as_ref().map(|p| p.compile_vec_predicate());
             blocking(input, BlockingKind::Closure(seed), ctx)?
         }
         // Bindings change every iteration, so the fixpoint runs eagerly
@@ -686,9 +686,9 @@ pub(crate) fn open_with(
                 } => Box::new(NestedLoopOp {
                     outer: open_with(left, ctx, pool)?,
                     inner: Some(open_with(right, ctx, pool)?),
-                    inner_rows: Vec::new(),
+                    inner_side: (Arc::new(LazyColumns::from_cols(Vec::new())), 0),
                     kind: *kind,
-                    residual: residual.as_ref().map(|p| p.compile_predicate()),
+                    residual: residual.as_ref().map(|p| p.compile_vec_predicate()),
                 }),
                 PhysicalPlan::Union { left, right, all } => Box::new(UnionOp {
                     left: Some(open_with(left, ctx, pool)?),
@@ -924,45 +924,40 @@ pub(crate) fn identity_width(exprs: &[prisma_storage::expr::ScalarExpr]) -> Opti
         .then_some(exprs.len())
 }
 
+/// A theta join: every outer row of a batch pairs with every inner row,
+/// and the pairs go through the hash join's pair step
+/// ([`join::join_pairs`]), residual included.
 struct NestedLoopOp {
     outer: BoxOp,
+    /// The inner side, until the first pull drains it into `inner_side`.
     inner: Option<BoxOp>,
-    inner_rows: Vec<Tuple>,
+    /// The inner side as one column set, and its row count.
+    inner_side: (SharedColumns, usize),
     kind: JoinKind,
-    residual: Option<CompiledPredicate>,
+    residual: Option<CompiledVecPredicate>,
 }
 
 impl Operator for NestedLoopOp {
     fn next_batch(&mut self) -> Result<Option<Batch>> {
         if let Some(mut inner) = self.inner.take() {
-            while let Some(batch) = inner.next_batch()? {
-                self.inner_rows.extend(batch.into_tuples());
-            }
+            self.inner_side = join::concat(&drain(inner.as_mut())?);
         }
+        let (build, rows) = &self.inner_side;
         while let Some(batch) = self.outer.next_batch()? {
-            let mut out = Vec::new();
-            for lt in batch.tuples() {
-                let mut matched = false;
-                for rt in &self.inner_rows {
-                    let joined = lt.concat(rt);
-                    let ok = self.residual.as_ref().is_none_or(|p| p(&joined));
-                    if ok {
-                        matched = true;
-                        if self.kind == JoinKind::Inner {
-                            out.push(joined);
-                        } else {
-                            break;
-                        }
-                    }
-                }
-                match self.kind {
-                    JoinKind::Semi if matched => out.push(lt.clone()),
-                    JoinKind::Anti if !matched => out.push(lt.clone()),
-                    _ => {}
-                }
+            if batch.is_empty() {
+                continue;
             }
-            if !out.is_empty() {
-                return Ok(Some(Batch::owned(out)));
+            let (cols, sel) = batch.to_columns();
+            let li = sel
+                .iter()
+                .flat_map(|l| std::iter::repeat_n(l as u32, *rows))
+                .collect();
+            let ri = (0..sel.count()).flat_map(|_| 0..*rows as u32).collect();
+            let residual = self.residual.as_mut();
+            if let Some(out) =
+                join::join_pairs(&batch, (cols, sel), build, (li, ri), self.kind, residual)?
+            {
+                return Ok(Some(out));
             }
         }
         Ok(None)
@@ -1115,7 +1110,7 @@ enum BlockingKind {
     },
     Sort(Vec<(usize, bool)>),
     /// The seeded transitive closure ([`closure`]).
-    Closure(Option<CompiledPredicate>),
+    Closure(Option<CompiledVecPredicate>),
 }
 
 impl Blocking {
@@ -1134,8 +1129,8 @@ impl Blocking {
             BlockingKind::Sort(keys) => {
                 return Ok(materialize(input.as_mut(), schema)?.sorted_by(&keys))
             }
-            BlockingKind::Closure(seed) => {
-                closure(&materialize(input.as_mut(), schema.clone())?, seed.as_ref())?
+            BlockingKind::Closure(mut seed) => {
+                closure(materialize(input.as_mut(), schema.clone())?, seed.as_mut())?
             }
         };
         Ok(Relation::new(schema, rows))
@@ -1144,18 +1139,31 @@ impl Blocking {
 
 /// The seeded semi-naive transitive closure: σ_seed(TC(edges)) without
 /// computing TC(edges). The adjacency is built once; the first delta is
-/// the edges whose source passes the seed, and a step keeps each pair's
-/// source, so the loop derives exactly the pairs reachable from a seeded
-/// source — in the order the unseeded closure would derive them. A NULL
-/// node has no successors (the equi-join rule).
-fn closure(edges: &Relation, seed: Option<&CompiledPredicate>) -> Result<Vec<Tuple>> {
+/// the edges whose source passes the seed — one kernel run over the edge
+/// batch — and a step keeps each pair's source, so the loop derives
+/// exactly the pairs reachable from a seeded source — in the order the
+/// unseeded closure would derive them. A NULL node has no successors (the
+/// equi-join rule).
+fn closure(edges: Relation, seed: Option<&mut CompiledVecPredicate>) -> Result<Vec<Tuple>> {
     if edges.schema().arity() != 2 {
         return Err(PrismaError::Execution(format!(
             "closure over arity-{} relation",
             edges.schema().arity()
         )));
     }
-    let edges = edges.tuples();
+    let edges = Arc::new(edges.into_tuples());
+    let seeded = match seed {
+        Some(seed) if !edges.is_empty() => {
+            let mut kept = Vec::new();
+            seed.select(
+                &LazyColumns::from_rows(Arc::clone(&edges)),
+                &SelVec::all(edges.len()),
+                &mut kept,
+            )?;
+            SelVec::from_indices(edges.len(), kept)
+        }
+        _ => SelVec::all(edges.len()),
+    };
     let mut adj: FastMap<&Value, Vec<&Value>> = FastMap::default();
     for t in edges.iter().filter(|t| !t.get(0).is_null()) {
         adj.entry(t.get(0)).or_default().push(t.get(1));
@@ -1163,9 +1171,9 @@ fn closure(edges: &Relation, seed: Option<&CompiledPredicate>) -> Result<Vec<Tup
     let mut seen: FastSet<(&Value, &Value)> = FastSet::default();
     let mut delta: Vec<(&Value, &Value)> = Vec::new();
     let mut out: Vec<Tuple> = Vec::new();
-    for t in edges {
+    for t in seeded.iter().map(|i| &edges[i]) {
         let pair = (t.get(0), t.get(1));
-        if seed.is_none_or(|p| p(t)) && seen.insert(pair) {
+        if seen.insert(pair) {
             delta.push(pair);
             out.push(t.clone());
         }

@@ -19,7 +19,9 @@
 //!    sides: a column is gathered the first time something references it,
 //!    so a projection above the join pays only for the columns it keeps,
 //!    and a residual predicate runs vectorized over the candidates. Semi
-//!    and anti joins only refine the probe batch's selection.
+//!    and anti joins only refine the probe batch's selection. The theta
+//!    join (`NestedLoopOp`) hands its cross-product pairs to the same
+//!    step ([`join_pairs`]).
 //!
 //! [`Tuple`]: prisma_types::Tuple
 
@@ -124,7 +126,7 @@ impl JoinTable {
 
 /// The build side as one column set (see [`JoinTable::cols`]) and its
 /// row count.
-fn concat(batches: &[Batch]) -> (SharedColumns, usize) {
+pub(crate) fn concat(batches: &[Batch]) -> (SharedColumns, usize) {
     let batches: Vec<&Batch> = batches.iter().filter(|b| !b.is_empty()).collect();
     if batches.iter().all(|b| b.row_slice().is_some()) {
         let rows: Vec<_> = batches.iter().flat_map(|b| b.tuples()).cloned().collect();
@@ -170,9 +172,9 @@ impl JoinProbe {
     }
 
     /// Join one probe batch; `None` when it yields no row.
-    pub(crate) fn probe(&mut self, batch: &Batch) -> Option<Batch> {
+    pub(crate) fn probe(&mut self, batch: &Batch) -> Result<Option<Batch>> {
         if batch.is_empty() {
-            return None; // (and an empty row batch has no columns to hash)
+            return Ok(None); // (and an empty row batch has no columns to hash)
         }
         let table = &*self.table;
         let (cols, sel) = batch.to_columns();
@@ -199,42 +201,75 @@ impl JoinProbe {
             }
             cols.col(l).retain_equal(&mut li, table.cols.col(r), &mut ri);
         }
-        let (li, pairs) = (Arc::new(li), ri.len());
-        let inner = self.kind == JoinKind::Inner;
-        // The candidate pairs as joined rows — the inner join's output, and
-        // what a residual is evaluated over. Nothing is gathered yet.
-        let joined = (pairs > 0 && (inner || self.residual.is_some())).then(|| {
-            let sides = vec![(Arc::clone(&cols), Arc::clone(&li)), (Arc::clone(&table.cols), Arc::new(ri))];
-            Arc::new(LazyColumns::gathered(sides))
-        });
-        // The pairs (by position) that pass the residual; `None` = all.
-        let passing = self.residual.as_mut().zip(joined.as_ref()).map(|(residual, joined)| {
-            let mut kept = Vec::new();
-            residual.select(joined, &SelVec::all(pairs), &mut kept);
-            kept
-        });
-        if inner {
-            let kept = passing.map_or(SelVec::all(pairs), |kept| SelVec::from_indices(pairs, kept));
-            return joined.filter(|_| !kept.is_empty()).map(|joined| Batch::columns_shared(joined, kept));
-        }
-        // Semi / anti: the probe batch under a refined selection — the
-        // probe rows (ascending) that some passing pair names.
-        let mut matched: Vec<u32> = match passing {
-            Some(kept) => kept.iter().map(|&k| li[k as usize]).collect(),
-            None => Arc::unwrap_or_clone(li),
-        };
-        matched.dedup();
-        let kept: Vec<u32> = if self.kind == JoinKind::Semi {
-            matched
-        } else if matched.is_empty() {
-            return Some(batch.clone());
-        } else {
-            let mut hit = matched.iter().peekable();
-            sel.iter()
-                .map(|row| row as u32)
-                .filter(|row| hit.next_if_eq(&row).is_none())
-                .collect()
-        };
-        (!kept.is_empty()).then(|| Batch::columns_shared(cols, SelVec::from_indices(sel.len(), kept)))
+        join_pairs(
+            batch,
+            (cols, sel),
+            &table.cols,
+            (li, ri),
+            self.kind,
+            self.residual.as_mut(),
+        )
     }
+}
+
+/// The join's output for a probe `batch` (its columns and selection as
+/// `probe`) and its candidate pairs against `build`: probe row `li[k]`
+/// with build row `ri[k]`. That is the inner join's pairs that pass the
+/// residual, or the probe batch under the rows some passing pair names
+/// (semi) or none does (anti). The residual runs over every pair; `None`
+/// when no row comes out.
+pub(crate) fn join_pairs(
+    batch: &Batch,
+    (cols, sel): (SharedColumns, SelVec),
+    build: &SharedColumns,
+    (li, ri): (Vec<u32>, Vec<u32>),
+    kind: JoinKind,
+    residual: Option<&mut CompiledVecPredicate>,
+) -> Result<Option<Batch>> {
+    let (li, pairs) = (Arc::new(li), ri.len());
+    let inner = kind == JoinKind::Inner;
+    // The candidate pairs as joined rows — the inner join's output, and
+    // what a residual is evaluated over. Nothing is gathered yet.
+    let joined = (pairs > 0 && (inner || residual.is_some())).then(|| {
+        let sides = vec![
+            (Arc::clone(&cols), Arc::clone(&li)),
+            (Arc::clone(build), Arc::new(ri)),
+        ];
+        Arc::new(LazyColumns::gathered(sides))
+    });
+    // The pairs (by position) that pass the residual; `None` = all.
+    let passing = match residual.zip(joined.as_ref()) {
+        Some((residual, joined)) => {
+            let mut kept = Vec::new();
+            residual.select(joined, &SelVec::all(pairs), &mut kept)?;
+            Some(kept)
+        }
+        None => None,
+    };
+    if inner {
+        let kept = passing.map_or(SelVec::all(pairs), |kept| SelVec::from_indices(pairs, kept));
+        return Ok(joined
+            .filter(|_| !kept.is_empty())
+            .map(|joined| Batch::columns_shared(joined, kept)));
+    }
+    // Semi / anti: the probe batch under a refined selection — the
+    // probe rows (ascending) that some passing pair names.
+    let mut matched: Vec<u32> = match passing {
+        Some(kept) => kept.iter().map(|&k| li[k as usize]).collect(),
+        None => Arc::unwrap_or_clone(li),
+    };
+    matched.dedup();
+    let kept: Vec<u32> = if kind == JoinKind::Semi {
+        matched
+    } else if matched.is_empty() {
+        return Ok(Some(batch.clone()));
+    } else {
+        let mut hit = matched.iter().peekable();
+        sel.iter()
+            .map(|row| row as u32)
+            .filter(|row| hit.next_if_eq(&row).is_none())
+            .collect()
+    };
+    Ok((!kept.is_empty())
+        .then(|| Batch::columns_shared(cols, SelVec::from_indices(sel.len(), kept))))
 }

@@ -196,7 +196,7 @@ impl Operator for PipelineOp {
     fn next_batch(&mut self) -> Result<Option<Batch>> {
         let Some(pool) = &self.pool else {
             while let Some(batch) = self.source.next_batch()? {
-                if let Some(out) = run_stages(batch, &mut self.stages) {
+                if let Some(out) = run_stages(batch, &mut self.stages)? {
                     return Ok(Some(out));
                 }
             }
@@ -221,9 +221,9 @@ impl Operator for PipelineOp {
             let (wave, projection, stages) =
                 (&units[*next..end], projection.as_deref(), &self.stages);
             *next = end;
-            let out = pool_map(pool, wave, |unit| {
+            let out = pool_map(pool, wave, |unit| -> Result<Option<Batch>> {
                 if unit.len() == 0 {
-                    return None;
+                    return Ok(None);
                 }
                 let mut stages = stages.to_vec();
                 let out = run_stages(unit.batch(projection), &mut stages)?;
@@ -231,29 +231,32 @@ impl Operator for PipelineOp {
                 // the wire or to a row pivot, which read every column:
                 // gather them here, on the worker, not on the thread that
                 // drains the stream.
-                if let Some(Stage::Probe(_)) = stages.last() {
+                if let (Some(out), Some(Stage::Probe(_))) = (&out, stages.last()) {
                     out.to_columns().0.force_gathers();
                 }
-                Some(out)
+                Ok(out)
             });
-            self.ready.extend(out.into_iter().flatten());
+            // The first fault in unit order, as inline execution meets it.
+            for out in out {
+                self.ready.extend(out?);
+            }
         }
     }
 }
 
 /// Push one source batch through the stages — the one Filter/Project/probe
 /// kernel, inline and on the pool alike. `None` when no row survives.
-fn run_stages(mut batch: Batch, stages: &mut [Stage]) -> Option<Batch> {
+fn run_stages(mut batch: Batch, stages: &mut [Stage]) -> Result<Option<Batch>> {
     for stage in stages {
         if batch.is_empty() {
-            return None;
+            return Ok(None);
         }
         match stage {
             Stage::Filter { pred, kept } => {
                 let (cols, sel) = batch.to_columns();
-                pred.select(&cols, &sel, kept);
+                pred.select(&cols, &sel, kept)?;
                 if kept.is_empty() {
-                    return None;
+                    return Ok(None);
                 }
                 // The output shares the input's columns; only the compact
                 // index vector that escapes inside it is allocated — and
@@ -272,13 +275,16 @@ fn run_stages(mut batch: Batch, stages: &mut [Stage]) -> Option<Batch> {
                     }
                 }
                 let (cols, sel) = batch.to_columns();
-                let out: Vec<_> = exprs.iter().map(|e| e.eval(&cols, &sel)).collect();
-                batch = Batch::columns(out, SelVec::all(sel.count()));
+                let out: Result<_> = exprs.iter().map(|e| e.eval(&cols, &sel)).collect();
+                batch = Batch::columns(out?, SelVec::all(sel.count()));
             }
-            Stage::Probe(kernel) => batch = kernel.probe(&batch)?,
+            Stage::Probe(kernel) => match kernel.probe(&batch)? {
+                Some(out) => batch = out,
+                None => return Ok(None),
+            },
         }
     }
-    (!batch.is_empty()).then_some(batch)
+    Ok((!batch.is_empty()).then_some(batch))
 }
 
 /// Run a hash aggregate over `input`: inline, one [`GroupTable`] folds the

@@ -118,7 +118,7 @@ pub enum PhysicalPlan {
         /// The rows.
         rows: Vec<Tuple>,
     },
-    /// σ with a compiled predicate.
+    /// σ, run by the predicate kernel.
     Filter {
         /// Input operator.
         input: Box<PhysicalPlan>,

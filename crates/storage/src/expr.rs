@@ -1,16 +1,24 @@
-//! Scalar expressions: AST, type checker, interpreter, and the **expression
-//! compiler**.
+//! Scalar expressions: AST, type checker, the interpreter, and the
+//! **expression compiler** — column-at-a-time kernels.
 //!
 //! Paper §2.5: "each OFM is equipped with an expression compiler to
 //! generate routines dynamically. … it avoids the otherwise excessive
 //! interpretation overhead incurred by a query expression interpreter."
 //!
-//! PRISMA generated POOL-X code at run time; the closest safe-Rust
-//! equivalent is **closure composition**: [`ScalarExpr::compile`] folds the
-//! AST once into a tree of `Box<dyn Fn>` whose evaluation performs no
-//! enum-discriminant dispatch, no column re-resolution and no Result
-//! plumbing on the hot path. [`ScalarExpr::eval`] is the tree-walking
-//! interpreter kept as the baseline; experiment E5 measures the gap.
+//! PRISMA generated POOL-X code at run time. Here the compiler is
+//! [`ScalarExpr::compile_vec`] / [`ScalarExpr::compile_vec_predicate`]:
+//! kernels that dispatch on operand column types once per batch and then
+//! run typed loops. Every executor path evaluates through them.
+//! [`ScalarExpr::eval`] is the tree-walking interpreter; only the
+//! reference evaluator (`relalg::eval`) and the planners' constant folding
+//! use it, so the oracle shares no evaluation code with what it checks.
+//!
+//! **One arithmetic rule** holds in both: i64 overflow (`+ - *`, unary
+//! minus) and integer `/` or `%` by zero (and `i64::MIN / -1`) raise
+//! [`PrismaError::Arithmetic`]; Double arithmetic is IEEE. **One stop
+//! rule**: a predicate's top-level conjuncts run left to right, and a row
+//! one of them rejects (FALSE or NULL) is not shown to the later ones.
+//! Everything else — nested AND/OR/NOT, projections — is strict.
 
 use std::fmt;
 use std::sync::Arc;
@@ -118,12 +126,6 @@ pub enum ScalarExpr {
     /// Unary minus.
     Neg(Box<ScalarExpr>),
 }
-
-/// A compiled scalar routine: tuple in, value out.
-pub type CompiledExpr = Arc<dyn Fn(&Tuple) -> Value + Send + Sync>;
-/// A compiled predicate routine: tuple in, keep/drop out (SQL semantics —
-/// NULL/unknown filters the row out).
-pub type CompiledPredicate = Arc<dyn Fn(&Tuple) -> bool + Send + Sync>;
 
 impl ScalarExpr {
     // ---------- constructors (builder helpers for tests & front ends) ----
@@ -257,9 +259,9 @@ impl ScalarExpr {
     /// Static type of the expression against `schema`.
     ///
     /// Comparisons and boolean connectives yield `Bool`; arithmetic yields
-    /// `Int` unless either side is `Double`. Type errors (comparing string
-    /// to int, arithmetic on bool, ...) are rejected here, before any tuple
-    /// is touched.
+    /// `Int` unless either side is `Double`, and `%` takes Int operands
+    /// only. Type errors (comparing string to int, arithmetic on bool, ...)
+    /// are rejected here, before any tuple is touched.
     pub fn check(&self, schema: &Schema) -> Result<DataType> {
         match self {
             ScalarExpr::Col(i) => schema
@@ -285,6 +287,11 @@ impl ScalarExpr {
                     )));
                 }
                 if lt == DataType::Double || rt == DataType::Double {
+                    if *op == ArithOp::Rem {
+                        return Err(PrismaError::ExprType(format!(
+                            "% needs Int operands, got {lt} and {rt}"
+                        )));
+                    }
                     Ok(DataType::Double)
                 } else {
                     Ok(DataType::Int)
@@ -322,11 +329,13 @@ impl ScalarExpr {
         }
     }
 
-    // ---------- the interpreter (baseline for E5) ----------
+    // ---------- the interpreter (the oracle's evaluator) ----------
 
     /// Tree-walking evaluation: one enum dispatch per node per tuple.
     /// NULL propagates through comparisons and arithmetic; AND/OR use
-    /// Kleene three-valued logic represented as `Value::Null` = unknown.
+    /// Kleene three-valued logic represented as `Value::Null` = unknown,
+    /// and are strict: both sides are evaluated, and either side's fault
+    /// is the result.
     pub fn eval(&self, tuple: &Tuple) -> Result<Value> {
         Ok(match self {
             ScalarExpr::Col(i) => tuple.get(*i).clone(),
@@ -356,139 +365,39 @@ impl ScalarExpr {
                 }
             },
             ScalarExpr::IsNull(e) => Value::Bool(e.eval(tuple)?.is_null()),
-            ScalarExpr::Neg(e) => match e.eval(tuple)? {
-                Value::Null => Value::Null,
-                Value::Int(i) => Value::Int(i.checked_neg().ok_or_else(|| {
-                    PrismaError::Arithmetic("negation overflow".into())
-                })?),
-                Value::Double(d) => Value::Double(-d),
-                other => return Err(PrismaError::ExprType(format!("unary minus over {other}"))),
-            },
+            ScalarExpr::Neg(e) => neg_value(e.eval(tuple)?)?,
         })
     }
 
-    /// Evaluate as a filter predicate: unknown (NULL) rejects the row.
+    /// Evaluate as a filter predicate: unknown (NULL) rejects the row. The
+    /// top-level conjuncts run left to right, and a conjunct that rejects
+    /// the row ends the evaluation — the stop rule the predicate kernels
+    /// follow by narrowing their selection factor by factor.
     pub fn eval_predicate(&self, tuple: &Tuple) -> Result<bool> {
-        Ok(matches!(self.eval(tuple)?, Value::Bool(true)))
-    }
-
-    // ---------- the compiler (paper §2.5) ----------
-
-    /// Compile to a closure tree. The expression must already type-check:
-    /// compiled routines omit the checks the interpreter performs per
-    /// tuple (that is the point), so runtime type surprises degrade to
-    /// NULL rather than error.
-    pub fn compile(&self) -> CompiledExpr {
         match self {
-            ScalarExpr::Col(i) => {
-                let i = *i;
-                Arc::new(move |t| t.get(i).clone())
-            }
-            ScalarExpr::Lit(v) => {
-                let v = v.clone();
-                Arc::new(move |_| v.clone())
-            }
-            ScalarExpr::Cmp(op, l, r) => compile_cmp(*op, l, r),
-            ScalarExpr::Arith(op, l, r) => {
-                let (op, lf, rf) = (*op, l.compile(), r.compile());
-                Arc::new(move |t| {
-                    let (a, b) = (lf(t), rf(t));
-                    if a.is_null() || b.is_null() {
-                        return Value::Null;
-                    }
-                    apply_arith(op, &a, &b).unwrap_or(Value::Null)
-                })
-            }
-            ScalarExpr::And(l, r) => {
-                let (lf, rf) = (l.compile(), r.compile());
-                Arc::new(move |t| kleene_and(lf(t), rf(t)))
-            }
-            ScalarExpr::Or(l, r) => {
-                let (lf, rf) = (l.compile(), r.compile());
-                Arc::new(move |t| kleene_or(lf(t), rf(t)))
-            }
-            ScalarExpr::Not(e) => {
-                let f = e.compile();
-                Arc::new(move |t| match f(t) {
-                    Value::Bool(b) => Value::Bool(!b),
-                    _ => Value::Null,
-                })
-            }
-            ScalarExpr::IsNull(e) => {
-                let f = e.compile();
-                Arc::new(move |t| Value::Bool(f(t).is_null()))
-            }
-            ScalarExpr::Neg(e) => {
-                let f = e.compile();
-                Arc::new(move |t| match f(t) {
-                    Value::Int(i) => i.checked_neg().map(Value::Int).unwrap_or(Value::Null),
-                    Value::Double(d) => Value::Double(-d),
-                    _ => Value::Null,
-                })
-            }
+            ScalarExpr::And(l, r) => Ok(l.eval_predicate(tuple)? && r.eval_predicate(tuple)?),
+            _ => Ok(matches!(self.eval(tuple)?, Value::Bool(true))),
         }
     }
 
-    /// Compile to a boolean filter routine (unknown rejects).
-    ///
-    /// Fast paths: the very common shapes `col <op> literal` and
-    /// `col <op> col` compile to closures that read the column slots
-    /// directly with zero intermediate `Value` clones — this is where the
-    /// interpretation overhead the paper talks about actually goes away.
-    pub fn compile_predicate(&self) -> CompiledPredicate {
-        // Fast path: Cmp(col, lit) / Cmp(lit, col) / Cmp(col, col).
-        if let ScalarExpr::Cmp(op, l, r) = self {
-            match (l.as_ref(), r.as_ref()) {
-                (ScalarExpr::Col(i), ScalarExpr::Lit(v)) if !v.is_null() => {
-                    let (i, v, op) = (*i, v.clone(), *op);
-                    return Arc::new(move |t| {
-                        t.get(i).sql_cmp(&v).map(|o| op.test(o)).unwrap_or(false)
-                    });
-                }
-                (ScalarExpr::Lit(v), ScalarExpr::Col(i)) if !v.is_null() => {
-                    let (i, v, op) = (*i, v.clone(), op.flip());
-                    return Arc::new(move |t| {
-                        t.get(i).sql_cmp(&v).map(|o| op.test(o)).unwrap_or(false)
-                    });
-                }
-                (ScalarExpr::Col(i), ScalarExpr::Col(j)) => {
-                    let (i, j, op) = (*i, *j, *op);
-                    return Arc::new(move |t| {
-                        t.get(i)
-                            .sql_cmp(t.get(j))
-                            .map(|o| op.test(o))
-                            .unwrap_or(false)
-                    });
-                }
-                _ => {}
-            }
-        }
-        // Fast path: conjunction of two compiled predicates short-circuits.
-        if let ScalarExpr::And(l, r) = self {
-            let (lf, rf) = (l.compile_predicate(), r.compile_predicate());
-            return Arc::new(move |t| lf(t) && rf(t));
-        }
-        let f = self.compile();
-        Arc::new(move |t| matches!(f(t), Value::Bool(true)))
+    /// Whether evaluating the expression can fault: only arithmetic and
+    /// unary minus can.
+    fn can_fault(&self) -> bool {
+        let mut faults = false;
+        self.visit(&mut |e| faults |= matches!(e, ScalarExpr::Arith(..) | ScalarExpr::Neg(_)));
+        faults
     }
 
-    // ---------- the vectorized compiler (column-at-a-time) ----------
+    // ---------- the expression compiler (paper §2.5) ----------
 
-    /// Compile to a column-at-a-time kernel tree. Where [`compile`]
-    /// produces one closure invoked per tuple, the vectorized form
-    /// dispatches on operand *column* types once per batch and then runs
-    /// typed loops over `&[i64]` / `&[f64]` payloads — no per-row virtual
-    /// call and no per-row [`Value`] construction on the numeric paths.
-    /// Mixed-type and string operands fall back to element-wise `Value`
-    /// semantics, so results always agree with [`ScalarExpr::compile`]
-    /// (NULL propagation identical to [`ScalarExpr::eval`]; arithmetic
-    /// faults degrade to NULL exactly like the scalar compiler).
-    ///
-    /// [`compile`]: ScalarExpr::compile
+    /// Compile to a column-at-a-time kernel. It dispatches on operand
+    /// *column* types once per node and batch, then runs typed loops over
+    /// `&[i64]` / `&[f64]` payloads — no per-row virtual call and no
+    /// per-row [`Value`] construction on the numeric paths. Mixed-type and
+    /// string operands fall back to element-wise `Value` semantics. Values
+    /// and faults agree with [`ScalarExpr::eval`] row by row.
     pub fn compile_vec(&self) -> CompiledVecExpr {
-        CompiledVecExpr {
-            node: VecNode::from_expr(self),
-        }
+        CompiledVecExpr { expr: self.clone() }
     }
 
     /// Compile to a vectorized filter that refines a [`SelVec`] instead of
@@ -510,17 +419,6 @@ impl ScalarExpr {
     }
 }
 
-fn compile_cmp(op: CmpOp, l: &ScalarExpr, r: &ScalarExpr) -> CompiledExpr {
-    let (lf, rf) = (l.compile(), r.compile());
-    Arc::new(move |t| {
-        let (a, b) = (lf(t), rf(t));
-        match a.sql_cmp(&b) {
-            None => Value::Null,
-            Some(ord) => Value::Bool(op.test(ord)),
-        }
-    })
-}
-
 fn apply_arith(op: ArithOp, a: &Value, b: &Value) -> Result<Value> {
     let res = match op {
         ArithOp::Add => a.add(b),
@@ -529,7 +427,26 @@ fn apply_arith(op: ArithOp, a: &Value, b: &Value) -> Result<Value> {
         ArithOp::Div => a.div(b),
         ArithOp::Rem => a.rem(b),
     };
-    res.ok_or_else(|| PrismaError::Arithmetic(format!("{a} {op} {b}")))
+    res.ok_or_else(|| arith_fault(op, a, b))
+}
+
+/// The fault of `a op b`, as both evaluators report it.
+fn arith_fault(op: ArithOp, a: &Value, b: &Value) -> PrismaError {
+    PrismaError::Arithmetic(format!("{a} {op} {b}"))
+}
+
+/// The fault of `-i`, as both evaluators report it.
+fn neg_fault(i: i64) -> PrismaError {
+    PrismaError::Arithmetic(format!("-({i})"))
+}
+
+fn neg_value(v: Value) -> Result<Value> {
+    match v {
+        Value::Null => Ok(Value::Null),
+        Value::Int(i) => i.checked_neg().map(Value::Int).ok_or_else(|| neg_fault(i)),
+        Value::Double(d) => Ok(Value::Double(-d)),
+        other => Err(PrismaError::ExprType(format!("unary minus over {other}"))),
+    }
 }
 
 fn kleene_and(a: Value, b: Value) -> Value {
@@ -548,22 +465,23 @@ fn kleene_or(a: Value, b: Value) -> Value {
     }
 }
 
-// =================== vectorized kernels ===================
+// =================== the kernels ===================
 
 /// A compiled vectorized expression: batch columns + selection in,
 /// *compacted* result column out (`len == sel.count()`, rows in selection
-/// order). Shareable across threads like [`CompiledExpr`].
+/// order). Shareable across threads.
 #[derive(Debug, Clone)]
 pub struct CompiledVecExpr {
-    node: VecNode,
+    expr: ScalarExpr,
 }
 
 impl CompiledVecExpr {
     /// Evaluate over the selected rows of a batch's columns. Only the
     /// columns the kernel tree references are ever materialized — the
-    /// lazy set pivots per column on first access.
-    pub fn eval(&self, cols: &LazyColumns, sel: &SelVec) -> Arc<ColumnVec> {
-        self.node.eval(cols, SelView::from(sel))
+    /// lazy set pivots per column on first access. An arithmetic fault on
+    /// any selected row fails the batch.
+    pub fn eval(&self, cols: &LazyColumns, sel: &SelVec) -> Result<Arc<ColumnVec>> {
+        self.expr.eval_columns(cols, SelView::from(sel))
     }
 }
 
@@ -591,22 +509,24 @@ impl Clone for CompiledVecPredicate {
 impl CompiledVecPredicate {
     /// Append to `out` (cleared first) the row indices within `sel` that
     /// satisfy the predicate, in ascending order. NULL/unknown rejects.
-    pub fn select(&mut self, cols: &LazyColumns, sel: &SelVec, out: &mut Vec<u32>) {
+    /// Each factor sees only the rows the factors before it kept (the stop
+    /// rule); an arithmetic fault on a row a factor sees fails the batch.
+    pub fn select(&mut self, cols: &LazyColumns, sel: &SelVec, out: &mut Vec<u32>) -> Result<()> {
         out.clear();
-        let mut first = true;
-        for f in &self.factors {
-            if first {
-                f.filter(cols, SelView::from(sel), out);
-                first = false;
-            } else {
-                self.tmp.clear();
-                f.filter(cols, SelView::Idx(out), &mut self.tmp);
-                std::mem::swap(out, &mut self.tmp);
-            }
+        let (first, rest) = self
+            .factors
+            .split_first()
+            .expect("a conjunction has a factor");
+        first.filter(cols, SelView::from(sel), out)?;
+        for f in rest {
             if out.is_empty() {
-                return;
+                break;
             }
+            self.tmp.clear();
+            f.filter(cols, SelView::Idx(out), &mut self.tmp)?;
+            std::mem::swap(out, &mut self.tmp);
         }
+        Ok(())
     }
 }
 
@@ -626,7 +546,10 @@ impl CompiledVecPredicate {
 /// understand can only cause a chunk to be scanned, never skipped. A single
 /// refuted factor refutes the chunk: under Kleene AND a false (or NULL)
 /// factor makes the conjunction false-or-NULL for every row, and SQL filter
-/// semantics reject both.
+/// semantics reject both. Rules come only from the factors before the
+/// first one that can fault: under the stop rule a row reaches that factor
+/// unless an earlier factor rejects it, so skipping a chunk never hides a
+/// fault the kernel would raise.
 ///
 /// Soundness leans on the same total order the kernels use: zone `min`/
 /// `max` are under [`Value::total_cmp`], the vectorized comparison loops
@@ -652,6 +575,9 @@ impl ZoneRefuter {
     pub fn compile(pred: &ScalarExpr) -> ZoneRefuter {
         let mut rules = Vec::new();
         for factor in pred.clone().split_conjunction() {
+            if factor.can_fault() {
+                break;
+            }
             match factor {
                 // A literal factor other than TRUE rejects every row
                 // (false and NULL directly; non-bool folds to NULL under
@@ -765,72 +691,32 @@ impl<'a> SelView<'a> {
     }
 }
 
-/// The kernel tree behind [`CompiledVecExpr`]. Binary nodes evaluate both
-/// children to compacted columns and combine them with a typed loop; a
-/// `Col` leaf under a full selection is a refcount bump, never a copy.
-#[derive(Debug, Clone)]
-enum VecNode {
-    Col(usize),
-    Lit(Value),
-    Cmp(CmpOp, Box<VecNode>, Box<VecNode>),
-    Arith(ArithOp, Box<VecNode>, Box<VecNode>),
-    And(Box<VecNode>, Box<VecNode>),
-    Or(Box<VecNode>, Box<VecNode>),
-    Not(Box<VecNode>),
-    IsNull(Box<VecNode>),
-    Neg(Box<VecNode>),
-}
-
-impl VecNode {
-    fn from_expr(e: &ScalarExpr) -> VecNode {
-        match e {
-            ScalarExpr::Col(i) => VecNode::Col(*i),
-            ScalarExpr::Lit(v) => VecNode::Lit(v.clone()),
-            ScalarExpr::Cmp(op, l, r) => {
-                VecNode::Cmp(*op, Box::new(Self::from_expr(l)), Box::new(Self::from_expr(r)))
+impl ScalarExpr {
+    /// The kernel behind [`CompiledVecExpr`]: the expression evaluated a
+    /// column at a time over the selected rows. A binary node evaluates
+    /// both children to compacted columns — strictly, like the
+    /// interpreter, the left one first — and combines them with a typed
+    /// loop; a `Col` leaf under a full selection is a refcount bump, never
+    /// a copy.
+    fn eval_columns(&self, cols: &LazyColumns, sel: SelView<'_>) -> Result<Arc<ColumnVec>> {
+        use ScalarExpr as E;
+        let kernel = |e: &ScalarExpr| e.eval_columns(cols, sel);
+        Ok(Arc::new(match self {
+            E::Col(i) => {
+                return Ok(match sel {
+                    SelView::All(_) => Arc::clone(cols.col(*i)),
+                    SelView::Idx(ix) => Arc::new(cols.col(*i).gather(ix)),
+                })
             }
-            ScalarExpr::Arith(op, l, r) => {
-                VecNode::Arith(*op, Box::new(Self::from_expr(l)), Box::new(Self::from_expr(r)))
-            }
-            ScalarExpr::And(l, r) => {
-                VecNode::And(Box::new(Self::from_expr(l)), Box::new(Self::from_expr(r)))
-            }
-            ScalarExpr::Or(l, r) => {
-                VecNode::Or(Box::new(Self::from_expr(l)), Box::new(Self::from_expr(r)))
-            }
-            ScalarExpr::Not(x) => VecNode::Not(Box::new(Self::from_expr(x))),
-            ScalarExpr::IsNull(x) => VecNode::IsNull(Box::new(Self::from_expr(x))),
-            ScalarExpr::Neg(x) => VecNode::Neg(Box::new(Self::from_expr(x))),
-        }
-    }
-
-    fn eval(&self, cols: &LazyColumns, sel: SelView<'_>) -> Arc<ColumnVec> {
-        match self {
-            VecNode::Col(i) => match sel {
-                SelView::All(_) => Arc::clone(cols.col(*i)),
-                SelView::Idx(ix) => Arc::new(cols.col(*i).gather(ix)),
-            },
-            VecNode::Lit(v) => Arc::new(const_column(v, sel.count())),
-            VecNode::Cmp(op, l, r) => {
-                let (a, b) = (l.eval(cols, sel), r.eval(cols, sel));
-                Arc::new(cmp_columns(*op, &a, &b))
-            }
-            VecNode::Arith(op, l, r) => {
-                let (a, b) = (l.eval(cols, sel), r.eval(cols, sel));
-                Arc::new(arith_columns(*op, &a, &b))
-            }
-            VecNode::And(l, r) => {
-                let (a, b) = (l.eval(cols, sel), r.eval(cols, sel));
-                Arc::new(kleene_columns(&a, &b, kleene_and))
-            }
-            VecNode::Or(l, r) => {
-                let (a, b) = (l.eval(cols, sel), r.eval(cols, sel));
-                Arc::new(kleene_columns(&a, &b, kleene_or))
-            }
-            VecNode::Not(x) => Arc::new(not_column(&x.eval(cols, sel))),
-            VecNode::IsNull(x) => Arc::new(is_null_column(&x.eval(cols, sel))),
-            VecNode::Neg(x) => Arc::new(neg_column(&x.eval(cols, sel))),
-        }
+            E::Lit(v) => const_column(v, sel.count()),
+            E::Cmp(op, l, r) => cmp_columns(*op, &*kernel(l)?, &*kernel(r)?),
+            E::Arith(op, l, r) => arith_columns(*op, &*kernel(l)?, &*kernel(r)?)?,
+            E::And(l, r) => kleene_columns(&*kernel(l)?, &*kernel(r)?, kleene_and),
+            E::Or(l, r) => kleene_columns(&*kernel(l)?, &*kernel(r)?, kleene_or),
+            E::Not(x) => not_column(&*kernel(x)?),
+            E::IsNull(x) => is_null_column(&*kernel(x)?),
+            E::Neg(x) => neg_column(&*kernel(x)?)?,
+        }))
     }
 }
 
@@ -842,7 +728,7 @@ enum PredFactor {
     /// `col <op> col` — fused typed loop, no intermediate column.
     CmpColCol(CmpOp, usize, usize),
     /// Anything else: evaluate to a boolean column, keep where true.
-    General(VecNode),
+    General(ScalarExpr),
 }
 
 impl PredFactor {
@@ -861,17 +747,17 @@ impl PredFactor {
                 _ => {}
             }
         }
-        PredFactor::General(VecNode::from_expr(e))
+        PredFactor::General(e.clone())
     }
 
-    fn filter(&self, cols: &LazyColumns, sel: SelView<'_>, out: &mut Vec<u32>) {
+    fn filter(&self, cols: &LazyColumns, sel: SelView<'_>, out: &mut Vec<u32>) -> Result<()> {
         match self {
             PredFactor::CmpColLit(op, i, v) => cmp_col_lit_filter(*op, cols.col(*i), v, sel, out),
             PredFactor::CmpColCol(op, i, j) => {
                 cmp_col_col_filter(*op, cols.col(*i), cols.col(*j), sel, out)
             }
-            PredFactor::General(node) => {
-                let col = node.eval(cols, sel);
+            PredFactor::General(e) => {
+                let col = e.eval_columns(cols, sel)?;
                 for (p, idx) in sel.enumerated() {
                     if bool_at(&col, p) == Some(true) {
                         out.push(idx as u32);
@@ -879,6 +765,7 @@ impl PredFactor {
                 }
             }
         }
+        Ok(())
     }
 }
 
@@ -1151,17 +1038,18 @@ fn cmp_columns(op: CmpOp, a: &ColumnVec, b: &ColumnVec) -> ColumnVec {
     ColumnVec::Bool { data, nulls }
 }
 
-/// Typed arithmetic over two equal-length compacted columns. Faults
-/// (overflow, integer division by zero, non-numeric operands) degrade to
-/// NULL, matching the scalar compiler.
-fn arith_columns(op: ArithOp, a: &ColumnVec, b: &ColumnVec) -> ColumnVec {
+/// Typed arithmetic over two equal-length compacted columns. The first
+/// non-NULL row that faults (overflow, integer division by zero,
+/// non-numeric operands) fails the batch once the loop is done.
+fn arith_columns(op: ArithOp, a: &ColumnVec, b: &ColumnVec) -> Result<ColumnVec> {
     use ColumnVec as C;
     let n = a.len();
     debug_assert_eq!(n, b.len());
-    match (a, b) {
+    Ok(match (a, b) {
         (C::Int { data: ad, .. }, C::Int { data: bd, .. }) => {
-            let mut nulls = union_nulls(null_mask_of(a), null_mask_of(b));
+            let nulls = union_nulls(null_mask_of(a), null_mask_of(b));
             let mut data = vec![0i64; n];
+            let mut fault = None;
             for i in 0..n {
                 let r = match op {
                     ArithOp::Add => ad[i].checked_add(bd[i]),
@@ -1172,13 +1060,21 @@ fn arith_columns(op: ArithOp, a: &ColumnVec, b: &ColumnVec) -> ColumnVec {
                 };
                 match r {
                     Some(v) => data[i] = v,
-                    None => set_null(&mut nulls, n, i),
+                    // The payload under a NULL is arbitrary: no fault.
+                    None if fault.is_none() && !nulls.as_ref().is_some_and(|m| m[i]) => {
+                        fault = Some(i)
+                    }
+                    None => {}
                 }
+            }
+            if let Some(i) = fault {
+                return Err(arith_fault(op, &a.value_at(i), &b.value_at(i)));
             }
             C::Int { data, nulls }
         }
         // Mixed Int/Double numerics widen to f64, as in `Value`'s
-        // arithmetic; Rem stays integer-only and yields NULL here.
+        // arithmetic (IEEE, no faults); Rem stays integer-only and faults
+        // in the fallback.
         (
             C::Int { .. } | C::Double { .. },
             C::Int { .. } | C::Double { .. },
@@ -1202,21 +1098,21 @@ fn arith_columns(op: ArithOp, a: &ColumnVec, b: &ColumnVec) -> ColumnVec {
             }
             C::Double { data, nulls }
         }
-        _ => {
-            // Scalar fallback: element-wise Value arithmetic.
-            let vals: Vec<Value> = (0..n)
+        // Scalar fallback: element-wise Value arithmetic, stopping at
+        // the first fault.
+        _ => C::Mixed(
+            (0..n)
                 .map(|i| {
                     let (x, y) = (a.value_at(i), b.value_at(i));
                     if x.is_null() || y.is_null() {
-                        Value::Null
+                        Ok(Value::Null)
                     } else {
-                        apply_arith(op, &x, &y).unwrap_or(Value::Null)
+                        apply_arith(op, &x, &y)
                     }
                 })
-                .collect();
-            C::Mixed(vals)
-        }
-    }
+                .collect::<Result<_>>()?,
+        ),
+    })
 }
 
 /// Element-wise Kleene connective through the same tri-state combinators
@@ -1257,35 +1153,41 @@ fn is_null_column(a: &ColumnVec) -> ColumnVec {
     }
 }
 
-fn neg_column(a: &ColumnVec) -> ColumnVec {
+/// Unary minus over a column; the first non-NULL `i64::MIN` fails the
+/// batch once the loop is done.
+fn neg_column(a: &ColumnVec) -> Result<ColumnVec> {
     use ColumnVec as C;
-    let n = a.len();
-    match a {
+    Ok(match a {
         C::Int { data: ad, nulls } => {
-            let mut nulls = nulls.clone();
-            let mut data = vec![0i64; n];
-            for i in 0..n {
+            let mut data = vec![0i64; ad.len()];
+            let mut fault = None;
+            for (i, slot) in data.iter_mut().enumerate() {
                 match ad[i].checked_neg() {
-                    Some(v) => data[i] = v,
-                    None => set_null(&mut nulls, n, i),
+                    Some(v) => *slot = v,
+                    None if fault.is_none() && !nulls.as_ref().is_some_and(|m| m[i]) => {
+                        fault = Some(i)
+                    }
+                    None => {}
                 }
             }
-            C::Int { data, nulls }
+            if let Some(i) = fault {
+                return Err(neg_fault(ad[i]));
+            }
+            C::Int {
+                data,
+                nulls: nulls.clone(),
+            }
         }
         C::Double { data, nulls } => C::Double {
             data: data.iter().map(|d| -d).collect(),
             nulls: nulls.clone(),
         },
         _ => C::Mixed(
-            (0..n)
-                .map(|i| match a.value_at(i) {
-                    Value::Int(v) => v.checked_neg().map(Value::Int).unwrap_or(Value::Null),
-                    Value::Double(d) => Value::Double(-d),
-                    _ => Value::Null,
-                })
-                .collect(),
+            (0..a.len())
+                .map(|i| neg_value(a.value_at(i)))
+                .collect::<Result<_>>()?,
         ),
-    }
+    })
 }
 
 impl fmt::Display for ScalarExpr {
@@ -1350,46 +1252,34 @@ mod tests {
     }
 
     #[test]
-    fn interpreter_and_compiler_agree() {
-        let exprs = vec![
-            ScalarExpr::cmp(CmpOp::Gt, ScalarExpr::col(0), ScalarExpr::lit(5)),
-            ScalarExpr::and(
-                ScalarExpr::cmp(CmpOp::Ge, ScalarExpr::col(1), ScalarExpr::lit(2.0)),
-                ScalarExpr::cmp(CmpOp::Eq, ScalarExpr::col(2), ScalarExpr::lit("hi")),
-            ),
-            ScalarExpr::or(
-                ScalarExpr::IsNull(Box::new(ScalarExpr::col(3))),
-                ScalarExpr::cmp(CmpOp::Lt, ScalarExpr::col(0), ScalarExpr::lit(0)),
-            ),
-            ScalarExpr::arith(
-                ArithOp::Mul,
-                ScalarExpr::col(0),
-                ScalarExpr::arith(ArithOp::Add, ScalarExpr::col(1), ScalarExpr::lit(0.5)),
-            ),
-            ScalarExpr::Neg(Box::new(ScalarExpr::col(0))),
-            // NULL propagation through comparison and arithmetic.
-            ScalarExpr::cmp(CmpOp::Eq, ScalarExpr::col(3), ScalarExpr::lit(1)),
-            ScalarExpr::arith(ArithOp::Add, ScalarExpr::col(3), ScalarExpr::lit(1)),
-        ];
-        let t = row();
-        for e in exprs {
-            let interp = e.eval(&t).unwrap();
-            let compiled = e.compile()(&t);
-            assert_eq!(interp, compiled, "disagreement on {e}");
-        }
+    fn rem_type_checks_as_int_only() {
+        let rem = |r| ScalarExpr::arith(ArithOp::Rem, ScalarExpr::col(0), r).check(&schema());
+        assert_eq!(rem(ScalarExpr::lit(3)).unwrap(), DataType::Int);
+        assert!(matches!(
+            rem(ScalarExpr::col(1)),
+            Err(PrismaError::ExprType(_))
+        ));
+        assert!(matches!(
+            rem(ScalarExpr::lit(2.5)),
+            Err(PrismaError::ExprType(_))
+        ));
     }
 
     #[test]
     fn predicate_semantics_null_rejects() {
         let t = row();
-        // n = 1 is unknown -> row filtered out by both paths.
+        let (cols, rows) = batch_columns();
+        // n = 1 is unknown -> row filtered out by both evaluators.
         let e = ScalarExpr::cmp(CmpOp::Eq, ScalarExpr::col(3), ScalarExpr::lit(1));
         assert!(!e.eval_predicate(&t).unwrap());
-        assert!(!e.compile_predicate()(&t));
         // NOT(unknown) is still unknown -> rejected.
-        let ne = ScalarExpr::Not(Box::new(e));
+        let ne = ScalarExpr::Not(Box::new(e.clone()));
         assert!(!ne.eval_predicate(&t).unwrap());
-        assert!(!ne.compile_predicate()(&t));
+        for p in [e, ne] {
+            // Row 0 of the batch is `row()`.
+            let kept = kernel_select(&p, &cols, &SelVec::all(rows.len())).unwrap();
+            assert!(!kept.contains(&0));
+        }
     }
 
     #[test]
@@ -1403,24 +1293,78 @@ mod tests {
         assert_eq!(kleene_and(t.clone(), t), Value::Bool(true));
     }
 
+    /// The one rule: an i64 fault is `Arithmetic` in both evaluators, with
+    /// the same message; Double arithmetic is IEEE; a NULL operand never
+    /// faults, whatever payload sits under it.
     #[test]
-    fn fast_path_predicates_match_general_path() {
-        let t = row();
+    fn arithmetic_faults_are_errors_in_both_evaluators() {
+        let (arith, int) = (ScalarExpr::arith, |v: i64| ScalarExpr::lit(v));
+        let neg = |e: ScalarExpr| ScalarExpr::Neg(Box::new(e));
+        let (cols, rows) = batch_columns();
+        let max = ScalarExpr::col(0); // on row 3
+        let min = arith(ArithOp::Sub, neg(max.clone()), int(1));
         for e in [
-            ScalarExpr::cmp(CmpOp::Gt, ScalarExpr::col(0), ScalarExpr::lit(5)),
-            ScalarExpr::cmp(CmpOp::Gt, ScalarExpr::lit(5), ScalarExpr::col(0)),
-            ScalarExpr::cmp(CmpOp::Lt, ScalarExpr::col(0), ScalarExpr::col(1)),
+            arith(ArithOp::Div, max.clone(), int(0)),
+            arith(ArithOp::Rem, max.clone(), int(0)),
+            arith(ArithOp::Add, max.clone(), int(1)),
+            arith(ArithOp::Mul, max, int(2)),
+            arith(ArithOp::Sub, min.clone(), int(1)),
+            arith(ArithOp::Div, min.clone(), int(-1)),
+            neg(min),
         ] {
-            assert_eq!(e.compile_predicate()(&t), e.eval_predicate(&t).unwrap());
+            let want = e.eval(&rows[3]).unwrap_err();
+            assert!(matches!(want, PrismaError::Arithmetic(_)), "{e}: {want}");
+            let one = SelVec::from_indices(rows.len(), vec![3]);
+            assert_eq!(e.compile_vec().eval(&cols, &one).unwrap_err(), want, "{e}");
         }
+        let all = SelVec::all(rows.len());
+        // IEEE: 2.5 / 0 is +inf in both.
+        let e = arith(ArithOp::Div, ScalarExpr::col(1), int(0));
+        let inf = Value::Double(f64::INFINITY);
+        assert_eq!(e.eval(&rows[0]).unwrap(), inf);
+        assert_eq!(e.compile_vec().eval(&cols, &all).unwrap().value_at(0), inf);
+        // 1 / NULL is NULL, not a fault (rows 0 and 3 hold a NULL `n`) ...
+        let e = arith(ArithOp::Div, int(1), ScalarExpr::col(3));
+        let nulls = SelVec::from_indices(rows.len(), vec![0, 3]);
+        assert_eq!(e.eval(&rows[0]).unwrap(), Value::Null);
+        assert_eq!(
+            e.compile_vec().eval(&cols, &nulls).unwrap().value_at(1),
+            Value::Null
+        );
+        // ... but a selected 0 faults (row 2's `n`).
+        assert!(e.compile_vec().eval(&cols, &all).is_err());
     }
 
+    /// A row a top-level conjunct rejects never reaches the later ones;
+    /// nested connectives are strict.
     #[test]
-    fn division_by_zero_is_error_interpreted_null_compiled() {
-        let e = ScalarExpr::arith(ArithOp::Div, ScalarExpr::col(0), ScalarExpr::lit(0));
-        let t = row();
-        assert!(matches!(e.eval(&t), Err(PrismaError::Arithmetic(_))));
-        assert_eq!(e.compile()(&t), Value::Null);
+    fn the_stop_rule_guards_later_conjuncts_only() {
+        let (cols, rows) = batch_columns();
+        let all = SelVec::all(rows.len());
+        let guard = ScalarExpr::cmp(CmpOp::Ne, ScalarExpr::col(3), ScalarExpr::lit(0));
+        let div = ScalarExpr::cmp(
+            CmpOp::Gt,
+            ScalarExpr::arith(ArithOp::Div, ScalarExpr::lit(14), ScalarExpr::col(3)),
+            ScalarExpr::lit(1),
+        );
+        let guarded = ScalarExpr::and(guard.clone(), div.clone());
+        assert_eq!(kernel_select(&guarded, &cols, &all).unwrap(), vec![1]);
+        assert!(!guarded.eval_predicate(&rows[2]).unwrap());
+        let fault = |r: Result<_>| matches!(r, Err(PrismaError::Arithmetic(_)));
+        for strict in [
+            ScalarExpr::and(div.clone(), guard.clone()),
+            ScalarExpr::or(ScalarExpr::Not(Box::new(guard)), div),
+            ScalarExpr::Not(Box::new(guarded)),
+        ] {
+            assert!(
+                fault(strict.eval_predicate(&rows[2]).map(|_| ())),
+                "{strict}"
+            );
+            assert!(
+                fault(kernel_select(&strict, &cols, &all).map(|_| ())),
+                "{strict}"
+            );
+        }
     }
 
     #[test]
@@ -1451,92 +1395,10 @@ mod tests {
         (LazyColumns::from_rows(Arc::new(rows.clone())), rows)
     }
 
-    fn vec_exprs() -> Vec<ScalarExpr> {
-        vec![
-            ScalarExpr::cmp(CmpOp::Gt, ScalarExpr::col(0), ScalarExpr::lit(5)),
-            ScalarExpr::cmp(CmpOp::Le, ScalarExpr::col(1), ScalarExpr::col(0)),
-            ScalarExpr::cmp(CmpOp::Eq, ScalarExpr::col(2), ScalarExpr::lit("hi")),
-            ScalarExpr::cmp(CmpOp::Ne, ScalarExpr::col(3), ScalarExpr::lit(7)),
-            ScalarExpr::arith(
-                ArithOp::Add,
-                ScalarExpr::arith(ArithOp::Mul, ScalarExpr::col(0), ScalarExpr::lit(3)),
-                ScalarExpr::col(3),
-            ),
-            ScalarExpr::arith(ArithOp::Mul, ScalarExpr::col(0), ScalarExpr::col(1)),
-            ScalarExpr::arith(ArithOp::Div, ScalarExpr::col(0), ScalarExpr::lit(0)),
-            ScalarExpr::and(
-                ScalarExpr::cmp(CmpOp::Ge, ScalarExpr::col(0), ScalarExpr::lit(0)),
-                ScalarExpr::or(
-                    ScalarExpr::IsNull(Box::new(ScalarExpr::col(3))),
-                    ScalarExpr::cmp(CmpOp::Lt, ScalarExpr::col(1), ScalarExpr::lit(3.0)),
-                ),
-            ),
-            ScalarExpr::Not(Box::new(ScalarExpr::cmp(
-                CmpOp::Eq,
-                ScalarExpr::col(3),
-                ScalarExpr::lit(7),
-            ))),
-            ScalarExpr::Neg(Box::new(ScalarExpr::col(0))),
-            // Type surprise: arithmetic over a string column degrades to
-            // NULL in both compiled paths.
-            ScalarExpr::arith(ArithOp::Add, ScalarExpr::col(2), ScalarExpr::lit(1)),
-        ]
-    }
-
-    #[test]
-    fn vectorized_expr_matches_scalar_compiler() {
-        let (cols, rows) = batch_columns();
-        for e in vec_exprs() {
-            let scalar = e.compile();
-            let vec = e.compile_vec();
-            for sel in [SelVec::all(rows.len()), SelVec::from_indices(rows.len(), vec![1, 3])] {
-                let out = vec.eval(&cols, &sel);
-                assert_eq!(out.len(), sel.count());
-                for (p, idx) in sel.iter().enumerate() {
-                    assert_eq!(
-                        out.value_at(p),
-                        scalar(&rows[idx]),
-                        "disagreement on {e} at row {idx}"
-                    );
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn vectorized_predicate_matches_scalar_predicate() {
-        let (cols, rows) = batch_columns();
-        let preds = vec![
-            ScalarExpr::cmp(CmpOp::Gt, ScalarExpr::col(0), ScalarExpr::lit(5)),
-            ScalarExpr::cmp(CmpOp::Lt, ScalarExpr::lit(0.5), ScalarExpr::col(1)),
-            ScalarExpr::cmp(CmpOp::Le, ScalarExpr::col(0), ScalarExpr::col(3)),
-            ScalarExpr::conjunction(vec![
-                ScalarExpr::cmp(CmpOp::Ge, ScalarExpr::col(0), ScalarExpr::lit(-10)),
-                ScalarExpr::cmp(CmpOp::Eq, ScalarExpr::col(2), ScalarExpr::lit("hi")),
-                ScalarExpr::cmp(CmpOp::Ne, ScalarExpr::col(3), ScalarExpr::lit(0)),
-            ]),
-            ScalarExpr::or(
-                ScalarExpr::IsNull(Box::new(ScalarExpr::col(3))),
-                ScalarExpr::cmp(CmpOp::Gt, ScalarExpr::col(1), ScalarExpr::lit(100)),
-            ),
-        ];
+    fn kernel_select(p: &ScalarExpr, cols: &LazyColumns, sel: &SelVec) -> Result<Vec<u32>> {
         let mut out = Vec::new();
-        for p in preds {
-            let scalar = p.compile_predicate();
-            let mut vp = p.compile_vec_predicate();
-            vp.select(&cols, &SelVec::all(rows.len()), &mut out);
-            let expected: Vec<u32> = rows
-                .iter()
-                .enumerate()
-                .filter(|(_, t)| scalar(t))
-                .map(|(i, _)| i as u32)
-                .collect();
-            assert_eq!(out, expected, "predicate {p}");
-            // Selection refinement only ever narrows.
-            let narrow = SelVec::from_indices(rows.len(), vec![0, 2]);
-            vp.select(&cols, &narrow, &mut out);
-            assert!(out.iter().all(|i| [0, 2].contains(i)), "predicate {p}");
-        }
+        p.compile_vec_predicate().select(cols, sel, &mut out)?;
+        Ok(out)
     }
 
     #[test]
@@ -1548,7 +1410,7 @@ mod tests {
         let mut vp = ScalarExpr::cmp(CmpOp::Gt, ScalarExpr::col(0), ScalarExpr::lit(5))
             .compile_vec_predicate();
         let mut out = vec![9];
-        vp.select(&cols, &SelVec::all(0), &mut out);
+        vp.select(&cols, &SelVec::all(0), &mut out).unwrap();
         assert!(out.is_empty());
     }
 
@@ -1651,5 +1513,17 @@ mod tests {
         let r = ZoneRefuter::compile(&opaque);
         assert!(r.is_trivial());
         assert!(!r.refutes(&zones));
+        // A factor that can fault ends the rules: the rows of a chunk a
+        // later factor refutes still reach it.
+        let div = ScalarExpr::cmp(
+            CmpOp::Gt,
+            ScalarExpr::arith(ArithOp::Div, ScalarExpr::lit(1), ScalarExpr::col(0)),
+            ScalarExpr::lit(0),
+        );
+        let out_of_range = ScalarExpr::cmp(CmpOp::Eq, ScalarExpr::col(0), ScalarExpr::lit(99));
+        let before = ScalarExpr::and(out_of_range.clone(), div.clone());
+        assert!(ZoneRefuter::compile(&before).refutes(&zones));
+        let after = ScalarExpr::and(div, out_of_range);
+        assert!(ZoneRefuter::compile(&after).is_trivial());
     }
 }

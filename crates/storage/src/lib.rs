@@ -6,9 +6,11 @@
 //! * [`hash_index::HashIndex`] and [`btree_index::BTreeIndex`] — the
 //!   "(various) storage structures" an OFM is generated with;
 //! * [`cursor`] — the paper's "markings and cursor maintenance";
-//! * [`expr`] — the per-OFM **expression compiler** that "generate\[s\]
+//! * [`expr`] — the per-OFM **expression compiler**, which "generate\[s\]
 //!   routines dynamically … avoid\[ing\] the otherwise excessive
-//!   interpretation overhead incurred by a query expression interpreter".
+//!   interpretation overhead incurred by a query expression interpreter":
+//!   column-at-a-time kernels that every executor path runs, beside the
+//!   interpreter the reference evaluator keeps.
 //!
 //! Everything here is strictly node-local: distribution lives in
 //! `prisma-ofm` / `prisma-gdh`.
@@ -21,10 +23,7 @@ pub mod heap;
 
 pub use btree_index::BTreeIndex;
 pub use cursor::{Cursor, Marking};
-pub use expr::{
-    ArithOp, CmpOp, CompiledExpr, CompiledPredicate, CompiledVecExpr, CompiledVecPredicate,
-    ScalarExpr, ZoneRefuter,
-};
+pub use expr::{ArithOp, CmpOp, CompiledVecExpr, CompiledVecPredicate, ScalarExpr, ZoneRefuter};
 pub use hash_index::HashIndex;
 pub use heap::{Rid, TupleHeap};
 

@@ -12,7 +12,9 @@ use prisma::stable::encoding;
 use prisma::storage::expr::{ArithOp, CmpOp, ScalarExpr};
 use prisma::storage::{Marking, Rid};
 use prisma::types::wire::BlockChunk;
-use prisma::types::{tuple, Column, ColumnVec, DataType, LazyColumns, Schema, SelVec, Tuple, Value};
+use prisma::types::{
+    tuple, Column, ColumnVec, DataType, LazyColumns, PrismaError, Schema, SelVec, Tuple, Value,
+};
 use prisma::workload::values_clause;
 use prisma::PrismaMachine;
 
@@ -58,14 +60,7 @@ fn arb_int_expr() -> impl Strategy<Value = ScalarExpr> {
 fn arb_predicate() -> impl Strategy<Value = ScalarExpr> {
     let cmp = (
         arb_int_expr(),
-        prop_oneof![
-            Just(CmpOp::Eq),
-            Just(CmpOp::Ne),
-            Just(CmpOp::Lt),
-            Just(CmpOp::Le),
-            Just(CmpOp::Gt),
-            Just(CmpOp::Ge)
-        ],
+        arb_cmp_op(),
         arb_int_expr(),
     )
         .prop_map(|(l, op, r)| ScalarExpr::cmp(op, l, r));
@@ -149,14 +144,7 @@ fn arb_mixed_expr() -> impl Strategy<Value = ScalarExpr> {
 fn arb_mixed_predicate() -> impl Strategy<Value = ScalarExpr> {
     let cmp = (
         arb_mixed_expr(),
-        prop_oneof![
-            Just(CmpOp::Eq),
-            Just(CmpOp::Ne),
-            Just(CmpOp::Lt),
-            Just(CmpOp::Le),
-            Just(CmpOp::Gt),
-            Just(CmpOp::Ge)
-        ],
+        arb_cmp_op(),
         arb_mixed_expr(),
     )
         .prop_map(|(l, op, r)| ScalarExpr::cmp(op, l, r));
@@ -171,6 +159,124 @@ fn arb_mixed_predicate() -> impl Strategy<Value = ScalarExpr> {
             inner.clone().prop_map(|a| ScalarExpr::Not(Box::new(a))),
         ]
     })
+}
+
+// ---------- edge values under the one arithmetic rule ----------
+
+/// Int edge values: the overflow and division boundaries, NULL, and a
+/// few small ints.
+fn arb_edge_int() -> impl Strategy<Value = Value> {
+    prop_oneof![
+        Just(Value::Null),
+        prop_oneof![Just(i64::MIN), Just(i64::MAX), Just(0), Just(-1)].prop_map(Value::Int),
+        (-3i64..4).prop_map(Value::Int),
+    ]
+}
+
+/// Double edge values: NaN, ±0.0, ±∞, NULL, and a few halves.
+fn arb_edge_double() -> impl Strategy<Value = Value> {
+    prop_oneof![
+        Just(Value::Null),
+        prop_oneof![
+            Just(f64::NAN),
+            Just(0.0),
+            Just(-0.0),
+            Just(f64::INFINITY),
+            Just(f64::NEG_INFINITY),
+        ]
+        .prop_map(Value::Double),
+        (-6i64..6).prop_map(|v| Value::Double(v as f64 / 2.0)),
+    ]
+}
+
+/// Rows over [`mixed_schema`] drawn from the edge values, including the
+/// empty batch.
+fn arb_edge_rows(max: usize) -> impl Strategy<Value = Vec<Tuple>> {
+    prop::collection::vec((arb_edge_int(), arb_edge_double(), arb_edge_int()), 0..=max).prop_map(
+        |rows| {
+            rows.into_iter()
+                .map(|(a, b, c)| Tuple::new(vec![a, b, c]))
+                .collect()
+        },
+    )
+}
+
+fn arb_arith_op() -> impl Strategy<Value = ArithOp> {
+    prop_oneof![
+        Just(ArithOp::Add),
+        Just(ArithOp::Sub),
+        Just(ArithOp::Mul),
+        Just(ArithOp::Div),
+        Just(ArithOp::Rem),
+    ]
+}
+
+fn arb_cmp_op() -> impl Strategy<Value = CmpOp> {
+    prop_oneof![
+        Just(CmpOp::Eq),
+        Just(CmpOp::Ne),
+        Just(CmpOp::Lt),
+        Just(CmpOp::Le),
+        Just(CmpOp::Gt),
+        Just(CmpOp::Ge)
+    ]
+}
+
+/// Arithmetic over [`mixed_schema`]: every operator and unary minus over
+/// columns and edge literals of both numeric types, so Int/Double mixes
+/// (and `%` over a Double) show up mid-tree.
+fn arb_edge_expr() -> impl Strategy<Value = ScalarExpr> {
+    let leaf = prop_oneof![
+        (0usize..3).prop_map(ScalarExpr::Col),
+        (0usize..3).prop_map(ScalarExpr::Col),
+        arb_edge_int().prop_map(ScalarExpr::Lit),
+        arb_edge_double().prop_map(ScalarExpr::Lit),
+    ];
+    leaf.prop_recursive(3, 16, 2, |inner| {
+        prop_oneof![
+            (arb_arith_op(), inner.clone(), inner.clone())
+                .prop_map(|(op, a, b)| ScalarExpr::arith(op, a, b)),
+            inner.clone().prop_map(|a| ScalarExpr::Neg(Box::new(a))),
+        ]
+    })
+}
+
+/// Predicates over the edge expressions: comparisons, IS NULL, Kleene
+/// connectives, and guards — `c <> 0 AND e / c <op> e'` — that only the
+/// stop rule keeps from faulting.
+fn arb_edge_predicate() -> impl Strategy<Value = ScalarExpr> {
+    let cmp = (arb_edge_expr(), arb_cmp_op(), arb_edge_expr())
+        .prop_map(|(l, op, r)| ScalarExpr::cmp(op, l, r));
+    let guarded = (
+        arb_edge_expr(),
+        arb_cmp_op(),
+        arb_edge_expr(),
+        any::<bool>(),
+    )
+        .prop_map(|(l, op, r, rem)| {
+            let div = if rem { ArithOp::Rem } else { ArithOp::Div };
+            ScalarExpr::and(
+                ScalarExpr::cmp(CmpOp::Ne, ScalarExpr::col(2), ScalarExpr::lit(0)),
+                ScalarExpr::cmp(op, ScalarExpr::arith(div, l, ScalarExpr::col(2)), r),
+            )
+        });
+    let leaf = prop_oneof![
+        cmp,
+        guarded,
+        arb_edge_expr().prop_map(|e| ScalarExpr::IsNull(Box::new(e))),
+    ];
+    leaf.prop_recursive(2, 8, 2, |inner| {
+        prop_oneof![
+            (inner.clone(), inner.clone()).prop_map(|(a, b)| ScalarExpr::and(a, b)),
+            (inner.clone(), inner.clone()).prop_map(|(a, b)| ScalarExpr::or(a, b)),
+            inner.clone().prop_map(|a| ScalarExpr::Not(Box::new(a))),
+        ]
+    })
+}
+
+/// Every other row of an `n`-row batch.
+fn every_other(n: usize) -> SelVec {
+    SelVec::from_indices(n, (0..n as u32).step_by(2).collect())
 }
 
 /// Wrap rows in the executor's own lazily-pivoting column set
@@ -352,26 +458,6 @@ proptest! {
         let back = encoding::decode_tuple(&mut buf).unwrap();
         prop_assert_eq!(back, t);
         prop_assert!(buf.is_empty());
-    }
-
-    // The expression compiler agrees with the interpreter on every
-    // predicate over every row (the E5 correctness precondition).
-    #[test]
-    fn compiled_predicate_equals_interpreted(
-        pred in arb_predicate(),
-        rows in prop::collection::vec((-50i64..50, -50i64..50, -50i64..50), 1..20),
-    ) {
-        let compiled = pred.compile_predicate();
-        for (a, b, c) in rows {
-            let t = tuple![a, b, c];
-            // Interpreter may fail on overflow; compiled maps failures to
-            // NULL (reject). Compare only when the interpreter succeeds.
-            if let Ok(keep) = pred.eval_predicate(&t) {
-                prop_assert_eq!(compiled(&t), keep, "predicate {} on {}", pred, t);
-            } else {
-                prop_assert!(!compiled(&t));
-            }
-        }
     }
 
     // Selection pushdown / constant folding etc. preserve semantics on
@@ -920,64 +1006,78 @@ proptest! {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
 
-    // The vectorized kernel tree agrees with the scalar closure compiler
-    // on every expression over every row — including NULLs, mixed
-    // Int/Double operands and the empty batch (the E5-vectorized
-    // correctness precondition).
+    // The one rule, expression by expression: the kernel tree agrees with
+    // the interpreter over edge values — on each row alone exactly, value
+    // or error; over a batch and over a narrower selection, on every
+    // value, and it faults exactly when some selected row does.
     #[test]
-    fn vectorized_kernels_match_scalar_compiler(
-        e in arb_mixed_expr(),
-        rows in arb_mixed_rows(24),
+    fn kernel_expressions_match_the_interpreter(
+        e in arb_edge_expr(),
+        rows in arb_edge_rows(24),
     ) {
+        let kernel = e.compile_vec();
+        for t in &rows {
+            let one = kernel.eval(&pivot_columns(std::slice::from_ref(t)), &SelVec::all(1));
+            prop_assert_eq!(one.map(|c| c.value_at(0)), e.eval(t), "expr {} row {}", e, t);
+        }
         let cols = pivot_columns(&rows);
-        let sel = SelVec::all(rows.len());
-        let scalar = e.compile();
-        let out = e.compile_vec().eval(&cols, &sel);
-        prop_assert_eq!(out.len(), rows.len());
-        for (i, t) in rows.iter().enumerate() {
-            prop_assert_eq!(out.value_at(i), scalar(t), "expr {} row {}", e, t);
+        for sel in [SelVec::all(rows.len()), every_other(rows.len())] {
+            let want: Vec<_> = sel.iter().map(|i| e.eval(&rows[i])).collect();
+            match kernel.eval(&cols, &sel) {
+                Ok(out) => {
+                    prop_assert_eq!(out.len(), sel.count());
+                    for (p, w) in want.into_iter().enumerate() {
+                        prop_assert_eq!(Ok(out.value_at(p)), w, "expr {}", e);
+                    }
+                }
+                Err(err) => {
+                    prop_assert!(matches!(err, PrismaError::Arithmetic(_)), "expr {}: {}", e, err);
+                    prop_assert!(want.iter().any(Result::is_err), "expr {}: {} on no row", e, err);
+                }
+            }
         }
     }
 
-    // The vectorized predicate produces exactly the selection the scalar
-    // compiled predicate keeps, and refining a narrower selection only
-    // ever narrows it further.
+    // The same square for predicates, where the stop rule holds: a row a
+    // top-level conjunct rejects never reaches the later ones, in the
+    // kernel's narrowing selection as in `eval_predicate`.
     #[test]
-    fn vectorized_predicate_matches_scalar_predicate(
-        p in arb_mixed_predicate(),
-        rows in arb_mixed_rows(24),
+    fn kernel_predicates_match_the_interpreter(
+        p in arb_edge_predicate(),
+        rows in arb_edge_rows(24),
     ) {
-        let cols = pivot_columns(&rows);
-        let scalar = p.compile_predicate();
-        let mut vp = p.compile_vec_predicate();
+        let mut kernel = p.compile_vec_predicate();
         let mut got = Vec::new();
-        vp.select(&cols, &SelVec::all(rows.len()), &mut got);
-        let expected: Vec<u32> = rows
-            .iter()
-            .enumerate()
-            .filter(|(_, t)| scalar(t))
-            .map(|(i, _)| i as u32)
-            .collect();
-        prop_assert_eq!(&got, &expected, "predicate {}", p);
-        // Re-select over every other row: result must be the subset.
-        let half: Vec<u32> = (0..rows.len() as u32).step_by(2).collect();
-        vp.select(&cols, &SelVec::from_indices(rows.len(), half), &mut got);
-        let expected_half: Vec<u32> =
-            expected.iter().copied().filter(|i| i % 2 == 0).collect();
-        prop_assert_eq!(got, expected_half, "predicate {}", p);
+        for t in &rows {
+            let one = kernel
+                .select(&pivot_columns(std::slice::from_ref(t)), &SelVec::all(1), &mut got)
+                .map(|()| got == [0]);
+            prop_assert_eq!(one, p.eval_predicate(t), "predicate {} row {}", p, t);
+        }
+        let cols = pivot_columns(&rows);
+        for sel in [SelVec::all(rows.len()), every_other(rows.len())] {
+            let want: Result<Vec<u32>, _> = sel
+                .iter()
+                .filter_map(|i| p.eval_predicate(&rows[i]).map(|keep| keep.then_some(i as u32)).transpose())
+                .collect();
+            match (kernel.select(&cols, &sel, &mut got), want) {
+                (Ok(()), Ok(want)) => prop_assert_eq!(&got, &want, "predicate {}", p),
+                (Err(PrismaError::Arithmetic(_)), Err(PrismaError::Arithmetic(_))) => {}
+                (got, want) => prop_assert!(false, "predicate {}: kernel {:?}, interpreter {:?}", p, got, want),
+            }
+        }
     }
 
     // The executor's vectorized Filter → Project → Aggregate pipeline
-    // agrees with the reference evaluator over nullable mixed-type data.
-    // (The oracle errors out on arithmetic faults the compiled paths
-    // degrade to NULL; those cases are skipped, as in the scalar
-    // compiled-predicate property.)
+    // agrees with the reference evaluator over nullable edge values, on
+    // the rows or on the fault: one plan, so the same rows reach every
+    // expression.
     #[test]
     fn vectorized_executor_matches_oracle_with_nulls(
-        pred in arb_mixed_predicate(),
-        e1 in arb_mixed_expr(),
-        e2 in arb_mixed_expr(),
-        rows in arb_mixed_rows(24),
+        pred in arb_edge_predicate(),
+        e1 in arb_edge_expr(),
+        e2 in arb_edge_expr(),
+        rows in arb_edge_rows(24),
     ) {
         let schema = mixed_schema();
         let mut db: HashMap<String, Relation> = HashMap::new();
@@ -1005,12 +1105,15 @@ proptest! {
         };
         for plan in [filtered, project, aggregate] {
             let physical = lower(&plan).unwrap();
-            // (An oracle-side arithmetic fault skips the comparison, as
-            // in the scalar compiled-predicate property.)
-            if let Ok(oracle) = eval(&plan, &db) {
-                let got = execute_physical(&physical, &db).unwrap().canonicalized();
-                let oracle = oracle.canonicalized();
-                prop_assert_eq!(got.tuples(), oracle.tuples(), "plan:\n{}", plan);
+            match (execute_physical(&physical, &db), eval(&plan, &db)) {
+                (Ok(got), Ok(oracle)) => {
+                    let (got, oracle) = (got.canonicalized(), oracle.canonicalized());
+                    prop_assert_eq!(got.tuples(), oracle.tuples(), "plan:\n{}", plan);
+                }
+                (Err(PrismaError::Arithmetic(_)), Err(PrismaError::Arithmetic(_))) => {}
+                (got, oracle) => prop_assert!(
+                    false, "plan:\n{}\nexecutor {:?}, oracle {:?}", plan, got.err(), oracle.err()
+                ),
             }
         }
     }
@@ -2678,5 +2781,130 @@ proptest! {
         }
         db.sql(&format!("DROP TABLE {a}")).unwrap();
         db.sql(&format!("DROP TABLE {b}")).unwrap();
+    }
+}
+
+// ---------------- one arithmetic rule: the machine against the oracle ----------------
+
+/// `(k, a, b, x)` rows: `k` a small fragmentation key, `a` an Int edge
+/// value, `b` a divisor (0, -1, small, NULL), `x` a Double edge value.
+fn arb_fault_rows(max: usize) -> impl Strategy<Value = Vec<Tuple>> {
+    let divisor = prop_oneof![Just(Value::Null), (-1i64..3).prop_map(Value::Int)];
+    prop::collection::vec(
+        (
+            arb_small_or_null(),
+            arb_edge_int(),
+            divisor,
+            arb_edge_double(),
+        ),
+        0..=max,
+    )
+    .prop_map(|rows| {
+        rows.into_iter()
+            .map(|(k, a, b, x)| Tuple::new(vec![k, a, b, x]))
+            .collect()
+    })
+}
+
+/// Queries over `t (k, a, b, x)` and `u (k, c)` whose arithmetic can
+/// fault, with guards in front of a division, behind it, under an OR,
+/// and across a join, where pushdown moves the guard.
+fn fault_query_sql(t: &str, u: &str, query: u8) -> String {
+    const ITEMS: [&str; 4] = ["k, a + 1, a / b", "a % b, -a", "x / b, a * b", "k, a - b"];
+    const WHERES: [&str; 7] = [
+        "",
+        " WHERE b <> 0 AND a / b > 1",
+        " WHERE a / b > 1 AND b <> 0",
+        " WHERE b <> 0 AND a % b = 0 AND a > 0",
+        " WHERE b = 0 OR a / b > 0",
+        " WHERE a < 3 AND a + 1 > 0",
+        " WHERE x / b > 0.5 AND k = 1",
+    ];
+    const JOINS: [&str; 4] = [
+        "SELECT t.k, t.a / u.c FROM {t} t, {u} u WHERE t.k = u.k AND u.c <> 0 AND t.a / u.c > 0",
+        "SELECT t.k FROM {t} t, {u} u WHERE t.k = u.k AND t.a / u.c > 0 AND u.c <> 0",
+        "SELECT t.a + u.c, t.b FROM {t} t, {u} u WHERE t.k = u.k AND t.a < 5",
+        "SELECT k, COUNT(*), SUM(b) FROM {t} WHERE b <> 0 AND a / b >= 0 GROUP BY k",
+    ];
+    let singles = ITEMS.len() * WHERES.len();
+    let q = query as usize % (singles + JOINS.len());
+    if q < singles {
+        format!(
+            "SELECT {} FROM {t}{}",
+            ITEMS[q % ITEMS.len()],
+            WHERES[q / ITEMS.len()]
+        )
+    } else {
+        JOINS[q - singles].replace("{t}", t).replace("{u}", u)
+    }
+}
+
+fn fault_machine() -> &'static PrismaMachine {
+    static MACHINE: OnceLock<PrismaMachine> = OnceLock::new();
+    MACHINE.get_or_init(|| PrismaMachine::builder().pes(4).build().unwrap())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    // The one arithmetic rule end to end, under the placement rule: the
+    // machine's SQL and `eval` of the *optimized* plan agree exactly, on
+    // the rows or on an `Arithmetic` fault; against `eval` of the
+    // *unoptimized* plan they agree whenever both succeed (a guard that
+    // pushdown moves below a join may spare or expose a row), and every
+    // failure on either side is `Arithmetic`.
+    #[test]
+    fn machine_arithmetic_follows_the_oracle_under_the_placement_rule(
+        trows in arb_fault_rows(30),
+        urows in prop::collection::vec((arb_small_or_null(), arb_small_or_null()), 0..12),
+        queries in prop::collection::vec(0u8..255, 4..5),
+    ) {
+        use prisma::optimizer::Optimizer;
+        use prisma::sqlfe::{self, PlannedStatement};
+        let db = fault_machine();
+        let (t, u) = (fresh_name("ft"), fresh_name("fu"));
+        db.sql(&format!(
+            "CREATE TABLE {t} (k INT NULL, a INT NULL, b INT NULL, x DOUBLE NULL) \
+             FRAGMENTED BY HASH(k) INTO 3"
+        ))
+        .unwrap();
+        db.sql(&format!("CREATE TABLE {u} (k INT NULL, c INT NULL) FRAGMENTED BY HASH(k) INTO 2"))
+            .unwrap();
+        let urows: Vec<Tuple> = urows.into_iter().map(|(k, c)| Tuple::new(vec![k, c])).collect();
+        let mut reference: HashMap<String, Relation> = HashMap::new();
+        for (name, rows) in [(&t, trows), (&u, urows)] {
+            let txn = db.gdh().begin();
+            db.gdh().insert(txn, name, rows.clone()).unwrap();
+            db.gdh().commit(txn).unwrap();
+            let schema = db.gdh().dictionary().relation(name).unwrap().schema;
+            reference.insert(name.clone(), Relation::new(schema, rows));
+        }
+        let arithmetic = |r: &Result<Relation, PrismaError>| matches!(r, Err(PrismaError::Arithmetic(_)));
+        for query in queries {
+            let sql = fault_query_sql(&t, &u, query);
+            let Ok(PlannedStatement::Query(plan)) = sqlfe::compile(&sql, &**db.gdh().dictionary())
+            else {
+                panic!("{sql} plans as a query");
+            };
+            let (optimized, _) = Optimizer::new(&**db.gdh().dictionary()).optimize(&plan).unwrap();
+            let machine = db.query_with_metrics(&sql).map(|(rows, _)| rows.canonicalized());
+            let exact = eval(&optimized, &reference).map(Relation::canonicalized);
+            let unoptimized = eval(&plan, &reference).map(Relation::canonicalized);
+            match (&machine, &exact) {
+                (Ok(got), Ok(want)) => prop_assert_eq!(got.tuples(), want.tuples(), "{}", sql),
+                _ => prop_assert!(
+                    arithmetic(&machine) && arithmetic(&exact),
+                    "{}: machine {:?}, optimized oracle {:?}", sql, machine.as_ref().err(), exact.as_ref().err()
+                ),
+            }
+            match (&machine, &unoptimized) {
+                (Ok(got), Ok(want)) => prop_assert_eq!(got.tuples(), want.tuples(), "{}", sql),
+                (Ok(_), err) | (err, _) => prop_assert!(
+                    arithmetic(err), "{}: {:?}", sql, err.as_ref().err()
+                ),
+            }
+        }
+        db.sql(&format!("DROP TABLE {t}")).unwrap();
+        db.sql(&format!("DROP TABLE {u}")).unwrap();
     }
 }
