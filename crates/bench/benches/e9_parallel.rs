@@ -1,29 +1,35 @@
 //! E9 — morsel-driven intra-fragment parallelism: scan and join scaling
-//! from 1 to N workers on a single 100k-row fragment.
+//! from 1 to N workers on a single fragment of 1 Mi rows.
 //!
-//! A fragment's operator tree splits into `BATCH_SIZE`-row morsels
-//! dispatched to the PE's work-stealing worker pool
-//! (`prisma_poolx::WorkerPool`). This experiment runs two
-//! compute-heavy workloads — a scan→filter→project pipeline and a hash
-//! join (the build side is built once on the calling thread and is not
-//! metered; the probe is a stage of the scan's pipeline, one morsel per
-//! `BATCH_SIZE` window at every width) — at 1, 2 and 4 workers and
-//! records how the work scales.
+//! A fragment's scan splits into morsels — runs of whole scan units of at
+//! least `MORSEL_ROWS` (64 Ki) rows — that the PE's work-stealing worker
+//! pool (`prisma_poolx::WorkerPool`) runs, the calling thread as worker 0
+//! beside `w − 1` helpers. The pool takes a scan only from two morsels up,
+//! so the fragment is large: at the default 1 Mi rows it is 16 morsels,
+//! four per thread at 4 workers. This experiment runs two compute-heavy
+//! workloads — a scan→filter→project pipeline and a hash join (the build
+//! side is built once on the calling thread and is not metered; the probe
+//! is a stage of the scan's pipeline) — at 1, 2 and 4 workers and records
+//! how the work scales.
 //!
 //! ## Methodology: modeled speedup, not wall clock
 //!
-//! CI containers for this repo expose a single hardware core, so the
-//! parallel runs time-slice on one CPU and wall clock cannot show a
-//! speedup no matter how well the morsels balance. The pool therefore
-//! meters **per-worker busy nanoseconds** (`PoolStats::busy_nanos`),
-//! and the scaling figure reported here is
+//! The hosts this runs on may have fewer cores than the widest pool (the
+//! recorded host has 2), so the parallel runs time-slice and wall clock
+//! cannot show the speedup the schedule would reach on enough cores. The
+//! pool therefore meters **per-worker busy nanoseconds**
+//! (`PoolStats::busy_nanos`, slot 0 being the calling thread) — the CPU
+//! time each job used, so a worker preempted mid-morsel on an
+//! oversubscribed host is not charged for waiting — and the scaling
+//! figure reported here is
 //!
 //! ```text
 //! modeled_speedup(w) = busy_total(1 worker) / busy_max(w workers)
 //! ```
 //!
-//! i.e. the one-worker run's total compute divided by the w-worker
-//! run's **critical path** (its slowest worker). On a machine with at
+//! i.e. the one-worker run's total compute — a width-1 pool is the caller
+//! alone — divided by the w-worker run's **critical path** (its slowest
+//! worker, the caller included). On a machine with at
 //! least `w` free cores this IS the wall-clock speedup: every worker
 //! runs on its own core, so elapsed time is the busiest worker's busy
 //! time. On fewer cores it is the speedup the schedule *would* achieve
@@ -40,7 +46,7 @@
 //!
 //! Environment knobs (all optional):
 //!
-//! * `E9_ROWS`       — probe/scan fragment rows (default 100000)
+//! * `E9_ROWS`       — probe/scan fragment rows (default 1048576)
 //! * `E9_BUILD_ROWS` — hash-join build side rows (default 10000)
 //! * `E9_ITERS`      — timed samples per measurement (default 5)
 //! * `E9_ENFORCE=1`  — exit non-zero unless both workloads reach a
@@ -140,13 +146,13 @@ fn fmt_workload(name: &str, runs: &[(usize, Measured)], speedup: impl Fn(usize) 
 }
 
 fn main() {
-    let rows: usize = env_knob("E9_ROWS", 100_000);
+    let rows: usize = env_knob("E9_ROWS", 1 << 20);
     let build_rows: usize = env_knob("E9_BUILD_ROWS", 10_000);
     let iters: usize = env_knob("E9_ITERS", 5);
     let worker_counts = [1usize, 2, 4];
 
-    // One 100k-row fragment: (k, g, x) with a join key cycling over the
-    // build domain, a 7-ary group column and a float filter column.
+    // One fragment: (k, g, x) with a join key cycling over the build
+    // domain, a 7-ary group column and a float filter column.
     let frag = Relation::new(
         Schema::new(vec![
             Column::new("k", DataType::Int),
@@ -219,7 +225,7 @@ fn main() {
 
     let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
     let json = format!(
-        "{{\n  \"experiment\": \"e9_parallel\",\n  \"rows\": {rows},\n  \"build_rows\": {build_rows},\n  \"iters\": {iters},\n  \"host_cores\": {cores},\n  \"methodology\": \"modeled_speedup = busy_total(1 worker) / busy_max(N workers); equals wall-clock speedup when cores >= workers, measures work inflation and steal balance regardless of core count\",\n  \"benches\": {{\n{}\n  }}\n}}\n",
+        "{{\n  \"experiment\": \"e9_parallel\",\n  \"rows\": {rows},\n  \"build_rows\": {build_rows},\n  \"iters\": {iters},\n  \"host_cores\": {cores},\n  \"methodology\": \"modeled_speedup = busy_total(1 worker) / busy_max(N workers), busy being the CPU time of a worker's jobs, the caller's included; equals wall-clock speedup when cores >= workers, measures work inflation and steal balance regardless of core count\",\n  \"benches\": {{\n{}\n  }}\n}}\n",
         json_sections.join(",\n"),
     );
     write_json("E9-parallel", "BENCH_e9.json", &json);

@@ -20,7 +20,8 @@
 //!    deterministic scheduler that replays every interleaving of small
 //!    virtual-thread programs against the *real* work-stealing deque
 //!    shim and the *real* worker-pool acquisition discipline
-//!    (`prisma_poolx::PoolHarness` drives the same `next_task` code the
+//!    (`prisma_poolx::PoolHarness` drives the same caller step
+//!    `WorkerPool::run` loops on, and the same `next_task` code the
 //!    production `worker_loop` runs). Because the shims are
 //!    mutex-per-queue, each public queue op is atomic — so enumerating
 //!    op-granularity schedules is *exhaustive* over observable thread

@@ -12,10 +12,14 @@
 //!   at the explored bounds.
 //! * **Pool scheduling** ([`PoolState`]): the real worker-pool
 //!   acquisition discipline, driven thread-free through
-//!   [`prisma_poolx::PoolHarness`] (the production `next_task` + task
-//!   bookkeeping code, not a model). Invariants checked over every
-//!   interleaving: no job lost, no job run twice, and a panicking job
-//!   still completes its batch with the panic flag raised.
+//!   [`prisma_poolx::PoolHarness`] — the production caller step of
+//!   `WorkerPool::run` and the helpers' `next_task` + task bookkeeping,
+//!   not a model. The explorer interleaves the caller's steps with each
+//!   helper's take and finish, so a schedule can see a helper's job in
+//!   flight. Invariants checked over every interleaving: no job lost, no
+//!   job run twice, the caller returns only once the batch's `remaining`
+//!   is 0, and a panicking job still completes its batch and is re-raised
+//!   on the caller.
 //!
 //! [`StaleEmptyStealer`] is the *intentionally buggy* deque variant the
 //! test-suite uses to prove the explorer can refute, not just confirm:
@@ -30,7 +34,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
 use crossbeam::deque::{Steal, Stealer, Worker};
-use prisma_poolx::{BatchHandle, PoolHarness};
+use prisma_poolx::{BatchHandle, CallerStep, PoolHarness};
 
 use crate::explore::Op;
 
@@ -189,21 +193,48 @@ impl<St: StealEnd + 'static> DequeState<St> {
 }
 
 /// Shared state of one pool replay: a thread-free harness over the real
-/// acquisition discipline, one submitted batch, and a per-job run
-/// counter the jobs bump.
+/// acquisition discipline, one submitted batch, a per-job run counter the
+/// jobs bump, and what the caller saw when it returned.
 pub struct PoolState {
-    /// The harness — virtual workers stepped by the explorer.
+    /// The harness — the caller and virtual helpers stepped by the
+    /// explorer.
     pub harness: PoolHarness,
     /// Completion state of the submitted batch.
     pub handle: BatchHandle,
     /// `runs[i]` = times job `i` has executed (must end at exactly 1).
     pub runs: Arc<Vec<AtomicUsize>>,
+    /// Set when a caller step found nothing queued with a job in flight.
+    pub waited: bool,
+    /// Set when the caller's step returned [`CallerStep::Done`].
+    pub returned: Option<Returned>,
 }
 
-/// Fresh pool state: `workers` virtual workers with `jobs` counting jobs
-/// scattered round-robin; job `panic_job` (if any) panics after
-/// counting. Panics are caught by the pool's own task bookkeeping —
-/// the same `catch_unwind` path the threaded pool uses.
+/// The batch as the caller saw it at the step `run` returned on.
+#[derive(Debug, Clone)]
+pub struct Returned {
+    /// The batch's `remaining` count.
+    pub remaining: usize,
+    /// Each job's run count.
+    pub runs: Vec<usize>,
+    /// Whether `run` re-raises a job's panic.
+    pub panicked: bool,
+}
+
+impl PoolState {
+    fn returned_now(&self, panicked: bool) -> Returned {
+        Returned {
+            remaining: self.handle.remaining(),
+            runs: self.runs.iter().map(|r| r.load(Ordering::Relaxed)).collect(),
+            panicked,
+        }
+    }
+}
+
+/// Fresh pool state: a pool of width `workers` (the caller and
+/// `workers − 1` helpers) with `jobs` counting jobs scattered round-robin;
+/// job `panic_job` (if any) panics after counting. Panics are caught by
+/// the pool's own task bookkeeping — the same `catch_unwind` path the
+/// threaded pool uses.
 pub fn pool_state(workers: usize, jobs: usize, panic_job: Option<usize>) -> PoolState {
     let runs: Arc<Vec<AtomicUsize>> = Arc::new((0..jobs).map(|_| AtomicUsize::new(0)).collect());
     let mut harness = PoolHarness::new(workers);
@@ -223,47 +254,97 @@ pub fn pool_state(workers: usize, jobs: usize, panic_job: Option<usize>) -> Pool
         harness,
         handle,
         runs,
+        waited: false,
+        returned: None,
     }
 }
 
-/// Op: virtual worker `w` runs one acquisition round (drain → pop →
-/// steal → execute). A round that executes a seeded panicking job is
-/// contained here — the panic is already caught inside the pool's
-/// `run_task`, so stepping never unwinds into the explorer.
-pub fn op_step(w: usize) -> Op<PoolState> {
-    Box::new(move |s| {
+/// Op: the caller takes one step of `WorkerPool::run` — runs a queued job,
+/// waits, or returns — unless it has already returned. A step that runs a
+/// seeded panicking job is contained here: the panic is already caught
+/// inside the pool's `run_task`, so stepping never unwinds into the
+/// explorer.
+pub fn op_caller() -> Op<PoolState> {
+    Box::new(|s| {
+        if s.returned.is_some() {
+            return;
+        }
         // Defensive double containment: the harness must not leak job
         // panics, and if it ever did, the violation should surface as a
         // check failure on this schedule, not abort the whole sweep.
-        let _ = std::panic::catch_unwind(AssertUnwindSafe(|| s.harness.step(w)));
+        let step = std::panic::catch_unwind(AssertUnwindSafe(|| s.harness.caller_step(&s.handle)));
+        match step {
+            Ok(CallerStep::Done { panicked }) => s.returned = Some(s.returned_now(panicked)),
+            Ok(CallerStep::Wait) => s.waited = true,
+            _ => {}
+        }
     })
 }
 
+/// Op: helper `h` takes a task — one acquisition round (drain → pop →
+/// steal) — unless it already holds one.
+pub fn op_take(h: usize) -> Op<PoolState> {
+    Box::new(move |s| {
+        s.harness.take(h);
+    })
+}
+
+/// Op: helper `h` finishes the task it holds, if any (contained as in
+/// [`op_caller`]).
+pub fn op_finish(h: usize) -> Op<PoolState> {
+    Box::new(move |s| {
+        let _ = std::panic::catch_unwind(AssertUnwindSafe(|| s.harness.finish(h)));
+    })
+}
+
+/// A helper's program: `rounds` take-then-finish pairs, so it never ends
+/// holding a task.
+pub fn helper_rounds(h: usize, rounds: usize) -> Vec<Op<PoolState>> {
+    (0..rounds).flat_map(|_| [op_take(h), op_finish(h)]).collect()
+}
+
 /// Invariant check over a completed pool replay, parameterized by
-/// whether a panic was seeded: every job ran exactly once, the batch
-/// reached `remaining == 0` (what unblocks `WorkerPool::run`), and the
-/// panic flag is raised iff a panic was seeded.
+/// whether a panic was seeded. A caller that had not returned by the end
+/// of its ops was waiting or had work left: it is stepped on (every helper
+/// has finished by then) until it returns. At its return the batch's
+/// `remaining` is 0, every job ran exactly once, and the panic is
+/// re-raised iff one was seeded; nothing is left queued.
 pub fn check_pool(expect_panic: bool) -> impl Fn(&PoolState) -> Result<(), String> {
     move |s| {
+        let returned = match &s.returned {
+            Some(r) => r.clone(),
+            None => loop {
+                match s.harness.caller_step(&s.handle) {
+                    CallerStep::Ran => {}
+                    CallerStep::Wait => {
+                        return Err("the caller waits with no job left in flight".into())
+                    }
+                    CallerStep::Done { panicked } => break s.returned_now(panicked),
+                }
+            },
+        };
+        if returned.remaining != 0 {
+            return Err(format!(
+                "run returned with {} jobs unfinished",
+                returned.remaining
+            ));
+        }
+        if let Some((i, n)) = returned.runs.iter().enumerate().find(|&(_, &n)| n != 1) {
+            return Err(format!("job {i} ran {n} times by run's return (want exactly 1)"));
+        }
         for (i, r) in s.runs.iter().enumerate() {
             let n = r.load(Ordering::Relaxed);
             if n != 1 {
                 return Err(format!("job {i} ran {n} times (want exactly 1)"));
             }
         }
-        if s.handle.remaining() != 0 {
-            return Err(format!(
-                "{} jobs unaccounted for in the batch",
-                s.handle.remaining()
-            ));
-        }
         if s.harness.has_work() {
             return Err("queues non-empty after all jobs accounted".into());
         }
-        if s.handle.panicked() != expect_panic {
+        if returned.panicked != expect_panic {
             return Err(format!(
-                "panicked flag is {}, want {expect_panic}",
-                s.handle.panicked()
+                "run re-raises a panic: {}, want {expect_panic}",
+                returned.panicked
             ));
         }
         Ok(())

@@ -6,7 +6,8 @@
 
 use prisma_checkx::explore::{explore, Program};
 use prisma_checkx::scenarios::{
-    buggy_deque, check_pool, op_step, pool_state, real_deque, DequeState, StaleEmptyStealer,
+    buggy_deque, check_pool, helper_rounds, op_caller, pool_state, real_deque, DequeState,
+    StaleEmptyStealer,
 };
 
 type RealDeque = DequeState<crossbeam::deque::Stealer<u32>>;
@@ -80,12 +81,12 @@ fn buggy_deque_is_refuted_on_the_exact_racing_schedule() {
 
 #[test]
 fn pool_never_loses_or_doubles_a_job_two_workers() {
-    // 2 virtual workers × 4 acquisition rounds over 4 scattered jobs:
-    // every one of the 70 interleavings must execute each job exactly
-    // once and drive the batch to remaining == 0.
+    // The caller (4 steps) and one helper (2 take/finish rounds) over 4
+    // scattered jobs: every one of the 70 interleavings must execute each
+    // job exactly once and return from run only at remaining == 0.
     let program: Program<_> = Program::new()
-        .thread((0..4).map(|_| op_step(0)).collect())
-        .thread((0..4).map(|_| op_step(1)).collect());
+        .thread((0..4).map(|_| op_caller()).collect())
+        .thread(helper_rounds(1, 2));
     assert_eq!(program.schedule_count(), 70);
     let stats = explore(|| pool_state(2, 4, None), &program, check_pool(false))
         .unwrap_or_else(|v| panic!("pool invariant refuted: {v}"));
@@ -94,33 +95,57 @@ fn pool_never_loses_or_doubles_a_job_two_workers() {
 
 #[test]
 fn pool_never_loses_or_doubles_a_job_three_workers() {
-    // 3 workers × 3 rounds over 3 jobs — 1680 schedules, the top of the
-    // stated bounds (≤ 3 threads).
+    // The caller (3 steps) and two helpers (2 rounds each) over 3 jobs —
+    // 11 550 schedules, the top of the stated bounds (≤ 3 threads).
     let program: Program<_> = Program::new()
-        .thread((0..3).map(|_| op_step(0)).collect())
-        .thread((0..3).map(|_| op_step(1)).collect())
-        .thread((0..3).map(|_| op_step(2)).collect());
-    assert_eq!(program.schedule_count(), 1680);
+        .thread((0..3).map(|_| op_caller()).collect())
+        .thread(helper_rounds(1, 2))
+        .thread(helper_rounds(2, 2));
+    assert_eq!(program.schedule_count(), 11_550);
     let stats = explore(|| pool_state(3, 3, None), &program, check_pool(false))
         .unwrap_or_else(|v| panic!("pool invariant refuted: {v}"));
-    assert_eq!(stats.schedules, 1680);
+    assert_eq!(stats.schedules, 11_550);
 }
 
 #[test]
 fn pool_panic_propagation_under_every_schedule() {
-    // Job 1 of 3 panics. Under every interleaving: the panic is
-    // contained by the pool's own catch, the other jobs still run
-    // exactly once, the batch completes, and the panicked flag (what
-    // `WorkerPool::run` re-raises from) is set.
+    // Job 1 of 3 panics. Under every interleaving of the caller and its
+    // helper: the panic is contained by the pool's own catch, the other
+    // jobs still run exactly once, the batch completes, and run re-raises
+    // the panic on the caller.
     let program: Program<_> = Program::new()
-        .thread((0..3).map(|_| op_step(0)).collect())
-        .thread((0..3).map(|_| op_step(1)).collect());
-    assert_eq!(program.schedule_count(), 20);
+        .thread((0..3).map(|_| op_caller()).collect())
+        .thread(helper_rounds(1, 2));
+    assert_eq!(program.schedule_count(), 35);
     let stats = explore(
         || pool_state(2, 3, Some(1)),
         &program,
         check_pool(true),
     )
     .unwrap_or_else(|v| panic!("panic propagation refuted: {v}"));
-    assert_eq!(stats.schedules, 20);
+    assert_eq!(stats.schedules, 35);
+}
+
+#[test]
+fn the_caller_meets_a_helper_job_in_flight() {
+    // Two jobs, one per mailbox. In the schedule helper-take, caller,
+    // caller, helper-finish the caller runs its own job, then finds
+    // nothing queued while the helper's job is in flight: it must wait,
+    // not return. The sweep reaches that window, and the check holds.
+    let program: Program<_> = Program::new()
+        .thread(vec![op_caller(), op_caller()])
+        .thread(helper_rounds(1, 1));
+    let waited = std::cell::Cell::new(false);
+    let check = check_pool(false);
+    let stats = explore(
+        || pool_state(2, 2, None),
+        &program,
+        |s| {
+            waited.set(waited.get() || s.waited);
+            check(s)
+        },
+    )
+    .unwrap_or_else(|v| panic!("early return refuted: {v}"));
+    assert_eq!(stats.schedules, 6);
+    assert!(waited.get(), "no schedule left the caller waiting on a helper");
 }

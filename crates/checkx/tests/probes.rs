@@ -21,11 +21,23 @@ fn pool_run_crosses_every_scheduling_probe() {
         SEEN.lock().unwrap_or_else(|e| e.into_inner()).insert(point);
     });
 
+    // The caller works beside its helper, and trivial jobs could all be
+    // done before the helper wakes. So a job on the caller's thread holds
+    // it until the helper has run one: the helper then surely drains its
+    // mailbox into its deque and pops it.
     let pool = WorkerPool::new(2);
-    let counter = AtomicUsize::new(0);
+    let caller = std::thread::current().id();
+    let (counter, on_helper) = (AtomicUsize::new(0), AtomicUsize::new(0));
     let jobs: Vec<Job> = (0..64)
         .map(|_| {
             Box::new(|| {
+                if std::thread::current().id() == caller {
+                    while on_helper.load(Ordering::Acquire) == 0 {
+                        std::thread::yield_now();
+                    }
+                } else {
+                    on_helper.fetch_add(1, Ordering::Release);
+                }
                 counter.fetch_add(1, Ordering::Relaxed);
             }) as Job
         })
@@ -37,8 +49,9 @@ fn pool_run_crosses_every_scheduling_probe() {
 
     let seen = SEEN.lock().unwrap_or_else(|e| e.into_inner());
     // Deterministically crossed on any completed run: scatter pushes to
-    // mailboxes, every acquisition round drains (injector steal →
-    // worker push), pops, and the round itself announces drain/pop.
+    // mailboxes, the caller takes from its own, a helper's acquisition
+    // round drains (injector steal → worker push), pops, and the rounds
+    // announce themselves.
     for point in [
         "deque.injector.push",
         "deque.injector.steal",
@@ -46,6 +59,7 @@ fn pool_run_crosses_every_scheduling_probe() {
         "deque.worker.pop",
         "pool.drain",
         "pool.pop",
+        "pool.caller",
     ] {
         assert!(seen.contains(point), "probe {point} never fired: {seen:?}");
     }

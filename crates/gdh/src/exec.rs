@@ -136,12 +136,15 @@ pub struct ExecMetrics {
     /// configuration echo, not a measurement — see
     /// [`prisma_types::MachineConfig::effective_ofm_workers`].
     pub pool_workers: u64,
-    /// Morsels executed on the PEs' worker pools during this query
-    /// (scan/filter/project pipeline morsels, join build chunks, probe
-    /// splits, aggregate partials). Read PE-side from shared pool
-    /// counters, never shipped — the wire protocol is unchanged.
+    /// Morsels executed on the PEs' worker pools during this query —
+    /// runs of at least `MORSEL_ROWS` scan rows pushed through a
+    /// fragment's scan/filter/probe/project pipeline or folded into an
+    /// aggregate's partial table; 0 when no fragment reaches two morsels.
+    /// Read PE-side from shared pool counters, never shipped — the wire
+    /// protocol is unchanged.
     pub pool_morsels: u64,
-    /// Morsels a pool worker stole from a sibling during this query —
+    /// Morsels a pool thread (helper or caller) stole from a sibling
+    /// during this query —
     /// the work-stealing balance signal (0 under even load is fine; 0
     /// under skew means stealing is broken).
     pub pool_steals: u64,

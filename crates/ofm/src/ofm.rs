@@ -138,8 +138,9 @@ impl Ofm {
     }
 
     /// Attach the PE's compute worker pool: every physical plan this OFM
-    /// opens from now on runs its scans, join builds/probes, and
-    /// aggregate folds morsel-parallel on it.
+    /// opens from now on runs the pipelines and aggregate folds over a
+    /// scan of at least two morsels on it, this actor's thread working
+    /// beside the pool's helpers.
     pub fn attach_pool(&mut self, pool: Arc<prisma_poolx::WorkerPool>) {
         self.pool = Some(pool);
     }

@@ -29,4 +29,4 @@ pub mod workers;
 
 pub use ledger::TrafficLedger;
 pub use runtime::{Ctx, ExternalMailbox, PoolRuntime, Process, WireMessage, COORDINATOR_PE};
-pub use workers::{BatchHandle, Job, PoolHarness, PoolSet, PoolStats, WorkerPool};
+pub use workers::{BatchHandle, CallerStep, Job, PoolHarness, PoolSet, PoolStats, WorkerPool};

@@ -3,35 +3,45 @@
 //!
 //! The paper pins one POOL-X process per PE; PR 6 keeps that actor model
 //! for everything *between* PEs and adds HyPer-style morsel parallelism
-//! *inside* a PE: a fragment's scan/build/fold work is cut into
-//! fixed-size morsels and dispatched to a small pool of compute workers
-//! that share work-stealing deques. The pool never touches the wire —
-//! all cross-PE communication still flows through [`crate::PoolRuntime`]
-//! messages, so the streaming protocol and the traffic ledger are
-//! unaffected.
+//! *inside* a PE: a large fragment's scan/filter/probe/fold work is cut
+//! into morsels (`prisma_relalg::morsel`) and run on a small pool of
+//! compute workers that share work-stealing deques. The pool never touches
+//! the wire — all cross-PE communication still flows through
+//! [`crate::PoolRuntime`] messages, so the streaming protocol and the
+//! traffic ledger are unaffected.
+//!
+//! A pool of width `w` is **the calling thread plus `w − 1` helper
+//! threads**. [`WorkerPool::run`] does not sleep while its jobs are
+//! queued: the caller is worker 0 and takes jobs beside its helpers, so a
+//! call no helper reaches in time costs about what running its jobs inline
+//! would, and a width-2 pool is one extra thread, not two.
 //!
 //! Scheduling shape (per pool):
 //!
-//! * each worker owns a **mailbox** ([`crossbeam::deque::Injector`])
-//!   that [`WorkerPool::run`] scatters jobs into round-robin, and a
-//!   private **LIFO deque** ([`crossbeam::deque::Worker`]) it drains
-//!   the mailbox into;
-//! * an idle worker pops its own deque first (cache-warm), then steals —
-//!   a sibling's mailbox, then a sibling's deque, FIFO from the cold end
-//!   — so a straggler's backlog is rebalanced automatically;
-//! * `run` blocks until every job of the call has finished, which is
-//!   what lets jobs borrow from the caller's stack (scoped execution).
+//! * each worker slot owns a **mailbox** ([`crossbeam::deque::Injector`])
+//!   that `run` scatters jobs into round-robin;
+//! * a helper drains its mailbox into a private **LIFO deque**
+//!   ([`crossbeam::deque::Worker`]), pops its own deque first
+//!   (cache-warm), then steals — a sibling's mailbox, then a helper
+//!   sibling's deque, FIFO from the cold end — so a straggler's backlog is
+//!   rebalanced automatically;
+//! * the caller owns no deque (several threads may call `run` on one pool
+//!   at once): it takes its own mailbox oldest first, then steals the same
+//!   way, and once nothing is queued it sleeps until the last of its jobs
+//!   still running on a helper finishes;
+//! * `run` returns only after every job of the call has finished, which
+//!   is what lets jobs borrow from the caller's stack (scoped execution).
 //!
-//! Every worker keeps cumulative counters (morsels executed, successful
-//! steals, busy nanoseconds) that the GDH executor snapshots into
-//! `ExecMetrics` and the `e9_parallel` bench uses to compute scaling.
+//! Every slot keeps cumulative counters (morsels executed, successful
+//! steals, busy nanoseconds; slot 0 meters the callers) that the GDH
+//! executor snapshots into `ExecMetrics` and the `e9_parallel` bench uses
+//! to compute scaling.
 
 use std::collections::HashMap;
 use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
-use std::time::Instant;
 
 use crossbeam::deque::{Injector, Steal, Stealer, Worker};
 use parking_lot::{Condvar, Mutex};
@@ -57,14 +67,15 @@ struct Task {
 /// Cumulative counters for one pool (or one pool's worker).
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct PoolStats {
-    /// Worker threads in the pool.
+    /// Worker slots in the pool: the calling thread and its helpers.
     pub workers: usize,
     /// Morsels (jobs) executed since the pool started.
     pub morsels: u64,
-    /// Jobs taken from another worker's mailbox or deque.
+    /// Jobs taken from another slot's mailbox or deque.
     pub steals: u64,
-    /// Per-worker busy time in nanoseconds, index = worker id. The max
-    /// entry is the pool's critical path; the sum is total work done.
+    /// Per-slot busy time in nanoseconds — the CPU time its jobs used —
+    /// index = worker id; slot 0 is the callers'. The max entry is the
+    /// pool's critical path; the sum is total work done.
     pub busy_nanos: Vec<u64>,
 }
 
@@ -81,7 +92,9 @@ impl PoolStats {
 }
 
 struct PoolShared {
+    /// One per worker slot; slot 0 is the caller's.
     mailboxes: Vec<Injector<Task>>,
+    /// Helper `h`'s deque is `stealers[h - 1]`: the caller owns none.
     stealers: Vec<Stealer<Task>>,
     epoch: Mutex<u64>,
     wake: Condvar,
@@ -92,18 +105,17 @@ struct PoolShared {
 }
 
 impl PoolShared {
-    /// Grab one queued task, preferring sibling `me`'s neighbours'
-    /// backlogs; counts cross-worker takes as steals.
+    /// Grab one queued task for slot `me` from its siblings' backlogs —
+    /// each one's mailbox, then its deque; counts every take as a steal.
     fn steal_for(&self, me: usize) -> Option<Task> {
         crossbeam::hooks::probe("pool.steal");
         let n = self.mailboxes.len();
         for off in 1..n {
             let victim = (me + off) % n;
-            if let Steal::Success(t) = self.mailboxes[victim].steal() {
-                self.steals.fetch_add(1, Ordering::Relaxed);
-                return Some(t);
-            }
-            if let Steal::Success(t) = self.stealers[victim].steal() {
+            let deque = victim.checked_sub(1).map(|h| &self.stealers[h]);
+            if let Some(t) = success(self.mailboxes[victim].steal())
+                .or_else(|| deque.and_then(|d| success(d.steal())))
+            {
                 self.steals.fetch_add(1, Ordering::Relaxed);
                 return Some(t);
             }
@@ -111,7 +123,7 @@ impl PoolShared {
         None
     }
 
-    /// One round of worker `me`'s task-acquisition discipline: drain the
+    /// One round of helper `me`'s task-acquisition discipline: drain the
     /// own mailbox into the private LIFO deque, pop the hot end, else
     /// steal from a sibling (mailbox first, then deque, FIFO). This is
     /// the scheduling core of [`worker_loop`], factored out so checkx's
@@ -125,22 +137,70 @@ impl PoolShared {
         crossbeam::hooks::probe("pool.pop");
         local.pop().or_else(|| self.steal_for(me))
     }
+
+    /// The caller's acquisition round: its own mailbox, oldest first,
+    /// else a steal.
+    fn caller_task(&self) -> Option<Task> {
+        crossbeam::hooks::probe("pool.caller");
+        success(self.mailboxes[0].steal()).or_else(|| self.steal_for(0))
+    }
 }
 
-/// Build the queue fabric for `workers` workers: the shared state plus
-/// each worker's private LIFO deque (handed to its thread — or to the
-/// checkx harness driving the discipline without threads).
-fn build_shared(workers: usize) -> (Arc<PoolShared>, Vec<Worker<Task>>) {
-    let locals: Vec<Worker<Task>> = (0..workers).map(|_| Worker::new_lifo()).collect();
+fn success(steal: Steal<Task>) -> Option<Task> {
+    match steal {
+        Steal::Success(t) => Some(t),
+        _ => None,
+    }
+}
+
+/// What one step of the caller's side of [`WorkerPool::run`] did.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum CallerStep {
+    /// Took a queued job and ran it.
+    Ran,
+    /// Nothing is queued, but some of the call's jobs still run on
+    /// helpers: the caller sleeps until the last of them finishes.
+    Wait,
+    /// Every job of the call has finished, and `run` returns — re-raising
+    /// a job's panic when `panicked`.
+    Done {
+        /// Whether some job of the call panicked.
+        panicked: bool,
+    },
+}
+
+/// One step of the caller's side of `run` over `batch`: the loop body of
+/// [`WorkerPool::run`] and of [`PoolHarness::caller_step`] alike.
+fn caller_step(shared: &PoolShared, batch: &BatchState) -> CallerStep {
+    if batch.remaining.load(Ordering::Acquire) > 0 {
+        match shared.caller_task() {
+            Some(task) => {
+                run_task(0, task, shared);
+                return CallerStep::Ran;
+            }
+            None if batch.remaining.load(Ordering::Acquire) > 0 => return CallerStep::Wait,
+            None => {}
+        }
+    }
+    CallerStep::Done {
+        panicked: batch.panicked.load(Ordering::Acquire),
+    }
+}
+
+/// Build the queue fabric for a pool of `width` slots: the shared state
+/// plus each helper's private LIFO deque (handed to its thread — or to
+/// the checkx harness driving the discipline without threads).
+fn build_shared(width: usize) -> (Arc<PoolShared>, Vec<Worker<Task>>) {
+    let locals: Vec<Worker<Task>> = (1..width).map(|_| Worker::new_lifo()).collect();
     let shared = Arc::new(PoolShared {
-        mailboxes: (0..workers).map(|_| Injector::new()).collect(),
+        mailboxes: (0..width).map(|_| Injector::new()).collect(),
         stealers: locals.iter().map(|w| w.stealer()).collect(),
         epoch: Mutex::new(0),
         wake: Condvar::new(),
         shutdown: AtomicBool::new(false),
         morsels: AtomicU64::new(0),
         steals: AtomicU64::new(0),
-        busy_nanos: (0..workers).map(|_| AtomicU64::new(0)).collect(),
+        busy_nanos: (0..width).map(|_| AtomicU64::new(0)).collect(),
     });
     (shared, locals)
 }
@@ -165,8 +225,21 @@ fn scatter(shared: &PoolShared, jobs: Vec<StaticJob>, rr0: usize) -> Arc<BatchSt
     batch
 }
 
+fn stats_of(shared: &PoolShared) -> PoolStats {
+    PoolStats {
+        workers: shared.mailboxes.len(),
+        morsels: shared.morsels.load(Ordering::Relaxed),
+        steals: shared.steals.load(Ordering::Relaxed),
+        busy_nanos: shared
+            .busy_nanos
+            .iter()
+            .map(|b| b.load(Ordering::Relaxed))
+            .collect(),
+    }
+}
+
 /// A pool of compute workers for one PE. Created via [`WorkerPool::new`];
-/// dropping the pool shuts the workers down and joins them.
+/// dropping the pool shuts the helpers down and joins them.
 pub struct WorkerPool {
     shared: Arc<PoolShared>,
     threads: Mutex<Vec<JoinHandle<()>>>,
@@ -174,14 +247,15 @@ pub struct WorkerPool {
 }
 
 impl WorkerPool {
-    /// Spawn a pool of `workers` compute threads (clamped to ≥ 1).
+    /// A pool of width `workers` (clamped to ≥ 1): the thread that calls
+    /// [`run`](Self::run) is worker 0, and `workers − 1` helper threads
+    /// are spawned beside it.
     pub fn new(workers: usize) -> Arc<WorkerPool> {
-        let workers = workers.max(1);
-        let (shared, locals) = build_shared(workers);
+        let (shared, locals) = build_shared(workers.max(1));
         let threads = locals
             .into_iter()
-            .enumerate()
-            .map(|(id, local)| {
+            .zip(1..)
+            .map(|(local, id)| {
                 let shared = Arc::clone(&shared);
                 std::thread::Builder::new()
                     .name(format!("ofm-worker-{id}"))
@@ -196,12 +270,13 @@ impl WorkerPool {
         })
     }
 
-    /// Worker thread count.
+    /// Pool width: the calling thread and its helpers.
     pub fn workers(&self) -> usize {
         self.shared.mailboxes.len()
     }
 
-    /// Execute `jobs` on the pool and block until all of them finish.
+    /// Execute `jobs` on the pool — the calling thread taking its share —
+    /// and return once all of them have finished.
     ///
     /// Jobs may borrow from the caller's stack: the call does not return
     /// until every job has run, so the borrows outlive all uses. If a job
@@ -212,40 +287,40 @@ impl WorkerPool {
             return;
         }
         // SAFETY: the jobs are erased to 'static only so they can sit in
-        // the shared queues; this function blocks below until
-        // `batch.remaining` hits zero, i.e. until every job has finished
-        // executing, so no borrow they capture is used after it expires.
+        // the shared queues; this function returns only once
+        // `batch.remaining` is zero (`CallerStep::Done`), i.e. once every
+        // job has finished executing, so no borrow they capture is used
+        // after it expires.
         let jobs: Vec<StaticJob> = unsafe { std::mem::transmute(jobs) };
         let rr0 = self.next_rr.fetch_add(jobs.len(), Ordering::Relaxed);
         let batch = scatter(&self.shared, jobs, rr0);
-        {
+        if self.workers() > 1 {
             let mut epoch = self.shared.epoch.lock();
             *epoch += 1;
             self.shared.wake.notify_all();
         }
-        let mut guard = batch.lock.lock();
-        while batch.remaining.load(Ordering::Acquire) > 0 {
-            batch.done.wait(&mut guard);
-        }
-        drop(guard);
-        if batch.panicked.load(Ordering::Acquire) {
-            panic!("a morsel job panicked on an ofm worker");
+        loop {
+            match caller_step(&self.shared, &batch) {
+                CallerStep::Ran => {}
+                CallerStep::Wait => {
+                    let mut guard = batch.lock.lock();
+                    while batch.remaining.load(Ordering::Acquire) > 0 {
+                        batch.done.wait(&mut guard);
+                    }
+                }
+                CallerStep::Done { panicked } => {
+                    if panicked {
+                        panic!("a morsel job panicked on an ofm worker");
+                    }
+                    return;
+                }
+            }
         }
     }
 
     /// Snapshot of the pool's cumulative counters.
     pub fn stats(&self) -> PoolStats {
-        PoolStats {
-            workers: self.workers(),
-            morsels: self.shared.morsels.load(Ordering::Relaxed),
-            steals: self.shared.steals.load(Ordering::Relaxed),
-            busy_nanos: self
-                .shared
-                .busy_nanos
-                .iter()
-                .map(|b| b.load(Ordering::Relaxed))
-                .collect(),
-        }
+        stats_of(&self.shared)
     }
 }
 
@@ -288,9 +363,9 @@ fn worker_loop(id: usize, local: Worker<Task>, shared: Arc<PoolShared>) {
 }
 
 fn run_task(id: usize, task: Task, shared: &PoolShared) {
-    let started = Instant::now();
+    let started = busy_clock();
     let outcome = panic::catch_unwind(AssertUnwindSafe(task.job));
-    let elapsed = started.elapsed().as_nanos() as u64;
+    let elapsed = busy_clock().saturating_sub(started);
     shared.busy_nanos[id].fetch_add(elapsed, Ordering::Relaxed);
     shared.morsels.fetch_add(1, Ordering::Relaxed);
     if outcome.is_err() {
@@ -302,20 +377,62 @@ fn run_task(id: usize, task: Task, shared: &PoolShared) {
     }
 }
 
+/// The clock a job's busy time is read from, in nanoseconds: the CPU time
+/// the calling thread has used. A morsel runs for milliseconds, long
+/// enough that a host with fewer free cores than pool threads preempts it
+/// mid-job; on the wall clock the job would be charged the time it waited
+/// for a core, and a pool wider than the host would look busier than it
+/// is.
+#[cfg(all(target_os = "linux", target_pointer_width = "64"))]
+fn busy_clock() -> u64 {
+    /// `struct timespec` on 64-bit Linux: `time_t` and `long` are 64-bit.
+    #[repr(C)]
+    struct Timespec {
+        sec: i64,
+        nsec: i64,
+    }
+    extern "C" {
+        fn clock_gettime(clock: i32, ts: *mut Timespec) -> i32;
+    }
+    const CLOCK_THREAD_CPUTIME_ID: i32 = 3;
+    let mut ts = Timespec { sec: 0, nsec: 0 };
+    // SAFETY: `clock_gettime` is the C library's, which std links on
+    // Linux; it writes one `struct timespec` — `Timespec`'s layout on
+    // 64-bit Linux — through the valid, exclusive pointer it is given.
+    if unsafe { clock_gettime(CLOCK_THREAD_CPUTIME_ID, &mut ts) } != 0 {
+        return 0;
+    }
+    ts.sec as u64 * 1_000_000_000 + ts.nsec as u64
+}
+
+/// Elsewhere, the wall clock since the first read.
+#[cfg(not(all(target_os = "linux", target_pointer_width = "64")))]
+fn busy_clock() -> u64 {
+    static EPOCH: std::sync::OnceLock<std::time::Instant> = std::sync::OnceLock::new();
+    EPOCH.get_or_init(std::time::Instant::now).elapsed().as_nanos() as u64
+}
+
 /// The same queue fabric and acquisition discipline as [`WorkerPool`],
-/// but with **no OS threads**: each call to [`PoolHarness::step`] runs
-/// exactly one task acquisition (drain → pop → steal, the code path
-/// shared with the threaded worker loop via `PoolShared::next_task`) on behalf of
-/// one virtual worker. checkx's bounded interleaving explorer drives
-/// this to enumerate every ordering of worker steps for small job
-/// counts — turning the pool's no-lost-job / no-double-run / panic-
-/// propagation invariants from race-*sampled* into schedule-*enumerated*
-/// properties. The mutex-backed deque shim makes each acquisition step
-/// atomic, so step-granularity enumeration covers every observable
-/// thread interleaving.
+/// but with **no OS threads**: checkx's bounded interleaving explorer
+/// drives the caller and each helper one step at a time, through the code
+/// paths the threaded pool runs — [`PoolHarness::caller_step`] is the
+/// loop body of [`WorkerPool::run`], and a helper's
+/// [`take`](PoolHarness::take) / [`finish`](PoolHarness::finish) are the
+/// two halves of one `worker_loop` round (acquire via
+/// `PoolShared::next_task`, then execute with the real panic-catching
+/// bookkeeping). Splitting a helper's round lets a schedule observe a job
+/// in flight — taken and not yet finished — which is exactly when the
+/// caller must not return. This turns the pool's no-lost-job /
+/// no-double-run / panic-propagation / no-early-return invariants from
+/// race-*sampled* into schedule-*enumerated* properties. The mutex-backed
+/// deque shim makes each acquisition atomic, so step-granularity
+/// enumeration covers every observable thread interleaving.
 pub struct PoolHarness {
     shared: Arc<PoolShared>,
+    /// Helper `h`'s private deque is `locals[h - 1]`.
     locals: Vec<Worker<Task>>,
+    /// Helper `h`'s taken, unfinished task is `in_hand[h - 1]`.
+    in_hand: Vec<Option<Task>>,
     next_rr: usize,
 }
 
@@ -327,7 +444,7 @@ pub struct BatchHandle {
 }
 
 impl BatchHandle {
-    /// Jobs of this batch not yet executed.
+    /// Jobs of this batch not yet finished.
     pub fn remaining(&self) -> usize {
         self.batch.remaining.load(Ordering::Acquire)
     }
@@ -340,25 +457,26 @@ impl BatchHandle {
 }
 
 impl PoolHarness {
-    /// A harness over `workers` virtual workers (clamped to ≥ 1).
+    /// A harness over a pool of width `workers` (clamped to ≥ 1): slot 0
+    /// is the caller, slots `1..workers` are virtual helpers.
     pub fn new(workers: usize) -> PoolHarness {
-        let workers = workers.max(1);
-        let (shared, locals) = build_shared(workers);
+        let (shared, locals) = build_shared(workers.max(1));
         PoolHarness {
             shared,
+            in_hand: locals.iter().map(|_| None).collect(),
             locals,
             next_rr: 0,
         }
     }
 
-    /// Virtual worker count.
+    /// Pool width: the caller and its virtual helpers.
     pub fn workers(&self) -> usize {
-        self.locals.len()
+        self.shared.mailboxes.len()
     }
 
     /// Submit a batch exactly as [`WorkerPool::run`] would: round-robin
-    /// scatter into the worker mailboxes. No worker runs anything until
-    /// [`step`](Self::step) is called.
+    /// scatter into the slots' mailboxes. Nothing runs until the caller
+    /// or a helper is stepped.
     pub fn submit(&mut self, jobs: Vec<Box<dyn FnOnce() + Send + 'static>>) -> BatchHandle {
         let rr0 = self.next_rr;
         self.next_rr += jobs.len();
@@ -367,21 +485,37 @@ impl PoolHarness {
         }
     }
 
-    /// Run one acquisition round for `worker`: the real
-    /// drain-mailbox / pop-LIFO / steal-sibling discipline, then execute
-    /// the acquired task (with the real panic-catching bookkeeping).
-    /// Returns false when the worker found nothing to do.
-    pub fn step(&self, worker: usize) -> bool {
-        match self.shared.next_task(worker, &self.locals[worker]) {
+    /// One step of the caller's side of [`WorkerPool::run`] over `batch`
+    /// — the very function `run` loops on. [`CallerStep::Wait`] is where
+    /// the threaded caller sleeps; stepping it again later re-checks.
+    pub fn caller_step(&self, batch: &BatchHandle) -> CallerStep {
+        caller_step(&self.shared, &batch.batch)
+    }
+
+    /// Helper `helper` (in `1..workers`) runs one acquisition — the real
+    /// drain-mailbox / pop-LIFO / steal-sibling discipline — unless it
+    /// already holds a task. Returns whether it now holds one.
+    pub fn take(&mut self, helper: usize) -> bool {
+        let hand = &mut self.in_hand[helper - 1];
+        if hand.is_none() {
+            *hand = self.shared.next_task(helper, &self.locals[helper - 1]);
+        }
+        hand.is_some()
+    }
+
+    /// Helper `helper` executes the task it holds, with the real
+    /// panic-catching bookkeeping. Returns false when it held none.
+    pub fn finish(&mut self, helper: usize) -> bool {
+        match self.in_hand[helper - 1].take() {
             Some(task) => {
-                run_task(worker, task, &self.shared);
+                run_task(helper, task, &self.shared);
                 true
             }
             None => false,
         }
     }
 
-    /// True while any mailbox or worker deque still holds a task.
+    /// True while any mailbox or helper deque still holds a task.
     pub fn has_work(&self) -> bool {
         self.shared.mailboxes.iter().any(|m| !m.is_empty())
             || self.shared.stealers.iter().any(|s| !s.is_empty())
@@ -389,17 +523,7 @@ impl PoolHarness {
 
     /// Cumulative counters (morsels executed, steals), as for a real pool.
     pub fn stats(&self) -> PoolStats {
-        PoolStats {
-            workers: self.workers(),
-            morsels: self.shared.morsels.load(Ordering::Relaxed),
-            steals: self.shared.steals.load(Ordering::Relaxed),
-            busy_nanos: self
-                .shared
-                .busy_nanos
-                .iter()
-                .map(|b| b.load(Ordering::Relaxed))
-                .collect(),
-        }
+        stats_of(&self.shared)
     }
 }
 
@@ -441,7 +565,8 @@ impl PoolSet {
 
     /// Aggregate counters over every pool created so far. `workers` is
     /// the configured per-PE width; `busy_nanos` sums worker-by-worker
-    /// across PEs (index = worker id within its PE's pool).
+    /// across PEs (index = worker id within its PE's pool, slot 0 the
+    /// callers').
     pub fn total_stats(&self) -> PoolStats {
         let pools = self.pools.lock();
         let mut total = PoolStats {
@@ -530,17 +655,17 @@ mod tests {
 
     #[test]
     fn stragglers_get_robbed() {
-        // Round-robin puts the even-indexed jobs in worker 0's mailbox,
-        // and LIFO draining makes the *last* of them (index 8) the first
-        // one worker 0 executes. Making that job long pins worker 0 for
-        // 60ms with four short jobs still in its deque — worker 1 must
-        // steal them or run() would take ~64ms serial on worker 0 alone.
+        // Round-robin puts the even-indexed jobs in the caller's mailbox,
+        // which it takes oldest first, so job 0 is the first it runs.
+        // Making that job long pins the caller for 60ms with four short
+        // jobs still in its mailbox — the helper must steal them or run()
+        // would take ~64ms on the caller alone.
         let pool = WorkerPool::new(2);
-        let started = Instant::now();
+        let started = std::time::Instant::now();
         let jobs: Vec<Job> = (0..10)
             .map(|i| {
                 Box::new(move || {
-                    let ms = if i == 8 { 60 } else { 1 };
+                    let ms = if i == 0 { 60 } else { 1 };
                     std::thread::sleep(std::time::Duration::from_millis(ms));
                 }) as Job
             })
@@ -552,6 +677,71 @@ mod tests {
             "pool wedged: {elapsed:?}"
         );
         assert!(pool.stats().steals > 0, "expected at least one steal");
+    }
+
+    #[test]
+    fn the_caller_is_worker_zero() {
+        // A width-2 pool is the caller and one helper thread. The caller
+        // runs jobs beside the helper and is metered in slot 0.
+        let pool = WorkerPool::new(2);
+        assert_eq!(pool.threads.lock().len(), 1);
+        let caller = std::thread::current().id();
+        let on_caller = AtomicUsize::new(0);
+        let jobs: Vec<Job> = (0..8)
+            .map(|_| {
+                Box::new(|| {
+                    if std::thread::current().id() == caller {
+                        on_caller.fetch_add(1, Ordering::Relaxed);
+                    }
+                    std::thread::sleep(std::time::Duration::from_millis(2));
+                }) as Job
+            })
+            .collect();
+        pool.run(jobs);
+        assert!(on_caller.load(Ordering::Relaxed) > 0, "the caller ran no job");
+        let stats = pool.stats();
+        assert_eq!(stats.morsels, 8);
+        assert!(stats.busy_nanos[0] > 0, "slot 0 meters the caller");
+        // A width-1 pool spawns no thread: the caller runs everything.
+        let alone = WorkerPool::new(1);
+        assert!(alone.threads.lock().is_empty());
+        let counter = AtomicUsize::new(0);
+        alone.run(vec![Box::new(|| {
+            counter.fetch_add(1, Ordering::Relaxed);
+        }) as Job]);
+        assert_eq!(counter.load(Ordering::Relaxed), 1);
+        assert_eq!(alone.stats().busy_nanos.len(), 1);
+    }
+
+    #[test]
+    fn run_waits_for_a_job_in_flight_on_a_helper() {
+        // Each call scatters job 0 to the caller's mailbox and job 1 to
+        // the helper's. Job 0 holds the caller until job 1 has started on
+        // the helper, and job 1 outlives it: the caller then finds nothing
+        // queued with a job in flight, and run must not return before
+        // that job finishes.
+        let pool = WorkerPool::new(2);
+        for _ in 0..20 {
+            let (started, finished) = (AtomicUsize::new(0), AtomicUsize::new(0));
+            let jobs: Vec<Job> = (0..2)
+                .map(|i| {
+                    let (started, finished) = (&started, &finished);
+                    Box::new(move || {
+                        if i == 0 {
+                            while started.load(Ordering::Acquire) == 0 {
+                                std::thread::yield_now();
+                            }
+                        } else {
+                            started.store(1, Ordering::Release);
+                            std::thread::sleep(std::time::Duration::from_millis(3));
+                        }
+                        finished.fetch_add(1, Ordering::Relaxed);
+                    }) as Job
+                })
+                .collect();
+            pool.run(jobs);
+            assert_eq!(finished.load(Ordering::Relaxed), 2);
+        }
     }
 
     #[test]

@@ -178,10 +178,9 @@ impl Accumulator {
 }
 
 /// The hash group table every aggregation folds into: the inline aggregate
-/// folds its input into one table, the pooled one folds a table per
-/// contiguous chunk of its input and merges them in chunk order, and the
-/// coordinator folds the fragments' partial rows into one table over the
-/// merge aggregates.
+/// folds its input into one table, the pooled one folds a table per morsel
+/// of its input and merges them in morsel order, and the coordinator folds
+/// the fragments' partial rows into one table over the merge aggregates.
 ///
 /// A batch folds in two column-at-a-time passes and never builds a key:
 ///
@@ -241,6 +240,11 @@ impl GroupTable {
             row_nulls: Vec::new(),
             gids: Vec::new(),
         }
+    }
+
+    /// An empty table grouping and aggregating as this one does.
+    pub fn empty_like(&self) -> GroupTable {
+        GroupTable::new(&self.group_by, &self.aggs)
     }
 
     /// Fold one batch's live rows into the table.

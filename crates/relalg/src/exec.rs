@@ -13,14 +13,14 @@
 //!   deep-copy payloads;
 //! * every scan, and every filter / project / hash-join probe chain
 //!   (`crate::join`), is one pipeline operator ([`mod@crate::morsel`]):
-//!   one kernel pushes each morsel — a scan unit or a child batch —
+//!   one kernel pushes each vector — a scan unit or a child batch —
 //!   through the stages column-at-a-time, never building a row, inline on
-//!   the calling thread or, over a scan worth it, on a worker pool, with
-//!   bit-identical output;
+//!   the calling thread or, over a scan of at least two morsels, on a
+//!   worker pool, with bit-identical output;
 //! * blocking operators (hash build sides, aggregation, sort, closure,
 //!   fixpoint) materialize only their own inputs and emit their result
 //!   as row-window units; everything downstream keeps streaming. Every
-//!   aggregation folds into one [`GroupTable`](crate::agg::GroupTable).
+//!   aggregation folds into one [`GroupTable`].
 //!
 //! ## Row/column duality
 //!
@@ -75,10 +75,10 @@ use prisma_storage::expr::CompiledVecPredicate;
 use prisma_storage::{FastMap, FastSet, FnvBuild};
 use prisma_types::{ColumnVec, LazyColumns, PrismaError, Result, Schema, SelVec, Tuple, Value};
 
-use crate::agg::AggExpr;
+use crate::agg::{AggExpr, GroupTable};
 use crate::eval::{EvalContext, RelationProvider};
 use crate::join::{self, JoinProbe, JoinTable};
-use crate::morsel::{self, PipelineOp, Source, Stage};
+use crate::morsel::{PipelineOp, Source, Stage};
 use crate::physical::PhysicalPlan;
 use crate::plan::JoinKind;
 use crate::table::Relation;
@@ -345,7 +345,7 @@ impl Batch {
     /// reused `key` buffer — the columnar analogue of [`Tuple::key`], which
     /// never forces a pivot back to rows. (The executor's own keys hash and
     /// compare straight from the typed columns; see
-    /// [`GroupTable`](crate::agg::GroupTable) and `crate::join`.)
+    /// [`GroupTable`] and `crate::join`.)
     pub fn key_at(&self, row: usize, key_cols: &[usize], key: &mut Vec<Value>) {
         key.clear();
         key.extend(key_cols.iter().map(|&c| self.value_at(row, c)));
@@ -487,6 +487,15 @@ pub fn collect_batches(schema: Schema, batches: Vec<Batch>) -> Relation {
 pub trait Operator {
     /// Produce the next non-empty batch, or `None` when exhausted.
     fn next_batch(&mut self) -> Result<Option<Batch>>;
+
+    /// Fold every remaining batch into `table` — what a hash aggregate
+    /// does with its input. A pooled pipeline folds inside its morsels.
+    fn fold_into(&mut self, table: &mut GroupTable) -> Result<()> {
+        while let Some(batch) = self.next_batch()? {
+            table.fold(&batch)?;
+        }
+        Ok(())
+    }
 }
 
 pub(crate) type BoxOp = Box<dyn Operator>;
@@ -550,9 +559,11 @@ pub fn open_batches(
 
 /// [`open_batches`] with morsel-driven intra-fragment parallelism: when a
 /// [`WorkerPool`] is supplied, compute-heavy spans of the operator tree
-/// (scan→filter→join-probe→project pipelines, hash aggregation) run their
-/// morsels — whole scan units of up to [`BATCH_SIZE`] rows — on the pool's
-/// work-stealing workers instead of inline. Output batches are
+/// (scan→filter→join-probe→project pipelines, and a hash aggregate's fold
+/// over them) whose scan holds at least two morsels — runs of whole scan
+/// units of at least [`MORSEL_ROWS`](crate::morsel::MORSEL_ROWS) rows —
+/// run them on the pool, the calling thread beside its helpers, instead
+/// of inline. Output batches are
 /// *identical* either way — same batches in the same order (see
 /// [`mod@crate::morsel`]) — so the stream's consumers (including the wire
 /// protocol) cannot tell the difference except by the clock.
@@ -593,7 +604,7 @@ pub fn open(plan: &PhysicalPlan, ctx: &mut EvalContext<'_>) -> Result<BoxOp> {
 /// [`PipelineOp`] over its bottom node: scan units for a `SeqScan` or
 /// `Values`, a deferred [`Blocking`] operator, an eager fixpoint's result,
 /// or any other operator's batches. The pool runs the pipeline's morsels
-/// only over scan units that pass [`PipelineOp::eligible`].
+/// only over scan units worth it ([`PipelineOp::new`]).
 pub(crate) fn open_with(
     plan: &PhysicalPlan,
     ctx: &mut EvalContext<'_>,
@@ -617,7 +628,6 @@ pub(crate) fn open_with(
             kind,
         })))
     };
-    let mut pooled = false;
     let source = match cur {
         PhysicalPlan::SeqScan {
             relation,
@@ -626,22 +636,16 @@ pub(crate) fn open_with(
             ..
         } => {
             let mut units = Vec::new();
-            let rows = match ctx.lookup_chunked(relation) {
+            match ctx.lookup_chunked(relation) {
                 Some(ch) => {
                     let refuter = prune
                         .as_ref()
                         .map(prisma_storage::ZoneRefuter::compile)
                         .unwrap_or_default();
                     units = chunk_scan_units(&ch, &refuter);
-                    ch.len()
                 }
-                None => {
-                    let rel = ctx.lookup(relation)?;
-                    row_scan_units(&rel, &mut units);
-                    rel.len()
-                }
-            };
-            pooled = PipelineOp::eligible(rows, has_stages, projection);
+                None => row_scan_units(&ctx.lookup(relation)?, &mut units),
+            }
             Source::Units {
                 units,
                 projection: projection.clone(),
@@ -649,7 +653,6 @@ pub(crate) fn open_with(
             }
         }
         PhysicalPlan::Values { schema, rows } => {
-            pooled = PipelineOp::eligible(rows.len(), has_stages, &None);
             Source::rows(Relation::new(schema.clone(), rows.clone()))
         }
         PhysicalPlan::HashAggregate {
@@ -660,7 +663,6 @@ pub(crate) fn open_with(
             let kind = BlockingKind::Aggregate {
                 group_by: group_by.clone(),
                 aggs: aggs.clone(),
-                pool: pool.map(Arc::clone),
             };
             blocking(input, kind, ctx)?
         }
@@ -750,7 +752,6 @@ pub(crate) fn open_with(
             _ => unreachable!("only these enter the spine"),
         });
     }
-    let pool = pool.filter(|_| pooled).map(Arc::clone);
     Ok(Box::new(PipelineOp::new(source, stages, pool)))
 }
 
@@ -1102,11 +1103,11 @@ pub(crate) struct Blocking {
 }
 
 enum BlockingKind {
-    /// Hash aggregation, morsel-parallel when a pool is attached.
+    /// Hash aggregation: its input folds into one table
+    /// ([`Operator::fold_into`]), inside the morsels when the input pools.
     Aggregate {
         group_by: Vec<usize>,
         aggs: Vec<AggExpr>,
-        pool: Option<Arc<WorkerPool>>,
     },
     Sort(Vec<(usize, bool)>),
     /// The seeded transitive closure ([`closure`]).
@@ -1121,11 +1122,11 @@ impl Blocking {
             kind,
         } = self;
         let rows = match kind {
-            BlockingKind::Aggregate {
-                group_by,
-                aggs,
-                pool,
-            } => morsel::aggregate(input.as_mut(), &group_by, &aggs, pool.as_deref())?,
+            BlockingKind::Aggregate { group_by, aggs } => {
+                let mut table = GroupTable::new(&group_by, &aggs);
+                input.fold_into(&mut table)?;
+                table.finish()
+            }
             BlockingKind::Sort(keys) => {
                 return Ok(materialize(input.as_mut(), schema)?.sorted_by(&keys))
             }
@@ -1203,19 +1204,25 @@ mod tests {
     use super::*;
     use crate::agg::AggFunc;
     use crate::eval::eval;
+    use crate::morsel::MORSEL_ROWS;
     use crate::physical::lower;
     use crate::plan::LogicalPlan;
     use prisma_storage::expr::{ArithOp, CmpOp, ScalarExpr};
     use prisma_types::{tuple, Column, DataType};
 
     fn db() -> HashMap<String, Relation> {
+        db_of(3000)
+    }
+
+    /// [`db`] with an `emp` of `emp_rows` rows.
+    fn db_of(emp_rows: i64) -> HashMap<String, Relation> {
         let emp = Relation::new(
             Schema::new(vec![
                 Column::new("id", DataType::Int),
                 Column::new("dept", DataType::Int),
                 Column::new("salary", DataType::Double),
             ]),
-            (0..3000_i64)
+            (0..emp_rows)
                 .map(|i| tuple![i, i % 7, (i % 100) as f64])
                 .collect(),
         );
@@ -1559,65 +1566,112 @@ mod tests {
 
     #[test]
     fn pooled_execution_is_bit_identical_to_serial() {
-        let db = db();
-        let emp = || LogicalPlan::scan("emp", db["emp"].schema().clone());
-        let dept = || LogicalPlan::scan("dept", db["dept"].schema().clone());
-        let cmp = |op, col, lit: ScalarExpr| ScalarExpr::cmp(op, ScalarExpr::col(col), lit);
-        let aggregate = LogicalPlan::Aggregate {
-            input: Box::new(emp()),
-            group_by: vec![1],
-            aggs: vec![
-                AggExpr::new(AggFunc::CountStar, 0, "n"),
-                AggExpr::new(AggFunc::Sum, 2, "s"),
-                AggExpr::new(AggFunc::Avg, 2, "a"),
-            ],
-        };
-        let plans = vec![
-            // Scan→filter→project pipeline.
-            emp()
-                .select(cmp(CmpOp::Lt, 2, ScalarExpr::lit(50.0)))
-                .project_cols(&[0, 1])
-                .unwrap(),
-            // Hash join: the probe is a stage of the scan's pipeline.
-            emp().join(dept(), vec![(1, 0)]),
-            // Aggregate: parallel partials folded at the breaker.
-            aggregate.clone(),
-            // Filter + Project over a blocking source.
-            aggregate
-                .select(cmp(CmpOp::Gt, 1, ScalarExpr::lit(420)))
-                .project_cols(&[2, 0])
-                .unwrap(),
-            // A probe whose source is another operator's batches.
-            LogicalPlan::Union {
-                left: Box::new(emp().select(cmp(CmpOp::Lt, 0, ScalarExpr::lit(1500)))),
-                right: Box::new(emp().select(cmp(CmpOp::Ge, 0, ScalarExpr::lit(1500)))),
-                all: true,
+        // Over 3000 rows every plan runs inline at every width; over two
+        // morsels and a half, every plan but the union's probe (whose
+        // source is another operator) runs its morsels on the pool.
+        for (db, big) in [(db(), false), (db_of((MORSEL_ROWS * 5 / 2) as i64), true)] {
+            let emp = || LogicalPlan::scan("emp", db["emp"].schema().clone());
+            let dept = || LogicalPlan::scan("dept", db["dept"].schema().clone());
+            let cmp = |op, col, lit: ScalarExpr| ScalarExpr::cmp(op, ScalarExpr::col(col), lit);
+            let aggregate_over = |input: LogicalPlan| LogicalPlan::Aggregate {
+                input: Box::new(input),
+                group_by: vec![1],
+                aggs: vec![
+                    AggExpr::new(AggFunc::CountStar, 0, "n"),
+                    AggExpr::new(AggFunc::Sum, 2, "s"),
+                    AggExpr::new(AggFunc::Avg, 2, "a"),
+                ],
+            };
+            let aggregate = aggregate_over(emp());
+            let plans = vec![
+                // Scan→filter→project pipeline.
+                (
+                    emp()
+                        .select(cmp(CmpOp::Lt, 2, ScalarExpr::lit(50.0)))
+                        .project_cols(&[0, 1])
+                        .unwrap(),
+                    big,
+                ),
+                // Hash join: the probe is a stage of the scan's pipeline.
+                (emp().join(dept(), vec![(1, 0)]), big),
+                // Aggregate: a table per morsel, merged in morsel order.
+                (aggregate.clone(), big),
+                // The same over a filter, folded inside the filter's jobs.
+                (aggregate_over(emp().select(cmp(CmpOp::Ge, 0, ScalarExpr::lit(7)))), big),
+                // Filter + Project over a blocking source.
+                (
+                    aggregate
+                        .select(cmp(CmpOp::Gt, 1, ScalarExpr::lit(420)))
+                        .project_cols(&[2, 0])
+                        .unwrap(),
+                    big,
+                ),
+                // A probe whose source is another operator's batches.
+                (
+                    LogicalPlan::Union {
+                        left: Box::new(emp().select(cmp(CmpOp::Lt, 0, ScalarExpr::lit(1500)))),
+                        right: Box::new(emp().select(cmp(CmpOp::Ge, 0, ScalarExpr::lit(1500)))),
+                        all: true,
+                    }
+                    .join(dept(), vec![(1, 0)]),
+                    big,
+                ),
+                // A limit that cuts a pooled join's output mid-batch.
+                (
+                    LogicalPlan::Limit {
+                        input: Box::new(emp().join(dept(), vec![(1, 0)])),
+                        n: 1500,
+                    },
+                    big,
+                ),
+                // Values cut into more than one row window.
+                (
+                    LogicalPlan::Values {
+                        schema: db["emp"].schema().clone(),
+                        rows: db["emp"].tuples().to_vec(),
+                    }
+                    .select(cmp(CmpOp::Lt, 2, ScalarExpr::lit(50.0))),
+                    big,
+                ),
+            ];
+            for (plan, pools) in &plans {
+                let phys = lower(plan).unwrap();
+                for workers in [2usize, 4] {
+                    let pool = prisma_poolx::WorkerPool::new(workers);
+                    let [serial, pooled] = run_both(&phys, &db, &pool);
+                    // Not just set-equal: the same batches, rows in the same order.
+                    assert_eq!(pooled, serial, "workers={workers} plan:\n{plan}");
+                    assert_eq!(
+                        pool.stats().morsels > 0,
+                        *pools,
+                        "{} rows at {workers} workers:\n{plan}",
+                        db["emp"].len()
+                    );
+                }
             }
-            .join(dept(), vec![(1, 0)]),
-            // A limit that cuts a pooled join's output mid-batch.
-            LogicalPlan::Limit {
-                input: Box::new(emp().join(dept(), vec![(1, 0)])),
-                n: 1500,
-            },
-            // Values cut into more than one row window.
-            LogicalPlan::Values {
-                schema: db["emp"].schema().clone(),
-                rows: db["emp"].tuples().to_vec(),
-            }
-            .select(cmp(CmpOp::Lt, 2, ScalarExpr::lit(50.0))),
-        ];
-        for plan in &plans {
-            let phys = lower(plan).unwrap();
-            for workers in [2usize, 4] {
-                let pool = prisma_poolx::WorkerPool::new(workers);
-                let [serial, pooled] = run_both(&phys, &db, &pool);
-                // Not just set-equal: the same batches, rows in the same order.
-                assert_eq!(pooled, serial, "workers={workers} plan:\n{plan}");
-                assert!(
-                    pool.stats().morsels > 0,
-                    "pool unused at {workers} workers:\n{plan}"
-                );
-            }
+        }
+    }
+
+    #[test]
+    fn a_pruned_scan_pools_only_what_survives_pruning() {
+        // Four morsels of sealed 4096-row chunks, `id` clustered. A
+        // predicate whose zone maps keep under two morsels runs inline on
+        // a pooled stream; one that keeps two or more pools.
+        let db = chunked_db_of(4096, 4 * MORSEL_ROWS as i64);
+        let emp = || LogicalPlan::scan("emp", db.rows["emp"].schema().clone());
+        for (below, pools) in [(MORSEL_ROWS / 2, false), (2 * MORSEL_ROWS - 4096, false), (2 * MORSEL_ROWS, true)] {
+            let plan = emp().select(ScalarExpr::cmp(
+                CmpOp::Lt,
+                ScalarExpr::col(0),
+                ScalarExpr::lit(below as i64),
+            ));
+            let mut phys = lower(&plan).unwrap();
+            phys.push_prune_hints();
+            let pool = prisma_poolx::WorkerPool::new(2);
+            let [serial, pooled] = run_both(&phys, &db, &pool);
+            assert_eq!(pooled, serial);
+            assert_eq!(serial.1.len(), below);
+            assert_eq!(pool.stats().morsels > 0, pools, "id < {below}");
         }
     }
 
@@ -1656,7 +1710,15 @@ mod tests {
     }
 
     fn chunked_db(chunk_rows: usize, sealed_rows: usize) -> ChunkedDb {
-        let rows = db();
+        chunked_db_over(db(), chunk_rows, sealed_rows)
+    }
+
+    /// [`chunked_db`] over an `emp` of `rows` rows, all of them sealed.
+    fn chunked_db_of(chunk_rows: usize, rows: i64) -> ChunkedDb {
+        chunked_db_over(db_of(rows), chunk_rows, rows as usize)
+    }
+
+    fn chunked_db_over(rows: HashMap<String, Relation>, chunk_rows: usize, sealed_rows: usize) -> ChunkedDb {
         let emp = &rows["emp"];
         let chunks: Vec<Arc<prisma_types::SealedChunk>> = emp.tuples()[..sealed_rows]
             .chunks(chunk_rows)
@@ -1750,31 +1812,38 @@ mod tests {
 
     #[test]
     fn pooled_chunked_scan_is_bit_identical_to_serial() {
-        let db = chunked_db(512, 2048);
-        let plan = LogicalPlan::scan("emp", db.rows["emp"].schema().clone())
-            .select(ScalarExpr::cmp(
-                CmpOp::Lt,
-                ScalarExpr::col(2),
-                ScalarExpr::lit(50.0),
-            ))
-            .project_cols(&[0, 1])
-            .unwrap();
-        let mut phys = lower(&plan).unwrap();
-        phys.push_prune_hints();
-        let bare = lower(&LogicalPlan::scan("emp", db.rows["emp"].schema().clone())).unwrap();
-        for workers in [2usize, 4] {
-            let pool = prisma_poolx::WorkerPool::new(workers);
-            let [serial, pooled] = run_both(&phys, &db, &pool);
-            assert_eq!(pooled, serial, "workers={workers}");
-            assert!(pool.stats().morsels > 0, "pool unused at {workers} workers");
-            // A bare scan runs inline either way, and its whole chunks keep
-            // their tag (and with it the cached wire block).
-            for stream in [None, Some(Arc::clone(&pool))] {
-                let batches = open_batches_pooled(&bare, &db, stream)
-                    .unwrap()
-                    .drain()
-                    .unwrap();
-                assert!(batches[..4].iter().all(|b| b.sealed_chunk().is_some()));
+        // 2048 sealed rows and a delta run inline at every width; two
+        // morsels and a half of sealed rows pool.
+        let small = chunked_db(512, 2048);
+        let big = chunked_db_of(512, (MORSEL_ROWS * 5 / 2) as i64);
+        for (db, pools) in [(&small, false), (&big, true)] {
+            let plan = LogicalPlan::scan("emp", db.rows["emp"].schema().clone())
+                .select(ScalarExpr::cmp(
+                    CmpOp::Lt,
+                    ScalarExpr::col(2),
+                    ScalarExpr::lit(50.0),
+                ))
+                .project_cols(&[0, 1])
+                .unwrap();
+            let mut phys = lower(&plan).unwrap();
+            phys.push_prune_hints();
+            let bare = lower(&LogicalPlan::scan("emp", db.rows["emp"].schema().clone())).unwrap();
+            for workers in [2usize, 4] {
+                let pool = prisma_poolx::WorkerPool::new(workers);
+                let [serial, pooled] = run_both(&phys, db, &pool);
+                assert_eq!(pooled, serial, "workers={workers}");
+                assert_eq!(pool.stats().morsels > 0, pools, "workers={workers}");
+                // A bare scan runs inline either way, and its whole chunks
+                // keep their tag (and with it the cached wire block).
+                let morsels = pool.stats().morsels;
+                for stream in [None, Some(Arc::clone(&pool))] {
+                    let batches = open_batches_pooled(&bare, db, stream)
+                        .unwrap()
+                        .drain()
+                        .unwrap();
+                    assert!(batches[..4].iter().all(|b| b.sealed_chunk().is_some()));
+                }
+                assert_eq!(pool.stats().morsels, morsels, "a bare scan pooled");
             }
         }
     }

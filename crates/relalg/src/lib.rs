@@ -33,6 +33,7 @@ pub mod table;
 
 pub use agg::{AggExpr, AggFunc};
 pub use eval::{eval, EvalContext, RelationProvider};
+pub use morsel::MORSEL_ROWS;
 pub use exec::{
     chunk_scan_counters, execute_batches, execute_physical, open_batches, open_batches_pooled,
     Batch, BatchStream, Operator, BATCH_SIZE,

@@ -12,25 +12,42 @@
 //! side is drained into its table at open; its probe is a stage like any
 //! other (`crate::join`), so a batch is never split by rows.
 //!
-//! Each unit or child batch is one **morsel**. Where the morsels run is
-//! decided at open from what the plan already says:
+//! A unit or child batch is a **vector**: the stages run one at a time,
+//! and each yields at most one output batch. A **morsel** is a run of
+//! consecutive units holding at least [`MORSEL_ROWS`] rows — 64 vectors —
+//! and is what one pool job runs. A vector takes some 20 µs of stage work,
+//! and handing a job to another thread costs 6–11 µs on an idle host and
+//! far more on a crowded one, so only a morsel's work repays its hand-off.
+//! Where the morsels run is decided at open from what the plan already
+//! says:
 //!
 //! * on the [`WorkerPool`], when a pool is attached
-//!   ([`crate::exec::open_batches_pooled`]) and the source is scan units
-//!   that pass `PipelineOp::eligible`: waves of units run the whole stage
-//!   chain worker-side, each with its own copy of the stage scratch;
+//!   ([`crate::exec::open_batches_pooled`]), the source is scan units that
+//!   still hold at least two morsels after zone pruning, and some stage or
+//!   fused projection does per-row work (a bare scan streams zero-copy
+//!   windows, nothing to parallelize): waves of morsels run the whole
+//!   stage chain job-side, each job with its own copy of the stage
+//!   scratch, one output batch per unit. The caller works the wave beside
+//!   the pool's helpers;
 //! * otherwise inline on the calling thread, one unit or child batch at a
 //!   time, reusing the stages' scratch (predicate buffers, the selection
-//!   buffer, probe hashes) across batches.
+//!   buffer, probe hashes) across batches. A fragment under
+//!   `2 × MORSEL_ROWS` rows always runs here.
 //!
-//! A pooled hash aggregate folds one [`GroupTable`] per contiguous chunk
-//! of its input and merges them in chunk order (`aggregate`).
+//! A hash aggregate over a scan of at least two morsels — its fold is
+//! per-row work even over a bare scan — folds one [`GroupTable`] per
+//! morsel, inside the job that ran the stages on it, and merges the tables
+//! in morsel order (`PipelineOp::fold_into`); over any other input it
+//! folds the stream inline.
 //!
 //! **Every merge is ordered by morsel position**, which makes pooled
 //! execution *bit-identical* to inline execution — same batches, same row
-//! order, same float rounding — not merely equal up to reordering.
-//! Determinism therefore cannot depend on steal interleavings; only the
-//! wall-clock (and the pool's busy/steal counters) do.
+//! order, same float rounding — not merely equal up to reordering; a
+//! pooled aggregate matches the inline one up to the rounding of a
+//! floating-point sum ([`GroupTable::merge`]), and does not depend on the
+//! pool's width. Determinism therefore cannot depend on steal
+//! interleavings; only the wall-clock (and the pool's busy/steal counters)
+//! do.
 //!
 //! Parallelism stays strictly inside the PE: this module never touches
 //! the actor runtime, the traffic ledger, or the wire protocol. A
@@ -38,26 +55,33 @@
 //! batch through [`crate::exec::BatchStream`].
 
 use std::collections::VecDeque;
+use std::ops::Range;
 use std::sync::Arc;
 
 use prisma_poolx::{Job, WorkerPool};
 use prisma_storage::expr::{CompiledVecExpr, CompiledVecPredicate};
-use prisma_types::{Result, SelVec, Tuple};
+use prisma_types::{Result, SelVec};
 
-use crate::agg::{AggExpr, GroupTable};
-use crate::exec::{drain, row_scan_units, Batch, Blocking, BoxOp, Operator, ScanUnit, BATCH_SIZE};
+use crate::agg::GroupTable;
+use crate::exec::{row_scan_units, Batch, Blocking, BoxOp, Operator, ScanUnit, BATCH_SIZE};
 use crate::join::JoinProbe;
 use crate::table::Relation;
 
+/// Rows a morsel holds at least: one pool job runs this many rows of
+/// consecutive scan units, so its work outweighs its hand-off many times
+/// over (see the module docs).
+pub const MORSEL_ROWS: usize = 64 * BATCH_SIZE;
+
 /// Morsels dispatched per wave, as a multiple of the pool width: enough
 /// slack that a stolen straggler rebalances, small enough that a wave's
-/// output stays a handful of batches (the stream stays incremental).
+/// output stays a bounded slice of the fragment (the stream stays
+/// incremental).
 const WAVE_MORSELS_PER_WORKER: usize = 4;
 
-/// Run `f` over every item on the pool's workers and return the results
-/// **in item order** — the scatter/gather every morsel-parallel span in
-/// this module is built on. Blocks until all jobs finished, so `f` and the
-/// items may borrow from the caller's stack.
+/// Run `f` over every item on the pool — the caller and its helpers — and
+/// return the results **in item order**: the scatter/gather every
+/// morsel-parallel span in this module is built on. Returns only after all
+/// jobs finished, so `f` and the items may borrow from the caller's stack.
 fn pool_map<T: Send, R: Send>(
     pool: &WorkerPool,
     items: impl IntoIterator<Item = T>,
@@ -130,6 +154,16 @@ impl Source {
         }
     }
 
+    /// A unit source's units and fused projection.
+    fn units(&self) -> (&[ScanUnit], Option<&[usize]>) {
+        match self {
+            Source::Units {
+                units, projection, ..
+            } => (units, projection.as_deref()),
+            _ => unreachable!("only scan units run on the pool"),
+        }
+    }
+
     fn next_batch(&mut self) -> Result<Option<Batch>> {
         loop {
             match self {
@@ -161,79 +195,110 @@ impl Source {
 pub(crate) struct PipelineOp {
     source: Source,
     stages: Vec<Stage>,
-    /// The pool the morsels run on; `None` runs them inline.
-    pool: Option<Arc<WorkerPool>>,
+    /// The pool the morsels run on, and the morsels not yet run — ranges
+    /// of the source's units, in order; `None` runs the source inline.
+    /// A bare scan keeps it only for an aggregate's fold.
+    pooled: Option<(Arc<WorkerPool>, VecDeque<Range<usize>>)>,
     /// Pooled output not yet emitted, in unit order.
     ready: VecDeque<Batch>,
 }
 
 impl PipelineOp {
-    /// A pipeline whose morsels run on `pool` when one is given — which
-    /// takes a [`Source::Units`] source — and inline otherwise.
-    pub(crate) fn new(
-        source: Source,
-        stages: Vec<Stage>,
-        pool: Option<Arc<WorkerPool>>,
-    ) -> PipelineOp {
-        debug_assert!(pool.is_none() || matches!(source, Source::Units { .. }));
+    /// A pipeline over `source`. Its morsels run on `pool` when one is
+    /// given and the source is scan units of at least two morsels, and
+    /// inline otherwise.
+    pub(crate) fn new(source: Source, stages: Vec<Stage>, pool: Option<&Arc<WorkerPool>>) -> PipelineOp {
+        let pooled = match (&source, pool) {
+            (Source::Units { units, .. }, Some(pool)) => {
+                let morsels = morsels(units);
+                (morsels.len() >= 2).then(|| (Arc::clone(pool), morsels))
+            }
+            _ => None,
+        };
         PipelineOp {
             source,
             stages,
-            pool,
+            pooled,
             ready: VecDeque::new(),
         }
     }
+}
 
-    /// Whether the pool is worth it for a scan source: at least two
-    /// morsels and some per-row compute (a bare scan is zero-copy window
-    /// arithmetic — nothing to parallelize).
-    pub(crate) fn eligible(rows: usize, has_stages: bool, projection: &Option<Vec<usize>>) -> bool {
-        rows > BATCH_SIZE && (has_stages || projection.is_some())
+/// Cut scan units into morsels: runs of consecutive units holding at
+/// least [`MORSEL_ROWS`] rows each, a shorter tail joining the last run.
+/// Chunks that zone pruning refuted are no units, so only the rows that
+/// survived it count.
+fn morsels(units: &[ScanUnit]) -> VecDeque<Range<usize>> {
+    let mut out = VecDeque::new();
+    let (mut start, mut rows) = (0, 0);
+    for (i, unit) in units.iter().enumerate() {
+        rows += unit.len();
+        if rows >= MORSEL_ROWS {
+            out.push_back(start..i + 1);
+            (start, rows) = (i + 1, 0);
+        }
     }
+    match out.back_mut() {
+        Some(last) => last.end = units.len(),
+        None if !units.is_empty() => out.push_back(0..units.len()),
+        None => {}
+    }
+    out
+}
+
+/// Run one morsel — `units` under the scan's fused `projection` — through
+/// a copy of the stages, handing each unit's output batch to `emit` in
+/// unit order.
+fn run_morsel(
+    units: &[ScanUnit],
+    projection: Option<&[usize]>,
+    stages: &[Stage],
+    mut emit: impl FnMut(Batch) -> Result<()>,
+) -> Result<()> {
+    let mut stages = stages.to_vec();
+    for unit in units.iter().filter(|u| u.len() > 0) {
+        if let Some(out) = run_stages(unit.batch(projection), &mut stages)? {
+            emit(out)?;
+        }
+    }
+    Ok(())
 }
 
 impl Operator for PipelineOp {
     fn next_batch(&mut self) -> Result<Option<Batch>> {
-        let Some(pool) = &self.pool else {
-            while let Some(batch) = self.source.next_batch()? {
-                if let Some(out) = run_stages(batch, &mut self.stages)? {
-                    return Ok(Some(out));
-                }
-            }
-            return Ok(None);
-        };
+        if self.pooled.is_some() && self.stages.is_empty() && self.source.units().1.is_none() {
+            self.pooled = None; // a bare scan streams its windows inline
+        }
         loop {
             if let Some(b) = self.ready.pop_front() {
                 return Ok(Some(b));
             }
-            let Source::Units {
-                units,
-                projection,
-                next,
-            } = &mut self.source
-            else {
-                unreachable!("only scan units run on the pool")
+            let Some((pool, morsels)) = &mut self.pooled else {
+                while let Some(batch) = self.source.next_batch()? {
+                    if let Some(out) = run_stages(batch, &mut self.stages)? {
+                        return Ok(Some(out));
+                    }
+                }
+                return Ok(None);
             };
-            if *next >= units.len() {
+            if morsels.is_empty() {
                 return Ok(None);
             }
-            let end = (*next + pool.workers() * WAVE_MORSELS_PER_WORKER).min(units.len());
-            let (wave, projection, stages) =
-                (&units[*next..end], projection.as_deref(), &self.stages);
-            *next = end;
-            let out = pool_map(pool, wave, |unit| -> Result<Option<Batch>> {
-                if unit.len() == 0 {
-                    return Ok(None);
-                }
-                let mut stages = stages.to_vec();
-                let out = run_stages(unit.batch(projection), &mut stages)?;
-                // A join that ends the pipeline hands its whole output to
-                // the wire or to a row pivot, which read every column:
-                // gather them here, on the worker, not on the thread that
-                // drains the stream.
-                if let (Some(out), Some(Stage::Probe(_))) = (&out, stages.last()) {
-                    out.to_columns().0.force_gathers();
-                }
+            let wave = morsels.len().min(pool.workers() * WAVE_MORSELS_PER_WORKER);
+            let ((units, projection), stages) = (self.source.units(), &self.stages);
+            // A join that ends the pipeline hands its whole output to the
+            // wire or to a row pivot, which read every column: gather them
+            // job-side, not on the thread that drains the stream.
+            let gather = matches!(stages.last(), Some(Stage::Probe(_)));
+            let out = pool_map(pool, morsels.drain(..wave), |m| -> Result<Vec<Batch>> {
+                let mut out = Vec::new();
+                run_morsel(&units[m], projection, stages, |b| {
+                    if gather {
+                        b.to_columns().0.force_gathers();
+                    }
+                    out.push(b);
+                    Ok(())
+                })?;
                 Ok(out)
             });
             // The first fault in unit order, as inline execution meets it.
@@ -241,6 +306,32 @@ impl Operator for PipelineOp {
                 self.ready.extend(out?);
             }
         }
+    }
+
+    /// Pooled, each morsel's job folds a table of its own right after
+    /// running the stages on it, and the tables merge into `table` in
+    /// morsel order; inline, `table` folds the stream.
+    fn fold_into(&mut self, table: &mut GroupTable) -> Result<()> {
+        let Some((pool, morsels)) = &mut self.pooled else {
+            while let Some(batch) = self.next_batch()? {
+                table.fold(&batch)?;
+            }
+            return Ok(());
+        };
+        for batch in self.ready.drain(..) {
+            table.fold(&batch)?;
+        }
+        let ((units, projection), stages) = (self.source.units(), &self.stages);
+        let shape = &*table;
+        let partials = pool_map(pool, morsels.drain(..), |m| -> Result<GroupTable> {
+            let mut partial = shape.empty_like();
+            run_morsel(&units[m], projection, stages, |b| partial.fold(&b))?;
+            Ok(partial)
+        });
+        for partial in partials {
+            table.merge(partial?)?;
+        }
+        Ok(())
     }
 }
 
@@ -287,78 +378,36 @@ fn run_stages(mut batch: Batch, stages: &mut [Stage]) -> Result<Option<Batch>> {
     Ok((!batch.is_empty()).then_some(batch))
 }
 
-/// Run a hash aggregate over `input`: inline, one [`GroupTable`] folds the
-/// stream; pooled, the drained input is cut into contiguous chunks, each
-/// folds its own table on a worker, and the tables merge in chunk order —
-/// which reproduces the inline groups, their order and every result but
-/// the rounding of a floating-point sum ([`GroupTable::merge`]).
-pub(crate) fn aggregate(
-    input: &mut dyn Operator,
-    group_by: &[usize],
-    aggs: &[AggExpr],
-    pool: Option<&WorkerPool>,
-) -> Result<Vec<Tuple>> {
-    let mut table = GroupTable::new(group_by, aggs);
-    match pool {
-        None => {
-            while let Some(batch) = input.next_batch()? {
-                table.fold(&batch)?;
-            }
-        }
-        Some(pool) => {
-            let batches = drain(input)?;
-            let chunks = chunk_ranges(batches.len(), pool.workers());
-            let partials = pool_map(pool, chunks, |(start, end)| -> Result<GroupTable> {
-                let mut partial = GroupTable::new(group_by, aggs);
-                batches[start..end]
-                    .iter()
-                    .try_for_each(|b| partial.fold(b))?;
-                Ok(partial)
-            });
-            for partial in partials {
-                table.merge(partial?)?;
-            }
-        }
-    }
-    Ok(table.finish())
-}
-
-/// Split `n` items into at most `parts` contiguous, near-equal ranges.
-fn chunk_ranges(n: usize, parts: usize) -> Vec<(usize, usize)> {
-    if n == 0 {
-        return Vec::new();
-    }
-    let parts = parts.min(n).max(1);
-    let base = n / parts;
-    let extra = n % parts;
-    let mut ranges = Vec::with_capacity(parts);
-    let mut start = 0;
-    for i in 0..parts {
-        let len = base + usize::from(i < extra);
-        ranges.push((start, start + len));
-        start += len;
-    }
-    ranges
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
-    fn chunks_are_contiguous_and_cover() {
-        for n in [0usize, 1, 2, 5, 7, 16] {
-            for parts in [1usize, 2, 3, 4, 8] {
-                let r = chunk_ranges(n, parts);
-                let mut pos = 0;
-                for &(s, e) in &r {
-                    assert_eq!(s, pos);
-                    assert!(e > s);
-                    pos = e;
-                }
-                assert_eq!(pos, n);
-                assert!(r.len() <= parts.max(1));
+    fn morsels_are_contiguous_cover_and_hold_a_morsel_of_rows() {
+        let rel = Arc::new(Relation::new(
+            prisma_types::Schema::new(vec![prisma_types::Column::new("a", prisma_types::DataType::Int)]),
+            (0..(2 * MORSEL_ROWS + 3 * BATCH_SIZE + 7) as i64)
+                .map(|i| prisma_types::tuple![i])
+                .collect(),
+        ));
+        for take in [0, 1, 63, 64, 65, 127, 128, 129, 131, 132] {
+            let mut units = Vec::new();
+            row_scan_units(&rel, &mut units);
+            units.truncate(take);
+            let m: Vec<_> = morsels(&units).into_iter().collect();
+            let mut pos = 0;
+            for r in &m {
+                assert_eq!(r.start, pos);
+                assert!(r.end > r.start);
+                pos = r.end;
             }
+            assert_eq!(pos, units.len(), "{take} units");
+            let rows = |r: &Range<usize>| units[r.clone()].iter().map(ScanUnit::len).sum::<usize>();
+            if m.len() > 1 {
+                assert!(m.iter().all(|r| rows(r) >= MORSEL_ROWS), "{take} units: {m:?}");
+            }
+            let total: usize = units.iter().map(ScanUnit::len).sum();
+            assert_eq!(m.len(), (total / MORSEL_ROWS).max(usize::from(total > 0)), "{take} units");
         }
     }
 }

@@ -20,7 +20,9 @@
 //! * wire blocks → batch windows → site join → `encode_columnar` never
 //!   builds a row at all;
 //! * an inline filter costs a fixed handful per batch, its scratch reused;
-//! * a group-by costs O(groups + batches), not O(rows).
+//! * a group-by costs O(groups + batches), not O(rows) — inline, and on a
+//!   worker pool over two and four morsels, where each morsel folds a
+//!   table of its own.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::collections::HashMap;
@@ -29,9 +31,10 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use prisma_relalg::exec::collect_batches;
+use prisma_poolx::WorkerPool;
 use prisma_relalg::{
-    execute_batches, execute_physical, lower, AggExpr, AggFunc, Batch, BatchWindows,
-    ChunkedRelation, LogicalPlan, Relation, BATCH_SIZE,
+    execute_batches, execute_physical, lower, open_batches_pooled, AggExpr, AggFunc, Batch,
+    BatchWindows, ChunkedRelation, LogicalPlan, Relation, BATCH_SIZE, MORSEL_ROWS,
 };
 use prisma_storage::expr::ScalarExpr;
 use prisma_types::{Column, DataType, Schema, Tuple, Value};
@@ -243,4 +246,38 @@ fn row_materialization_allocates_once_per_row() {
         "a filtered batch costs {} allocations; the inline filter must reuse its scratch",
         (n2 - n1) as f64 / (b2 - b1) as f64
     );
+
+    // 8. The same GROUP BY over two and four morsels on a two-wide pool
+    //    (the caller and one helper, spawned before counting) pools: each
+    //    morsel's job folds a table of its own and the tables merge in
+    //    morsel order. A batch costs what it costs inline (about nine:
+    //    its window, lazy column set and the two pivoted columns), and
+    //    pooling adds O(groups) per morsel over the inline fold — nothing
+    //    per row.
+    let pool = WorkerPool::new(2);
+    for morsels in [2, 4] {
+        let n_rows = morsels * MORSEL_ROWS;
+        let batches = (n_rows / BATCH_SIZE) as u64;
+        let rows = (0..n_rows as i64).map(|i| [Value::Int(i % 16), Value::Int(i % 2)].into_iter().collect());
+        let db = HashMap::from([("t".to_owned(), Relation::new(kv.clone(), rows.collect()))]);
+        let before = pool.stats().morsels;
+        let (groups, n) = allocations(|| {
+            let stream = open_batches_pooled(&grouped, &db, Some(Arc::clone(&pool)));
+            stream.and_then(|s| s.drain()).expect("pooled aggregate runs")
+        });
+        assert_eq!(pool.stats().morsels - before, morsels as u64, "the aggregate did not pool");
+        assert_eq!(groups.iter().map(Batch::len).sum::<usize>(), 16);
+        let morsels = morsels as u64;
+        assert!(
+            n <= 10 * 16 * (morsels + 1) + 10 * batches,
+            "grouping {n_rows} rows into 16 groups over {morsels} morsels took {n} allocations; \
+             want O(groups × morsels + batches)"
+        );
+        let (_, inline) = allocations(|| execute_physical(&grouped, &db).expect("aggregate runs"));
+        assert!(
+            n <= inline + 10 * 16 * morsels,
+            "pooling a {morsels}-morsel GROUP BY took {n} allocations against {inline} inline; \
+             want at most O(groups) more per morsel"
+        );
+    }
 }

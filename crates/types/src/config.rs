@@ -61,10 +61,13 @@ pub struct MachineConfig {
     #[serde(default)]
     pub reply_timeout_secs: u64,
     /// Compute workers per PE for morsel-driven intra-fragment
-    /// parallelism. `0` (the default) resolves at boot: the `OFM_WORKERS`
-    /// environment variable if set, else the host's available
-    /// parallelism. `1` restores the serial per-PE baseline. Absent from
-    /// older serialized configs, hence the serde default.
+    /// parallelism, the thread that runs the fragment's plan included: a
+    /// width of `w` spawns `w − 1` helper threads per PE. `0` (the
+    /// default) resolves at boot: the `OFM_WORKERS` environment variable
+    /// if set, else the host's available parallelism. `1` restores the
+    /// serial per-PE baseline. Only fragments of at least two morsels
+    /// (`prisma_relalg::MORSEL_ROWS` rows each) run on the pool. Absent
+    /// from older serialized configs, hence the serde default.
     #[serde(default)]
     pub ofm_workers: usize,
     /// Delta-heap row count at which a fragment seals a column chunk.

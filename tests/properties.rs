@@ -1121,11 +1121,11 @@ proptest! {
 
 // ---------- morsel-driven parallel execution vs the oracle ----------
 
-/// Tile `seed` rows until the relation spans several morsels, shifting
-/// the first column per copy so join keys stay near-unique (bounding
-/// join fan-out). Morsel-parallel pipelines only engage above one
-/// `BATCH_SIZE` worth of rows, so un-tiled proptest-sized inputs would
-/// silently test the serial fallback instead.
+/// Tile `seed` rows up to `target`, shifting the first column per copy so
+/// join keys stay near-unique (bounding join fan-out). The pool takes a
+/// scan only when it holds at least two morsels (`2 × MORSEL_ROWS` rows,
+/// some 131 000): below that every width runs inline, so a case meant to
+/// cover pooled execution tiles past it and asserts that the pool ran.
 fn tile_rows(seed: &[(i64, i64, i64)], target: usize) -> Vec<Tuple> {
     if seed.is_empty() {
         return Vec::new();
@@ -1159,13 +1159,13 @@ fn run_pooled(
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    // Morsel-parallel execution is **deterministic and bit-identical to
-    // serial** on arbitrary plans over morsel-spanning data: the same
-    // tuples in the same order at 1, 2 and 4 workers, twice at each
-    // width (steal interleavings differ between runs), and the result
-    // agrees with the reference evaluator. Covers parallel pipelines
-    // (with hash-join probes as pipeline stages) and partial-aggregate
-    // merge ordering; empty relations exercise the zero-morsel edge.
+    // Execution on a pool is **deterministic and bit-identical to
+    // serial** on arbitrary plans: the same tuples in the same order at
+    // 1, 2 and 4 workers, twice at each width, and the result agrees with
+    // the reference evaluator. These inputs stay under two morsels, so
+    // they pin the inline path at every width; empty relations exercise
+    // the zero-morsel edge. Pooled execution over morsels is
+    // `pooled_execution_over_morsels_matches_serial_and_oracle`.
     #[test]
     fn pooled_execution_deterministic_and_matches_oracle(
         ops in arb_plan_ops(4),
@@ -1197,9 +1197,9 @@ proptest! {
     }
 
     // Same pinning over NULL-heavy nullable mixed-type data: filters,
-    // projections and grouped aggregates whose partials are folded at
-    // the pipeline breaker must not let worker count change NULL
-    // handling or merge order. (An oracle-side arithmetic fault skips
+    // projections and grouped aggregates must not let worker count change
+    // NULL handling or row order. These inputs stay under two morsels, so
+    // every width runs them inline. (An oracle-side arithmetic fault skips
     // the oracle half, as in the other compiled-path properties.)
     #[test]
     fn pooled_execution_handles_nulls_like_serial(
@@ -1208,8 +1208,8 @@ proptest! {
         seed in arb_mixed_rows(24),
     ) {
         let schema = mixed_schema();
-        // Repeat the seed verbatim: duplicate group keys across morsel
-        // chunks are exactly what stresses partial-aggregate merging.
+        // Repeat the seed verbatim: duplicate group keys across batches
+        // are what stresses the group table.
         let copies = if seed.is_empty() { 0 } else { 1500_usize.div_ceil(seed.len()) };
         let rows: Vec<Tuple> = std::iter::repeat_n(seed.iter().cloned(), copies).flatten().collect();
         let mut db: HashMap<String, Relation> = HashMap::new();
@@ -1249,6 +1249,46 @@ proptest! {
                 prop_assert_eq!(got.tuples(), oracle.tuples(), "plan:\n{}", plan);
             }
         }
+    }
+}
+
+
+// Morsel-parallel execution over inputs of two morsels and more: the same
+// tuples in the same order inline and at 2 and 4 workers (two pools, two
+// steal interleavings), with the pool really running morsels, and the
+// oracle's rows.
+// Fixed plans stand in for proptest's: each case tiles past
+// `2 × MORSEL_ROWS` rows, too many for two dozen random cases.
+#[test]
+fn pooled_execution_over_morsels_matches_serial_and_oracle() {
+    let schema = int3_schema();
+    let lseed: Vec<(i64, i64, i64)> =
+        (0..23).map(|i| (i * 5 - 40, (i * 7) % 11 - 5, (i * 13) % 17 - 8)).collect();
+    let rseed: Vec<(i64, i64, i64)> = (0..9).map(|i| (i * 3 - 12, i % 4, 2 * i)).collect();
+    let mut db: HashMap<String, Relation> = HashMap::new();
+    let l = tile_rows(&lseed, 2 * prisma::relalg::MORSEL_ROWS + 5000);
+    db.insert("l".into(), Relation::new(schema.clone(), l));
+    db.insert("r".into(), Relation::new(schema.clone(), tile_rows(&rseed, 520)));
+    // A filter, a projected join probe, a filtered group-by, a bare one.
+    let plans: [&[PlanOp]; 4] = [
+        &[(0, 1, 130)],
+        &[(2, 0, 0), (1, 4, 1)],
+        &[(0, 2, 120), (4, 1, 2)],
+        &[(4, 1, 4)],
+    ];
+    for ops in plans {
+        let plan = build_plan(ops, &schema, &schema);
+        let physical = lower(&plan).unwrap();
+        let serial = run_pooled(&physical, &db, None);
+        for workers in [2usize, 4] {
+            let pool = prisma::poolx::WorkerPool::new(workers);
+            let pooled = run_pooled(&physical, &db, Some(Arc::clone(&pool)));
+            assert!(pooled == serial, "workers={workers} plan:\n{plan}");
+            assert!(pool.stats().morsels > 0, "pool unused at {workers} workers:\n{plan}");
+        }
+        let got = Relation::new(plan.output_schema().unwrap(), serial).canonicalized();
+        let oracle = eval(&plan, &db).unwrap().canonicalized();
+        assert!(got.tuples() == oracle.tuples(), "plan:\n{plan}");
     }
 }
 
@@ -1508,6 +1548,16 @@ proptest! {
 }
 
 // ---------- columns → rows: the owned and the borrowing pivot ----------
+
+/// Whether two rows are equal bit for bit — [`row_bits`]' equality,
+/// without spelling the rows.
+fn same_bits(a: &Tuple, b: &Tuple) -> bool {
+    a.arity() == b.arity()
+        && a.values().iter().zip(b.values()).all(|(x, y)| match (x, y) {
+            (Value::Double(x), Value::Double(y)) => x.to_bits() == y.to_bits(),
+            _ => std::mem::discriminant(x) == std::mem::discriminant(y) && x == y,
+        })
+}
 
 /// A row spelled bit-for-bit: `Value`'s equality is `total_cmp`, under
 /// which `Int(1) == Double(1.0)` and NaN payloads coincide.
@@ -1774,11 +1824,10 @@ proptest! {
         style in 0u8..3,
         big_probe in any::<bool>(),
     ) {
-        use prisma::relalg::{
-            open_batches_pooled, Batch, BatchWindows, ChunkedRelation, JoinKind, BATCH_SIZE,
-        };
-        // A probe side of several morsels engages the pooled pipeline; a
-        // small one takes the serial operator on every width.
+        use prisma::relalg::JoinKind;
+        // A probe side of several batches, still under two morsels: every
+        // width runs it inline. `columnar_join_pools_a_probe_of_two_morsels`
+        // is the pooled probe.
         let lcopies = if big_probe && !lseed.is_empty() { 2600_usize.div_ceil(lseed.len()) } else { 1 };
         let lrows = join_rows(&lseed, lcopies, false, style);
         let rrows = join_rows(&rseed, 3, double_k1, style);
@@ -1796,55 +1845,103 @@ proptest! {
             let keep: &[usize] = if kind == JoinKind::Inner { &[3, 6, 0] } else { &[3, 2] };
             plan = plan.project_cols(keep).unwrap();
         }
-        let physical = lower(&plan).unwrap();
-
-        let mut rows_db: HashMap<String, Relation> = HashMap::new();
-        rows_db.insert("l".into(), Relation::new(schema.clone(), lrows.clone()));
-        rows_db.insert("r".into(), Relation::new(schema.clone(), rrows.clone()));
-        let oracle = eval(&plan, &rows_db).unwrap();
-
-        // Sealed chunks of 700 rows over a prefix, the rest a delta tail.
-        let sealed = |rows: &[Tuple]| {
-            let cut = rows.len() / 700 * 700;
-            let chunks = rows[..cut]
-                .chunks(700)
-                .map(|run| Arc::new(prisma::types::SealedChunk::seal(run.to_vec())))
-                .collect();
-            Arc::new(ChunkedRelation::new(chunks, Relation::new(schema.clone(), rows[cut..].to_vec())))
-        };
-        // Wire blocks of 300 rows, decoded and appended into full windows.
-        let decoded = |rows: &[Tuple]| {
-            let mut windows = BatchWindows::new(BATCH_SIZE);
-            for run in rows.chunks(300) {
-                let block = Batch::owned(run.to_vec()).encode_columnar();
-                windows.push(&Batch::from_block(&block).unwrap());
-            }
-            Arc::new(ChunkedRelation::from_batches(schema.clone(), windows.finish()))
-        };
-        let form = |f: &dyn Fn(&[Tuple]) -> Arc<ChunkedRelation>| {
-            HashMap::from([("l".to_owned(), f(&lrows)), ("r".to_owned(), f(&rrows))])
-        };
-        let (chunk_db, wire_db) = (form(&sealed), form(&decoded));
-        let forms: [(&str, &dyn prisma::relalg::RelationProvider); 3] =
-            [("rows", &rows_db), ("sealed chunks", &chunk_db), ("decoded blocks", &wire_db)];
-        for (name, db) in forms {
-            for workers in [0usize, 1, 2, 4] {
-                let pool = (workers > 0).then(|| prisma::poolx::WorkerPool::new(workers));
-                let got: Vec<Tuple> = open_batches_pooled(&physical, db, pool)
-                    .unwrap()
-                    .drain()
-                    .unwrap()
-                    .into_iter()
-                    .flat_map(Batch::into_tuples)
-                    .collect();
-                prop_assert_eq!(
-                    got.iter().map(row_bits).collect::<Vec<_>>(),
-                    oracle.tuples().iter().map(row_bits).collect::<Vec<_>>(),
-                    "{} at {} workers, plan:\n{}", name, workers, plan
-                );
-            }
+        match columnar_join_at_widths(&plan, &lrows, &rrows, &[0, 1, 2, 4]) {
+            Ok(morsels) => prop_assert_eq!(morsels, 0, "under two morsels every width runs inline"),
+            Err(e) => prop_assert!(false, "{}", e),
         }
     }
+}
+
+/// One case of `columnar_join_commutes_with_the_eval_oracle`: `plan` over
+/// `l` and `r` held in three physical forms — row relations, sealed chunks
+/// plus a delta tail, and wire blocks decoded and appended into batch
+/// windows (what a grace-join site holds) — run serially (width 0) and on
+/// pools of each of `widths`, must give the oracle's rows bit for bit and
+/// in its order. Returns the morsels the pools ran.
+fn columnar_join_at_widths(
+    plan: &LogicalPlan,
+    lrows: &[Tuple],
+    rrows: &[Tuple],
+    widths: &[usize],
+) -> Result<u64, String> {
+    use prisma::relalg::{open_batches_pooled, Batch, BatchWindows, ChunkedRelation, BATCH_SIZE};
+    let physical = lower(plan).unwrap();
+    let schema = join_schema();
+
+    let mut rows_db: HashMap<String, Relation> = HashMap::new();
+    rows_db.insert("l".into(), Relation::new(schema.clone(), lrows.to_vec()));
+    rows_db.insert("r".into(), Relation::new(schema.clone(), rrows.to_vec()));
+    let oracle = eval(plan, &rows_db).unwrap();
+
+    // Sealed chunks of 700 rows over a prefix, the rest a delta tail.
+    let sealed = |rows: &[Tuple]| {
+        let cut = rows.len() / 700 * 700;
+        let chunks = rows[..cut]
+            .chunks(700)
+            .map(|run| Arc::new(prisma::types::SealedChunk::seal(run.to_vec())))
+            .collect();
+        Arc::new(ChunkedRelation::new(chunks, Relation::new(schema.clone(), rows[cut..].to_vec())))
+    };
+    // Wire blocks of 300 rows, decoded and appended into full windows.
+    let decoded = |rows: &[Tuple]| {
+        let mut windows = BatchWindows::new(BATCH_SIZE);
+        for run in rows.chunks(300) {
+            let block = Batch::owned(run.to_vec()).encode_columnar();
+            windows.push(&Batch::from_block(&block).unwrap());
+        }
+        Arc::new(ChunkedRelation::from_batches(schema.clone(), windows.finish()))
+    };
+    let form = |f: &dyn Fn(&[Tuple]) -> Arc<ChunkedRelation>| {
+        HashMap::from([("l".to_owned(), f(lrows)), ("r".to_owned(), f(rrows))])
+    };
+    let (chunk_db, wire_db) = (form(&sealed), form(&decoded));
+    let forms: [(&str, &dyn prisma::relalg::RelationProvider); 3] =
+        [("rows", &rows_db), ("sealed chunks", &chunk_db), ("decoded blocks", &wire_db)];
+    let mut morsels = 0;
+    for (name, db) in forms {
+        for &workers in widths {
+            let pool = (workers > 0).then(|| prisma::poolx::WorkerPool::new(workers));
+            let got: Vec<Tuple> = open_batches_pooled(&physical, db, pool.clone())
+                .unwrap()
+                .drain()
+                .unwrap()
+                .into_iter()
+                .flat_map(Batch::into_tuples)
+                .collect();
+            if got.len() != oracle.len() || got.iter().zip(oracle.tuples()).any(|(a, b)| !same_bits(a, b)) {
+                return Err(format!("{name} at {workers} workers, plan:\n{plan}"));
+            }
+            morsels += pool.map_or(0, |p| p.stats().morsels);
+        }
+    }
+    Ok(morsels)
+}
+
+// The pooled probe of the columnar join property: a probe side of two
+// morsels and more, joined inner on one key with a residual and a
+// projection, runs on the pool in every physical form and still gives the
+// oracle's rows in its order. One fixed case: tiled past `2 × MORSEL_ROWS`
+// rows, it is too large for proptest's dozens.
+#[test]
+fn columnar_join_pools_a_probe_of_two_morsels() {
+    let lseed: Vec<JoinRow> = (0..12i64)
+        .map(|i| ((i % 5 != 4).then_some(i % 6 - 2), (i % 3 != 2).then_some(i % 4), i - 6, "ab"[..(i % 3) as usize].to_owned()))
+        .collect();
+    let rseed: Vec<JoinRow> = (-2..4i64).map(|k| (Some(k), Some(k % 4), 3 - k, "c".to_owned())).collect();
+    let copies = (2 * prisma::relalg::MORSEL_ROWS).div_ceil(lseed.len()) + 40;
+    let (lrows, rrows) = (join_rows(&lseed, copies, false, 1), join_rows(&rseed, 1, true, 1));
+    let schema = join_schema();
+    let plan = LogicalPlan::Join {
+        left: Box::new(LogicalPlan::scan("l", schema.clone())),
+        right: Box::new(LogicalPlan::scan("r", schema.clone())),
+        kind: prisma::relalg::JoinKind::Inner,
+        on: vec![(0, 0)],
+        residual: Some(ScalarExpr::cmp(CmpOp::Le, ScalarExpr::col(2), ScalarExpr::col(6))),
+    }
+    .project_cols(&[3, 6, 0])
+    .unwrap();
+    let morsels = columnar_join_at_widths(&plan, &lrows, &rrows, &[0, 2]).unwrap_or_else(|e| panic!("{e}"));
+    assert!(morsels > 0, "no pool ran the probe");
 }
 
 // ---------- the wire under mid-query failover and corruption ----------
@@ -2177,6 +2274,47 @@ proptest! {
             db.shutdown();
         }
     }
+}
+
+// The same over a fragment of two morsels and more, which the PE's pool
+// runs: `l` is one fragment of some 135 000 rows on a one-PE machine with
+// two workers. A filtered scan and a GROUP BY (whose fragment-side partial
+// folds inside its morsels) run their morsels on the pool and return the
+// oracle's rows; the scan ships each of them once, as the inline path
+// would. One fixed case at one width: a load this size is too slow for
+// proptest's cases, and pooled ≡ inline is pinned below the machine
+// (`pooled_execution_over_morsels_matches_serial_and_oracle`).
+#[test]
+fn merged_result_over_morsels_pools_and_matches_the_oracle() {
+    let schema = int3_schema();
+    let seed: Vec<(i64, i64, i64)> = (0..40).map(|i| (i, (i * 7) % 13 - 6, (i * 11) % 19)).collect();
+    let rows = tile_rows(&seed, 2 * prisma::relalg::MORSEL_ROWS + 4000);
+    let reference = HashMap::from([("l".to_owned(), Relation::new(schema.clone(), rows.clone()))]);
+    let scan = LogicalPlan::scan("l", schema.clone());
+    let plans = [
+        scan.clone().select(ScalarExpr::cmp(CmpOp::Lt, ScalarExpr::col(1), ScalarExpr::lit(-3))),
+        LogicalPlan::Aggregate {
+            input: Box::new(scan),
+            group_by: vec![1],
+            aggs: vec![AggExpr::new(AggFunc::CountStar, 0, "n"), AggExpr::new(AggFunc::Sum, 2, "s")],
+        },
+    ];
+    let cfg = prisma::types::MachineConfig::default().with_pes(1).with_ofm_workers(2);
+    let db = PrismaMachine::builder().config(cfg).build().unwrap();
+    db.sql("CREATE TABLE l (a INT, b INT, c INT) FRAGMENTED BY HASH(a) INTO 1").unwrap();
+    let txn = db.gdh().begin();
+    db.gdh().insert(txn, "l", rows).unwrap();
+    db.gdh().commit(txn).unwrap();
+    for (i, plan) in plans.iter().enumerate() {
+        let oracle = eval(plan, &reference).unwrap().canonicalized();
+        let (got, m) = db.gdh().query(plan).unwrap();
+        assert!(got.canonicalized().tuples() == oracle.tuples(), "plan:\n{plan}");
+        assert!(m.pool_morsels > 0, "the pool ran no morsel:\n{plan}\n{m:?}");
+        if i == 0 {
+            assert_eq!(m.tuples_shipped, oracle.len() as u64, "{m:?}");
+        }
+    }
+    db.shutdown();
 }
 
 // ---------------- placement of hash-fragmented rows ----------------
