@@ -11,7 +11,10 @@
 //! site. This experiment joins a **Zipf(1.0)** build side against a
 //! uniform probe side and measures the **max-site shuffle bits**
 //! (`ExecMetrics::max_site_shuffled_bits`) under both policies —
-//! the shuffle-balance win — plus join latency.
+//! the shuffle-balance win — plus join latency. The query counts the
+//! join's output (`COUNT(*)`), so the latency is that of the shuffle and
+//! the bucket joins, not of shipping millions of result rows to the
+//! coordinator.
 //! Records the trajectory in `BENCH_e8.json` at the repo root.
 //!
 //! Environment knobs (all optional):
@@ -28,7 +31,7 @@
 use prisma_bench::{enforce, env_knob, median, query_samples, write_json};
 use prisma_core::optimizer::PhysicalConfig;
 use prisma_core::types::tuple;
-use prisma_core::types::Tuple;
+use prisma_core::types::{Tuple, Value};
 use prisma_core::PrismaMachine;
 
 /// A Zipf(1.0)-distributed key multiset: rank `r` (1-based) appears
@@ -53,22 +56,30 @@ struct Measured {
     total_shuffle_bits: u64,
     /// Full join latency, µs.
     latency_us: u64,
-    /// Join output rows (result sanity cross-check).
-    rows: u64,
+    /// Join output rows, as the query counts them (result cross-check).
+    joined: i64,
 }
 
 fn measure(db: &PrismaMachine, sql: &str, iters: usize) -> Measured {
     let samples = query_samples(db, sql, iters, |s| {
         assert!(s.metrics.partitioned_joins >= 1, "join did not take the grace path")
     });
-    // Byte counters and the output cardinality are deterministic per
-    // plan; latency is the median.
+    // Byte counters and the count are deterministic per plan; latency
+    // is the median.
     let m = median(&samples);
+    let counted = db.query(sql).unwrap();
+    let joined = match counted.tuples() {
+        [row] => match row.get(0) {
+            Value::Int(n) => *n,
+            other => panic!("COUNT(*) returned {other:?}"),
+        },
+        rows => panic!("COUNT(*) returned {} rows", rows.len()),
+    };
     Measured {
         max_site_bits: m.metrics.max_site_shuffled_bits,
         total_shuffle_bits: m.metrics.shuffled_direct_bits,
         latency_us: m.metrics.full_result_micros,
-        rows: m.rows as u64,
+        joined,
     }
 }
 
@@ -113,7 +124,7 @@ fn main() {
     db.refresh_stats("probe").unwrap();
     db.refresh_stats("build").unwrap();
 
-    let sql = "SELECT p.v, b.v FROM probe p, build b WHERE p.k = b.k";
+    let sql = "SELECT COUNT(*) AS n FROM probe p, build b WHERE p.k = b.k";
 
     let skew_cfg = PhysicalConfig {
         broadcast_max_rows: 0.0, // force the grace path for the comparison
@@ -131,7 +142,7 @@ fn main() {
     let round_robin = measure(&db, sql, iters);
 
     assert_eq!(
-        skew_aware.rows, round_robin.rows,
+        skew_aware.joined, round_robin.joined,
         "placement must not change the join result"
     );
     assert_eq!(
@@ -150,10 +161,9 @@ fn main() {
     let improvement = round_robin.max_site_bits as f64 / skew_aware.max_site_bits.max(1) as f64;
     eprintln!("[E8-skew] busiest site receives {improvement:.2}x less with skew-aware placement");
 
-    let us_per_output_row = skew_aware.latency_us as f64 / skew_aware.rows.max(1) as f64;
     let json = format!(
-        "{{\n  \"experiment\": \"e8_skew\",\n  \"probe_rows\": {probe_rows},\n  \"build_rows\": {build_rows},\n  \"zipf_ranks\": {ranks},\n  \"zipf_s\": 1.0,\n  \"shuffle_parts\": {parts},\n  \"iters\": {iters},\n  \"output_rows\": {},\n  \"benches\": {{\n    \"max_site_shuffle_bits\": {{\"skew_aware\": {}, \"round_robin\": {}, \"improvement\": {improvement:.2}}},\n    \"total_shuffle_bits\": {{\"skew_aware\": {}, \"round_robin\": {}}},\n    \"join_latency_us\": {{\"skew_aware\": {}, \"round_robin\": {}}}\n  }},\n  \"notes\": \"output cardinality explains the join latency: every build row matches probe_rows/zipf_ranks probe rows, so {} input rows produce output_rows result rows, all shipped to and merged at the coordinator ({us_per_output_row:.2} us per output row); the shuffle this experiment compares moves {} bits\"\n}}\n",
-        skew_aware.rows,
+        "{{\n  \"experiment\": \"e8_skew\",\n  \"probe_rows\": {probe_rows},\n  \"build_rows\": {build_rows},\n  \"zipf_ranks\": {ranks},\n  \"zipf_s\": 1.0,\n  \"shuffle_parts\": {parts},\n  \"iters\": {iters},\n  \"output_rows\": {},\n  \"benches\": {{\n    \"max_site_shuffle_bits\": {{\"skew_aware\": {}, \"round_robin\": {}, \"improvement\": {improvement:.2}}},\n    \"total_shuffle_bits\": {{\"skew_aware\": {}, \"round_robin\": {}}},\n    \"join_latency_us\": {{\"skew_aware\": {}, \"round_robin\": {}}}\n  }},\n  \"notes\": \"the query is COUNT(*) over the join: every build row matches probe_rows/zipf_ranks probe rows, so {} input rows join into output_rows rows, which are counted where they are joined instead of shipped to the coordinator; join_latency_us therefore tracks the shuffle of {} bits and the bucket joins this experiment compares\"\n}}\n",
+        skew_aware.joined,
         skew_aware.max_site_bits,
         round_robin.max_site_bits,
         skew_aware.total_shuffle_bits,

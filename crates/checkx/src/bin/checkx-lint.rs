@@ -7,7 +7,8 @@
 //!
 //! Exits 1 when any finding survives (CI enforces zero), 2 on I/O
 //! errors. Suppress an individual finding with
-//! `// checkx:allow(<rule>)` on the same or preceding line.
+//! `// checkx:allow(<rule>)` on the same or preceding line; a
+//! `dead-pub` allow states on that line why the item is API.
 
 use std::path::PathBuf;
 use std::process::ExitCode;
@@ -56,7 +57,7 @@ fn main() -> ExitCode {
     }
     if findings.is_empty() {
         eprintln!(
-            "checkx-lint: {} files clean (sync-unwrap, wall-clock, gdhmsg-exhaustive, wire-fingerprint, oracle-evaluator)",
+            "checkx-lint: {} files clean (sync-unwrap, wall-clock, gdhmsg-exhaustive, wire-fingerprint, oracle-evaluator, dead-pub)",
             sources.len()
         );
         ExitCode::SUCCESS

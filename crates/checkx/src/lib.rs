@@ -36,8 +36,10 @@
 //!    wall-clock reads in simulation-deterministic paths, and a
 //!    fingerprint pinning the wire-format constants to the `PCB1`
 //!    version tag so a format change without a version bump is caught at
-//!    lint time. Suppress a finding with `// checkx:allow(<rule>)` on
-//!    the same or preceding line.
+//!    lint time, and no `pub` item in `ofm`, `storage`, `multicomputer`
+//!    or `gdh` that nothing outside tests names (`dead-pub`). Suppress a
+//!    finding with `// checkx:allow(<rule>)` on the same or preceding
+//!    line.
 //!
 //! Run `cargo test -p prisma-checkx` for the explorer and fixtures,
 //! `cargo run -p prisma-checkx --bin checkx-lint` for the linter, and

@@ -4,7 +4,7 @@
 //! the fixture tests drive them on string literals and the `checkx-lint`
 //! binary drives them over the workspace — same code, no test double.
 
-use std::collections::BTreeSet;
+use std::collections::{BTreeSet, HashSet};
 use std::path::{Path, PathBuf};
 
 use super::lexer::{test_module_mask, Lexed, Tok, TokKind};
@@ -323,6 +323,105 @@ fn enum_variants(toks: &[Tok], name: &str) -> Option<(u32, Vec<String>)> {
         }
     }
     Some((line, variants))
+}
+
+/// Keywords after which the next identifier names the item they
+/// declare. An identifier in that position defines a name; it is not a
+/// use of one.
+const ITEM_KEYWORDS: &[&str] = &[
+    "fn", "struct", "enum", "trait", "type", "static", "const", "mod",
+];
+
+/// Qualifiers that may stand between `pub` and an item keyword
+/// (`pub const unsafe fn`, `pub extern "C" fn`).
+const ITEM_QUALIFIERS: &[&str] = &["const", "async", "unsafe", "extern"];
+
+/// `dead-pub`: flag a `pub` item (fn, struct, enum, trait, type alias,
+/// const or static) defined outside the `#[cfg(test)]` modules of a file
+/// `in_scope` accepts, whose name appears as an identifier nowhere else
+/// in `files`. `use` and `pub use` declarations, `#[cfg(test)]` modules
+/// and other item-name positions are not uses, so a re-export alone
+/// keeps nothing alive; what `files` leaves out (the `tests/`
+/// directories) is not read at all. `pub mod` is not checked: a module
+/// is a path, and its items are checked one by one. The match is by
+/// name, so an item that shares its name with any live identifier
+/// passes.
+pub fn dead_pub(files: &[(&Path, &Lexed)], in_scope: impl Fn(&Path) -> bool) -> Vec<Finding> {
+    let mut used: HashSet<&str> = HashSet::new();
+    let mut defs = Vec::new();
+    for &(path, lexed) in files {
+        let toks = &lexed.toks;
+        let mut skip = test_module_mask(toks);
+        mask_use_declarations(toks, &mut skip);
+        for (i, t) in toks.iter().enumerate() {
+            if skip[i] || t.kind != TokKind::Ident {
+                continue;
+            }
+            if names_item(toks, i) {
+                if in_scope(path) && is_pub_item(toks, i) {
+                    defs.push((path, lexed, t));
+                }
+            } else {
+                used.insert(&t.text);
+            }
+        }
+    }
+    defs.into_iter()
+        .filter(|(_, lexed, t)| {
+            !used.contains(t.text.as_str()) && !lexed.allowed("dead-pub", t.line)
+        })
+        .map(|(path, _, t)| Finding {
+            path: path.to_path_buf(),
+            line: t.line,
+            rule: "dead-pub",
+            message: format!(
+                "`pub` item `{}` is named nowhere outside its definition, `use` lines and \
+                 tests — delete it, or annotate `// checkx:allow(dead-pub)` with the reason \
+                 it is API",
+                t.text
+            ),
+        })
+        .collect()
+}
+
+/// Mark every token of a `use` declaration, from `use` to its `;`.
+fn mask_use_declarations(toks: &[Tok], mask: &mut [bool]) {
+    let mut i = 0;
+    while i < toks.len() {
+        if toks[i].kind == TokKind::Ident && toks[i].text == "use" {
+            while i < toks.len() && !is_punct(toks, i, ";") {
+                mask[i] = true;
+                i += 1;
+            }
+        }
+        i += 1;
+    }
+}
+
+/// True when the identifier at `i` is the name an item keyword declares
+/// (`fn name`, `struct Name`, …) — not a keyword itself, and not the
+/// pointee of a `*const T` pointer type.
+fn names_item(toks: &[Tok], i: usize) -> bool {
+    let keyword = |t: &Tok| ITEM_KEYWORDS.contains(&t.text.as_str());
+    let Some(kw) = i.checked_sub(1).map(|k| &toks[k]) else {
+        return false;
+    };
+    kw.kind == TokKind::Ident
+        && keyword(kw)
+        && !keyword(&toks[i])
+        && !ITEM_QUALIFIERS.contains(&toks[i].text.as_str())
+        && !(kw.text == "const" && i >= 2 && is_punct(toks, i - 2, "*"))
+}
+
+/// True when the item named at `i` is declared plain `pub` (not
+/// `pub(crate)` or private) and is not a module.
+fn is_pub_item(toks: &[Tok], i: usize) -> bool {
+    toks[i - 1].text != "mod"
+        && toks[..i - 1]
+            .iter()
+            .rev()
+            .find(|t| t.kind != TokKind::Lit && !ITEM_QUALIFIERS.contains(&t.text.as_str()))
+            .is_some_and(|t| t.kind == TokKind::Ident && t.text == "pub")
 }
 
 /// `wire-fingerprint`: hash the wire-format constant declarations

@@ -6,8 +6,8 @@
 use std::path::Path;
 
 use prisma_checkx::lint::{
-    self, gdhmsg_exhaustive, lex, oracle_evaluator, sync_unwrap, wall_clock, wire_constants_hash,
-    wire_fingerprint,
+    self, dead_pub, gdhmsg_exhaustive, lex, oracle_evaluator, sync_unwrap, wall_clock,
+    wire_constants_hash, wire_fingerprint, Lexed,
 };
 
 fn fixture(name: &str) -> String {
@@ -95,6 +95,76 @@ fn wire_fingerprint_pins_the_constants() {
     let findings = wire_fingerprint(path, &lex(base));
     assert_eq!(findings.len(), 1);
     assert!(findings[0].message.contains(&hash), "{}", findings[0]);
+}
+
+/// Run `dead-pub` over the fixture as a storage source, beside a crate
+/// root that re-exports two of its items and the given readers.
+fn dead_pub_lines(fixture_src: &str, readers: &[(&str, &str)]) -> Vec<(u32, String)> {
+    let lib = lex(fixture_src);
+    let root = lex("pub mod dead_pub;\npub use dead_pub::{reexported_only, tested_only};\n");
+    let readers: Vec<(&Path, Lexed)> = readers
+        .iter()
+        .map(|(p, src)| (Path::new(*p), lex(src)))
+        .collect();
+    let mut files = vec![
+        (Path::new("crates/storage/src/dead_pub.rs"), &lib),
+        (Path::new("crates/storage/src/lib.rs"), &root),
+    ];
+    files.extend(readers.iter().map(|(p, l)| (*p, l)));
+    let findings = dead_pub(&files, lint::in_dead_pub_scope);
+    assert!(
+        findings.iter().all(|f| f.rule == "dead-pub"),
+        "findings: {findings:#?}"
+    );
+    findings
+        .iter()
+        .map(|f| {
+            (
+                f.line,
+                f.message.split('`').nth(3).unwrap_or_default().to_string(),
+            )
+        })
+        .collect()
+}
+
+#[test]
+fn dead_pub_counts_uses_outside_tests_and_use_lines() {
+    let src = fixture("dead_pub.rs");
+    let example =
+        "fn main() {\n    prisma::storage::used_by_example();\n    prisma::storage::caller();\n}\n";
+    // e0 is read for uses but not linted: its own dead `pub fn` is no finding.
+    let e0 = "pub fn e0_only() {}\nfn run() { let _ = prisma::storage::UsedByBenchmark; }\n";
+    let readers = [("examples/demo.rs", example), ("e0/src/run.rs", e0)];
+    // Called only from `#[cfg(test)]` code, and re-exported only: both
+    // dead. The string, the test helper, `pub(crate)`, the module and
+    // the allowed item stay silent.
+    let want = |extra: &[(u32, &str)]| {
+        let mut v = vec![
+            (4, "tested_only".to_string()),
+            (6, "reexported_only".to_string()),
+        ];
+        v.extend(extra.iter().map(|(l, n)| (*l, n.to_string())));
+        v.sort();
+        v
+    };
+    assert_eq!(dead_pub_lines(&src, &readers), want(&[]));
+
+    // What the example and the benchmark reference is alive only through them.
+    assert_eq!(
+        dead_pub_lines(&src, &[("e0/src/run.rs", e0)]),
+        want(&[(8, "used_by_example"), (21, "caller")])
+    );
+    assert_eq!(
+        dead_pub_lines(&src, &[("examples/demo.rs", example)]),
+        want(&[(10, "UsedByBenchmark")])
+    );
+
+    // The allow comment is what keeps the deliberate API quiet.
+    let unallowed = src.replace("// checkx:allow(dead-pub)", "//");
+    assert_eq!(
+        dead_pub_lines(&unallowed, &readers),
+        want(&[(13, "deliberate_api")])
+    );
 }
 
 #[test]

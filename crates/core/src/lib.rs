@@ -24,7 +24,7 @@
 //! db.shutdown();
 //! ```
 //!
-//! Everything underneath is re-exported: the multi-computer simulator
+//! Everything underneath is re-exported: the interconnect model
 //! ([`multicomputer`]), POOL-X runtime ([`poolx`]), storage structures and
 //! expression compiler ([`storage`]), stable storage ([`stable`]), algebra
 //! ([`relalg`]), One-Fragment Managers ([`ofm`]), SQL and PRISMAlog front
@@ -73,12 +73,6 @@ impl MachineBuilder {
     /// chordal ring).
     pub fn topology(mut self, t: TopologyKind) -> Self {
         self.config.topology = t;
-        self
-    }
-
-    /// Local memory per PE in bytes (default 16 MB).
-    pub fn memory_per_pe(mut self, bytes: usize) -> Self {
-        self.config.memory_per_pe = bytes;
         self
     }
 
@@ -243,7 +237,6 @@ mod tests {
             .pes(9)
             .topology(TopologyKind::ChordalRing { stride: 3 })
             .allocation(AllocationPolicy::RoundRobin)
-            .memory_per_pe(1 << 20)
             .build()
             .unwrap();
         assert_eq!(db.gdh().config().num_pes, 9);

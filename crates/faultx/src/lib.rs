@@ -13,9 +13,8 @@
 //!   looks to the rest of the machine — reply deadlines fire and failover
 //!   takes over;
 //! * the **chunk shippers** call [`FaultInjector::chunk_fate`] before each
-//!   stream send, and the network simulator (`prisma-multicomputer`)
-//!   consults [`FaultInjector::is_dead`]/[`FaultInjector::packet_delay_ns`]
-//!   per injected packet.
+//!   stream send, and the coordinator consults [`FaultInjector::is_dead`]
+//!   when a reply deadline fires.
 //!
 //! The process-global injector ([`global`]) is inert unless `FAULT_SEED`
 //! is set, in which case it randomly *delays* (reorders) stream chunks —
@@ -323,25 +322,6 @@ impl FaultInjector {
             }
         }
         inner.dead.contains(&pe.index())
-    }
-
-    /// Extra injected network latency for a packet from `src`, in ns
-    /// (randomized delay mode only; scripted chunk faults act at the
-    /// shipper, not the packet level).
-    pub fn packet_delay_ns(&self, _src: PeId, base_ns: u64) -> u64 {
-        if !self.is_active() {
-            return 0;
-        }
-        let mut inner = self.inner.lock();
-        if inner.delay_prob > 0.0 {
-            let p = inner.delay_prob;
-            if let Some(rng) = inner.rng.as_mut() {
-                if rng.gen_bool(p) {
-                    return base_ns;
-                }
-            }
-        }
-        0
     }
 
     /// The audit log of every fault that actually fired, in order.

@@ -314,13 +314,6 @@ impl DataDictionary {
             .ok_or_else(|| PrismaError::UnknownRelation(name.to_owned()))
     }
 
-    /// All relation names.
-    pub fn relation_names(&self) -> Vec<String> {
-        let mut v: Vec<String> = self.relations.read().keys().cloned().collect();
-        v.sort();
-        v
-    }
-
     /// Fail a fragment over to its backup replica: the backup becomes the
     /// primary, the placement epoch bumps (so streams opened against the
     /// dead primary are recognizably stale), and the handle is left
@@ -367,13 +360,6 @@ impl DataDictionary {
             }
         }
         counts
-    }
-
-    /// Install a table-level summary directly (legacy/bulk path; the
-    /// statistics lifecycle normally flows through
-    /// [`DataDictionary::put_fragment_stats`]).
-    pub fn put_stats(&self, name: &str, stats: TableStats) {
-        self.stats.write().insert(name.to_owned(), Arc::new(stats));
     }
 
     /// The relation's current mutation epoch (0 until the first DML).
@@ -620,6 +606,14 @@ mod tests {
     use super::*;
     use prisma_types::{tuple, Column, DataType};
 
+    impl DataDictionary {
+        /// Install a table-level summary directly, bypassing the
+        /// per-fragment statistics lifecycle.
+        fn put_stats(&self, name: &str, stats: TableStats) {
+            self.stats.write().insert(name.to_owned(), Arc::new(stats));
+        }
+    }
+
     fn dict() -> DataDictionary {
         DataDictionary::new(MachineConfig::paper_prototype(), DiskProfile::instant())
     }
@@ -645,7 +639,6 @@ mod tests {
         d.register("t", info(4, Some(0))).unwrap();
         assert!(d.register("t", info(4, Some(0))).is_err());
         assert_eq!(d.relation("t").unwrap().fragments.len(), 4);
-        assert_eq!(d.relation_names(), vec!["t".to_owned()]);
         d.unregister("t").unwrap();
         assert!(d.relation("t").is_err());
     }

@@ -104,8 +104,6 @@ pub struct ExecMetrics {
     pub tuples_shipped: u64,
     /// Batches returned by fragment actors to the coordinator.
     pub batches_shipped: u64,
-    /// Subtree results served from the CSE memo.
-    pub memo_hits: u64,
     /// Joins executed with the broadcast strategy.
     pub broadcast_joins: u64,
     /// Joins executed with the hash-partitioned (grace) strategy.
@@ -342,7 +340,6 @@ impl ParallelExecutor {
         };
         if let Some(k) = &key {
             if let Some(hit) = memo.get(k) {
-                q.metrics.memo_hits += 1;
                 return Ok(Arc::clone(hit));
             }
         }
@@ -1253,12 +1250,6 @@ fn chain_over(chain: &LogicalPlan, join: LogicalPlan) -> LogicalPlan {
 
 fn decomposable(aggs: &[AggExpr]) -> bool {
     aggs.iter().all(|a| a.func.decomposable())
-}
-
-/// Schema helper re-exported for the facade.
-pub fn scan_of(dictionary: &DataDictionary, relation: &str) -> Result<LogicalPlan> {
-    let info = dictionary.relation(relation)?;
-    Ok(LogicalPlan::scan(relation, info.schema))
 }
 
 #[allow(dead_code)]

@@ -153,21 +153,6 @@ impl GlobalDataHandler {
         self.faults = faults;
     }
 
-    /// The fault injector in effect.
-    pub fn fault_injector(&self) -> &Arc<prisma_faultx::FaultInjector> {
-        &self.faults
-    }
-
-    /// Boot with paper defaults (64-PE mesh, load-balanced allocation,
-    /// instant disks — benches override the profile).
-    pub fn boot_default() -> Result<GlobalDataHandler> {
-        GlobalDataHandler::boot(
-            MachineConfig::paper_prototype(),
-            AllocationPolicy::LoadBalanced,
-            DiskProfile::instant(),
-        )
-    }
-
     /// Machine configuration.
     pub fn config(&self) -> &MachineConfig {
         &self.config
@@ -189,7 +174,9 @@ impl GlobalDataHandler {
         &self.pools
     }
 
-    /// Override the optimizer configuration (E9 ablation).
+    /// Override the optimizer configuration: the optimizer-ablation
+    /// tests switch rewrite rules off through it.
+    // checkx:allow(dead-pub) the ablation tests of the `prisma` facade reach it through `gdh_mut()`
     pub fn set_optimizer_config(&mut self, cfg: OptimizerConfig) {
         self.optimizer_config = cfg;
     }
@@ -867,6 +854,7 @@ impl GlobalDataHandler {
     /// Actuals come from evaluating every subtree against a snapshot of
     /// the scanned relations through the reference evaluator — a debug
     /// path, priced accordingly.
+    // checkx:allow(dead-pub) user-facing EXPLAIN ANALYZE; its tests live under `tests/`
     pub fn explain_analyze_sql(&self, sql: &str) -> Result<String> {
         let (optimized, mut out) = self.explain_inner(sql)?;
         let mut db: HashMap<String, Relation> = HashMap::new();

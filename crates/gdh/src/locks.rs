@@ -205,18 +205,6 @@ impl LockManager {
         }
         self.wakeup.notify_all();
     }
-
-    /// Locks currently held by `txn` (for tests/metrics).
-    pub fn held_by(&self, txn: TxnId) -> Vec<String> {
-        let st = self.state.lock();
-        let mut v: Vec<String> = st
-            .held
-            .get(&txn)
-            .map(|s| s.iter().cloned().collect())
-            .unwrap_or_default();
-        v.sort();
-        v
-    }
 }
 
 #[cfg(test)]
@@ -224,6 +212,20 @@ mod tests {
     use super::*;
     use std::sync::atomic::{AtomicUsize, Ordering};
     use std::time::Duration;
+
+    impl LockManager {
+        /// Locks currently held by `txn`.
+        fn held_by(&self, txn: TxnId) -> Vec<String> {
+            let st = self.state.lock();
+            let mut v: Vec<String> = st
+                .held
+                .get(&txn)
+                .map(|s| s.iter().cloned().collect())
+                .unwrap_or_default();
+            v.sort();
+            v
+        }
+    }
 
     #[test]
     fn shared_locks_coexist_exclusive_excludes() {

@@ -94,7 +94,8 @@ impl TransactionManager {
     }
 
     /// Participants registered so far.
-    pub fn participants_of(&self, txn: TxnId) -> Vec<ProcessId> {
+    #[cfg(test)]
+    pub(crate) fn participants_of(&self, txn: TxnId) -> Vec<ProcessId> {
         self.active
             .lock()
             .get(&txn)

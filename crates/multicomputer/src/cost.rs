@@ -1,11 +1,10 @@
 //! Analytic communication-cost model used by the DBMS layers.
 //!
 //! The query optimizer's parallelism-allocation rules (paper §2.4) and the
-//! data-allocation manager (§2.2) need to *predict* communication cost
-//! without running the packet simulator. [`CostModel`] provides closed-form
-//! estimates consistent with the simulator: a message of `b` bytes shipped
-//! over `h` hops is segmented into ⌈8b/256⌉ packets that pipeline through
-//! the store-and-forward path.
+//! data-allocation manager (§2.2) need to *predict* communication cost.
+//! [`CostModel`] provides closed-form estimates of the paper's
+//! store-and-forward network: a message of `b` bytes shipped over `h` hops
+//! is segmented into ⌈8b/256⌉ packets that pipeline through the path.
 
 use prisma_types::{MachineConfig, PeId, Result};
 
@@ -57,31 +56,6 @@ impl CostModel {
         hops * (self.packet_tx_ns + self.hop_latency_ns) + (packets - 1.0) * self.packet_tx_ns
     }
 
-    /// Estimated nanoseconds for a scatter of `bytes_per_dest` from `src`
-    /// to each PE in `dests`, assuming the source link is the bottleneck
-    /// (transmissions serialize at the source, deliveries overlap).
-    pub fn scatter_ns(&self, src: PeId, dests: &[PeId], bytes_per_dest: u64) -> f64 {
-        let remote: Vec<_> = dests.iter().filter(|&&d| d != src).collect();
-        if remote.is_empty() {
-            return 0.0;
-        }
-        let per = self.packets_for(bytes_per_dest) as f64 * self.packet_tx_ns;
-        let serialize = per * remote.len() as f64;
-        let worst_path = remote
-            .iter()
-            .map(|&&d| self.topology.distance(src, d) as f64)
-            .fold(0.0, f64::max)
-            * (self.packet_tx_ns + self.hop_latency_ns);
-        serialize + worst_path
-    }
-
-    /// Estimated nanoseconds for `src` to gather `bytes_per_src` from each
-    /// PE in `sources` (deliveries serialize at the destination's links).
-    pub fn gather_ns(&self, dst: PeId, sources: &[PeId], bytes_per_src: u64) -> f64 {
-        // Symmetric to scatter on a full-duplex network.
-        self.scatter_ns(dst, sources, bytes_per_src)
-    }
-
     /// Bytes × hops metric: total link-bandwidth consumption of shipping
     /// `bytes` from `src` to `dst`. The allocation manager minimizes this
     /// aggregate when placing fragments.
@@ -131,17 +105,6 @@ mod tests {
         let near = m.transfer_ns(PeId(0), PeId(1), 1024);
         let far = m.transfer_ns(PeId(0), PeId(63), 1024);
         assert!(near < far);
-    }
-
-    #[test]
-    fn scatter_serializes_at_source() {
-        let m = model();
-        let dests: Vec<PeId> = (1..9).map(PeId::from).collect();
-        let one = m.transfer_ns(PeId(0), dests[0], 3200);
-        let all = m.scatter_ns(PeId(0), &dests, 3200);
-        assert!(all > one * 4.0, "scatter {all} vs single {one}");
-        // Scattering "to yourself" costs nothing.
-        assert_eq!(m.scatter_ns(PeId(0), &[PeId(0)], 3200), 0.0);
     }
 
     #[test]

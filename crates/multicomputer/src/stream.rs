@@ -198,11 +198,6 @@ impl<T> StreamReassembly<T> {
         self.streams.is_empty()
     }
 
-    /// Streams completed so far.
-    pub fn completed(&self) -> usize {
-        self.done.len()
-    }
-
     /// Tags of streams still owed chunks or an end marker (sorted — the
     /// coordinator names these in timeout errors).
     pub fn open_streams(&self) -> Vec<u64> {
@@ -215,6 +210,13 @@ impl<T> StreamReassembly<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl<T> StreamReassembly<T> {
+        /// Streams completed so far.
+        pub(super) fn completed(&self) -> usize {
+            self.done.len()
+        }
+    }
 
     #[test]
     fn in_order_delivery_releases_immediately() {

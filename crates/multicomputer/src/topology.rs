@@ -1,25 +1,18 @@
-//! Interconnect topologies and shortest-path routing.
+//! Interconnect topologies and shortest-path distances.
 //!
 //! The paper fixes four links per PE and proposes a mesh or a chordal-ring
-//! variant (§3.2). [`Topology`] materializes the adjacency structure and a
-//! precomputed next-hop routing table (all-pairs BFS), which both the
-//! packet simulator and the optimizer's communication cost model consult.
+//! variant (§3.2). [`Topology`] builds the adjacency structure and keeps
+//! the all-pairs hop counts (BFS) the communication cost model consults.
 
 use prisma_types::{MachineConfig, PeId, PrismaError, Result, TopologyKind};
 use std::collections::VecDeque;
 
-/// A concrete interconnect: adjacency lists plus an all-pairs next-hop
-/// routing table.
+/// A concrete interconnect: all-pairs shortest-path hop counts.
 #[derive(Debug, Clone)]
 pub struct Topology {
-    kind: TopologyKind,
     n: usize,
-    /// `neighbors[i]` — PEs directly linked to PE `i`.
-    neighbors: Vec<Vec<PeId>>,
-    /// `next_hop[src * n + dst]` — neighbor of `src` on a shortest path to
-    /// `dst`; `src` itself when `src == dst`.
-    next_hop: Vec<PeId>,
-    /// `dist[src * n + dst]` — hop count of the shortest path.
+    /// `dist[src * n + dst]` — hop count of the shortest path; 1 exactly
+    /// between linked PEs.
     dist: Vec<u32>,
 }
 
@@ -44,19 +37,8 @@ impl Topology {
                 })
                 .collect(),
         };
-        let (next_hop, dist) = routing_tables(n, &neighbors)?;
-        Ok(Topology {
-            kind: config.topology,
-            n,
-            neighbors,
-            next_hop,
-            dist,
-        })
-    }
-
-    /// Which topology family this is.
-    pub fn kind(&self) -> TopologyKind {
-        self.kind
+        let dist = distances(n, &neighbors)?;
+        Ok(Topology { n, dist })
     }
 
     /// Number of PEs.
@@ -65,66 +47,15 @@ impl Topology {
         self.n
     }
 
-    /// Direct neighbors of `pe`.
-    #[inline]
-    pub fn neighbors(&self, pe: PeId) -> &[PeId] {
-        &self.neighbors[pe.index()]
-    }
-
-    /// Neighbor of `src` on a shortest path towards `dst`.
-    #[inline]
-    pub fn next_hop(&self, src: PeId, dst: PeId) -> PeId {
-        self.next_hop[src.index() * self.n + dst.index()]
-    }
-
     /// Shortest-path hop count between two PEs.
     #[inline]
     pub fn distance(&self, src: PeId, dst: PeId) -> u32 {
         self.dist[src.index() * self.n + dst.index()]
     }
-
-    /// Largest shortest-path distance in the network.
-    pub fn diameter(&self) -> u32 {
-        self.dist.iter().copied().max().unwrap_or(0)
-    }
-
-    /// Mean shortest-path distance over all ordered pairs of distinct PEs —
-    /// the quantity that fixes how many link-crossings an average packet
-    /// consumes, and therefore where uniform-traffic throughput saturates.
-    pub fn mean_distance(&self) -> f64 {
-        if self.n < 2 {
-            return 0.0;
-        }
-        let total: u64 = self.dist.iter().map(|&d| d as u64).sum();
-        total as f64 / (self.n * (self.n - 1)) as f64
-    }
-
-    /// Total number of *directed* links (each undirected link counts twice,
-    /// once per direction, matching the full-duplex links of the paper).
-    pub fn num_directed_links(&self) -> usize {
-        self.neighbors.iter().map(Vec::len).sum()
-    }
-
-    /// Maximum link degree — must be ≤ 4 for the buildable topologies
-    /// (paper: "four communication links" per PE).
-    pub fn max_degree(&self) -> usize {
-        self.neighbors.iter().map(Vec::len).max().unwrap_or(0)
-    }
-
-    /// Analytic saturation throughput per PE under uniform random traffic,
-    /// in packets per second: aggregate link capacity divided by the mean
-    /// hop count a packet consumes, normalized per PE.
-    ///
-    /// This is the closed-form counterpart of the simulated sweep and is used
-    /// in tests to cross-validate the simulator.
-    pub fn uniform_saturation_pps(&self, link_pps: f64) -> f64 {
-        let capacity = self.num_directed_links() as f64 * link_pps;
-        capacity / self.mean_distance() / self.n as f64
-    }
 }
 
 /// Most-square factorization of `n` into `rows × cols` (rows ≤ cols).
-pub fn mesh_dims(n: usize) -> (usize, usize) {
+fn mesh_dims(n: usize) -> (usize, usize) {
     let mut rows = (n as f64).sqrt() as usize;
     while rows > 1 && !n.is_multiple_of(rows) {
         rows -= 1;
@@ -174,45 +105,81 @@ fn chordal_ring_neighbors(n: usize, stride: usize) -> Result<Vec<Vec<PeId>>> {
     Ok(adj)
 }
 
-/// All-pairs BFS producing next-hop and distance tables.
-fn routing_tables(n: usize, adj: &[Vec<PeId>]) -> Result<(Vec<PeId>, Vec<u32>)> {
-    let mut next = vec![PeId(0); n * n];
+/// All-pairs BFS producing the hop-count table.
+fn distances(n: usize, adj: &[Vec<PeId>]) -> Result<Vec<u32>> {
     let mut dist = vec![u32::MAX; n * n];
     let mut queue = VecDeque::new();
     for src in 0..n {
-        // BFS from src; record each node's *parent-side first hop*.
         let row = src * n;
         dist[row + src] = 0;
-        next[row + src] = PeId::from(src);
         queue.clear();
         queue.push_back(src);
-        // first_hop[v] = the neighbor of src through which v was first reached
-        let mut first_hop = vec![usize::MAX; n];
-        first_hop[src] = src;
         while let Some(u) = queue.pop_front() {
             for &vpe in &adj[u] {
                 let v = vpe.index();
                 if dist[row + v] == u32::MAX {
                     dist[row + v] = dist[row + u] + 1;
-                    first_hop[v] = if u == src { v } else { first_hop[u] };
-                    next[row + v] = PeId::from(first_hop[v]);
                     queue.push_back(v);
                 }
             }
         }
         if dist[row..row + n].contains(&u32::MAX) {
-            return Err(PrismaError::Config(
-                "topology is not connected".to_owned(),
-            ));
+            return Err(PrismaError::Config("topology is not connected".to_owned()));
         }
     }
-    Ok((next, dist))
+    Ok(dist)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use prisma_types::TopologyKind;
+
+    /// Closed-form properties of a topology the tests check against the
+    /// paper (§3.2).
+    impl Topology {
+        /// Largest shortest-path distance in the network.
+        fn diameter(&self) -> u32 {
+            self.dist.iter().copied().max().unwrap_or(0)
+        }
+
+        /// Maximum link degree — must be ≤ 4 for the buildable
+        /// topologies (paper: "four communication links" per PE).
+        fn max_degree(&self) -> usize {
+            self.dist
+                .chunks(self.n)
+                .map(|row| row.iter().filter(|&&d| d == 1).count())
+                .max()
+                .unwrap_or(0)
+        }
+
+        /// Mean shortest-path distance over all ordered pairs of distinct
+        /// PEs — how many link-crossings an average packet consumes, and
+        /// therefore where uniform-traffic throughput saturates.
+        fn mean_distance(&self) -> f64 {
+            if self.n < 2 {
+                return 0.0;
+            }
+            let total: u64 = self.dist.iter().map(|&d| d as u64).sum();
+            total as f64 / (self.n * (self.n - 1)) as f64
+        }
+
+        /// Total number of *directed* links (each undirected link counts
+        /// twice, once per direction, matching the full-duplex links of
+        /// the paper).
+        fn num_directed_links(&self) -> usize {
+            self.dist.iter().filter(|&&d| d == 1).count()
+        }
+
+        /// Analytic saturation throughput per PE under uniform random
+        /// traffic, in packets per second: aggregate link capacity
+        /// divided by the mean hop count a packet consumes, normalized
+        /// per PE.
+        fn uniform_saturation_pps(&self, link_pps: f64) -> f64 {
+            let capacity = self.num_directed_links() as f64 * link_pps;
+            capacity / self.mean_distance() / self.n as f64
+        }
+    }
 
     fn mesh64() -> Topology {
         Topology::build(&MachineConfig::paper_prototype()).unwrap()
@@ -240,23 +207,6 @@ mod tests {
         let t = ring64();
         assert_eq!(t.max_degree(), 4);
         assert!(t.diameter() <= 8, "diameter {} too large", t.diameter());
-    }
-
-    #[test]
-    fn next_hop_walk_reaches_destination_in_distance_steps() {
-        for t in [mesh64(), ring64()] {
-            for (src, dst) in [(0usize, 63usize), (5, 42), (17, 17), (63, 0)] {
-                let (src, dst) = (PeId::from(src), PeId::from(dst));
-                let mut cur = src;
-                let mut steps = 0;
-                while cur != dst {
-                    cur = t.next_hop(cur, dst);
-                    steps += 1;
-                    assert!(steps <= t.diameter(), "routing loop {src}->{dst}");
-                }
-                assert_eq!(steps, t.distance(src, dst));
-            }
-        }
     }
 
     #[test]
@@ -295,9 +245,9 @@ mod tests {
         let link_pps = 10_000_000.0 / 256.0;
         let mesh = mesh64().uniform_saturation_pps(link_pps);
         let ring = ring64().uniform_saturation_pps(link_pps);
-        // The paper reports "up to 20.000 packets per second per PE". The
-        // analytic bound assumes perfectly balanced links, so it sits above
-        // the simulated number; both must share the paper's order of
+        // The paper reports "up to 20.000 packets per second per PE" from
+        // simulation. The analytic bound assumes perfectly balanced links,
+        // so it sits above that number but must share its order of
         // magnitude (the chordal ring's shorter mean distance puts its
         // ideal bound near 39k, the mesh near 26k).
         assert!(

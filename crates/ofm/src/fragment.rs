@@ -1,11 +1,11 @@
-//! A relation fragment: heap, secondary indexes, markings, the
+//! A relation fragment: heap, secondary indexes, the
 //! incrementally-maintained per-column statistics sketches behind
 //! [`Fragment::statistics`] — and the two-tier delta/sealed storage layout.
 //!
 //! # Two-tier layout
 //!
 //! The heap stays the single authority for every live row: Rids, indexes,
-//! markings, undo and recovery are untouched by sealing. On top of it the
+//! undo and recovery are untouched by sealing. On top of it the
 //! fragment maintains a list of [`SealedChunk`]s — immutable columnar runs
 //! of [`seal_every`] heap rows each, sealed in slot order whenever enough
 //! *uncovered* rows accumulate (and again on first scan, via the OFM's
@@ -26,16 +26,14 @@
 //! ever dissolved — and only they are read.
 
 use prisma_storage::expr::ScalarExpr;
-use prisma_storage::{
-    BTreeIndex, Cursor, FastMap, FnvBuild, HashIndex, Marking, Rid, TupleHeap, ZoneRefuter,
-};
+use prisma_storage::{BTreeIndex, FastMap, FnvBuild, HashIndex, Rid, TupleHeap, ZoneRefuter};
 use prisma_types::stats::{HISTOGRAM_BUCKETS, MOST_COMMON_VALUES};
 use prisma_types::{
     chunk::seal_every, ColumnStats, DataType, FragmentId, FragmentStatistics, Histogram,
     LazyColumns, PrismaError, Result, Schema, SealedChunk, SelVec, Tuple, Value,
 };
 use std::collections::hash_map::Entry;
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::collections::{BTreeMap, BTreeSet};
 use std::hash::BuildHasher;
 use std::sync::Arc;
 
@@ -211,7 +209,7 @@ pub struct FragmentStats {
     pub bytes: usize,
 }
 
-/// The storage state of one fragment, with index, marking and statistics
+/// The storage state of one fragment, with index and statistics
 /// maintenance on every mutation.
 #[derive(Debug, Default)]
 pub struct Fragment {
@@ -220,7 +218,6 @@ pub struct Fragment {
     heap: TupleHeap,
     hash_indexes: Vec<HashIndex>,
     btree_indexes: Vec<BTreeIndex>,
-    markings: HashMap<String, Marking>,
     /// Per-column ordered value→count multiset, maintained on every
     /// insert/delete/update. Exact and cheap for a main-memory fragment;
     /// [`Fragment::statistics`] snapshots it into histograms without
@@ -348,11 +345,6 @@ impl Fragment {
     /// Number of sealed chunks.
     pub fn sealed_count(&self) -> usize {
         self.sealed.len()
-    }
-
-    /// Live rows covered by sealed chunks.
-    pub fn sealed_rows(&self) -> usize {
-        self.covered_rows
     }
 
     /// Live rows in the delta (not covered by any sealed chunk).
@@ -588,12 +580,7 @@ impl Fragment {
         self.hash_indexes.get(slot)
     }
 
-    /// Ordered index by slot.
-    pub fn btree_index(&self, slot: usize) -> Option<&BTreeIndex> {
-        self.btree_indexes.get(slot)
-    }
-
-    // ---- mutations (index + marking maintenance) ----
+    // ---- mutations (index maintenance) ----
 
     /// Insert after schema validation.
     pub fn insert(&mut self, tuple: Tuple) -> Result<Rid> {
@@ -617,8 +604,7 @@ impl Fragment {
         Ok(rid)
     }
 
-    /// Delete by Rid; maintains indexes and strips the Rid from every
-    /// marking (the paper's marking-maintenance duty).
+    /// Delete by Rid; maintains indexes.
     pub fn delete(&mut self, rid: Rid) -> Option<Tuple> {
         self.dissolve(rid);
         let t = self.heap.delete(rid)?;
@@ -628,9 +614,6 @@ impl Fragment {
         }
         for idx in &mut self.btree_indexes {
             idx.remove(&t, rid);
-        }
-        for m in self.markings.values_mut() {
-            m.unmark(rid);
         }
         if let Some(images) = &mut self.images {
             images.remove(&t, rid);
@@ -686,35 +669,6 @@ impl Fragment {
         self.images = None;
     }
 
-    // ---- markings & cursors ----
-
-    /// Create or replace a named marking.
-    pub fn set_marking(&mut self, name: impl Into<String>, marking: Marking) {
-        self.markings.insert(name.into(), marking);
-    }
-
-    /// Fetch a marking.
-    pub fn marking(&self, name: &str) -> Option<&Marking> {
-        self.markings.get(name)
-    }
-
-    /// Drop a marking.
-    pub fn drop_marking(&mut self, name: &str) -> bool {
-        self.markings.remove(name).is_some()
-    }
-
-    /// Open a cursor over the whole fragment or over a marking.
-    pub fn open_cursor(&self, marking: Option<&str>) -> Result<Cursor> {
-        match marking {
-            None => Ok(Cursor::over_heap(&self.heap)),
-            Some(name) => self
-                .markings
-                .get(name)
-                .map(Cursor::over_marking)
-                .ok_or_else(|| PrismaError::Execution(format!("no marking named {name}"))),
-        }
-    }
-
     /// All live tuples as a vector (snapshot).
     pub fn all_tuples(&self) -> Vec<Tuple> {
         self.heap.iter().map(|(_, t)| t.clone()).collect()
@@ -747,7 +701,7 @@ mod tests {
         assert_eq!(f.hash_index(0).unwrap().lookup_one(&Value::Int(5)), &[r1]);
         f.delete(r1);
         assert!(f.hash_index(0).unwrap().lookup_one(&Value::Int(5)).is_empty());
-        assert_eq!(f.btree_index(0).unwrap().len(), 1);
+        assert_eq!(f.btree_indexes()[0].len(), 1);
     }
 
     #[test]
@@ -766,20 +720,6 @@ mod tests {
         assert!(f.insert(tuple!["not an int", 1]).is_err());
         let r = f.insert(tuple![1, "a"]).unwrap();
         assert!(f.update(r, tuple![1, 2]).is_err());
-    }
-
-    #[test]
-    fn markings_shrink_with_deletes() {
-        let mut f = frag();
-        let r1 = f.insert(tuple![1, "a"]).unwrap();
-        let r2 = f.insert(tuple![2, "b"]).unwrap();
-        f.set_marking("hot", Marking::from_rids([r1, r2]));
-        f.delete(r1);
-        assert_eq!(f.marking("hot").unwrap().len(), 1);
-        let mut cur = f.open_cursor(Some("hot")).unwrap();
-        assert_eq!(cur.next(f.heap()), Some(r2));
-        assert!(f.open_cursor(Some("cold")).is_err());
-        assert!(f.drop_marking("hot"));
     }
 
     #[test]
@@ -830,7 +770,7 @@ mod tests {
         }
         // 10 rows at 4 per chunk: two sealed chunks, delta of 2.
         assert_eq!(f.sealed_count(), 2);
-        assert_eq!(f.sealed_rows(), 8);
+        assert_eq!(f.covered_rows, 8);
         assert_eq!(f.delta_rows(), 2);
         let chunks = f.sealed_chunks();
         assert!(chunks.iter().all(|c| c.len() == 4 && c.arity() == 2));

@@ -12,9 +12,9 @@
 //! > structures. More specifically, they support a transitive closure
 //! > operator for dealing with recursive queries."
 //!
-//! * [`fragment::Fragment`] — heap + secondary indexes + markings, with
-//!   index/marking maintenance on every mutation, and the sealed columnar
-//!   tier that serves scans and DML victim search alike;
+//! * [`fragment::Fragment`] — heap + secondary indexes, with index
+//!   maintenance on every mutation, and the sealed columnar tier that
+//!   serves scans and DML victim search alike;
 //! * [`ofm::Ofm`] — the manager: local transactions with undo, WAL-backed
 //!   durability and 2PC participant duties for the *persistent* OFM type,
 //!   a local query optimizer choosing an access path for every selection,
@@ -27,6 +27,9 @@
 //!   while the scan continues — and checkpoint/recovery;
 //! * [`ofm::OfmKind`] — the paper's "generative approach": transient OFMs
 //!   for intermediate results carry no recovery machinery at all.
+//!
+//! The quote's "markings and cursor maintenance" is not reproduced: no
+//! query path used markings or cursors over them.
 
 pub mod fragment;
 pub mod ofm;

@@ -160,11 +160,6 @@ impl Ofm {
         self.fragment.schema()
     }
 
-    /// Whether this OFM carries recovery machinery.
-    pub fn is_persistent(&self) -> bool {
-        matches!(self.kind, OfmKind::Persistent { .. })
-    }
-
     /// Storage statistics.
     pub fn stats(&self) -> FragmentStats {
         self.fragment.stats()
@@ -177,7 +172,7 @@ impl Ofm {
         self.fragment.statistics()
     }
 
-    /// Direct fragment access (index creation, markings, cursors).
+    /// Direct fragment access (index creation).
     pub fn fragment_mut(&mut self) -> &mut Fragment {
         &mut self.fragment
     }
@@ -193,11 +188,6 @@ impl Ofm {
     /// redo-relevant log record is also queued for shipping to the backup.
     pub fn enable_replication(&mut self) {
         self.replicating = true;
-    }
-
-    /// Whether this OFM ships its log to a backup replica.
-    pub fn is_replicating(&self) -> bool {
-        self.replicating
     }
 
     /// Drain the queued replica records (primary side). The owning actor

@@ -221,8 +221,8 @@ fn assert_same_state(got: &Fragment, want: &Fragment, what: &str) {
         "{what}: tuples by slot"
     );
     assert_eq!(
-        (got.sealed_count(), got.sealed_rows(), got.delta_rows()),
-        (want.sealed_count(), want.sealed_rows(), want.delta_rows()),
+        (got.sealed_count(), got.delta_rows()),
+        (want.sealed_count(), want.delta_rows()),
         "{what}: sealed/delta split"
     );
     assert_eq!(got.delta_tuples(), want.delta_tuples(), "{what}: delta");

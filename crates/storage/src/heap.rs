@@ -6,8 +6,7 @@ use prisma_types::Tuple;
 ///
 /// Rids stay valid across deletions of *other* tuples (slots are reused via
 /// a free list, so a Rid is only meaningful while its tuple is live —
-/// markings and indexes are maintained on mutation, mirroring the paper's
-/// "markings and cursor maintenance" duty of an OFM).
+/// indexes are maintained on mutation).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct Rid(pub u32);
 
@@ -101,7 +100,7 @@ impl TupleHeap {
             .filter_map(|(i, s)| s.as_ref().map(|t| (Rid(i as u32), t)))
     }
 
-    /// All live Rids in slot order (snapshot for cursors).
+    /// All live Rids in slot order (snapshot).
     pub fn rids(&self) -> Vec<Rid> {
         self.iter().map(|(r, _)| r).collect()
     }

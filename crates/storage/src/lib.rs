@@ -5,24 +5,25 @@
 //! * [`heap::TupleHeap`] — the primary slotted tuple store of a fragment;
 //! * [`hash_index::HashIndex`] and [`btree_index::BTreeIndex`] — the
 //!   "(various) storage structures" an OFM is generated with;
-//! * [`cursor`] — the paper's "markings and cursor maintenance";
 //! * [`expr`] — the per-OFM **expression compiler**, which "generate\[s\]
 //!   routines dynamically … avoid\[ing\] the otherwise excessive
 //!   interpretation overhead incurred by a query expression interpreter":
 //!   column-at-a-time kernels that every executor path runs, beside the
 //!   interpreter the reference evaluator keeps.
 //!
+//! The paper's "markings and cursor maintenance" is not reproduced: no
+//! query path used named rid sets or cursors over them, so every scan
+//! reads the heap, an index, or the sealed columnar tier directly.
+//!
 //! Everything here is strictly node-local: distribution lives in
 //! `prisma-ofm` / `prisma-gdh`.
 
 pub mod btree_index;
-pub mod cursor;
 pub mod expr;
 pub mod hash_index;
 pub mod heap;
 
 pub use btree_index::BTreeIndex;
-pub use cursor::{Cursor, Marking};
 pub use expr::{ArithOp, CmpOp, CompiledVecExpr, CompiledVecPredicate, ScalarExpr, ZoneRefuter};
 pub use hash_index::HashIndex;
 pub use heap::{Rid, TupleHeap};

@@ -35,7 +35,8 @@ pub enum TopologyKind {
 pub struct MachineConfig {
     /// Number of processing elements (paper: 64).
     pub num_pes: usize,
-    /// Local main memory per PE in bytes (paper: 16 MByte).
+    /// Local main memory per PE in bytes (paper: 16 MByte). Recorded for
+    /// reports; no engine code budgets against it.
     pub memory_per_pe: usize,
     /// Link bandwidth in bits per second (paper: 10 Mbit/sec).
     pub link_bandwidth_bps: u64,
@@ -120,12 +121,6 @@ impl MachineConfig {
     /// Builder-style override of the topology.
     pub fn with_topology(mut self, t: TopologyKind) -> Self {
         self.topology = t;
-        self
-    }
-
-    /// Builder-style override of the per-PE memory budget.
-    pub fn with_memory_per_pe(mut self, bytes: usize) -> Self {
-        self.memory_per_pe = bytes;
         self
     }
 

@@ -10,7 +10,6 @@ use prisma::relalg::eval::{transitive_closure, transitive_closure_naive};
 use prisma::relalg::{eval, execute_physical, lower, AggExpr, AggFunc, LogicalPlan, Relation};
 use prisma::stable::encoding;
 use prisma::storage::expr::{ArithOp, CmpOp, ScalarExpr};
-use prisma::storage::{Marking, Rid};
 use prisma::types::wire::BlockChunk;
 use prisma::types::{
     tuple, Column, ColumnVec, DataType, LazyColumns, PrismaError, Schema, SelVec, Tuple, Value,
@@ -512,21 +511,6 @@ proptest! {
         prop_assert_eq!(semi.tuples(), naive.tuples());
         let twice = transitive_closure(&semi).unwrap().canonicalized();
         prop_assert_eq!(twice.tuples(), semi.tuples());
-    }
-
-    // Marking set algebra behaves like sets.
-    #[test]
-    fn marking_set_laws(
-        xs in prop::collection::hash_set(0u32..100, 0..40),
-        ys in prop::collection::hash_set(0u32..100, 0..40),
-    ) {
-        let a = Marking::from_rids(xs.iter().map(|&i| Rid(i)));
-        let b = Marking::from_rids(ys.iter().map(|&i| Rid(i)));
-        prop_assert_eq!(a.and(&b).len(), xs.intersection(&ys).count());
-        prop_assert_eq!(a.or(&b).len(), xs.union(&ys).count());
-        prop_assert_eq!(a.minus(&b).len(), xs.difference(&ys).count());
-        // De Morgan-ish: |A∪B| = |A| + |B| - |A∩B|
-        prop_assert_eq!(a.or(&b).len() + a.and(&b).len(), a.len() + b.len());
     }
 
     // Schema tuple checking accepts exactly what try_new accepts.
