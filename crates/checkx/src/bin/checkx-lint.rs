@@ -57,7 +57,7 @@ fn main() -> ExitCode {
     }
     if findings.is_empty() {
         eprintln!(
-            "checkx-lint: {} files clean (sync-unwrap, wall-clock, gdhmsg-exhaustive, wire-fingerprint, oracle-evaluator, dead-pub)",
+            "checkx-lint: {} files clean (sync-unwrap, wall-clock, gdhmsg-exhaustive, wire-fingerprint, oracle-evaluator, one-cut, dead-pub)",
             sources.len()
         );
         ExitCode::SUCCESS

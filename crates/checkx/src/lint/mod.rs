@@ -8,8 +8,8 @@ use std::path::{Path, PathBuf};
 
 pub use lexer::{lex, Lexed};
 pub use rules::{
-    dead_pub, gdhmsg_exhaustive, oracle_evaluator, sync_unwrap, wall_clock, wire_constants_hash,
-    wire_fingerprint, Finding,
+    dead_pub, gdhmsg_exhaustive, one_cut, oracle_evaluator, sync_unwrap, wall_clock,
+    wire_constants_hash, wire_fingerprint, Finding,
 };
 
 /// Crates whose sources must be simulation-deterministic: the data
@@ -46,6 +46,9 @@ const WIRE_FILE: &str = "crates/types/src/wire.rs";
 /// The reference evaluator, which must share no evaluator with the
 /// executor it checks.
 const ORACLE_FILE: &str = "crates/relalg/src/eval.rs";
+
+/// The parallel executor, which runs the lowered plan as it is.
+const EXECUTOR_FILE: &str = "crates/gdh/src/exec.rs";
 
 /// One source file staged for linting.
 pub struct SourceFile {
@@ -148,6 +151,9 @@ pub fn run_all(sources: &[SourceFile]) -> Vec<Finding> {
         }
         if f.path == Path::new(ORACLE_FILE) {
             findings.extend(oracle_evaluator(&f.path, &f.lexed));
+        }
+        if f.path == Path::new(EXECUTOR_FILE) {
+            findings.extend(one_cut(&f.path, &f.lexed));
         }
     }
     // The GdhMsg protocol rule needs the enum file plus the actor loops.

@@ -186,6 +186,27 @@ pub fn oracle_evaluator(path: &Path, lexed: &Lexed) -> Vec<Finding> {
         .collect()
 }
 
+/// `one-cut`: flag the identifier `LogicalPlan` outside the
+/// `#[cfg(test)]` modules of the parallel executor. Where data moves is
+/// decided once, by the physical lowering; the executor runs the lowered
+/// plan and cuts it at its exchanges, so it has no logical plan to
+/// pattern-match. No `checkx:allow` lifts this.
+pub fn one_cut(path: &Path, lexed: &Lexed) -> Vec<Finding> {
+    let toks = &lexed.toks;
+    toks.iter()
+        .zip(test_module_mask(toks))
+        .filter(|(t, in_test)| !in_test && t.kind == TokKind::Ident && t.text == "LogicalPlan")
+        .map(|(t, _)| Finding {
+            path: path.to_path_buf(),
+            line: t.line,
+            rule: "one-cut",
+            message: "`LogicalPlan` in the parallel executor, which runs the lowered \
+                      `PhysicalPlan` (placement is the lowering's decision)"
+                .into(),
+        })
+        .collect()
+}
+
 /// `gdhmsg-exhaustive`: every variant of the `GdhMsg` protocol enum must
 /// be named (`GdhMsg::Variant`) in the OFM actor's dispatch file, and in
 /// the union of the actor-loop files. The OFM dispatch `match` has no

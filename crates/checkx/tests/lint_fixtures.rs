@@ -6,7 +6,7 @@
 use std::path::Path;
 
 use prisma_checkx::lint::{
-    self, dead_pub, gdhmsg_exhaustive, lex, oracle_evaluator, sync_unwrap, wall_clock,
+    self, dead_pub, gdhmsg_exhaustive, lex, one_cut, oracle_evaluator, sync_unwrap, wall_clock,
     wire_constants_hash, wire_fingerprint, Lexed,
 };
 
@@ -51,6 +51,21 @@ fn oracle_evaluator_flags_kernel_names_outside_tests() {
     // silent.
     assert_eq!(lines, vec![4, 7, 11], "findings: {findings:#?}");
     assert!(findings[0].message.contains("CompiledVecPredicate"), "{}", findings[0]);
+}
+
+#[test]
+fn one_cut_flags_logical_plans_in_the_executor() {
+    let lexed = lex(&fixture("one_cut.rs"));
+    let findings = one_cut(Path::new("one_cut.rs"), &lexed);
+    let lines: Vec<u32> = findings.iter().map(|f| f.line).collect();
+    // The import and the re-derived placement — even under an allow; the
+    // string, the comment and the test module stay silent.
+    assert_eq!(lines, vec![4, 7, 13], "findings: {findings:#?}");
+    assert!(findings[0].message.contains("PhysicalPlan"), "{}", findings[0]);
+    // An executor that takes the lowered plan is clean.
+    let lexed = lex(&fixture("one_cut_clean.rs"));
+    let findings = one_cut(Path::new("one_cut_clean.rs"), &lexed);
+    assert!(findings.is_empty(), "findings: {findings:#?}");
 }
 
 #[test]

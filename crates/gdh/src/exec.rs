@@ -3,35 +3,27 @@
 //! physical batch pipeline — the reference evaluator is used only by
 //! tests as the semantics oracle.
 //!
-//! Strategy per operator:
+//! The executor decides nothing about placement: it runs the plan
+//! [`prisma_optimizer::lower_physical`] produced, whose exchange nodes say
+//! where data moves (the rules live with the lowering). It **cuts** the
+//! plan at its exchanges:
 //!
-//! * a **pushable** subtree (Select/Project chains over one relation's
-//!   scan) is lowered to a physical subplan and shipped to every fragment
-//!   of that relation in parallel; per-fragment batch streams are unioned
-//!   at the coordinator;
-//! * an equi-**join** between two pushable sides whose cardinality
-//!   estimates are both large runs as a **hash-partitioned (grace) join**:
-//!   every fragment partitions its side by join-key hash and streams each
-//!   bucket **directly at the phase-2 site actor owning it** (the
-//!   optimizer's shuffle placement map names the site per bucket); the
-//!   sites reassemble the peer streams, join their buckets locally, and
-//!   stream results back — the coordinator ships plans, awaits the
-//!   per-site reply streams, and merges, but never relays a tuple.
-//!   Otherwise the smaller (materialized) side is **broadcast** to every
-//!   fragment of the pushable side — the classic shared-nothing broadcast
-//!   join. The choice comes from the optimizer's cardinality estimates
-//!   ([`prisma_optimizer::PhysicalConfig`]);
-//! * a decomposable **aggregate** (COUNT/SUM/MIN/MAX) runs below the
-//!   exchange and only its partials are merged at the coordinator: one
-//!   partial per fragment over a pushable subtree; over a Select/Project
-//!   chain on an inner join, one per phase-2 site of a grace join (the
-//!   aggregate rides in the site's plan) or per fragment a broadcast
-//!   join probes;
-//! * everything else executes at the coordinator through the local batch
-//!   executor over materialized children;
-//! * subtrees reported by the optimizer's common-subexpression detection
-//!   are **memoized** as `Arc<Relation>`: the second occurrence reuses the
-//!   first result without copying it.
+//! 1. each topmost `Gather` runs as one fan-out — its input ships to every
+//!    fragment of the one base relation it scans, or, over a join of two
+//!    `Shuffle`s, runs as a **grace join**: every fragment hash-partitions
+//!    its side and streams each bucket **directly at the phase-2 site**
+//!    the placement map names, the sites join their buckets and stream
+//!    results back, and the coordinator never relays a tuple. A
+//!    `Broadcast` input runs first, at the coordinator, and ships with
+//!    the fan-out as `__build`;
+//! 2. each fan-out's reply batches are spliced in as a scan source, in
+//!    column form;
+//! 3. the rest of the plan runs once, through the local batch executor.
+//!
+//! Equal `Gather` inputs in one plan run once (common subexpressions are
+//! shared at the cut), and a plan that is one `Gather` pivots its reply
+//! batches into the result rows as they arrive, with no further executor
+//! pass.
 //!
 //! ## Pipelined exchanges
 //!
@@ -42,51 +34,38 @@
 //! [`ExecMetrics::first_batch_micros`]). Arriving chunks are **staged
 //! per stream, still encoded,** until the stream's `StreamEnd` (a stream
 //! re-requested after a fault replays from scratch, so nothing of it may
-//! reach a sink early); a completed stream's chunks are then decoded and
-//! fed to the sink in chunk order on the client thread. Union sinks and
-//! broadcast-join build sides pivot each decoded batch into rows — one
-//! allocation per row, strings moved out of the decoded columns
-//! ([`Batch::into_tuples`]); partial-aggregate merges read the decoded
-//! columns as they are. Grace-join buckets ship per produced batch
-//! **fragment→fragment** ([`GdhMsg::ShuffleChunk`]) while the
-//! coordinator only sees the sites' join-result streams
-//! ([`ExecMetrics::shuffled_direct_bits`] meters the direct hop). That
-//! is the only grace-join route and streaming is the only reply mode.
-//! Chunk order within one stream is restored by
+//! reach a sink early); a completed stream's chunks are then decoded on
+//! the client thread and handed to the fan-out's sink in chunk order.
+//! Grace-join buckets ship per produced batch **fragment→fragment**
+//! ([`GdhMsg::ShuffleChunk`]); [`ExecMetrics::shuffled_direct_bits`]
+//! meters that hop. Chunk order within one stream is restored by
 //! [`prisma_multicomputer::StreamReassembly`], which also powers the
 //! in-flight-stream gauge; a lost or slow fragment surfaces as a timeout
 //! naming the query, the missing fragments, and the time waited. Reply
 //! waits run against a **deadline carried across the receive loop** —
-//! one reply timeout bounds the whole fan-out, so a slow-trickling
-//! stream cannot stall N×timeout before erroring.
+//! one reply timeout bounds the whole fan-out.
 //!
-//! Inside a fragment, Filter/Project run vectorized over columnar
-//! batches ([`prisma_relalg::exec`]'s row/column duality) — and the
-//! wire between PEs is columnar too: OFMs encode each shipped batch as
-//! a typed column block ([`prisma_types::wire`]), so
-//! `BatchChunk`/`ShuffleChunk` payloads, the ledger's `wire_bits`
-//! metering, and the shuffle-placement weights all see the encoded
-//! block size. The receiver decodes straight back into columnar
-//! batches; a frame mangled in flight fails checksum/structure
-//! validation and surfaces as a stream error, never a mis-decode.
-//! Replica log shipping is row-oriented: it is the recovery path, kept
-//! bit-compatible with the WAL.
+//! The wire between PEs is columnar: OFMs encode each shipped batch as a
+//! typed column block ([`prisma_types::wire`]), so `BatchChunk`/
+//! `ShuffleChunk` payloads, the ledger's `wire_bits` metering, and the
+//! shuffle-placement weights all see the encoded block size. A frame
+//! mangled in flight fails checksum/structure validation and surfaces as
+//! a stream error, never a mis-decode.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use prisma_multicomputer::StreamReassembly;
-use prisma_optimizer::cse::{detect_common_subexpressions, plan_key};
-use prisma_optimizer::{lower_physical, PhysicalConfig, Trace};
+use prisma_optimizer::PhysicalConfig;
 use prisma_poolx::{ExternalMailbox, PoolRuntime};
 use prisma_ofm::{SHUFFLE_LEFT, SHUFFLE_RIGHT};
 use prisma_relalg::{
-    agg::GroupTable, execute_physical, AggExpr, AggFunc, Batch, JoinKind, JoinStrategy,
-    LogicalPlan, PhysicalPlan, Relation, ShufflePlacement,
+    execute_physical, Batch, ChunkedRelation, ExchangeKind, PhysicalPlan, Relation,
+    ShufflePlacement,
 };
-use prisma_types::{FragmentId, PrismaError, QueryId, Result, Schema, Tuple, Value};
+use prisma_types::{FragmentId, PrismaError, QueryId, Result, Schema, Tuple};
 
 use crate::dictionary::DataDictionary;
 use crate::message::{ChunkData, GdhMsg, ShuffleSide};
@@ -94,6 +73,21 @@ use crate::message::{ChunkData, GdhMsg, ShuffleSide};
 /// One fan-out's reply streams: each stream's correlation tag paired with
 /// the fragment owing it (named in timeout/error messages).
 type StreamSet = Vec<(u64, FragmentId)>;
+
+/// The `Gather` inputs a query has spliced in, with their reply batches.
+type Memo = Vec<(PhysicalPlan, Arc<ChunkedRelation>)>;
+
+/// One input of a grace join, cut out of the plan at its `Shuffle`.
+struct Shuffle {
+    /// The base relation whose fragments run `source`.
+    relation: String,
+    /// What every fragment runs and hash-partitions.
+    source: PhysicalPlan,
+    /// Columns of `source` the buckets hash on.
+    keys: Vec<usize>,
+    /// The optimizer's bucket→site map.
+    placement: Option<ShufflePlacement>,
+}
 
 /// Per-query execution metrics.
 #[derive(Debug, Clone, Copy, Default)]
@@ -254,8 +248,8 @@ impl ParallelExecutor {
         self
     }
 
-    /// The physical-lowering tunables this executor plans with (EXPLAIN
-    /// must lower with the same config execution uses).
+    /// The physical-lowering tunables queries run by this executor are
+    /// lowered with (by the GDH, for execution and EXPLAIN alike).
     pub fn physical_config(&self) -> PhysicalConfig {
         self.physical_config
     }
@@ -275,13 +269,9 @@ impl ParallelExecutor {
         }
     }
 
-    /// Execute a logical plan, returning the result and metrics.
-    pub fn execute(&self, plan: &LogicalPlan) -> Result<(Relation, ExecMetrics)> {
-        let cse_keys: HashSet<String> = detect_common_subexpressions(plan)
-            .into_iter()
-            .map(|c| c.key)
-            .collect();
-        let mut memo: HashMap<String, Arc<Relation>> = HashMap::new();
+    /// Execute a lowered plan ([`prisma_optimizer::lower_physical`]),
+    /// returning the result and metrics.
+    pub fn execute(&self, plan: &PhysicalPlan) -> Result<(Relation, ExecMetrics)> {
         let mut q = self.fresh_query();
         // Pool counters are cumulative per machine; the delta across the
         // query is this query's share (queries on one coordinator run
@@ -290,7 +280,22 @@ impl ParallelExecutor {
         // Chunk-scan counters are cumulative per process, same as the
         // pool counters: the delta across the query is this query's share.
         let (scanned_before, pruned_before) = prisma_relalg::chunk_scan_counters();
-        let rel = self.exec_node(plan, &cse_keys, &mut memo, &mut q)?;
+        let rel = match plan {
+            // The whole result is one fan-out: its batches pivot into
+            // rows as they arrive, with no further executor pass.
+            PhysicalPlan::Exchange {
+                input,
+                kind: ExchangeKind::Gather,
+            } => {
+                let mut rows: Vec<Tuple> = Vec::new();
+                self.fan_out(input, &mut q, &mut Vec::new(), &mut |batch| {
+                    rows.extend(batch.into_tuples());
+                    Ok(())
+                })?;
+                Relation::new(input.output_schema()?, rows)
+            }
+            _ => self.run(plan, &mut q, &mut Vec::new())?,
+        };
         q.metrics.full_result_micros = q.started.elapsed().as_micros().max(1) as u64;
         let (scanned_after, pruned_after) = prisma_relalg::chunk_scan_counters();
         q.metrics.chunks_scanned = scanned_after - scanned_before;
@@ -303,287 +308,176 @@ impl ParallelExecutor {
         } else {
             q.metrics.pool_workers = 1;
         }
-        Ok((Arc::unwrap_or_clone(rel), q.metrics))
+        Ok((rel, q.metrics))
     }
 
     /// Materialize a full base relation (used by the PRISMAlog evaluator
     /// fallback and by tests).
     pub fn materialize(&self, relation: &str) -> Result<Relation> {
-        let info = self.dictionary.relation(relation)?;
-        let plan = LogicalPlan::scan(relation, info.schema.clone());
-        let mut q = self.fresh_query();
-        self.run_on_fragments(&plan, relation, &mut q)
-            .map(Arc::unwrap_or_clone)
-    }
-
-    /// Lower a (sub)plan for shipping or local execution. The trace is
-    /// a sink: nobody reads firings on the execution path, and the
-    /// EXPLAIN annotation walks would re-estimate every subtree per
-    /// query for nothing.
-    fn lower(&self, plan: &LogicalPlan) -> Result<PhysicalPlan> {
-        let mut trace = Trace::sink();
-        lower_physical(plan, &*self.dictionary, self.physical_config, &mut trace)
-    }
-
-    fn exec_node(
-        &self,
-        plan: &LogicalPlan,
-        cse: &HashSet<String>,
-        memo: &mut HashMap<String, Arc<Relation>>,
-        q: &mut QueryCtx,
-    ) -> Result<Arc<Relation>> {
-        let key = if cse.is_empty() {
-            None
-        } else {
-            let k = plan_key(plan);
-            if cse.contains(&k) { Some(k) } else { None }
+        let gather = PhysicalPlan::Exchange {
+            input: Box::new(scan(relation, &self.dictionary.relation(relation)?.schema)),
+            kind: ExchangeKind::Gather,
         };
-        if let Some(k) = &key {
-            if let Some(hit) = memo.get(k) {
-                return Ok(Arc::clone(hit));
-            }
-        }
-
-        let result = self.exec_inner(plan, cse, memo, q)?;
-        if let Some(k) = key {
-            memo.insert(k, Arc::clone(&result));
-        }
-        Ok(result)
+        self.execute(&gather).map(|(rel, _)| rel)
     }
 
-    fn exec_inner(
-        &self,
-        plan: &LogicalPlan,
-        cse: &HashSet<String>,
-        memo: &mut HashMap<String, Arc<Relation>>,
-        q: &mut QueryCtx,
-    ) -> Result<Arc<Relation>> {
-        // 1. Fragment-parallel pushable subtree.
-        if let Some(relation) = pushable_relation(plan) {
-            return self.run_on_fragments(plan, &relation, q);
-        }
-        match plan {
-            // 2. A Select/Project chain over an inner join between
-            //    distributed inputs (a bare join is the empty chain): the
-            //    chain rides with the join below the exchange, at every
-            //    grace site or probed fragment, so only its columns stream
-            //    to the coordinator.
-            _ if let Some(join) = join_under_chain(plan) => {
-                let mut out = Vec::new();
-                let above = |join| chain_over(plan, join);
-                let distributed =
-                    self.join_below_exchange(join, &above, cse, memo, q, &mut |batch| {
-                        out.extend(batch.into_tuples());
-                        Ok(())
-                    })?;
-                if distributed {
-                    Ok(Arc::new(Relation::new(plan.output_schema()?, out)))
-                } else if std::ptr::eq(join, plan) {
-                    // Neither side pushable: coordinator-local join.
-                    self.local_exec(plan, cse, memo, q)
-                } else {
-                    self.exec_via_children(plan, cse, memo, q)
-                }
-            }
-            // 3. Decomposable aggregates: a partial per fragment — or, over
-            //    a join, per phase-2 site (partitioned) / per fragment of
-            //    the probed relation (broadcast) — merged incrementally as
-            //    the partial batches arrive.
-            LogicalPlan::Aggregate {
-                input,
-                group_by,
-                aggs,
-            } if decomposable(aggs) => {
-                // The partials' aggregate `i` sits at column `g + i`; COUNT
-                // and COUNT(*) partials merge as SUM, the rest as themselves.
-                let g = group_by.len();
-                let merge_aggs: Vec<AggExpr> = aggs
-                    .iter()
-                    .enumerate()
-                    .map(|(i, a)| {
-                        let func = match a.func {
-                            AggFunc::CountStar | AggFunc::Count => AggFunc::Sum,
-                            func => func,
-                        };
-                        AggExpr::new(func, g + i, a.name.clone())
-                    })
-                    .collect();
-                let group_cols: Vec<usize> = (0..g).collect();
-                let mut merged = GroupTable::new(&group_cols, &merge_aggs);
-                let mut sink = |batch: Batch| merged.fold(&batch);
-                let distributed = if let Some(relation) = pushable_relation(input) {
-                    let physical = self.lower(plan)?;
-                    self.stream_fragments(&physical, &relation, HashMap::new(), q, &mut sink)?;
-                    true
-                } else if let Some(join) = join_under_chain(input) {
-                    let above = |join| LogicalPlan::Aggregate {
-                        input: Box::new(chain_over(input, join)),
-                        group_by: group_by.clone(),
-                        aggs: aggs.clone(),
-                    };
-                    self.join_below_exchange(join, &above, cse, memo, q, &mut sink)?
-                } else {
-                    false
-                };
-                if distributed {
-                    let mut rows = merged.finish();
-                    if g == 0 {
-                        // A global aggregate's one row: COUNT over zero
-                        // matching rows is 0, not the NULL a SUM-merge of
-                        // no partials produces.
-                        let row = rows[0]
-                            .values()
-                            .iter()
-                            .zip(aggs)
-                            .map(|(v, a)| match a.func {
-                                AggFunc::Count | AggFunc::CountStar if v.is_null() => Value::Int(0),
-                                _ => v.clone(),
-                            });
-                        rows[0] = row.collect();
-                    }
-                    Ok(Arc::new(Relation::new(plan.output_schema()?, rows)))
-                } else {
-                    self.exec_via_children(plan, cse, memo, q)
-                }
-            }
-            // 4. Recursive operators need their fixpoint bindings intact:
-            //    materialize base relations and execute in one piece.
-            LogicalPlan::Closure { .. } | LogicalPlan::Fixpoint { .. } => {
-                self.local_exec(plan, cse, memo, q)
-            }
-            // 5. Everything else (sort, limit, distinct, set operations,
-            //    outer joins, a non-decomposable aggregate, a Select/Project
-            //    over anything but a scan or an inner join): execute the
-            //    children through the distributed machinery, then apply
-            //    this one operator at the coordinator (so a Project above a
-            //    fragment-parallel Aggregate does not de-parallelize the
-            //    aggregate).
-            _ => self.exec_via_children(plan, cse, memo, q),
-        }
+    /// Run `plan` at the coordinator: each topmost `Gather` runs as one
+    /// fan-out and is spliced in as a scan of its reply batches, then the
+    /// rest runs once through the batch executor.
+    fn run(&self, plan: &PhysicalPlan, q: &mut QueryCtx, memo: &mut Memo) -> Result<Relation> {
+        let mut rest = plan.clone();
+        let mut provider: HashMap<String, Arc<ChunkedRelation>> = HashMap::new();
+        self.splice(&mut rest, q, memo, &mut provider)?;
+        execute_physical(&rest, &provider)
     }
 
-    /// Run an inner join **below the exchange** and stream the batches of
-    /// `above(join)` into `sink`, where `above` wraps a join in whatever
-    /// the caller wants evaluated with it at the data: the Select/Project
-    /// chain above it (empty for a bare join) and, for a decomposable
-    /// `GROUP BY`, the partial aggregate over that chain. One lowering of
-    /// the join decides the strategy and yields the shippable side plans:
-    ///
-    /// * both sides pushable and both estimated large — **grace join**:
-    ///   `above(⋈)` is the phase-2 plan each shuffle site runs over its
-    ///   own buckets;
-    /// * otherwise, one side pushable — **broadcast**: the other side is
-    ///   materialized (assembling from streamed chunks when it is
-    ///   fragment-resident) and `above(⋈)` ships with it to every
-    ///   fragment of the pushable side.
-    ///
-    /// Returns `false`, with nothing shipped and `sink` untouched, when
-    /// neither side is pushable.
-    fn join_below_exchange(
+    /// Replace every topmost `Gather` in `plan` by a scan of its batches.
+    /// Equal gathers run once.
+    fn splice(
         &self,
-        join: &LogicalPlan,
-        above: &dyn Fn(LogicalPlan) -> LogicalPlan,
-        cse: &HashSet<String>,
-        memo: &mut HashMap<String, Arc<Relation>>,
+        plan: &mut PhysicalPlan,
         q: &mut QueryCtx,
-        sink: &mut dyn FnMut(Batch) -> Result<()>,
-    ) -> Result<bool> {
-        let LogicalPlan::Join {
-            left,
-            right,
-            kind: JoinKind::Inner,
-            on,
-            residual,
-        } = join
+        memo: &mut Memo,
+        provider: &mut HashMap<String, Arc<ChunkedRelation>>,
+    ) -> Result<()> {
+        let PhysicalPlan::Exchange {
+            input,
+            kind: ExchangeKind::Gather,
+        } = plan
         else {
-            return Ok(false);
+            for child in plan.children_mut() {
+                self.splice(child, q, memo, provider)?;
+            }
+            return Ok(());
         };
-        let joined = |left: LogicalPlan, right: LogicalPlan| {
-            above(LogicalPlan::Join {
-                left: Box::new(left),
-                right: Box::new(right),
-                kind: JoinKind::Inner,
-                on: on.clone(),
-                residual: residual.clone(),
-            })
+        let gathered = match memo.iter().find(|(p, _)| p == input.as_ref()) {
+            Some((_, hit)) => Arc::clone(hit),
+            None => {
+                let mut batches = Vec::new();
+                self.fan_out(input, q, memo, &mut |batch| {
+                    batches.push(batch);
+                    Ok(())
+                })?;
+                let schema = input.output_schema()?;
+                let rel = Arc::new(ChunkedRelation::from_batches(schema, batches));
+                memo.push((input.as_ref().clone(), Arc::clone(&rel)));
+                rel
+            }
         };
-        if !on.is_empty() {
-            if let (Some(lrel), Some(rrel)) = (pushable_relation(left), pushable_relation(right)) {
-                if let PhysicalPlan::HashJoin {
-                    left: phys_left,
-                    right: phys_right,
-                    strategy: JoinStrategy::Partitioned,
-                    placement,
-                    ..
-                } = self.lower(join)?
-                {
-                    self.partitioned_join(
-                        *phys_left, &lrel, *phys_right, &rrel, on, placement, &joined, q, sink,
-                    )?;
-                    return Ok(true);
+        let name = format!("__gather{}", provider.len());
+        *plan = scan(&name, gathered.schema());
+        provider.insert(name, gathered);
+        Ok(())
+    }
+
+    /// One `Gather`'s fan-out: its input runs where its data lives and
+    /// every reply batch goes to `sink`. The input is cut at its
+    /// exchanges first: a `Broadcast` input runs now and ships as
+    /// `__build`; the two inputs of a `Shuffle` pair become the sites'
+    /// bucket scans.
+    fn fan_out(
+        &self,
+        input: &PhysicalPlan,
+        q: &mut QueryCtx,
+        memo: &mut Memo,
+        sink: &mut dyn FnMut(Batch) -> Result<()>,
+    ) -> Result<()> {
+        let mut site_plan = input.clone();
+        let mut build = HashMap::new();
+        let mut shuffles = Vec::new();
+        self.cut(&mut site_plan, q, memo, &mut build, &mut shuffles)?;
+        match <[Shuffle; 2]>::try_from(shuffles) {
+            Ok([left, right]) => self.partitioned_join(left, right, site_plan, q, sink),
+            Err(shuffles) if shuffles.is_empty() => {
+                let relation = base_relation(&site_plan).ok_or_else(|| {
+                    PrismaError::Execution(format!("gather over no base relation:\n{input}"))
+                })?;
+                self.stream_fragments(&site_plan, relation, build, q, sink)
+            }
+            Err(_) => Err(PrismaError::Execution(format!(
+                "a gathered join needs exactly two shuffled inputs:\n{input}"
+            ))),
+        }
+    }
+
+    /// Cut a gathered subtree at its `Broadcast` and `Shuffle` exchanges,
+    /// replacing each by the scan the fragments or sites read instead.
+    fn cut(
+        &self,
+        plan: &mut PhysicalPlan,
+        q: &mut QueryCtx,
+        memo: &mut Memo,
+        build: &mut HashMap<String, Arc<Relation>>,
+        shuffles: &mut Vec<Shuffle>,
+    ) -> Result<()> {
+        match plan {
+            PhysicalPlan::Exchange {
+                input,
+                kind: ExchangeKind::Broadcast,
+            } => {
+                q.metrics.broadcast_joins += 1;
+                let built = self.run(input, q, memo)?;
+                *plan = scan("__build", built.schema());
+                build.insert("__build".to_owned(), Arc::new(built));
+            }
+            PhysicalPlan::Exchange {
+                input,
+                kind: ExchangeKind::Shuffle { keys, placement },
+            } => {
+                let name = [SHUFFLE_LEFT, SHUFFLE_RIGHT]
+                    .get(shuffles.len())
+                    .ok_or_else(|| PrismaError::Execution("a join shuffles two inputs".into()))?;
+                let source = input.as_ref().clone();
+                let schema = source.output_schema()?;
+                let relation = base_relation(&source).ok_or_else(|| {
+                    PrismaError::Execution(format!("shuffle over no base relation:\n{source}"))
+                })?;
+                shuffles.push(Shuffle {
+                    relation: relation.to_owned(),
+                    source,
+                    keys: keys.clone(),
+                    placement: placement.clone(),
+                });
+                *plan = scan(name, &schema);
+            }
+            _ => {
+                for child in plan.children_mut() {
+                    self.cut(child, q, memo, build, shuffles)?;
                 }
             }
         }
-        for (probe, build, build_is_right) in [(left, right, true), (right, left, false)] {
-            let Some(rel) = pushable_relation(probe) else {
-                continue;
-            };
-            q.metrics.broadcast_joins += 1;
-            let built = self.exec_node(build, cse, memo, q)?;
-            let build_scan = LogicalPlan::scan("__build", built.schema().clone());
-            let frag_plan = if build_is_right {
-                joined((**probe).clone(), build_scan)
-            } else {
-                joined(build_scan, (**probe).clone())
-            };
-            let extra = HashMap::from([("__build".to_owned(), built)]);
-            self.stream_fragments(&self.lower(&frag_plan)?, &rel, extra, q, sink)?;
-            return Ok(true);
-        }
-        Ok(false)
+        Ok(())
     }
 
     /// Hash-partitioned (grace) join. Buckets shuffle **directly
-    /// fragment→fragment**: the coordinator installs one phase-2 task per
-    /// site named in the shuffle placement map — `site_join` applied to
-    /// the two shuffle inputs: the join, under whatever the caller
-    /// evaluates with it — both sides' fragments address their bucket
-    /// streams straight at those sites, and the coordinator feeds only
-    /// the sites' result streams to `sink`.
-    #[allow(clippy::too_many_arguments)]
+    /// fragment→fragment**: the coordinator installs `site_plan` — the
+    /// gathered subtree, reading the two shuffles' buckets as
+    /// `SHUFFLE_LEFT`/`SHUFFLE_RIGHT` — at every site the placement map
+    /// names, both sides' fragments address their bucket streams straight
+    /// at those sites, and the coordinator feeds only the sites' result
+    /// streams to `sink`.
     fn partitioned_join(
         &self,
-        left: PhysicalPlan,
-        left_rel: &str,
-        right: PhysicalPlan,
-        right_rel: &str,
-        on: &[(usize, usize)],
-        placement: Option<ShufflePlacement>,
-        site_join: &dyn Fn(LogicalPlan, LogicalPlan) -> LogicalPlan,
+        left: Shuffle,
+        right: Shuffle,
+        plan: PhysicalPlan,
         q: &mut QueryCtx,
         sink: &mut dyn FnMut(Batch) -> Result<()>,
     ) -> Result<()> {
         q.metrics.partitioned_joins += 1;
-        let linfo = self.dictionary.relation(left_rel)?;
-        let rinfo = self.dictionary.relation(right_rel)?;
+        let linfo = self.dictionary.relation(&left.relation)?;
+        let rinfo = self.dictionary.relation(&right.relation)?;
         // The optimizer's placement map, or the default it would emit
         // (plans lowered without fragmentation knowledge).
-        let placement = placement.unwrap_or_else(|| {
+        let placement = left.placement.clone().unwrap_or_else(|| {
             let lfrags: Vec<FragmentId> = linfo.fragments.iter().map(|f| f.id).collect();
             ShufflePlacement::round_robin(
                 linfo.fragments.len().max(rinfo.fragments.len()).max(1),
                 &lfrags,
             )
         });
-
-        let lkeys: Vec<usize> = on.iter().map(|&(l, _)| l).collect();
-        let rkeys: Vec<usize> = on.iter().map(|&(_, r)| r).collect();
-        let lschema = left.output_schema()?;
-        let rschema = right.output_schema()?;
-        let plan = self.lower(&site_join(
-            LogicalPlan::scan(SHUFFLE_LEFT, lschema.clone()),
-            LogicalPlan::scan(SHUFFLE_RIGHT, rschema.clone()),
-        ))?;
+        let lschema = left.source.output_schema()?;
+        let rschema = right.source.output_schema()?;
 
         let exchange = q.fresh_exchange();
         // Resolve each bucket's site fragment to one this relation
@@ -652,9 +546,9 @@ impl ParallelExecutor {
         }
         // Phase 1: both sides' sources, each addressing the sites
         // directly. Fan everything out before collecting anything.
-        for (side, physical, info, keys, base) in [
-            (ShuffleSide::Left, &left, &linfo, &lkeys, 0u64),
-            (ShuffleSide::Right, &right, &rinfo, &rkeys, lbase),
+        for (side, shuffle, info, base) in [
+            (ShuffleSide::Left, &left, &linfo, 0u64),
+            (ShuffleSide::Right, &right, &rinfo, lbase),
         ] {
             for (i, frag) in info.fragments.iter().enumerate() {
                 self.runtime.send(
@@ -662,8 +556,8 @@ impl ParallelExecutor {
                     GdhMsg::ShuffleSubplan {
                         query_id: q.query_id,
                         exchange,
-                        plan: Box::new(physical.clone()),
-                        key_cols: keys.clone(),
+                        plan: Box::new(shuffle.source.clone()),
+                        key_cols: shuffle.keys.clone(),
                         sites: site_actors.clone(),
                         side,
                         tag: base + i as u64,
@@ -729,11 +623,11 @@ impl ParallelExecutor {
                     }
                 })
                 .collect();
-            for (side, rel, physical, keys, base) in [
-                (ShuffleSide::Left, left_rel, &left, &lkeys, 0u64),
-                (ShuffleSide::Right, right_rel, &right, &rkeys, lbase),
+            for (side, shuffle, base) in [
+                (ShuffleSide::Left, &left, 0u64),
+                (ShuffleSide::Right, &right, lbase),
             ] {
-                let info = self.dictionary.relation(rel)?;
+                let info = self.dictionary.relation(&shuffle.relation)?;
                 for (i, frag) in info.fragments.iter().enumerate() {
                     let src = if self.faults.is_dead(frag.pe) {
                         source_failovers.set(source_failovers.get() + 1);
@@ -746,8 +640,8 @@ impl ParallelExecutor {
                         GdhMsg::ShuffleSubplan {
                             query_id: qid,
                             exchange: retry_exchange,
-                            plan: Box::new(physical.clone()),
-                            key_cols: keys.to_vec(),
+                            plan: Box::new(shuffle.source.clone()),
+                            key_cols: shuffle.keys.clone(),
                             sites: new_site_actors.clone(),
                             side,
                             tag: base + i as u64,
@@ -997,121 +891,8 @@ impl ParallelExecutor {
         ))
     }
 
-    /// Execute each child distributed, splice the results in as
-    /// `Arc`-shared provider entries behind synthetic scan names, and run
-    /// only this node through the local batch executor (no copies of the
-    /// child results are made).
-    fn exec_via_children(
-        &self,
-        plan: &LogicalPlan,
-        cse: &HashSet<String>,
-        memo: &mut HashMap<String, Arc<Relation>>,
-        q: &mut QueryCtx,
-    ) -> Result<Arc<Relation>> {
-        let mut provider: HashMap<String, Arc<Relation>> = HashMap::new();
-        let mut spliced = Vec::new();
-        for (i, child) in plan.children().into_iter().enumerate() {
-            let rel = self.exec_node(child, cse, memo, q)?;
-            let name = format!("__child{i}");
-            spliced.push(LogicalPlan::scan(&name, rel.schema().clone()));
-            provider.insert(name, rel);
-        }
-        let mut it = spliced.into_iter();
-        let mut next = || it.next().expect("children arity matches");
-        let rebuilt = match plan.clone() {
-            LogicalPlan::Select { predicate, .. } => LogicalPlan::Select {
-                input: Box::new(next()),
-                predicate,
-            },
-            LogicalPlan::Project { exprs, schema, .. } => LogicalPlan::Project {
-                input: Box::new(next()),
-                exprs,
-                schema,
-            },
-            LogicalPlan::Join {
-                kind, on, residual, ..
-            } => LogicalPlan::Join {
-                left: Box::new(next()),
-                right: Box::new(next()),
-                kind,
-                on,
-                residual,
-            },
-            LogicalPlan::Union { all, .. } => LogicalPlan::Union {
-                left: Box::new(next()),
-                right: Box::new(next()),
-                all,
-            },
-            LogicalPlan::Difference { .. } => LogicalPlan::Difference {
-                left: Box::new(next()),
-                right: Box::new(next()),
-            },
-            LogicalPlan::Distinct { .. } => LogicalPlan::Distinct {
-                input: Box::new(next()),
-            },
-            LogicalPlan::Aggregate { group_by, aggs, .. } => LogicalPlan::Aggregate {
-                input: Box::new(next()),
-                group_by,
-                aggs,
-            },
-            LogicalPlan::Sort { keys, .. } => LogicalPlan::Sort {
-                input: Box::new(next()),
-                keys,
-            },
-            LogicalPlan::Limit { n, .. } => LogicalPlan::Limit {
-                input: Box::new(next()),
-                n,
-            },
-            leaf => leaf,
-        };
-        Ok(Arc::new(execute_physical(&self.lower(&rebuilt)?, &provider)?))
-    }
-
-    /// Execute `plan` at the coordinator through the batch executor,
-    /// materializing each free base relation via the distributed machinery
-    /// into an `Arc`-shared provider (fixpoint bindings stay intact).
-    fn local_exec(
-        &self,
-        plan: &LogicalPlan,
-        cse: &HashSet<String>,
-        memo: &mut HashMap<String, Arc<Relation>>,
-        q: &mut QueryCtx,
-    ) -> Result<Arc<Relation>> {
-        let mut provider: HashMap<String, Arc<Relation>> = HashMap::new();
-        for name in plan.scanned_relations() {
-            if provider.contains_key(&name) {
-                continue;
-            }
-            let info = self.dictionary.relation(&name)?;
-            let scan = LogicalPlan::scan(&name, info.schema.clone());
-            let rel = self.exec_node(&scan, cse, memo, q)?;
-            provider.insert(name, rel);
-        }
-        Ok(Arc::new(execute_physical(&self.lower(plan)?, &provider)?))
-    }
-
-    /// Lower `plan`, ship it to every fragment actor of `relation`, and
-    /// union the reply streams into a relation — each stream's rows are
-    /// appended when it completes, while other fragments are still
-    /// scanning.
-    fn run_on_fragments(
-        &self,
-        plan: &LogicalPlan,
-        relation: &str,
-        q: &mut QueryCtx,
-    ) -> Result<Arc<Relation>> {
-        let physical = self.lower(plan)?;
-        let mut out: Vec<Tuple> = Vec::new();
-        self.stream_fragments(&physical, relation, HashMap::new(), q, &mut |batch| {
-            out.extend(batch.into_tuples());
-            Ok(())
-        })?;
-        Ok(Arc::new(Relation::new(physical.output_schema()?, out)))
-    }
-
     /// Ship `physical` (+ `extra` relations) to every fragment actor of
-    /// `relation` and stream every reply batch into `sink` (incremental
-    /// consumers: partial-aggregate merge, union sinks).
+    /// `relation` and stream every reply batch into `sink`.
     fn stream_fragments(
         &self,
         physical: &PhysicalPlan,
@@ -1188,68 +969,23 @@ fn fragment_failure(
     }
 }
 
-/// If `plan` is a Select/Project chain over exactly one base-relation
-/// scan, return that relation's name.
-///
-/// Distinct is excluded (local dedup ≠ global dedup under bag semantics is
-/// fine, but a parent expecting set semantics must dedup globally — the
-/// coordinator path handles that). Closure is excluded: the closure of a
-/// union of fragments is not the union of per-fragment closures.
-fn pushable_relation(plan: &LogicalPlan) -> Option<String> {
+/// The base relation a gathered subtree reads at its fragments: its one
+/// scan that is not an executor-internal (`__…`) input.
+fn base_relation(plan: &PhysicalPlan) -> Option<&str> {
     match plan {
-        LogicalPlan::Scan { relation, .. } => {
-            if relation.starts_with("__") || relation.starts_with('Δ') {
-                None // executor-internal or fixpoint binding
-            } else {
-                Some(relation.clone())
-            }
-        }
-        LogicalPlan::Select { input, .. } | LogicalPlan::Project { input, .. } => {
-            pushable_relation(input)
-        }
-        _ => None,
+        PhysicalPlan::SeqScan { relation, .. } if !relation.starts_with("__") => Some(relation),
+        _ => plan.children().into_iter().find_map(base_relation),
     }
 }
 
-/// The inner join at the bottom of `plan`'s Select/Project chain, if that
-/// is what the chain sits on — the join counterpart of
-/// [`pushable_relation`]: such a chain runs wherever the join does.
-fn join_under_chain(plan: &LogicalPlan) -> Option<&LogicalPlan> {
-    match plan {
-        LogicalPlan::Join {
-            kind: JoinKind::Inner,
-            ..
-        } => Some(plan),
-        LogicalPlan::Select { input, .. } | LogicalPlan::Project { input, .. } => {
-            join_under_chain(input)
-        }
-        _ => None,
+/// A full scan of `name`, unprojected and unpruned.
+fn scan(name: &str, schema: &Schema) -> PhysicalPlan {
+    PhysicalPlan::SeqScan {
+        relation: name.to_owned(),
+        schema: schema.clone(),
+        projection: None,
+        prune: None,
     }
-}
-
-/// `chain`'s Select/Project operators rebuilt over `join` in place of the
-/// join [`join_under_chain`] found at its bottom.
-fn chain_over(chain: &LogicalPlan, join: LogicalPlan) -> LogicalPlan {
-    match chain {
-        LogicalPlan::Select { input, predicate } => LogicalPlan::Select {
-            input: Box::new(chain_over(input, join)),
-            predicate: predicate.clone(),
-        },
-        LogicalPlan::Project {
-            input,
-            exprs,
-            schema,
-        } => LogicalPlan::Project {
-            input: Box::new(chain_over(input, join)),
-            exprs: exprs.clone(),
-            schema: schema.clone(),
-        },
-        _ => join,
-    }
-}
-
-fn decomposable(aggs: &[AggExpr]) -> bool {
-    aggs.iter().all(|a| a.func.decomposable())
 }
 
 #[allow(dead_code)]
@@ -1268,7 +1004,19 @@ mod tests {
     use prisma_ofm::{Ofm, OfmKind};
     use prisma_poolx::{Ctx, Process, TrafficLedger, COORDINATOR_PE};
     use prisma_stable::DiskProfile;
+    use prisma_relalg::LogicalPlan;
     use prisma_types::{tuple, Column, DataType, MachineConfig, PeId, TxnId};
+
+    /// Lower `plan` as the GDH does (without optimizing it) and run it.
+    fn run(exec: &ParallelExecutor, plan: &LogicalPlan) -> Result<(Relation, ExecMetrics)> {
+        let physical = prisma_optimizer::lower_physical(
+            plan,
+            &*exec.dictionary,
+            exec.physical_config(),
+            &mut prisma_optimizer::Trace::sink(),
+        )?;
+        exec.execute(&physical)
+    }
 
     fn test_schema() -> Schema {
         Schema::new(vec![
@@ -1369,9 +1117,7 @@ mod tests {
         )
         .unwrap();
         let exec = ParallelExecutor::new(runtime.clone(), dict.clone());
-        let err = exec
-            .execute(&LogicalPlan::scan("t", test_schema()))
-            .unwrap_err();
+        let err = run(&exec, &LogicalPlan::scan("t", test_schema())).unwrap_err();
         let msg = err.to_string();
         assert!(msg.contains("q0"), "query id missing: {msg}");
         assert!(msg.contains("frag7"), "hung fragment not named: {msg}");
@@ -1406,7 +1152,7 @@ mod tests {
         let plan = LogicalPlan::scan("t", test_schema());
         let exec = ParallelExecutor::new(runtime.clone(), dict.clone());
 
-        let (streamed, m) = exec.execute(&plan).unwrap();
+        let (streamed, m) = run(&exec, &plan).unwrap();
         let want: Vec<Tuple> = (0..6000).map(|i| tuple![i, i % 5]).collect();
         assert_eq!(streamed.canonicalized().tuples(), want);
         assert_eq!(m.tuples_shipped, 6000);
@@ -1444,7 +1190,7 @@ mod tests {
         let mut exec = ParallelExecutor::new(runtime.clone(), dict.clone());
         exec.set_physical_config(grace_config(None));
 
-        let (direct, md) = exec.execute(&join_plan()).unwrap();
+        let (direct, md) = run(&exec, &join_plan()).unwrap();
         assert_eq!(md.partitioned_joins, 1, "{md:?}");
         assert_eq!(md.repartition_tasks, 4, "2 left + 2 right sources: {md:?}");
         assert!(
@@ -1485,7 +1231,7 @@ mod tests {
         let mut results = Vec::new();
         for parts in [Some(7), Some(1), None] {
             exec.set_physical_config(grace_config(parts));
-            let (rows, m) = exec.execute(&join_plan()).unwrap();
+            let (rows, m) = run(&exec, &join_plan()).unwrap();
             assert_eq!(m.partitioned_joins, 1, "parts={parts:?}: {m:?}");
             assert_eq!(rows.len(), 1300, "parts={parts:?}");
             results.push(rows.canonicalized());
@@ -1514,7 +1260,7 @@ mod tests {
             exec.set_physical_config(config);
             let coord_recv = |plan: &LogicalPlan| {
                 runtime.ledger().reset();
-                let (got, m) = exec.execute(plan).unwrap();
+                let (got, m) = run(&exec, plan).unwrap();
                 assert_eq!(m.partitioned_joins, u64::from(grace), "{m:?}");
                 assert_eq!(m.broadcast_joins, u64::from(!grace), "{m:?}");
                 let want = prisma_relalg::eval(plan, &db).unwrap();

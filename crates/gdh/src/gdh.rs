@@ -8,10 +8,10 @@ use std::time::Instant;
 use parking_lot::Mutex;
 use prisma_multicomputer::{CostModel, Topology};
 use prisma_ofm::{Ofm, OfmKind};
-use prisma_optimizer::{Optimizer, OptimizerConfig, StatsSource};
+use prisma_optimizer::{Optimizer, OptimizerConfig, StatsSource, Trace};
 use prisma_poolx::{PoolRuntime, TrafficLedger};
 use prisma_prismalog as plog;
-use prisma_relalg::{LogicalPlan, Relation};
+use prisma_relalg::{LogicalPlan, PhysicalPlan, Relation};
 use prisma_sqlfe::{self as sqlfe, PlannedStatement};
 use prisma_stable::DiskProfile;
 use prisma_storage::expr::ScalarExpr;
@@ -622,9 +622,29 @@ impl GlobalDataHandler {
         for rel in plan.scanned_relations() {
             self.locks.acquire(txn, &rel, LockMode::Shared)?;
         }
+        let (_, physical, _) = self.plan(plan, Trace::sink())?;
+        self.executor.execute(&physical)
+    }
+
+    /// Optimize and lower a query — the one place a query is planned, so
+    /// EXPLAIN prints the plan [`GlobalDataHandler::query`] runs. The
+    /// lowering records its firings in `lowering` (a sink off the EXPLAIN
+    /// path); the result's trace holds the optimizer's, then those.
+    fn plan(
+        &self,
+        plan: &LogicalPlan,
+        mut lowering: Trace,
+    ) -> Result<(LogicalPlan, PhysicalPlan, Trace)> {
         let optimizer = Optimizer::new(&*self.dictionary).with_config(self.optimizer_config);
-        let (optimized, _trace) = optimizer.optimize(plan)?;
-        self.executor.execute(&optimized)
+        let (optimized, mut trace) = optimizer.optimize(plan)?;
+        let physical = prisma_optimizer::lower_physical(
+            &optimized,
+            &*self.dictionary,
+            self.executor.physical_config(),
+            &mut lowering,
+        )?;
+        trace.fired.append(&mut lowering.fired);
+        Ok((optimized, physical, trace))
     }
 
     /// Compile and execute a SQL query, returning rows plus the parallel
@@ -746,14 +766,7 @@ impl GlobalDataHandler {
         let PlannedStatement::Query(plan) = planned else {
             return Err(PrismaError::Execution("EXPLAIN expects a query".into()));
         };
-        let optimizer = Optimizer::new(&*self.dictionary).with_config(self.optimizer_config);
-        let (optimized, mut trace) = optimizer.optimize(&plan)?;
-        let physical = prisma_optimizer::lower_physical(
-            &optimized,
-            &*self.dictionary,
-            self.executor.physical_config(),
-            &mut trace,
-        )?;
+        let (optimized, physical, trace) = self.plan(&plan, Trace::default())?;
         let mut out = String::new();
         out.push_str("== unoptimized ==\n");
         out.push_str(&plan.to_string());

@@ -23,12 +23,12 @@
 //!   at relation granularity with wait-for-graph deadlock detection;
 //! * [`txn`] — the transaction manager: two-phase commit across the
 //!   persistent OFMs of all touched relations;
-//! * [`exec`] — the parallel executor: lowered physical subplans shipped
-//!   to OFM actors as batch pipelines, incoming streams merged
-//!   incrementally (out-of-order chunks reassembled per stream, partial
-//!   aggregates folded as batches arrive, grace-join buckets forwarded
-//!   per batch), broadcast and hash-partitioned (grace) joins chosen by
-//!   cardinality, and `Arc`-memoized common subexpressions;
+//! * [`exec`] — the parallel executor: runs the lowered physical plan by
+//!   cutting it at its exchange nodes — each `Gather` ships its subtree
+//!   to the OFM actors as batch pipelines (grace-join buckets streamed
+//!   fragment→site per batch, broadcast build sides shipped whole),
+//!   reply streams reassembled per stream and merged, equal gathers run
+//!   once — and runs the rest at the coordinator;
 //! * [`gdh`] — the façade combining parsers, optimizer, executor and
 //!   transactions into `execute_sql` / `execute_prismalog`.
 

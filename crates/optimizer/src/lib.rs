@@ -16,21 +16,25 @@
 //!   [`join_order`] (greedy cardinality-driven join ordering), [`prune`]
 //!   (column pruning, which minimizes inter-PE shipping);
 //! * **size estimation** — [`stats`] and [`cardinality`];
-//! * **common-subexpression detection** — [`cse`]; the distributed
-//!   executor memoizes detected duplicates so a shared subquery runs once;
+//! * **common-subexpression detection** — at the cut: the [`physical`]
+//!   lowering states every data movement as an exchange node, and the
+//!   distributed executor in `prisma-gdh` runs equal `Gather` subtrees
+//!   of one plan once, so a shared subquery is fetched once;
 //! * **parallelism allocation** — the [`physical`] lowering pass turns
-//!   the optimized logical plan into a physical operator tree, choosing
-//!   broadcast vs. hash-partitioned join distribution from the
-//!   cardinality estimates and fusing projections into scans; the
-//!   fragment-parallel executor in `prisma-gdh` ships those physical
-//!   subplans to the PEs.
+//!   the optimized logical plan into a physical operator tree, placing
+//!   `Gather`/`Broadcast`/`Shuffle` exchanges, choosing broadcast vs.
+//!   hash-partitioned join distribution from the cardinality estimates,
+//!   and fusing projections into scans; the executor in `prisma-gdh`
+//!   runs that plan, cutting it at the exchanges.
 //!
 //! Every rule firing is recorded in an explain [`Trace`], and each rule
-//! family can be disabled via [`OptimizerConfig`] — experiment E9 ablates
-//! them one by one.
+//! family can be disabled via [`OptimizerConfig`]:
+//! `optimizer_ablations_agree_on_results` (`tests/full_stack.rs`) checks
+//! that switching them all off leaves results unchanged, and
+//! `machine_projected_join_equals_unoptimized_oracle`
+//! (`tests/properties.rs`) runs with join ordering off.
 
 pub mod cardinality;
-pub mod cse;
 pub mod fold;
 pub mod join_order;
 pub mod physical;
@@ -42,11 +46,10 @@ use prisma_relalg::LogicalPlan;
 use prisma_types::Result;
 
 pub use cardinality::estimate_rows;
-pub use cse::detect_common_subexpressions;
 pub use physical::{lower_physical, op_label, PhysicalConfig};
 pub use stats::{StatsSource, TableStats};
 
-/// Which rule families run (all on by default; E9 toggles them).
+/// Which rule families run (all on by default; the ablation tests toggle them).
 #[derive(Debug, Clone, Copy)]
 pub struct OptimizerConfig {
     /// Constant folding and trivial-selection elimination.

@@ -2,8 +2,10 @@
 //! concrete (paper §2.4: "applying parallelism to minimize response
 //! time").
 //!
-//! Lowers an optimized [`LogicalPlan`] to a [`PhysicalPlan`] and makes the
-//! two physical choices the distributed executor consumes:
+//! Lowers an optimized [`LogicalPlan`] to a [`PhysicalPlan`] and decides
+//! where every operator runs, stating each data movement as an
+//! [`ExchangeKind`] node (the placement rules of `Placer`). The GDH runs
+//! exactly this plan, and EXPLAIN prints it. The choices:
 //!
 //! 1. **Join distribution** — per equi-join, broadcast the small side when
 //!    its estimated cardinality is at most
@@ -26,15 +28,18 @@
 //!    the least-loaded site (initial load = the site fragment's own
 //!    resident rows). Without statistics — or with
 //!    [`PhysicalConfig::skew_aware_placement`] off — placement falls back
-//!    to round-robin over the probe side's fragments.
+//!    to round-robin over the probe side's fragments. The map rides on
+//!    both of the join's `Shuffle` exchanges.
 //!
 //! Every choice is recorded in the explain [`Trace`], along with
 //! per-operator cardinality estimates and the freshness
 //! (fresh/stale/absent) of the statistics each decision consumed.
 
-use prisma_relalg::{lower_with, JoinStrategy, LogicalPlan, PhysicalPlan, ShufflePlacement};
+use prisma_relalg::{
+    lower, AggExpr, AggFunc, ExchangeKind, JoinKind, LogicalPlan, PhysicalPlan, ShufflePlacement,
+};
 use prisma_storage::expr::ScalarExpr;
-use prisma_types::{FragmentId, Result};
+use prisma_types::{FragmentId, Result, Schema};
 
 use crate::cardinality::{base_column, estimate_rows};
 use crate::stats::StatsSource;
@@ -75,68 +80,324 @@ impl Default for PhysicalConfig {
     }
 }
 
-/// Lower an optimized logical plan to its physical form, choosing join
-/// strategies from cardinality estimates and fusing projections into
-/// scans.
+/// Lower an optimized logical plan to its physical form: place the
+/// exchanges, choosing join strategies from cardinality estimates, and
+/// fuse projections into scans.
 pub fn lower_physical(
     plan: &LogicalPlan,
     stats: &dyn StatsSource,
     config: PhysicalConfig,
     trace: &mut Trace,
 ) -> Result<PhysicalPlan> {
-    let mut strategy_notes: Vec<String> = Vec::new();
-    let mut skew_notes: Vec<String> = Vec::new();
-    let physical = lower_with(plan, &mut |join| {
-        let LogicalPlan::Join { left, right, .. } = join else {
-            return JoinStrategy::Broadcast;
-        };
-        let l = estimate_rows(left, stats);
-        let r = estimate_rows(right, stats);
-        // A repeated join key concentrates one hash bucket, so a grace
-        // join's balance benefit shrinks with skew — raise the broadcast
-        // cutoff in proportion to the heaviest key's row share.
-        let skew = join_key_skew(join, stats);
-        let threshold = config.broadcast_max_rows * (1.0 + SKEW_BROADCAST_BOOST * skew);
-        let strategy = if l.min(r) <= threshold {
-            JoinStrategy::Broadcast
-        } else {
-            JoinStrategy::Partitioned
-        };
-        if skew > 0.0 && l.min(r) > config.broadcast_max_rows && l.min(r) <= threshold {
-            skew_notes.push(format!(
-                "heaviest join key holds {:.0}% of its side's rows; broadcast \
-                 threshold raised {:.0} → {threshold:.0}",
-                skew * 100.0,
-                config.broadcast_max_rows,
-            ));
-        }
-        strategy_notes.push(format!("{strategy} (est left={l:.0}, right={r:.0})"));
-        strategy
-    })?;
-    for note in strategy_notes {
-        trace.note("physical-join-strategy", note);
+    let mut physical = lower(plan)?;
+    let mut placer = Placer {
+        stats,
+        config,
+        trace,
+    };
+    if placer.place(plan, &mut physical) != Site::Coordinator {
+        wrap(&mut physical, ExchangeKind::Gather);
     }
-    for note in skew_notes {
-        trace.note("physical-join-skew", note);
-    }
-    let physical = fuse_projections(physical, trace);
-    let mut physical = place_shuffles(physical, stats, config, trace);
+    let mut physical = fuse_projections(physical, trace);
     physical.push_prune_hints();
-    if trace.enabled() {
-        note_prune_hints(&physical, trace);
-    }
     if trace.enabled() {
         // The annotation walks exist for EXPLAIN's reader; the
         // executor's per-query lowering passes a sink trace and skips
         // them (note_cardinalities re-estimates every subtree — O(n²)
         // in plan size — which is fine for a debug surface, not for the
         // hot path).
+        note_prune_hints(&physical, trace);
         note_vectorized(&physical, trace);
-        note_exchanges(&physical, stats, ScanDest::Coordinator, trace);
         note_stats_sources(plan, stats, trace);
         note_cardinalities(plan, stats, trace);
     }
     Ok(physical)
+}
+
+/// Where a lowered subtree's output is computed.
+#[derive(Debug, Clone, PartialEq)]
+enum Site {
+    /// At the coordinator (or nowhere yet: literal rows).
+    Coordinator,
+    /// At every fragment of this base relation: a Filter/Project chain
+    /// over its scan.
+    Fragments(String),
+    /// With a distributed join, below one `Gather`: at the shuffle sites
+    /// or at the fragments a broadcast probes.
+    Join,
+}
+
+/// A name a fragment stores: not an executor-internal (`__…`) scan and
+/// not a fixpoint's delta binding.
+fn is_base(relation: &str) -> bool {
+    !relation.starts_with("__") && !relation.starts_with('Δ')
+}
+
+/// Move `plan` out, leaving an empty `Values` behind.
+fn take(plan: &mut PhysicalPlan) -> Box<PhysicalPlan> {
+    let empty = PhysicalPlan::Values {
+        schema: Schema::empty(),
+        rows: Vec::new(),
+    };
+    Box::new(std::mem::replace(plan, empty))
+}
+
+/// Put an exchange of `kind` over `plan`, in place.
+fn wrap(plan: &mut PhysicalPlan, kind: ExchangeKind) {
+    *plan = PhysicalPlan::Exchange {
+        input: take(plan),
+        kind,
+    };
+}
+
+/// Gather a distributed input to the coordinator.
+fn gather(plan: &mut PhysicalPlan, site: &Site) {
+    if *site != Site::Coordinator {
+        wrap(plan, ExchangeKind::Gather);
+    }
+}
+
+/// Places the exchanges, bottom-up over the logical plan and its
+/// node-for-node lowering. The rules:
+///
+/// * a Filter/Project chain over a base relation's scan runs at that
+///   relation's fragments;
+/// * an inner equi-join of two such chains that the cardinality chooser
+///   partitions gets a `Shuffle` on each input and runs at the shuffle
+///   sites;
+/// * any other inner join runs at the fragments of an input that is such
+///   a chain, the left one first; the other input is gathered if it is
+///   distributed and `Broadcast` to those fragments;
+/// * a Filter/Project chain over a distributed join runs with the join;
+/// * a decomposable aggregate over any of these splits into a partial
+///   aggregate below a `Gather` and a final one above it;
+/// * everything else runs at the coordinator over a `Gather` on each
+///   distributed input — under a closure or fixpoint, a `Gather` on each
+///   base scan, so the recursion's bindings stay whole.
+struct Placer<'a> {
+    stats: &'a dyn StatsSource,
+    config: PhysicalConfig,
+    trace: &'a mut Trace,
+}
+
+impl Placer<'_> {
+    /// Place the exchanges in `physical`, the lowering of `logical`, and
+    /// say where its output is computed (the caller gathers it).
+    fn place(&mut self, logical: &LogicalPlan, physical: &mut PhysicalPlan) -> Site {
+        match logical {
+            LogicalPlan::Scan { relation, .. } if is_base(relation) => {
+                return Site::Fragments(relation.clone())
+            }
+            LogicalPlan::Closure { .. } | LogicalPlan::Fixpoint { .. } => {
+                gather_scans(physical, &logical.scanned_relations());
+                return Site::Coordinator;
+            }
+            _ => {}
+        }
+        let sites: Vec<Site> = logical
+            .children()
+            .into_iter()
+            .zip(physical.children_mut())
+            .map(|(l, p)| self.place(l, p))
+            .collect();
+        let partitioned = match logical {
+            LogicalPlan::Join { on, .. } if !on.is_empty() => self.partitions(logical),
+            _ => false,
+        };
+        match (logical, &sites[..]) {
+            (LogicalPlan::Select { .. } | LogicalPlan::Project { .. }, [site])
+                if *site != Site::Coordinator =>
+            {
+                site.clone()
+            }
+            (
+                LogicalPlan::Join {
+                    kind: JoinKind::Inner,
+                    on,
+                    ..
+                },
+                [ls, rs],
+            ) => {
+                let [left, right] = &mut physical.children_mut()[..] else {
+                    unreachable!("a join lowers to a two-input node");
+                };
+                match (ls, rs) {
+                    (Site::Fragments(lrel), Site::Fragments(rrel)) if partitioned => {
+                        let placement = self.shuffle_placement(left, right, on, lrel, rrel);
+                        let keys =
+                            |side: fn(&(usize, usize)) -> usize| on.iter().map(side).collect();
+                        wrap(
+                            left,
+                            ExchangeKind::Shuffle {
+                                keys: keys(|k| k.0),
+                                placement: placement.clone(),
+                            },
+                        );
+                        wrap(
+                            right,
+                            ExchangeKind::Shuffle {
+                                keys: keys(|k| k.1),
+                                placement,
+                            },
+                        );
+                    }
+                    (Site::Fragments(_), _) => {
+                        gather(right, rs);
+                        wrap(right, ExchangeKind::Broadcast);
+                    }
+                    (_, Site::Fragments(_)) => {
+                        gather(left, ls);
+                        wrap(left, ExchangeKind::Broadcast);
+                    }
+                    _ => {
+                        gather(left, ls);
+                        gather(right, rs);
+                        return Site::Coordinator;
+                    }
+                }
+                Site::Join
+            }
+            (LogicalPlan::Aggregate { aggs, .. }, [site])
+                if *site != Site::Coordinator && aggs.iter().all(|a| a.func.decomposable()) =>
+            {
+                split_aggregate(physical);
+                Site::Coordinator
+            }
+            _ => {
+                for (child, site) in physical.children_mut().into_iter().zip(&sites) {
+                    gather(child, site);
+                }
+                Site::Coordinator
+            }
+        }
+    }
+
+    /// The cardinality chooser: partition an equi-join's inputs when both
+    /// are estimated above the (skew-adjusted) broadcast threshold.
+    fn partitions(&mut self, join: &LogicalPlan) -> bool {
+        let LogicalPlan::Join { left, right, .. } = join else {
+            return false;
+        };
+        let l = estimate_rows(left, self.stats);
+        let r = estimate_rows(right, self.stats);
+        // A repeated join key concentrates one hash bucket, so a grace
+        // join's balance benefit shrinks with skew — raise the broadcast
+        // cutoff in proportion to the heaviest key's row share.
+        let skew = join_key_skew(join, self.stats);
+        let base = self.config.broadcast_max_rows;
+        let threshold = base * (1.0 + SKEW_BROADCAST_BOOST * skew);
+        let partitioned = l.min(r) > threshold;
+        if skew > 0.0 && l.min(r) > base && !partitioned {
+            self.trace.note(
+                "physical-join-skew",
+                format!(
+                    "heaviest join key holds {:.0}% of its side's rows; broadcast \
+                     threshold raised {base:.0} → {threshold:.0}",
+                    skew * 100.0,
+                ),
+            );
+        }
+        let strategy = if partitioned {
+            "partitioned"
+        } else {
+            "broadcast"
+        };
+        self.trace.note(
+            "physical-join-strategy",
+            format!("{strategy} (est left={l:.0}, right={r:.0})"),
+        );
+        partitioned
+    }
+
+    /// The shuffle placement map of a partitioned join of `lrel` and
+    /// `rrel`: bucket `j` of both sides is joined at a fragment of the
+    /// **left** (probe) relation, so phase-1 streams address their chunks
+    /// straight at the phase-2 site actors instead of relaying through
+    /// the coordinator. Bucket count defaults to the larger side's
+    /// fragment count ([`PhysicalConfig::shuffle_parts`] overrides).
+    /// `None` when either relation's fragmentation is unknown.
+    fn shuffle_placement(
+        &mut self,
+        left: &PhysicalPlan,
+        right: &PhysicalPlan,
+        on: &[(usize, usize)],
+        lrel: &str,
+        rrel: &str,
+    ) -> Option<ShufflePlacement> {
+        let lfrags = self.stats.fragmentation(lrel).filter(|f| !f.is_empty())?;
+        let rfrags = self.stats.fragmentation(rrel)?;
+        let parts = self
+            .config
+            .shuffle_parts
+            .unwrap_or_else(|| lfrags.len().max(rfrags.len()))
+            .max(1);
+        let weighted = if self.config.skew_aware_placement {
+            weighted_placement(left, right, on, parts, &lfrags, lrel, self.stats)
+        } else {
+            None
+        };
+        let sites = lfrags.len().min(parts);
+        Some(match weighted {
+            Some((p, max_bucket, max_site)) => {
+                self.trace.note(
+                    "physical-shuffle-placement",
+                    format!(
+                        "{parts} bucket(s) skew-weighted over {sites} site(s) of {lrel} \
+                         (max bucket est {max_bucket:.0} row(s), max site est {max_site:.0})",
+                    ),
+                );
+                p
+            }
+            None => {
+                self.trace.note(
+                    "physical-shuffle-placement",
+                    format!("{parts} bucket(s) over {sites} site(s) of {lrel}"),
+                );
+                ShufflePlacement::round_robin(parts, &lfrags)
+            }
+        })
+    }
+}
+
+/// Gather every scan of one of `relations` under `plan` to the
+/// coordinator, whole (a closure's or fixpoint's base relations).
+fn gather_scans(plan: &mut PhysicalPlan, relations: &[String]) {
+    if matches!(plan, PhysicalPlan::SeqScan { relation, .. } if relations.contains(relation)) {
+        wrap(plan, ExchangeKind::Gather);
+        return;
+    }
+    for child in plan.children_mut() {
+        gather_scans(child, relations);
+    }
+}
+
+/// Split a decomposable `HashAggregate` in two: the partial aggregate
+/// runs below a `Gather` where its input runs, and a final aggregate at
+/// the coordinator merges the partials — aggregate `i` of the partials
+/// sits at column `g + i`; COUNT partials merge as SUM, the rest as
+/// themselves.
+fn split_aggregate(plan: &mut PhysicalPlan) {
+    let PhysicalPlan::HashAggregate { group_by, aggs, .. } = &*plan else {
+        unreachable!("an aggregate lowers to a hash aggregate");
+    };
+    let g = group_by.len();
+    let merge: Vec<AggExpr> = aggs
+        .iter()
+        .enumerate()
+        .map(|(i, a)| {
+            let func = match a.func {
+                AggFunc::CountStar | AggFunc::Count => AggFunc::Sum,
+                func => func,
+            };
+            AggExpr::new(func, g + i, a.name.clone())
+        })
+        .collect();
+    wrap(plan, ExchangeKind::Gather);
+    *plan = PhysicalPlan::HashAggregate {
+        input: take(plan),
+        group_by: (0..g).collect(),
+        aggs: merge,
+    };
 }
 
 /// The heaviest join-key value's share of its side's rows, over every
@@ -228,107 +489,6 @@ pub fn op_label(plan: &LogicalPlan) -> String {
         LogicalPlan::Limit { .. } => "Limit".into(),
         LogicalPlan::Closure { .. } => "Closure".into(),
         LogicalPlan::Fixpoint { name, .. } => format!("Fixpoint({name})"),
-    }
-}
-
-/// The base relation a shippable join side scans, when the side is a
-/// single-relation operator chain (the only shape the parallel executor
-/// runs as a grace join).
-fn scanned_base_relation(plan: &PhysicalPlan) -> Option<&str> {
-    match plan {
-        PhysicalPlan::SeqScan { relation, .. } => {
-            (!relation.starts_with("__") && !relation.starts_with('Δ'))
-                .then_some(relation.as_str())
-        }
-        PhysicalPlan::Filter { input, .. } | PhysicalPlan::Project { input, .. } => {
-            scanned_base_relation(input)
-        }
-        _ => None,
-    }
-}
-
-/// Emit the shuffle placement map for every partitioned join whose sides
-/// scan known-fragmented base relations: bucket `j` of both sides is
-/// joined at a fragment of the **left** (probe) relation, chosen
-/// round-robin, so phase-1 streams address their chunks straight at the
-/// phase-2 site actors instead of relaying through the coordinator.
-/// Bucket count defaults to the larger side's fragment count
-/// ([`PhysicalConfig::shuffle_parts`] overrides).
-fn place_shuffles(
-    plan: PhysicalPlan,
-    stats: &dyn StatsSource,
-    config: PhysicalConfig,
-    trace: &mut Trace,
-) -> PhysicalPlan {
-    match plan {
-        PhysicalPlan::HashJoin {
-            left,
-            right,
-            kind,
-            on,
-            residual,
-            strategy: JoinStrategy::Partitioned,
-            placement: None,
-        } => {
-            let left = Box::new(place_shuffles(*left, stats, config, trace));
-            let right = Box::new(place_shuffles(*right, stats, config, trace));
-            let placement = match (
-                scanned_base_relation(&left).and_then(|r| stats.fragmentation(r)),
-                scanned_base_relation(&right).and_then(|r| stats.fragmentation(r)),
-            ) {
-                (Some(lfrags), Some(rfrags)) if !lfrags.is_empty() => {
-                    let parts = config
-                        .shuffle_parts
-                        .unwrap_or_else(|| lfrags.len().max(rfrags.len()))
-                        .max(1);
-                    let lrel = scanned_base_relation(&left).expect("checked above");
-                    let weighted = if config.skew_aware_placement {
-                        weighted_placement(&left, &right, &on, parts, &lfrags, lrel, stats)
-                    } else {
-                        None
-                    };
-                    let p = match weighted {
-                        Some((p, max_bucket, max_site)) => {
-                            trace.note(
-                                "physical-shuffle-placement",
-                                format!(
-                                    "{} bucket(s) skew-weighted over {} site(s) of {lrel} \
-                                     (max bucket est {max_bucket:.0} row(s), max site est \
-                                     {max_site:.0})",
-                                    p.parts,
-                                    lfrags.len().min(p.parts),
-                                ),
-                            );
-                            p
-                        }
-                        None => {
-                            let p = ShufflePlacement::round_robin(parts, &lfrags);
-                            trace.note(
-                                "physical-shuffle-placement",
-                                format!(
-                                    "{} bucket(s) over {} site(s) of {lrel}",
-                                    p.parts,
-                                    lfrags.len().min(p.parts),
-                                ),
-                            );
-                            p
-                        }
-                    };
-                    Some(p)
-                }
-                _ => None,
-            };
-            PhysicalPlan::HashJoin {
-                left,
-                right,
-                kind,
-                on,
-                residual,
-                strategy: JoinStrategy::Partitioned,
-                placement,
-            }
-        }
-        other => map_children(other, &mut |c| place_shuffles(c, stats, config, trace)),
     }
 }
 
@@ -482,16 +642,12 @@ fn map_children(
             kind,
             on,
             residual,
-            strategy,
-            placement,
         } => PhysicalPlan::HashJoin {
             left: Box::new(f(*left)),
             right: Box::new(f(*right)),
             kind,
             on,
             residual,
-            strategy,
-            placement,
         },
         PhysicalPlan::NestedLoopJoin {
             left,
@@ -542,137 +698,11 @@ fn map_children(
             base: Box::new(f(*base)),
             step: Box::new(f(*step)),
         },
+        PhysicalPlan::Exchange { input, kind } => PhysicalPlan::Exchange {
+            input: Box::new(f(*input)),
+            kind,
+        },
         leaf @ (PhysicalPlan::SeqScan { .. } | PhysicalPlan::Values { .. }) => leaf,
-    }
-}
-
-/// Where a base-relation scan's output goes first.
-#[derive(Clone, Copy)]
-enum ScanDest {
-    /// Batches stream to the coordinator (plain scans, both sides of a
-    /// broadcast join).
-    Coordinator,
-    /// Buckets stream to the phase-2 sites of the enclosing grace join.
-    Site,
-}
-
-/// Record in the EXPLAIN trace how each exchange ships its data.
-/// Base-relation scans and grace-join repartitioning **stream** — one
-/// `BatchChunk`/`ShuffleChunk` message per produced batch, merged while
-/// fragments still scan — while a broadcast join's build side is the one
-/// remaining **materialized** exchange (it must be complete before it is
-/// copied to every fragment). `dest` is where the enclosing operator
-/// sends a scan's output; a decomposable aggregate the executor runs
-/// below the exchange is noted with the place its partials are computed.
-fn note_exchanges(plan: &PhysicalPlan, stats: &dyn StatsSource, dest: ScanDest, trace: &mut Trace) {
-    match plan {
-        PhysicalPlan::SeqScan { relation, .. } if !relation.starts_with("__") => {
-            let ships = match dest {
-                ScanDest::Coordinator => "streams batches fragment→coordinator",
-                ScanDest::Site => "streams buckets fragment→site",
-            };
-            trace.note("physical-exchange", format!("scan {relation}: {ships}"));
-        }
-        PhysicalPlan::HashJoin {
-            left,
-            right,
-            strategy,
-            ..
-        } => {
-            match strategy {
-                JoinStrategy::Partitioned => trace.note(
-                    "physical-exchange",
-                    "partitioned join: both sides stream buckets per-batch, \
-                     addressed fragment→fragment at the phase-2 sites"
-                        .to_owned(),
-                ),
-                JoinStrategy::Broadcast => trace.note(
-                    "physical-exchange",
-                    "broadcast join: build side materialized, probe side streams".to_owned(),
-                ),
-            }
-            let dest = if shuffles(plan) {
-                ScanDest::Site
-            } else {
-                ScanDest::Coordinator
-            };
-            note_exchanges(left, stats, dest, trace);
-            note_exchanges(right, stats, dest, trace);
-        }
-        PhysicalPlan::Filter { input, .. } | PhysicalPlan::Project { input, .. } => {
-            note_exchanges(input, stats, dest, trace)
-        }
-        PhysicalPlan::HashAggregate { input, aggs, .. } => {
-            if aggs.iter().all(|a| a.func.decomposable()) {
-                if let Some(place) = partial_aggregate_place(input, stats) {
-                    trace.note(
-                        "physical-exchange",
-                        format!("partial aggregate at {place}, merged at the coordinator"),
-                    );
-                }
-            }
-            note_exchanges(input, stats, ScanDest::Coordinator, trace);
-        }
-        _ => {
-            for child in plan.children() {
-                note_exchanges(child, stats, ScanDest::Coordinator, trace);
-            }
-        }
-    }
-}
-
-/// Whether the executor runs this join as a direct-shuffle grace join: an
-/// inner partitioned hash join whose sides are both single-relation
-/// chains (anything else broadcasts or joins at the coordinator).
-fn shuffles(join: &PhysicalPlan) -> bool {
-    matches!(
-        join,
-        PhysicalPlan::HashJoin {
-            left,
-            right,
-            kind: prisma_relalg::JoinKind::Inner,
-            strategy: JoinStrategy::Partitioned,
-            ..
-        } if scanned_base_relation(left).is_some() && scanned_base_relation(right).is_some()
-    )
-}
-
-/// Where the executor computes the partials of a decomposable aggregate
-/// over `input`, when it runs them below the exchange: at every fragment
-/// of a single-relation chain; over a Filter/Project chain on an inner
-/// join, at the grace join's phase-2 sites or at the fragments a
-/// broadcast join probes.
-fn partial_aggregate_place(input: &PhysicalPlan, stats: &dyn StatsSource) -> Option<String> {
-    let fragments_of = |rel: &str| match stats.fragmentation(rel) {
-        Some(frags) => format!("{} fragment(s) of {rel}", frags.len()),
-        None => format!("the fragments of {rel}"),
-    };
-    if let Some(rel) = scanned_base_relation(input) {
-        return Some(fragments_of(rel));
-    }
-    match input {
-        PhysicalPlan::Filter { input, .. } | PhysicalPlan::Project { input, .. } => {
-            partial_aggregate_place(input, stats)
-        }
-        PhysicalPlan::HashJoin { placement, .. } if shuffles(input) => Some(match placement {
-            Some(p) => format!("{} site(s)", p.by_site().len()),
-            None => "the shuffle sites".to_owned(),
-        }),
-        PhysicalPlan::HashJoin {
-            left,
-            right,
-            kind: prisma_relalg::JoinKind::Inner,
-            ..
-        }
-        | PhysicalPlan::NestedLoopJoin {
-            left,
-            right,
-            kind: prisma_relalg::JoinKind::Inner,
-            ..
-        } => scanned_base_relation(left)
-            .or_else(|| scanned_base_relation(right))
-            .map(fragments_of),
-        _ => None,
     }
 }
 
@@ -704,7 +734,8 @@ fn note_vectorized(plan: &PhysicalPlan, trace: &mut Trace) {
         | PhysicalPlan::HashAggregate { input, .. }
         | PhysicalPlan::Sort { input, .. }
         | PhysicalPlan::Limit { input, .. }
-        | PhysicalPlan::Closure { input, .. } => note_vectorized(input, trace),
+        | PhysicalPlan::Closure { input, .. }
+        | PhysicalPlan::Exchange { input, .. } => note_vectorized(input, trace),
         PhysicalPlan::Fixpoint { base, step, .. } => {
             note_vectorized(base, trace);
             note_vectorized(step, trace);
@@ -778,77 +809,7 @@ fn fuse_projections(plan: PhysicalPlan, trace: &mut Trace) -> PhysicalPlan {
                 schema,
             }
         }
-        PhysicalPlan::Filter { input, predicate } => PhysicalPlan::Filter {
-            input: Box::new(fuse_projections(*input, trace)),
-            predicate,
-        },
-        PhysicalPlan::HashJoin {
-            left,
-            right,
-            kind,
-            on,
-            residual,
-            strategy,
-            placement,
-        } => PhysicalPlan::HashJoin {
-            left: Box::new(fuse_projections(*left, trace)),
-            right: Box::new(fuse_projections(*right, trace)),
-            kind,
-            on,
-            residual,
-            strategy,
-            placement,
-        },
-        PhysicalPlan::NestedLoopJoin {
-            left,
-            right,
-            kind,
-            residual,
-        } => PhysicalPlan::NestedLoopJoin {
-            left: Box::new(fuse_projections(*left, trace)),
-            right: Box::new(fuse_projections(*right, trace)),
-            kind,
-            residual,
-        },
-        PhysicalPlan::Union { left, right, all } => PhysicalPlan::Union {
-            left: Box::new(fuse_projections(*left, trace)),
-            right: Box::new(fuse_projections(*right, trace)),
-            all,
-        },
-        PhysicalPlan::Difference { left, right } => PhysicalPlan::Difference {
-            left: Box::new(fuse_projections(*left, trace)),
-            right: Box::new(fuse_projections(*right, trace)),
-        },
-        PhysicalPlan::Distinct { input } => PhysicalPlan::Distinct {
-            input: Box::new(fuse_projections(*input, trace)),
-        },
-        PhysicalPlan::HashAggregate {
-            input,
-            group_by,
-            aggs,
-        } => PhysicalPlan::HashAggregate {
-            input: Box::new(fuse_projections(*input, trace)),
-            group_by,
-            aggs,
-        },
-        PhysicalPlan::Sort { input, keys } => PhysicalPlan::Sort {
-            input: Box::new(fuse_projections(*input, trace)),
-            keys,
-        },
-        PhysicalPlan::Limit { input, n } => PhysicalPlan::Limit {
-            input: Box::new(fuse_projections(*input, trace)),
-            n,
-        },
-        PhysicalPlan::Closure { input, seed } => PhysicalPlan::Closure {
-            input: Box::new(fuse_projections(*input, trace)),
-            seed,
-        },
-        PhysicalPlan::Fixpoint { name, base, step } => PhysicalPlan::Fixpoint {
-            name,
-            base: Box::new(fuse_projections(*base, trace)),
-            step: Box::new(fuse_projections(*step, trace)),
-        },
-        leaf @ (PhysicalPlan::SeqScan { .. } | PhysicalPlan::Values { .. }) => leaf,
+        other => map_children(other, &mut |c| fuse_projections(c, trace)),
     }
 }
 
@@ -864,6 +825,42 @@ mod tests {
             Column::new("a", DataType::Int),
             Column::new("b", DataType::Int),
         ])
+    }
+
+    /// The plan's exchanges, top-down.
+    fn exchanges(plan: &PhysicalPlan) -> Vec<&ExchangeKind> {
+        let mut out = Vec::new();
+        if let PhysicalPlan::Exchange { kind, .. } = plan {
+            out.push(kind);
+        }
+        for c in plan.children() {
+            out.extend(exchanges(c));
+        }
+        out
+    }
+
+    /// The shuffle placement map of the plan's first `Shuffle`.
+    fn placement_of(plan: &PhysicalPlan) -> Option<&ShufflePlacement> {
+        exchanges(plan).into_iter().find_map(|k| match k {
+            ExchangeKind::Shuffle { placement, .. } => placement.as_ref(),
+            _ => None,
+        })
+    }
+
+    fn count(plan: &PhysicalPlan, pred: fn(&ExchangeKind) -> bool) -> usize {
+        exchanges(plan).into_iter().filter(|k| pred(k)).count()
+    }
+
+    fn is_gather(k: &ExchangeKind) -> bool {
+        matches!(k, ExchangeKind::Gather)
+    }
+
+    fn is_broadcast(k: &ExchangeKind) -> bool {
+        matches!(k, ExchangeKind::Broadcast)
+    }
+
+    fn is_shuffle(k: &ExchangeKind) -> bool {
+        matches!(k, ExchangeKind::Shuffle { .. })
     }
 
     fn stats() -> HashMap<String, TableStats> {
@@ -891,24 +888,14 @@ mod tests {
         let mut trace = Trace::default();
         let phys =
             lower_physical(&small_join, &s, PhysicalConfig::default(), &mut trace).unwrap();
-        assert!(matches!(
-            phys,
-            PhysicalPlan::HashJoin {
-                strategy: JoinStrategy::Broadcast,
-                ..
-            }
-        ));
+        assert_eq!(count(&phys, is_broadcast), 1, "{phys}");
+        assert_eq!(count(&phys, is_shuffle), 0, "{phys}");
 
         let big_join = LogicalPlan::scan("big", schema2())
             .join(LogicalPlan::scan("huge", schema2()), vec![(0, 0)]);
         let phys = lower_physical(&big_join, &s, PhysicalConfig::default(), &mut trace).unwrap();
-        assert!(matches!(
-            phys,
-            PhysicalPlan::HashJoin {
-                strategy: JoinStrategy::Partitioned,
-                ..
-            }
-        ));
+        assert_eq!(count(&phys, is_shuffle), 2, "{phys}");
+        assert_eq!(count(&phys, is_broadcast), 0, "{phys}");
         assert!(trace.count_of("physical-join-strategy") == 2, "{:?}", trace.fired);
     }
 
@@ -918,8 +905,11 @@ mod tests {
         let plan = LogicalPlan::scan("big", schema2()).project_cols(&[1]).unwrap();
         let mut trace = Trace::default();
         let phys = lower_physical(&plan, &s, PhysicalConfig::default(), &mut trace).unwrap();
+        let PhysicalPlan::Exchange { input, .. } = &phys else {
+            panic!("a scan is gathered: {phys}");
+        };
         assert!(matches!(
-            &phys,
+            input.as_ref(),
             PhysicalPlan::SeqScan {
                 projection: Some(cols),
                 ..
@@ -963,47 +953,41 @@ mod tests {
     #[test]
     fn explain_notes_streaming_exchanges() {
         let s = stats();
-        // Broadcast join: both scans stream; the build side is the one
-        // materialized exchange.
+        // Broadcast join: the probe side's scan streams to the
+        // coordinator with the join (the root `Gather`); the build side
+        // is gathered whole, then broadcast.
         let small_join = LogicalPlan::scan("big", schema2())
             .join(LogicalPlan::scan("small", schema2()), vec![(1, 0)]);
         let mut trace = Trace::default();
-        lower_physical(&small_join, &s, PhysicalConfig::default(), &mut trace).unwrap();
-        assert_eq!(trace.count_of("physical-exchange"), 3, "{:?}", trace.fired);
-        assert!(trace
-            .fired
-            .iter()
-            .any(|f| f.contains("broadcast join: build side materialized")));
-        assert!(trace
-            .fired
-            .iter()
-            .any(|f| f.contains("scan big: streams batches")));
+        let phys = lower_physical(&small_join, &s, PhysicalConfig::default(), &mut trace).unwrap();
+        assert_eq!(exchanges(&phys).len(), 3, "{phys}");
+        let txt = phys.to_string();
+        assert!(
+            txt.contains("    Broadcast\n      Gather\n        SeqScan small\n"),
+            "{txt}"
+        );
+        assert!(
+            txt.starts_with("Gather\n  HashJoin on [l#1=r#0]\n    SeqScan big\n"),
+            "{txt}"
+        );
 
-        // Partitioned join: buckets stream per-batch, and the scans feed
-        // the phase-2 sites, not the coordinator.
+        // Partitioned join: both scans stream buckets to the phase-2
+        // sites, and only the join's result reaches the coordinator.
         let big_join = LogicalPlan::scan("big", schema2())
             .join(LogicalPlan::scan("huge", schema2()), vec![(0, 0)]);
         let mut trace = Trace::default();
-        lower_physical(&big_join, &s, PhysicalConfig::default(), &mut trace).unwrap();
-        assert_eq!(trace.count_of("physical-exchange"), 3, "{:?}", trace.fired);
-        assert!(trace
-            .fired
-            .iter()
-            .any(|f| f.contains("partitioned join: both sides stream buckets per-batch")));
+        let phys = lower_physical(&big_join, &s, PhysicalConfig::default(), &mut trace).unwrap();
+        assert_eq!(exchanges(&phys).len(), 3, "{phys}");
+        assert_eq!(count(&phys, is_shuffle), 2, "{phys}");
+        let txt = phys.to_string();
         for rel in ["big", "huge"] {
             assert!(
-                trace
-                    .fired
-                    .iter()
-                    .any(|f| f.contains(&format!("scan {rel}: streams buckets fragment→site"))),
-                "{:?}",
-                trace.fired
+                txt.contains(&format!("    Shuffle on [0]\n      SeqScan {rel}\n")),
+                "{txt}"
             );
         }
-        assert!(!trace
-            .fired
-            .iter()
-            .any(|f| f.contains("fragment→coordinator")));
+        assert!(txt.starts_with("Gather\n  HashJoin"), "{txt}");
+        assert_eq!(count(&phys, is_gather), 1, "{phys}");
     }
 
     #[test]
@@ -1023,38 +1007,48 @@ mod tests {
             group_by: vec![1],
             aggs: vec![AggExpr::new(func, 0, "x")],
         };
-        let note_of = |plan: &LogicalPlan| {
-            let mut trace = Trace::default();
-            lower_physical(plan, &s, PhysicalConfig::default(), &mut trace).unwrap();
-            trace
-                .fired
-                .into_iter()
-                .find(|f| f.contains("partial aggregate"))
+        let lowered = |plan: &LogicalPlan| {
+            lower_physical(plan, &s, PhysicalConfig::default(), &mut Trace::default()).unwrap()
+        };
+        // The partial aggregate, when the plan splits one: the hash
+        // aggregate right below the `Gather` under the final aggregate.
+        let partial = |phys: &PhysicalPlan| match phys {
+            PhysicalPlan::HashAggregate { input, .. } => match input.as_ref() {
+                PhysicalPlan::Exchange {
+                    input,
+                    kind: ExchangeKind::Gather,
+                } if matches!(input.as_ref(), PhysicalPlan::HashAggregate { .. }) => {
+                    Some(input.to_string())
+                }
+                _ => None,
+            },
+            _ => None,
         };
         let grace = LogicalPlan::scan("big", schema2())
             .join(LogicalPlan::scan("huge", schema2()), vec![(0, 0)]);
         let broadcast = LogicalPlan::scan("big", schema2())
             .join(LogicalPlan::scan("small", schema2()), vec![(1, 0)]);
 
-        // Single relation: one partial per fragment.
-        let note = note_of(&count_by(LogicalPlan::scan("big", schema2()), AggFunc::Sum));
-        assert!(note
-            .unwrap()
-            .contains("at 4 fragment(s) of big, merged at the coordinator"));
+        // Single relation: one partial per fragment of big, merged at
+        // the coordinator.
+        let phys = lowered(&count_by(LogicalPlan::scan("big", schema2()), AggFunc::Sum));
+        let part = partial(&phys).unwrap_or_else(|| panic!("no partial: {phys}"));
+        assert!(part.ends_with("  SeqScan big\n"), "{phys}");
+        assert_eq!(s.fragmentation("big").map(|f| f.len()), Some(4));
         // Grace join under a projection: one partial per phase-2 site
         // (4 buckets over big's 4 fragments).
-        let note = note_of(&count_by(
-            grace.clone().project_cols(&[0, 3]).unwrap(),
-            AggFunc::Count,
-        ));
-        assert!(note
-            .unwrap()
-            .contains("at 4 site(s), merged at the coordinator"));
+        let phys = lowered(&count_by(grace.clone().project_cols(&[0, 3]).unwrap(), AggFunc::Count));
+        let part = partial(&phys).unwrap_or_else(|| panic!("no partial: {phys}"));
+        assert!(part.contains("Shuffle on [0] 4×buckets→4 site(s)"), "{phys}");
         // Broadcast join: one partial per fragment of the probed relation.
-        let note = note_of(&count_by(broadcast, AggFunc::Max));
-        assert!(note.unwrap().contains("at 4 fragment(s) of big"));
+        let phys = lowered(&count_by(broadcast, AggFunc::Max));
+        let part = partial(&phys).unwrap_or_else(|| panic!("no partial: {phys}"));
+        assert!(part.contains("    SeqScan big\n"), "{phys}");
+        assert!(part.contains("Broadcast\n"), "{phys}");
         // AVG is not decomposable: the rows go to the coordinator.
-        assert_eq!(note_of(&count_by(grace, AggFunc::Avg)), None);
+        let phys = lowered(&count_by(grace, AggFunc::Avg));
+        assert_eq!(partial(&phys), None, "{phys}");
+        assert_eq!(phys.to_string().matches("HashAggregate").count(), 1, "{phys}");
     }
 
     /// Stats source that also knows fragmentation (what the GDH data
@@ -1084,10 +1078,7 @@ mod tests {
             .join(LogicalPlan::scan("huge", schema2()), vec![(0, 0)]);
         let mut trace = Trace::default();
         let phys = lower_physical(&join, &s, PhysicalConfig::default(), &mut trace).unwrap();
-        let PhysicalPlan::HashJoin {
-            placement: Some(p), ..
-        } = &phys
-        else {
+        let Some(p) = placement_of(&phys) else {
             panic!("no placement: {phys}");
         };
         // Buckets = the larger side's fragment count; every site is a
@@ -1096,7 +1087,7 @@ mod tests {
         assert_eq!(p.sites, vec![FragmentId(0), FragmentId(1), FragmentId(0)]);
         assert_eq!(p.by_site().len(), 2);
         assert_eq!(trace.count_of("physical-shuffle-placement"), 1);
-        assert!(phys.to_string().contains("shuffle 3×buckets→2 site(s)"), "{phys}");
+        assert!(phys.to_string().contains("Shuffle on [0] 3×buckets→2 site(s)"), "{phys}");
 
         // The bucket count is overridable — including past the fragment
         // count (the mismatch edge the executor must survive).
@@ -1115,10 +1106,7 @@ mod tests {
         };
         let mut trace = Trace::default();
         let phys = lower_physical(&join, &s, cfg, &mut trace).unwrap();
-        let PhysicalPlan::HashJoin {
-            placement: Some(p), ..
-        } = &phys
-        else {
+        let Some(p) = placement_of(&phys) else {
             panic!("no placement: {phys}");
         };
         assert_eq!(p.parts, 7);
@@ -1129,13 +1117,8 @@ mod tests {
         let mut trace = Trace::default();
         let phys =
             lower_physical(&join, &stats(), PhysicalConfig::default(), &mut trace).unwrap();
-        assert!(matches!(
-            phys,
-            PhysicalPlan::HashJoin {
-                placement: None,
-                ..
-            }
-        ));
+        assert_eq!(count(&phys, is_shuffle), 2, "{phys}");
+        assert_eq!(placement_of(&phys), None, "{phys}");
     }
 
     /// Stats source with fragmentation, per-fragment statistics and MCVs
@@ -1200,10 +1183,7 @@ mod tests {
         };
         let mut trace = Trace::default();
         let phys = lower_physical(&join, &s, cfg, &mut trace).unwrap();
-        let PhysicalPlan::HashJoin {
-            placement: Some(p), ..
-        } = &phys
-        else {
+        let Some(p) = placement_of(&phys) else {
             panic!("no placement: {phys}");
         };
         assert_eq!(p.parts, 8);
@@ -1234,10 +1214,7 @@ mod tests {
         };
         let mut trace = Trace::default();
         let phys = lower_physical(&join, &s, cfg, &mut trace).unwrap();
-        let PhysicalPlan::HashJoin {
-            placement: Some(p), ..
-        } = &phys
-        else {
+        let Some(p) = placement_of(&phys) else {
             panic!("no placement: {phys}");
         };
         assert_eq!(
@@ -1278,16 +1255,7 @@ mod tests {
         let mut trace = Trace::default();
         let phys =
             lower_physical(&join, &tables, PhysicalConfig::default(), &mut trace).unwrap();
-        assert!(
-            matches!(
-                phys,
-                PhysicalPlan::HashJoin {
-                    strategy: JoinStrategy::Broadcast,
-                    ..
-                }
-            ),
-            "{phys}"
-        );
+        assert_eq!(count(&phys, is_broadcast), 1, "{phys}");
         assert_eq!(trace.count_of("physical-join-skew"), 1, "{:?}", trace.fired);
 
         // Without the skew the same sizes partition.
@@ -1296,13 +1264,7 @@ mod tests {
         let mut trace = Trace::default();
         let phys =
             lower_physical(&join, &tables2, PhysicalConfig::default(), &mut trace).unwrap();
-        assert!(matches!(
-            phys,
-            PhysicalPlan::HashJoin {
-                strategy: JoinStrategy::Partitioned,
-                ..
-            }
-        ));
+        assert_eq!(count(&phys, is_shuffle), 2, "{phys}");
     }
 
     #[test]
@@ -1345,7 +1307,10 @@ mod tests {
         };
         let mut trace = Trace::default();
         let phys = lower_physical(&renamed, &s, PhysicalConfig::default(), &mut trace).unwrap();
-        assert!(matches!(phys, PhysicalPlan::Project { .. }));
+        let PhysicalPlan::Exchange { input, .. } = &phys else {
+            panic!("a projected scan is gathered: {phys}");
+        };
+        assert!(matches!(**input, PhysicalPlan::Project { .. }), "{phys}");
         assert_eq!(trace.count_of("physical-scan-projection"), 0);
     }
 }

@@ -179,8 +179,8 @@ impl Accumulator {
 
 /// The hash group table every aggregation folds into: the inline aggregate
 /// folds its input into one table, the pooled one folds a table per morsel
-/// of its input and merges them in morsel order, and the coordinator folds
-/// the fragments' partial rows into one table over the merge aggregates.
+/// of its input and merges them in morsel order, and the coordinator's
+/// final aggregate folds the gathered partial rows the same way.
 ///
 /// A batch folds in two column-at-a-time passes and never builds a key:
 ///

@@ -610,15 +610,21 @@ pub(crate) fn open_with(
     ctx: &mut EvalContext<'_>,
     pool: Option<&Arc<WorkerPool>>,
 ) -> Result<BoxOp> {
-    // The pipeline's spine, top down; a join continues into its probe side.
+    // The pipeline's spine, top down; a join continues into its probe
+    // side. On one site an exchange moves nothing: it is skipped.
     let mut spine: Vec<&PhysicalPlan> = Vec::new();
     let mut cur = plan;
-    while let PhysicalPlan::Filter { input, .. }
-    | PhysicalPlan::Project { input, .. }
-    | PhysicalPlan::HashJoin { left: input, .. } = cur
-    {
-        spine.push(cur);
-        cur = input;
+    loop {
+        cur = match cur {
+            PhysicalPlan::Exchange { input, .. } => input,
+            PhysicalPlan::Filter { input, .. }
+            | PhysicalPlan::Project { input, .. }
+            | PhysicalPlan::HashJoin { left: input, .. } => {
+                spine.push(cur);
+                input
+            }
+            _ => break,
+        };
     }
     let has_stages = !spine.is_empty();
     let blocking = |input: &PhysicalPlan, kind, ctx: &mut EvalContext<'_>| -> Result<Source> {

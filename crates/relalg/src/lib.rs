@@ -38,6 +38,6 @@ pub use exec::{
     chunk_scan_counters, execute_batches, execute_physical, open_batches, open_batches_pooled,
     Batch, BatchStream, Operator, BATCH_SIZE,
 };
-pub use physical::{lower, lower_with, JoinStrategy, PhysicalPlan, ShufflePlacement};
+pub use physical::{lower, ExchangeKind, PhysicalPlan, ShufflePlacement};
 pub use plan::{JoinKind, LogicalPlan};
 pub use table::{BatchWindows, ChunkedRelation, Relation};

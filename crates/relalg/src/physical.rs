@@ -2,16 +2,17 @@
 //!
 //! A [`PhysicalPlan`] is lowered from a [`LogicalPlan`] and names the
 //! *algorithm* for each algebra node: scans carry fused projections,
-//! equi-joins become hash joins annotated with a distribution
-//! [`JoinStrategy`], theta joins become nested loops, and aggregation is
-//! explicitly hash-based. The tree is what the Global Data Handler ships
-//! to One-Fragment Managers (paper §2.2: subqueries are sent to the OFMs,
-//! which execute them against their fragment) and what the batch executor
-//! in [`crate::exec`] pulls tuples through.
+//! equi-joins become hash joins, theta joins become nested loops, and
+//! aggregation is explicitly hash-based. The tree is what the Global Data
+//! Handler ships to One-Fragment Managers (paper §2.2: subqueries are sent
+//! to the OFMs, which execute them against their fragment) and what the
+//! batch executor in [`crate::exec`] pulls tuples through.
 //!
-//! The lowering is strategy-parameterized: [`lower`] picks the default
-//! (broadcast) distribution for every join, while the optimizer's physical
-//! pass supplies a cardinality-driven chooser via [`lower_with`].
+//! Where data moves between sites is stated by [`PhysicalPlan::Exchange`]
+//! nodes (Graefe's exchange operator): [`lower`] places none, the
+//! optimizer's physical pass places them all. On one site there is
+//! nothing to move, so the batch executor runs an exchange as the
+//! identity.
 
 use std::fmt;
 
@@ -20,28 +21,6 @@ use prisma_types::{FragmentId, PrismaError, Result, Schema, Tuple};
 
 use crate::agg::AggExpr;
 use crate::plan::{JoinKind, LogicalPlan};
-
-/// How a distributed join moves its inputs (paper §2.4's "applying
-/// parallelism" rule family). Local, single-fragment execution ignores
-/// the annotation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum JoinStrategy {
-    /// Materialize the small side once and send a copy to every fragment
-    /// of the large side.
-    Broadcast,
-    /// Hash-partition both sides on the join key and join bucket-by-bucket
-    /// (grace join) — chosen when both sides are large.
-    Partitioned,
-}
-
-impl fmt::Display for JoinStrategy {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(match self {
-            JoinStrategy::Broadcast => "broadcast",
-            JoinStrategy::Partitioned => "partitioned",
-        })
-    }
-}
 
 /// Where each hash bucket of a partitioned (grace) join is joined: the
 /// optimizer's **shuffle placement map**, naming the phase-2 site
@@ -89,6 +68,26 @@ impl ShufflePlacement {
             })
             .collect()
     }
+}
+
+/// How a [`PhysicalPlan::Exchange`] moves its input between sites.
+#[derive(Debug, Clone, PartialEq)]
+pub enum ExchangeKind {
+    /// Every fragment (or shuffle site) running the input streams its
+    /// batches to the coordinator, which unions them.
+    Gather,
+    /// The coordinator-resident input ships whole to every fragment the
+    /// enclosing join runs at.
+    Broadcast,
+    /// Every fragment hash-partitions the input on `keys` and streams
+    /// each bucket straight to the site that joins it.
+    Shuffle {
+        /// Columns of the input the buckets hash on.
+        keys: Vec<usize>,
+        /// The optimizer's bucket→site map (None = the executor derives
+        /// a round-robin one).
+        placement: Option<ShufflePlacement>,
+    },
 }
 
 /// The physical operator tree.
@@ -146,12 +145,6 @@ pub enum PhysicalPlan {
         on: Vec<(usize, usize)>,
         /// Residual predicate over the concatenated schema.
         residual: Option<ScalarExpr>,
-        /// Distribution strategy for the parallel executor.
-        strategy: JoinStrategy,
-        /// For `Partitioned` joins: the optimizer's bucket→site map
-        /// driving the direct fragment→fragment shuffle (None = let the
-        /// executor derive a default placement).
-        placement: Option<ShufflePlacement>,
     },
     /// Theta join without equi-keys: materialize right, loop over left.
     NestedLoopJoin {
@@ -229,19 +222,18 @@ pub enum PhysicalPlan {
         /// Recursive step.
         step: Box<PhysicalPlan>,
     },
+    /// Data movement between sites; the identity on one site.
+    Exchange {
+        /// The operator whose output moves.
+        input: Box<PhysicalPlan>,
+        /// How it moves.
+        kind: ExchangeKind,
+    },
 }
 
-/// Chooses the distribution strategy for one lowered equi-join, given the
-/// logical join node (so implementations can consult cardinalities).
-pub type StrategyChooser<'a> = dyn FnMut(&LogicalPlan) -> JoinStrategy + 'a;
-
-/// Lower a logical plan with the default (broadcast) join strategy.
+/// Lower a logical plan node for node: one algorithm per algebra
+/// operator, no exchanges.
 pub fn lower(plan: &LogicalPlan) -> Result<PhysicalPlan> {
-    lower_with(plan, &mut |_| JoinStrategy::Broadcast)
-}
-
-/// Lower a logical plan, asking `choose` for each equi-join's strategy.
-pub fn lower_with(plan: &LogicalPlan, choose: &mut StrategyChooser<'_>) -> Result<PhysicalPlan> {
     Ok(match plan {
         LogicalPlan::Scan { relation, schema } => PhysicalPlan::SeqScan {
             relation: relation.clone(),
@@ -254,7 +246,7 @@ pub fn lower_with(plan: &LogicalPlan, choose: &mut StrategyChooser<'_>) -> Resul
             rows: rows.clone(),
         },
         LogicalPlan::Select { input, predicate } => PhysicalPlan::Filter {
-            input: Box::new(lower_with(input, choose)?),
+            input: Box::new(lower(input)?),
             predicate: predicate.clone(),
         },
         LogicalPlan::Project {
@@ -262,7 +254,7 @@ pub fn lower_with(plan: &LogicalPlan, choose: &mut StrategyChooser<'_>) -> Resul
             exprs,
             schema,
         } => PhysicalPlan::Project {
-            input: Box::new(lower_with(input, choose)?),
+            input: Box::new(lower(input)?),
             exprs: exprs.clone(),
             schema: schema.clone(),
         },
@@ -275,61 +267,58 @@ pub fn lower_with(plan: &LogicalPlan, choose: &mut StrategyChooser<'_>) -> Resul
         } => {
             if on.is_empty() {
                 PhysicalPlan::NestedLoopJoin {
-                    left: Box::new(lower_with(left, choose)?),
-                    right: Box::new(lower_with(right, choose)?),
+                    left: Box::new(lower(left)?),
+                    right: Box::new(lower(right)?),
                     kind: *kind,
                     residual: residual.clone(),
                 }
             } else {
-                let strategy = choose(plan);
                 PhysicalPlan::HashJoin {
-                    left: Box::new(lower_with(left, choose)?),
-                    right: Box::new(lower_with(right, choose)?),
+                    left: Box::new(lower(left)?),
+                    right: Box::new(lower(right)?),
                     kind: *kind,
                     on: on.clone(),
                     residual: residual.clone(),
-                    strategy,
-                    placement: None,
                 }
             }
         }
         LogicalPlan::Union { left, right, all } => PhysicalPlan::Union {
-            left: Box::new(lower_with(left, choose)?),
-            right: Box::new(lower_with(right, choose)?),
+            left: Box::new(lower(left)?),
+            right: Box::new(lower(right)?),
             all: *all,
         },
         LogicalPlan::Difference { left, right } => PhysicalPlan::Difference {
-            left: Box::new(lower_with(left, choose)?),
-            right: Box::new(lower_with(right, choose)?),
+            left: Box::new(lower(left)?),
+            right: Box::new(lower(right)?),
         },
         LogicalPlan::Distinct { input } => PhysicalPlan::Distinct {
-            input: Box::new(lower_with(input, choose)?),
+            input: Box::new(lower(input)?),
         },
         LogicalPlan::Aggregate {
             input,
             group_by,
             aggs,
         } => PhysicalPlan::HashAggregate {
-            input: Box::new(lower_with(input, choose)?),
+            input: Box::new(lower(input)?),
             group_by: group_by.clone(),
             aggs: aggs.clone(),
         },
         LogicalPlan::Sort { input, keys } => PhysicalPlan::Sort {
-            input: Box::new(lower_with(input, choose)?),
+            input: Box::new(lower(input)?),
             keys: keys.clone(),
         },
         LogicalPlan::Limit { input, n } => PhysicalPlan::Limit {
-            input: Box::new(lower_with(input, choose)?),
+            input: Box::new(lower(input)?),
             n: *n,
         },
         LogicalPlan::Closure { input, seed } => PhysicalPlan::Closure {
-            input: Box::new(lower_with(input, choose)?),
+            input: Box::new(lower(input)?),
             seed: seed.clone(),
         },
         LogicalPlan::Fixpoint { name, base, step } => PhysicalPlan::Fixpoint {
             name: name.clone(),
-            base: Box::new(lower_with(base, choose)?),
-            step: Box::new(lower_with(step, choose)?),
+            base: Box::new(lower(base)?),
+            step: Box::new(lower(step)?),
         },
     })
 }
@@ -349,7 +338,8 @@ impl PhysicalPlan {
             | PhysicalPlan::Distinct { input }
             | PhysicalPlan::Sort { input, .. }
             | PhysicalPlan::Limit { input, .. }
-            | PhysicalPlan::Closure { input, .. } => input.output_schema()?,
+            | PhysicalPlan::Closure { input, .. }
+            | PhysicalPlan::Exchange { input, .. } => input.output_schema()?,
             PhysicalPlan::Project { schema, .. } => schema.clone(),
             PhysicalPlan::HashJoin {
                 left, right, kind, ..
@@ -431,7 +421,8 @@ impl PhysicalPlan {
             | PhysicalPlan::HashAggregate { input, .. }
             | PhysicalPlan::Sort { input, .. }
             | PhysicalPlan::Limit { input, .. }
-            | PhysicalPlan::Closure { input, .. } => vec![input],
+            | PhysicalPlan::Closure { input, .. }
+            | PhysicalPlan::Exchange { input, .. } => vec![input],
             PhysicalPlan::HashJoin { left, right, .. }
             | PhysicalPlan::NestedLoopJoin { left, right, .. }
             | PhysicalPlan::Union { left, right, .. }
@@ -450,7 +441,8 @@ impl PhysicalPlan {
             | PhysicalPlan::HashAggregate { input, .. }
             | PhysicalPlan::Sort { input, .. }
             | PhysicalPlan::Limit { input, .. }
-            | PhysicalPlan::Closure { input, .. } => vec![input],
+            | PhysicalPlan::Closure { input, .. }
+            | PhysicalPlan::Exchange { input, .. } => vec![input],
             PhysicalPlan::HashJoin { left, right, .. }
             | PhysicalPlan::NestedLoopJoin { left, right, .. }
             | PhysicalPlan::Union { left, right, .. }
@@ -566,19 +558,10 @@ impl PhysicalPlan {
                 writeln!(f, "{pad}Project {}", cols.join(", "))?;
             }
             PhysicalPlan::HashJoin {
-                kind,
-                on,
-                strategy,
-                residual,
-                placement,
-                ..
+                kind, on, residual, ..
             } => {
                 let keys: Vec<String> = on.iter().map(|(l, r)| format!("l#{l}=r#{r}")).collect();
-                write!(f, "{pad}Hash{kind} [{strategy}] on [{}]", keys.join(", "))?;
-                if let Some(p) = placement {
-                    let sites: std::collections::HashSet<_> = p.sites.iter().collect();
-                    write!(f, " shuffle {}×buckets→{} site(s)", p.parts, sites.len())?;
-                }
+                write!(f, "{pad}Hash{kind} on [{}]", keys.join(", "))?;
                 if let Some(p) = residual {
                     write!(f, " filter {p}")?;
                 }
@@ -608,6 +591,17 @@ impl PhysicalPlan {
             PhysicalPlan::Limit { n, .. } => writeln!(f, "{pad}Limit {n}")?,
             PhysicalPlan::Closure { seed, .. } => crate::plan::fmt_closure(f, &pad, seed.as_ref())?,
             PhysicalPlan::Fixpoint { name, .. } => writeln!(f, "{pad}Fixpoint {name}")?,
+            PhysicalPlan::Exchange { kind, .. } => match kind {
+                ExchangeKind::Gather => writeln!(f, "{pad}Gather")?,
+                ExchangeKind::Broadcast => writeln!(f, "{pad}Broadcast")?,
+                ExchangeKind::Shuffle { keys, placement } => {
+                    write!(f, "{pad}Shuffle on {keys:?}")?;
+                    if let Some(p) = placement {
+                        write!(f, " {}×buckets→{} site(s)", p.parts, p.by_site().len())?;
+                    }
+                    writeln!(f)?;
+                }
+            },
         }
         for c in self.children() {
             c.fmt_indent(f, indent + 1)?;
@@ -645,16 +639,11 @@ mod tests {
             ))
             .join(LogicalPlan::scan("dept", emp_schema()), vec![(1, 0)]);
         let phys = lower(&plan).unwrap();
-        assert!(matches!(
-            phys,
-            PhysicalPlan::HashJoin {
-                strategy: JoinStrategy::Broadcast,
-                ..
-            }
-        ));
+        assert!(matches!(phys, PhysicalPlan::HashJoin { .. }));
         phys.validate().unwrap();
         let txt = phys.to_string();
-        assert!(txt.contains("HashJoin [broadcast]"), "{txt}");
+        assert!(txt.contains("HashJoin on [l#1=r#0]"), "{txt}");
+        assert!(!txt.contains("Gather"), "plain lowering places no exchange: {txt}");
         assert!(txt.contains("SeqScan emp"), "{txt}");
     }
 
@@ -674,20 +663,6 @@ mod tests {
         let phys = lower(&plan).unwrap();
         assert!(matches!(phys, PhysicalPlan::NestedLoopJoin { .. }));
         assert_eq!(phys.output_schema().unwrap().arity(), 4);
-    }
-
-    #[test]
-    fn chooser_controls_strategy() {
-        let plan = LogicalPlan::scan("a", emp_schema())
-            .join(LogicalPlan::scan("b", emp_schema()), vec![(0, 0)]);
-        let phys = lower_with(&plan, &mut |_| JoinStrategy::Partitioned).unwrap();
-        assert!(matches!(
-            phys,
-            PhysicalPlan::HashJoin {
-                strategy: JoinStrategy::Partitioned,
-                ..
-            }
-        ));
     }
 
     #[test]

@@ -58,11 +58,14 @@ fn distributed_execution_matches_reference_evaluator() {
     db.shutdown();
 }
 
-/// Two large relations (above the broadcast threshold) must take the
-/// hash-partitioned grace-join path and still agree with the reference
-/// evaluator; a small build side must stay on the broadcast path.
-#[test]
-fn partitioned_and_broadcast_joins_agree_with_reference() {
+/// Two large relations (above the broadcast threshold) and a small one,
+/// loaded into an 8-PE machine and into the reference evaluator's map,
+/// with the catalog the SQL planner needs.
+fn join_tables() -> (
+    PrismaMachine,
+    HashMap<String, Relation>,
+    HashMap<String, prisma::Schema>,
+) {
     let db = PrismaMachine::builder().pes(8).build().unwrap();
     db.sql("CREATE TABLE big_l (k INT, grp INT, v INT) FRAGMENTED BY HASH(k) INTO 4")
         .unwrap();
@@ -109,21 +112,38 @@ fn partitioned_and_broadcast_joins_agree_with_reference() {
     ]
     .into_iter()
     .collect();
+    (db, reference, catalog)
+}
 
-    let check = |sql: &str| -> prisma::gdh::exec::ExecMetrics {
-        let (rows, metrics) = db.query_with_metrics(sql).unwrap();
-        let stmt = sqlfe::parse_statement(sql).unwrap();
-        let PlannedStatement::Query(plan) = sqlfe::plan(&stmt, &catalog).unwrap() else {
-            panic!("{sql} is not a query")
-        };
-        let via_reference = eval(&plan, &reference).unwrap().canonicalized();
-        assert_eq!(
-            rows.canonicalized().tuples(),
-            via_reference.tuples(),
-            "machine and reference disagree on: {sql}"
-        );
-        metrics
+/// The rows of `sql` on the machine, checked against the reference
+/// evaluator on the unoptimized plan, with the executor's metrics.
+fn checked(
+    db: &PrismaMachine,
+    reference: &HashMap<String, Relation>,
+    catalog: &HashMap<String, prisma::Schema>,
+    sql: &str,
+) -> prisma::gdh::exec::ExecMetrics {
+    let (rows, metrics) = db.query_with_metrics(sql).unwrap();
+    let stmt = sqlfe::parse_statement(sql).unwrap();
+    let PlannedStatement::Query(plan) = sqlfe::plan(&stmt, catalog).unwrap() else {
+        panic!("{sql} is not a query")
     };
+    let via_reference = eval(&plan, reference).unwrap().canonicalized();
+    assert_eq!(
+        rows.canonicalized().tuples(),
+        via_reference.tuples(),
+        "machine and reference disagree on: {sql}"
+    );
+    metrics
+}
+
+/// Two large relations (above the broadcast threshold) must take the
+/// hash-partitioned grace-join path and still agree with the reference
+/// evaluator; a small build side must stay on the broadcast path.
+#[test]
+fn partitioned_and_broadcast_joins_agree_with_reference() {
+    let (db, reference, catalog) = join_tables();
+    let check = |sql: &str| checked(&db, &reference, &catalog, sql);
 
     // Both sides large: grace join.
     let m = check("SELECT l.v, r.v FROM big_l l, big_r r WHERE l.k = r.k");
@@ -207,7 +227,9 @@ fn partitioned_and_broadcast_joins_agree_with_reference() {
         check("SELECT l.grp, AVG(r.v) AS a FROM big_l l, big_r r WHERE l.k = r.k GROUP BY l.grp");
     assert!(m.tuples_shipped >= 1300, "the joined rows ship: {m:?}");
 
-    // EXPLAIN shows the placement the executor used.
+    // EXPLAIN prints the plan the executor runs: the partial aggregate
+    // below the one `Gather`, over a join of two shuffles to 4 sites,
+    // and the final aggregate above it at the coordinator.
     let plan = db
         .explain(
             "SELECT l.grp, COUNT(*) AS n, SUM(r.v) AS s FROM big_l l, big_r r \
@@ -218,12 +240,121 @@ fn partitioned_and_broadcast_joins_agree_with_reference() {
         "SeqScan big_l cols=[0, 1]",
         "SeqScan big_r cols=[0, 2]",
         "prune-columns: join inputs narrowed 3→2 and 3→2 columns",
-        "physical-exchange: partial aggregate at 4 site(s), merged at the coordinator",
-        "scan big_l: streams buckets fragment→site",
+        "  HashAggregate group=[0] aggs=[SUM, SUM]\n    Gather\n      HashAggregate group=[0] aggs=[COUNT(*), SUM]\n",
+        "Shuffle on [0] 4×buckets→4 site(s)\n              SeqScan big_l cols=[0, 1]\n",
     ] {
         assert!(plan.contains(expected), "missing {expected:?} in:\n{plan}");
     }
-    assert!(!plan.contains("fragment→coordinator"), "{plan}");
+    // No scan streams to the coordinator: the join's result is the only
+    // thing gathered.
+    assert_eq!(plan.matches("Gather").count(), 1, "{plan}");
+    db.shutdown();
+}
+
+/// What the exchange nodes of an EXPLAIN `== physical ==` section say the
+/// executor will do: `(partitioned_joins, broadcast_joins,
+/// fragment_tasks)`. A join over `Shuffle` inputs is a grace join; each
+/// `Broadcast` ships one build side; each distinct `Gather` fans out to
+/// its shuffle sites, or else to the fragments of the relation it scans.
+fn predicted_counters(physical: &str, fragments: &HashMap<&str, u64>) -> (u64, u64, u64) {
+    let nodes: Vec<(usize, &str)> = physical
+        .lines()
+        .map(|l| {
+            let label = l.trim_start();
+            ((l.len() - label.len()) / 2, label)
+        })
+        .collect();
+    // The node's subtree: the lines after it, while they are deeper.
+    let subtree = |i: usize| {
+        let depth = nodes[i].0;
+        nodes[i + 1..]
+            .iter()
+            .take_while(move |(d, _)| *d > depth)
+            .copied()
+    };
+    let mut partitioned = 0;
+    let mut gathers: Vec<Vec<(usize, &str)>> = Vec::new();
+    for (i, &(depth, label)) in nodes.iter().enumerate() {
+        let child_shuffles = subtree(i)
+            .filter(|&(d, l)| d == depth + 1 && l.starts_with("Shuffle"))
+            .count();
+        if child_shuffles == 2 {
+            partitioned += 1;
+        }
+        if label == "Gather" {
+            // Relative depths, so equal subtrees compare equal anywhere.
+            let below: Vec<_> = subtree(i).map(|(d, l)| (d - depth, l)).collect();
+            if !gathers.contains(&below) {
+                gathers.push(below);
+            }
+        }
+    }
+    let broadcasts = nodes.iter().filter(|(_, l)| *l == "Broadcast").count() as u64;
+    let mut tasks = 0;
+    for below in &gathers {
+        // Skip what a nested `Broadcast` ships: its own gathers count.
+        let mut own = Vec::new();
+        let mut skip_deeper_than = usize::MAX;
+        for &(d, l) in below {
+            if d <= skip_deeper_than {
+                skip_deeper_than = usize::MAX;
+                if l == "Broadcast" {
+                    skip_deeper_than = d;
+                    continue;
+                }
+                own.push(l);
+            }
+        }
+        tasks += match own.iter().find(|l| l.starts_with("Shuffle")) {
+            Some(shuffle) => {
+                let sites = shuffle.rsplit('→').next().expect("a placed shuffle names its sites");
+                sites.trim_end_matches(" site(s)").parse::<u64>().expect("site count")
+            }
+            None => {
+                let scan = own.iter().find(|l| l.starts_with("SeqScan ")).expect("a gathered scan");
+                let relation = scan.split_whitespace().nth(1).expect("scan names a relation");
+                fragments[relation]
+            }
+        };
+    }
+    (partitioned, broadcasts, tasks)
+}
+
+/// EXPLAIN prints the plan the machine runs: for a scan, a grace join, a
+/// broadcast join, an aggregate over a join, a sort and limit over an
+/// aggregate and a union of two equal filtered scans, the exchange nodes
+/// predict the executor's fan-out counters, and the rows equal the
+/// reference evaluator's.
+#[test]
+fn explain_prints_the_exchanges_the_machine_runs() {
+    let (db, reference, catalog) = join_tables();
+    let fragments = HashMap::from([("big_l", 4), ("big_r", 3), ("tiny", 2)]);
+    let union = "SELECT k FROM big_l WHERE v < 100 UNION ALL SELECT k FROM big_l WHERE v < 100";
+    for sql in [
+        "SELECT k, v FROM big_l WHERE v < 600",
+        "SELECT l.v, r.v FROM big_l l, big_r r WHERE l.k = r.k",
+        "SELECT l.v, t.label FROM big_l l, tiny t WHERE l.grp = t.k",
+        "SELECT l.grp, COUNT(*) AS n, SUM(r.v) AS s FROM big_l l, big_r r \
+         WHERE l.k = r.k GROUP BY l.grp",
+        "SELECT grp, COUNT(*) AS n FROM big_l GROUP BY grp ORDER BY grp DESC LIMIT 5",
+        union,
+    ] {
+        let explain = db.explain(sql).unwrap();
+        let physical = explain
+            .split("== physical ==\n")
+            .nth(1)
+            .and_then(|rest| rest.split("== knowledge-base").next())
+            .expect("EXPLAIN has a physical section");
+        let m = checked(&db, &reference, &catalog, sql);
+        assert_eq!(
+            (m.partitioned_joins, m.broadcast_joins, m.fragment_tasks),
+            predicted_counters(physical, &fragments),
+            "{sql}:\n{physical}"
+        );
+    }
+    // The union's two equal gathers run once: one fan-out over big_l's
+    // 4 fragments.
+    assert_eq!(checked(&db, &reference, &catalog, union).fragment_tasks, 4);
     db.shutdown();
 }
 

@@ -7,7 +7,9 @@ use std::sync::{Arc, OnceLock};
 use proptest::prelude::*;
 
 use prisma::relalg::eval::{transitive_closure, transitive_closure_naive};
-use prisma::relalg::{eval, execute_physical, lower, AggExpr, AggFunc, LogicalPlan, Relation};
+use prisma::relalg::{
+    eval, execute_physical, lower, AggExpr, AggFunc, JoinKind, LogicalPlan, Relation,
+};
 use prisma::stable::encoding;
 use prisma::storage::expr::{ArithOp, CmpOp, ScalarExpr};
 use prisma::types::wire::BlockChunk;
@@ -299,13 +301,14 @@ fn pivot_columns(rows: &[Tuple]) -> LazyColumns {
 type PlanOp = (u8, u8, u8);
 
 fn arb_plan_ops(max_ops: usize) -> impl Strategy<Value = Vec<PlanOp>> {
-    prop::collection::vec((0u8..7, 0u8..255, 0u8..255), 0..=max_ops)
+    prop::collection::vec((0u8..11, 0u8..255, 0u8..255), 0..=max_ops)
 }
 
 /// Interpret encoded ops into a valid plan over `l`/`r` (3 int columns).
-/// Joins always key the right side on its unique first column so output
-/// sizes stay bounded by the left side; limits only ever follow a total
-/// sort, so results are deterministic up to row order.
+/// Inner joins always key the right side on its unique first column (the
+/// theta join pins it to one value) so output sizes stay bounded by the
+/// left side; limits only ever follow a total sort, so results are
+/// deterministic up to row order.
 fn build_plan(ops: &[PlanOp], lschema: &Schema, rschema: &Schema) -> LogicalPlan {
     let mut plan = LogicalPlan::scan("l", lschema.clone());
     for &(op, p1, p2) in ops {
@@ -353,6 +356,36 @@ fn build_plan(ops: &[PlanOp], lschema: &Schema, rschema: &Schema) -> LogicalPlan
             }
             5 => LogicalPlan::Distinct {
                 input: Box::new(plan),
+            },
+            7 | 8 => LogicalPlan::Join {
+                left: Box::new(plan),
+                right: Box::new(LogicalPlan::scan("r", rschema.clone())),
+                kind: if op == 7 { JoinKind::Semi } else { JoinKind::Anti },
+                on: vec![(c1, p2 as usize % 3)],
+                residual: None,
+            },
+            9 => LogicalPlan::Join {
+                left: Box::new(plan),
+                right: Box::new(LogicalPlan::scan("r", rschema.clone()).select(ScalarExpr::cmp(
+                    CmpOp::Eq,
+                    ScalarExpr::col(0),
+                    ScalarExpr::lit(p2 as i64 % 40),
+                ))),
+                kind: JoinKind::Inner,
+                on: vec![],
+                residual: Some(ScalarExpr::cmp(
+                    CmpOp::Le,
+                    ScalarExpr::col(c1),
+                    ScalarExpr::col(arity + 1),
+                )),
+            },
+            10 => LogicalPlan::Difference {
+                left: Box::new(plan.clone()),
+                right: Box::new(plan.select(ScalarExpr::cmp(
+                    CmpOp::Lt,
+                    ScalarExpr::col(c1),
+                    ScalarExpr::lit(p2 as i64 - 127),
+                ))),
             },
             _ => {
                 let keys: Vec<(usize, bool)> = (0..arity).map(|i| (i, true)).collect();
@@ -530,7 +563,6 @@ proptest! {
 /// the op interpreter does not reach: semi/anti joins with a residual,
 /// and a computing projection under a `COUNT(*)` that reads no column.
 fn with_tail(plan: LogicalPlan, (kind, p1, p2): PlanOp, rschema: &Schema) -> LogicalPlan {
-    use prisma::relalg::JoinKind;
     let arity = plan.output_schema().expect("valid by construction").arity();
     let (c1, c2) = (p1 as usize % arity, p2 as usize % arity);
     match kind {
@@ -611,7 +643,8 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
 
     // The pull-based batch executor agrees with the reference evaluator
-    // on arbitrary plans over arbitrary data (up to row order).
+    // on arbitrary plans over arbitrary data (up to row order), lowered
+    // node for node and with the exchanges placed.
     #[test]
     fn batch_executor_matches_reference_evaluator(
         ops in arb_plan_ops(6),
@@ -633,6 +666,14 @@ proptest! {
         let via_exec = execute_physical(&physical, &db).unwrap().canonicalized();
         let via_eval = eval(&plan, &db).unwrap().canonicalized();
         prop_assert_eq!(via_exec.tuples(), via_eval.tuples(), "plan:\n{}", plan);
+        // On one site every exchange is the identity: the plan the
+        // machine runs (shuffles wherever two chains join) agrees too.
+        use prisma::optimizer::{lower_physical, PhysicalConfig, TableStats, Trace};
+        let grace = PhysicalConfig { broadcast_max_rows: 0.0, ..PhysicalConfig::default() };
+        let no_stats: HashMap<String, TableStats> = HashMap::new();
+        let placed = lower_physical(&plan, &no_stats, grace, &mut Trace::sink()).unwrap();
+        let via_exchanges = execute_physical(&placed, &db).unwrap().canonicalized();
+        prop_assert_eq!(via_exchanges.tuples(), via_eval.tuples(), "plan:\n{}", placed);
     }
 }
 
@@ -966,9 +1007,10 @@ proptest! {
 
     // The distributed machine — physical subplans shipped to fragments,
     // broadcast AND hash-partitioned joins (the scans are sized across
-    // the broadcast threshold), decomposable-aggregate merges, CSE memo
-    // hits from the union arm — agrees with the reference evaluator on
-    // randomized plans.
+    // the broadcast threshold), a broadcast into a nested-loop join,
+    // semi/anti joins and differences at the coordinator, split
+    // aggregates, equal gathers shared (the union and difference arms) —
+    // agrees with the reference evaluator on randomized plans.
     #[test]
     fn distributed_batch_pipeline_matches_reference_evaluator(
         ops in arb_plan_ops(5),
@@ -1808,7 +1850,6 @@ proptest! {
         style in 0u8..3,
         big_probe in any::<bool>(),
     ) {
-        use prisma::relalg::JoinKind;
         // A probe side of several batches, still under two morsels: every
         // width runs it inline. `columnar_join_pools_a_probe_of_two_morsels`
         // is the pooled probe.
